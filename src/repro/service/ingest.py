@@ -41,6 +41,15 @@ family, ``{"buckets": [...], "bits": [...]}`` objects for dBitFlipPM.
 LOLOHA reports carry the client's hash function and are deliberately *not*
 wire-serializable; LOLOHA producers submit pre-aggregated counts (the
 ``counts`` mode, which every protocol supports).
+
+Validation contract (anything else answers ``400``; JSON booleans, floats
+and strings are never integers): L-UE bits are the integers 0/1, ``k`` per
+report; L-GRR reports are integers in ``[0, k)``; dBitFlipPM reports carry
+exactly ``d`` distinct integer buckets in ``[0, b)`` with integer bits 0/1;
+counts are JSON numbers with integer values in ``[0, n_reports]``.  The
+server folds the parsed JSON arrays straight to support counts (column sum,
+``bincount``, bit-weighted ``bincount``) without building report objects;
+the result equals ``protocol.support_counts`` over the reports exactly.
 """
 
 from __future__ import annotations
@@ -50,6 +59,7 @@ import json
 import signal
 import time
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -111,24 +121,75 @@ def encode_reports(
     )
 
 
-def decode_reports(protocol: LongitudinalProtocol, payload: object) -> List:
-    """Decode a ``POST /v1/reports`` JSON array back into protocol reports."""
+class _Malformed(Exception):
+    """A wire batch breaks the validation contract (internal to the codec)."""
+
+
+def _wire_matrix(rows: object, width: int, high: int, what: str) -> np.ndarray:
+    """Validate ``rows`` into an ``(len(rows), width)`` integer matrix.
+
+    ``rows`` must be a list of ``width``-long JSON arrays whose elements are
+    all JSON integers (``int``, never ``bool``, ``float`` or ``str``) in
+    ``[0, high)``.  The type check and the conversion are each one C-level
+    pass over the parsed JSON, with no Python-level loop per element.
+    """
+    if (
+        not isinstance(rows, list)
+        or set(map(type, rows)) != {list}
+        or set(map(len, rows)) != {width}
+    ):
+        raise _Malformed(f"each report must carry an array of {width} {what}")
+    stray = set(map(type, chain.from_iterable(rows))) - {int}
+    if stray:
+        names = ", ".join(sorted(kind.__name__ for kind in stray))
+        raise _Malformed(f"{what} must be JSON integers, got {names}")
+    try:
+        if high <= 256:
+            # bytes() packs a row of small ints in one call, about twice as
+            # fast as np.array; it raises ValueError outside [0, 256).
+            matrix = np.frombuffer(b"".join(map(bytes, rows)), dtype=np.uint8)
+            matrix = matrix.reshape(len(rows), width)
+        else:
+            matrix = np.array(rows, dtype=np.int64)
+    except (ValueError, OverflowError):
+        matrix = None
+    if matrix is None or (matrix < 0).any() or (matrix >= high).any():
+        raise _Malformed(f"{what} must lie in [0, {high})")
+    return matrix
+
+
+def _wire_arrays(
+    protocol: LongitudinalProtocol, payload: object
+) -> Tuple[np.ndarray, ...]:
+    """Validate a ``reports`` payload into its family's arrays.
+
+    L-GRR gives ``(values,)`` of shape ``(n,)``; the L-UE family gives
+    ``(bits,)`` of shape ``(n, k)``; dBitFlipPM gives ``(buckets, bits)``,
+    each of shape ``(n, d)``.  Any breach of the wire contract raises
+    :class:`~repro.exceptions.ParameterError`.
+    """
     if not isinstance(payload, list) or not payload:
         raise ParameterError("reports must be a non-empty JSON array")
     try:
         if isinstance(protocol, LGRR):
-            return [int(report) for report in payload]
+            # The batch is one row of n report values.
+            values = _wire_matrix([payload], len(payload), protocol.k, "reports")
+            return (values[0],)
         if isinstance(protocol, LongitudinalUnaryEncoding):
-            return [[int(bit) for bit in report] for report in payload]
+            return (_wire_matrix(payload, protocol.k, 2, "bits"),)
         if isinstance(protocol, DBitFlipPM):
-            return [
-                DBitFlipReport(
-                    sampled_buckets=tuple(int(b) for b in report["buckets"]),
-                    bits=tuple(int(b) for b in report["bits"]),
-                )
-                for report in payload
-            ]
-    except (KeyError, TypeError, ValueError) as error:
+            if set(map(type, payload)) != {dict}:
+                raise _Malformed("each report must be a {'buckets', 'bits'} object")
+            try:
+                bucket_rows = [report["buckets"] for report in payload]
+                bit_rows = [report["bits"] for report in payload]
+            except KeyError as error:
+                raise _Malformed(f"report lacks {error}") from None
+            buckets = _wire_matrix(bucket_rows, protocol.d, protocol.b, "buckets")
+            if (np.diff(np.sort(buckets, axis=1), axis=1) == 0).any():
+                raise _Malformed("a report's buckets must be distinct")
+            return buckets, _wire_matrix(bit_rows, protocol.d, 2, "bits")
+    except _Malformed as error:
         raise ParameterError(
             f"malformed wire report for protocol {protocol.name!r}: {error}"
         ) from None
@@ -136,6 +197,49 @@ def decode_reports(protocol: LongitudinalProtocol, payload: object) -> List:
         f"protocol {protocol.name!r} does not accept wire reports; submit "
         f"pre-aggregated support counts instead (the 'counts' mode)"
     )
+
+
+def _fold_wire_reports(
+    protocol: LongitudinalProtocol, payload: object
+) -> Tuple[np.ndarray, int]:
+    """Validate and fold a ``reports`` payload to ``(support_counts, n)``.
+
+    Folds the validated arrays directly, without building report objects;
+    the counts equal ``protocol.support_counts`` over the decoded reports
+    exactly (integer-valued float64).
+    """
+    arrays = _wire_arrays(protocol, payload)
+    if isinstance(protocol, LGRR):
+        counts = np.bincount(arrays[0], minlength=protocol.k)
+    elif isinstance(protocol, DBitFlipPM):
+        buckets, bits = arrays
+        counts = np.bincount(
+            buckets.ravel(), weights=bits.ravel(), minlength=protocol.b
+        )
+    else:
+        counts = arrays[0].sum(axis=0)
+    return counts.astype(np.float64), len(payload)
+
+
+def decode_reports(protocol: LongitudinalProtocol, payload: object) -> List:
+    """Decode a ``POST /v1/reports`` JSON array back into protocol reports.
+
+    Validates exactly as the server does: L-GRR reports are integers in
+    ``[0, k)``, L-UE reports ``k``-long arrays of integer bits 0/1 (decoded
+    as read-only ``uint8`` rows, the clients' own dtype), and dBitFlipPM
+    reports ``d`` distinct integer buckets in ``[0, b)`` with integer bits
+    0/1.  Anything else raises :class:`~repro.exceptions.ParameterError`.
+    """
+    arrays = _wire_arrays(protocol, payload)
+    if isinstance(protocol, LGRR):
+        return arrays[0].tolist()
+    if isinstance(protocol, DBitFlipPM):
+        buckets, bits = (array.tolist() for array in arrays)
+        return [
+            DBitFlipReport(sampled_buckets=tuple(row), bits=tuple(flips))
+            for row, flips in zip(buckets, bits)
+        ]
+    return list(arrays[0])
 
 
 @dataclass
@@ -649,19 +753,7 @@ class IngestServer:
                 "a submission carries exactly one of 'reports' or 'counts'"
             )
         if has_reports:
-            reports = decode_reports(self.session.protocol, payload["reports"])
-            return self.session._fold_reports(reports), len(reports)
-        raw = payload["counts"]
-        try:
-            counts = np.asarray(raw, dtype=np.float64)
-        except (TypeError, ValueError) as error:
-            raise ParameterError(f"counts are not numeric: {error}") from None
-        if counts.shape != (m,):
-            raise ParameterError(
-                f"expected counts of shape ({m},), got {counts.shape}"
-            )
-        if not np.all(np.isfinite(counts)):
-            raise ParameterError("counts must be finite")
+            return _fold_wire_reports(self.session.protocol, payload["reports"])
         n_reports = payload.get("n_reports")
         if (
             isinstance(n_reports, bool)
@@ -672,11 +764,26 @@ class IngestServer:
                 f"a counts submission needs an integer n_reports >= 1, "
                 f"got {n_reports!r}"
             )
-        if float(counts.sum()) > n_reports * max(m, 1) + 0.5:
+        raw = payload["counts"]
+        if not isinstance(raw, list) or not set(map(type, raw)) <= {int, float}:
+            raise ParameterError("counts must be a JSON array of numbers")
+        bounds = (
+            f"every count must be an integer in [0, {n_reports}] for "
+            f"{n_reports} reports"
+        )
+        try:
+            counts = np.array(raw, dtype=np.float64)
+        except OverflowError:  # an integer beyond float64
+            raise ParameterError(bounds) from None
+        if counts.shape != (m,):
             raise ParameterError(
-                f"counts sum to {counts.sum():g}, impossible for "
-                f"{n_reports} reports over domain {m}"
+                f"expected counts of shape ({m},), got {counts.shape}"
             )
+        # Each report adds at most 1 to any count; NaN fails every test.
+        if not (
+            (counts >= 0) & (counts <= n_reports) & (counts == np.floor(counts))
+        ).all():
+            raise ParameterError(bounds)
         return counts, n_reports
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -638,6 +638,163 @@ class TestIngestHttp:
 
 
 # ---------------------------------------------------------------------- #
+# Wire contract: validation and the array fold
+# ---------------------------------------------------------------------- #
+WIRE_SPECS = {
+    "ue": ProtocolSpec(name="L-OSUE", k=4, eps_inf=2.0, eps_1=1.0),
+    "grr": ProtocolSpec(name="L-GRR", k=4, eps_inf=2.0, eps_1=1.0),
+    "dbitflip": ProtocolSpec(
+        name="dBitFlipPM", k=8, eps_inf=2.0, params={"d": 2, "b": 4}
+    ),
+}
+
+#: (server, submission body minus its round) pairs that break the wire
+#: contract.  Each must raise ParameterError and answer 400, never 500.
+MALFORMED_SUBMISSIONS = [
+    # dBitFlipPM, b=4, d=2: buckets distinct in [0, b), bits 0/1.
+    ("dbitflip", {"reports": [{"buckets": [9, 1], "bits": [1, 0]}]}),
+    ("dbitflip", {"reports": [{"buckets": [-1, 1], "bits": [1, 0]}]}),
+    ("dbitflip", {"reports": [{"buckets": [0, 0], "bits": [1, 0]}]}),
+    ("dbitflip", {"reports": [{"buckets": [0], "bits": [1]}]}),
+    ("dbitflip", {"reports": [{"buckets": [0, 1], "bits": [1]}]}),
+    ("dbitflip", {"reports": [{"buckets": [0, 1], "bits": [2, 5]}]}),
+    ("dbitflip", {"reports": [{"buckets": [0.0, 1], "bits": [1, 0]}]}),
+    ("dbitflip", {"reports": [{"buckets": [0, 1], "bits": [True, 0]}]}),
+    ("dbitflip", {"reports": [{"buckets": [0, 1], "bits": ["1", 0]}]}),
+    ("dbitflip", {"reports": [{"buckets": [0, 1]}]}),
+    ("dbitflip", {"reports": [[0, 1]]}),
+    # L-UE, k=4: every bit is the JSON integer 0 or 1.
+    ("ue", {"reports": [[2, 0, 0, 0]]}),
+    ("ue", {"reports": [[256, 0, 0, 0]]}),
+    ("ue", {"reports": [[-1, 0, 0, 0]]}),
+    ("ue", {"reports": [[1e30, 0, 0, 0]]}),
+    ("ue", {"reports": [[0.7, 0, 0, 0]]}),
+    ("ue", {"reports": [["1", 0, 0, 0]]}),
+    ("ue", {"reports": [[True, 0, 0, 0]]}),
+    ("ue", {"reports": [[1, 0, 0]]}),
+    ("ue", {"reports": [1]}),
+    # L-GRR, k=4: every report is a JSON integer in [0, k).
+    ("grr", {"reports": [1.9]}),
+    ("grr", {"reports": ["3"]}),
+    ("grr", {"reports": [4]}),
+    ("grr", {"reports": [-1]}),
+    ("grr", {"reports": [True]}),
+    ("grr", {"reports": [10**30]}),
+    ("grr", {"reports": [[1]]}),
+    # counts mode: numbers with integer values in [0, n_reports].
+    ("grr", {"counts": [-5, 3, 3, 1], "n_reports": 2}),
+    ("grr", {"counts": [0.5, 0.5, 0, 0], "n_reports": 1}),
+    ("grr", {"counts": [4, 0, 0, 0], "n_reports": 1}),
+    ("grr", {"counts": ["1", 0, 0, 0], "n_reports": 1}),
+    ("grr", {"counts": [True, 0, 0, 0], "n_reports": 1}),
+    ("grr", {"counts": [float("nan"), 0, 0, 0], "n_reports": 1}),
+    ("grr", {"counts": [10**400, 0, 0, 0], "n_reports": 1}),
+]
+
+
+class TestWireContract:
+    def test_malformed_wire_rejected_with_400(self):
+        from repro.registry import build_protocol
+
+        for family, submission in MALFORMED_SUBMISSIONS:
+            protocol = build_protocol(WIRE_SPECS[family])
+            payload = json.loads(json.dumps(submission))
+            if "reports" in payload:
+                with pytest.raises(ParameterError):
+                    decode_reports(protocol, payload["reports"])
+            with pytest.raises(ParameterError):
+                IngestServer(_spec(protocol=WIRE_SPECS[family]))._decode_submission(
+                    payload
+                )
+
+        async def scenario():
+            servers, clients = {}, {}
+            for family, spec in WIRE_SPECS.items():
+                servers[family] = IngestServer(
+                    _spec(protocol=spec), tick_interval=0.02
+                )
+                clients[family] = HttpClient(*await servers[family].start())
+            statuses = []
+            for family, submission in MALFORMED_SUBMISSIONS:
+                body = json.dumps({"round": 0, **submission}).encode()
+                response = await clients[family].request(
+                    "POST", "/v1/reports", body=body
+                )
+                statuses.append(response.status)
+            rounds = {
+                family: (await client.request("GET", "/v1/rounds")).parsed_json()
+                for family, client in clients.items()
+            }
+            for family, server in servers.items():
+                await clients[family].close()
+                await server.stop()
+            return statuses, rounds
+
+        statuses, rounds = asyncio.run(scenario())
+        assert statuses == [400] * len(MALFORMED_SUBMISSIONS)
+        for payload in rounds.values():
+            assert payload["reports_per_round"] == [0, 0, 0]
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ProtocolSpec(name="L-OSUE", k=1335, eps_inf=2.0, alpha=0.5),
+            ProtocolSpec(name="L-GRR", k=1335, eps_inf=2.0, alpha=0.5),
+            ProtocolSpec(
+                name="dBitFlipPM", label="bBitFlipPM", k=1335, eps_inf=2.0,
+                params={"d": "b"},
+            ),
+        ],
+        ids=["L-OSUE", "L-GRR", "bBitFlipPM"],
+    )
+    def test_array_fold_bit_identical_at_paper_k(self, spec):
+        from repro.registry import build_protocol
+
+        protocol = build_protocol(spec)
+        rounds = generate_round_reports(protocol, 3, 24, seed=5)
+        server = IngestServer(_spec(protocol=spec))
+        bodies = []
+        for t, batch in enumerate(rounds):
+            for part in (batch[:10], batch[10:]):
+                wire = json.loads(json.dumps(encode_reports(protocol, part)))
+                counts, n_reports = server._decode_submission({"reports": wire})
+                assert n_reports == len(part)
+                assert counts.dtype == np.float64
+                np.testing.assert_array_equal(
+                    counts, protocol.support_counts(part)
+                )
+                np.testing.assert_array_equal(
+                    protocol.support_counts(decode_reports(protocol, wire)),
+                    counts,
+                )
+                bodies.append(json.dumps({"round": t, "reports": wire}).encode())
+        reference = _batch_session(rounds, proto=spec)
+
+        async def scenario():
+            live = IngestServer(_spec(protocol=spec), tick_interval=0.02)
+            client = HttpClient(*await live.start())
+            statuses = [
+                (await client.request("POST", "/v1/reports", body=body)).status
+                for body in bodies
+            ]
+            await live._queue.join()
+            estimates = [
+                (await client.request("GET", f"/v1/estimate/{t}")).parsed_json()
+                for t in range(len(rounds))
+            ]
+            await client.close()
+            await live.stop()
+            return statuses, estimates
+
+        statuses, estimates = asyncio.run(scenario())
+        assert statuses == [202] * len(bodies)
+        for t, payload in enumerate(estimates):
+            expected = reference.estimate(t)
+            assert payload["n_reports"] == expected.n_reports
+            assert payload["frequencies"] == expected.frequencies.tolist()
+
+
+# ---------------------------------------------------------------------- #
 # Loadgen determinism
 # ---------------------------------------------------------------------- #
 class TestLoadgen:
