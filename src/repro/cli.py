@@ -353,12 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the spec's worker-process count",
     )
     sweep_parser.add_argument(
-        "--shared-dataset", action="store_true",
-        help="publish each dataset once in shared memory and let the "
-             "worker processes attach zero-copy views instead of shipping "
-             "each a pickled copy (results are identical)",
-    )
-    sweep_parser.add_argument(
         "--store", choices=_STORE_KINDS, default=None,
         help="results backend: csv (one append-only CSV per dataset, the "
              "default), sqlite (one WAL database, queryable), or parquet "
@@ -432,13 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the final estimate matrix (plus ground truth and "
              "metrics) as an .npz archive",
     )
-    serve_parser.add_argument(
-        "--publish-dataset", action="store_true",
-        help="additionally publish the collection's dataset as a shared-"
-             "memory block and print its name, so co-located 'work' "
-             "processes can attach with --attach-dataset instead of "
-             "rebuilding the dataset themselves",
-    )
     _add_backend_option(serve_parser)
     _add_obs_options(serve_parser)
 
@@ -480,12 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--poll", action="store_true",
         help="tcp compatibility mode: poll the broker with READY/IDLE "
              "round-trips instead of parking until work is pushed",
-    )
-    work_parser.add_argument(
-        "--attach-dataset", default=None, metavar="BLOCK",
-        help="attach the dataset from a shared-memory block published by a "
-             "co-located 'serve --publish-dataset' instead of rebuilding it "
-             "from the task's registry reference",
     )
     _add_backend_option(work_parser)
     _add_obs_options(work_parser)
@@ -724,7 +705,6 @@ def run_spec_sweep(
     output_dir: str,
     resume: bool = False,
     n_workers: Optional[int] = None,
-    shared_dataset: bool = False,
     store_kind: Optional[str] = None,
 ) -> int:
     """Execute a :class:`~repro.specs.SweepSpec`, one experiment per dataset.
@@ -808,7 +788,6 @@ def run_spec_sweep(
                 completed=completed,
                 resume=resume,
                 header_comment=f"{_FINGERPRINT_KEY}={fingerprint}",
-                shared_dataset=shared_dataset,
             )
             rows = store.load_rows(experiment_id)
             print(
@@ -913,16 +892,6 @@ def run_serve(args: argparse.Namespace) -> int:
     auth_key_env = args.auth_key_env or spec.auth_key_env
     auth = authenticator_from_env(auth_key_env)
     dataset = make_dataset(spec.dataset, scale=spec.dataset_scale, rng=spec.seed)
-    dataset_buffer = None
-    if args.publish_dataset:
-        from .simulation.shm import SharedDatasetBuffer
-
-        dataset_buffer = SharedDatasetBuffer.publish(dataset)
-        print(
-            f"{spec.name}: dataset published as shared block "
-            f"{dataset_buffer.name} (workers: --attach-dataset "
-            f"{dataset_buffer.name})"
-        )
     tasks = make_shard_tasks(
         spec.protocol, dataset, spec.n_shards, spec.seed,
         weights=spec.shard_weights,
@@ -988,8 +957,6 @@ def run_serve(args: argparse.Namespace) -> int:
         transport.close()
         if checkpoint_store is not None:
             checkpoint_store.close()
-        if dataset_buffer is not None:
-            dataset_buffer.unlink()
     result = result_from_summaries(
         spec.protocol,
         dataset,
@@ -1037,12 +1004,6 @@ def run_work(args: argparse.Namespace) -> int:
     _apply_backend_option(args)
     _apply_obs_options(args, component="worker")
     auth = authenticator_from_env(args.auth_key_env)
-    dataset = None
-    if args.attach_dataset:
-        from .simulation.shm import SharedDatasetBuffer
-
-        dataset = SharedDatasetBuffer.attach(args.attach_dataset)
-        print(f"dataset attached from shared block {args.attach_dataset}")
     if args.queue_dir:
         # Capacity hints and claim modes are TCP broker concepts; silently
         # ignoring them would let an operator believe a file-queue fleet is
@@ -1065,7 +1026,6 @@ def run_work(args: argparse.Namespace) -> int:
     try:
         completed = run_worker(
             endpoint,
-            dataset=dataset,
             max_tasks=args.max_tasks,
             idle_timeout=args.idle_exit,
         )
@@ -1232,88 +1192,53 @@ def run_loadgen(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
+    """Entry point; returns a process exit code.
 
+    Every subcommand reports a library error as one ``error: <message>``
+    line on stderr and exit code 2, never as a traceback.
+    """
+    args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "datasets":
         rows = dataset_summaries(scale=args.scale, rng=args.seed)
         print(format_table(rows))
         return 0
 
     if args.command == "sweep":
-        try:
-            _apply_backend_option(args)
-            spec = load_sweep_spec(args.spec)
-            _apply_obs_options(args, component="sweep", run_id=spec.name)
-            return run_spec_sweep(
-                spec,
-                args.output_dir,
-                resume=args.resume,
-                n_workers=args.workers,
-                shared_dataset=args.shared_dataset,
-                store_kind=args.store,
-            )
-        except ReproError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-
-    if args.command == "query":
-        try:
-            return run_query(args)
-        except ReproError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-
-    if args.command == "migrate-store":
-        try:
-            return run_migrate_store(args)
-        except ReproError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-
-    if args.command == "serve":
-        try:
-            return run_serve(args)
-        except ReproError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-
-    if args.command == "work":
-        try:
-            return run_work(args)
-        except ReproError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-
-    if args.command == "status":
-        try:
-            return run_status(args)
-        except ReproError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-
-    if args.command == "ingest":
-        try:
-            return run_ingest(args)
-        except ReproError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-
-    if args.command == "loadgen":
-        try:
-            return run_loadgen(args)
-        except ReproError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+        _apply_backend_option(args)
+        spec = load_sweep_spec(args.spec)
+        _apply_obs_options(args, component="sweep", run_id=spec.name)
+        return run_spec_sweep(
+            spec,
+            args.output_dir,
+            resume=args.resume,
+            n_workers=args.workers,
+            store_kind=args.store,
+        )
 
     if args.command == "check":
         from .checks.cli import run_check
 
-        try:
-            return run_check(args)
-        except ReproError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+        return run_check(args)
+
+    runners = {
+        "query": run_query,
+        "migrate-store": run_migrate_store,
+        "serve": run_serve,
+        "work": run_work,
+        "status": run_status,
+        "ingest": run_ingest,
+        "loadgen": run_loadgen,
+    }
+    if args.command in runners:
+        return runners[args.command](args)
 
     if args.command == "table1":
         result = run_table1(

@@ -72,7 +72,6 @@ def run_worker(
     idle_timeout: Optional[float] = 5.0,
     poll_interval: float = 0.1,
     stop: Optional[threading.Event] = None,
-    memo_pool=None,
 ) -> int:
     """Claim-and-execute loop; returns the number of completed shards.
 
@@ -94,12 +93,6 @@ def run_worker(
         Claim poll granularity.
     stop:
         Cooperative cancellation for worker threads.
-    memo_pool:
-        Optional :class:`~repro.simulation.shm.SharedMemoPool` shared by
-        every co-located worker on this host; each claimed shard's engine
-        then uses a view over the pooled memo table (its own disjoint user
-        slice) instead of a private allocation.  Summaries are bit-identical
-        either way.
     """
     registry = default_registry()
     m_claims = registry.counter(
@@ -175,7 +168,7 @@ def run_worker(
             workload = cache[key]
         task_started = time.perf_counter()
         with span("shard.run", component="worker", shard_id=shard_id):
-            summary = run_shard_task(task, workload, memo_pool=memo_pool)
+            summary = run_shard_task(task, workload)
         task_seconds = time.perf_counter() - task_started
         m_task_seconds.observe(task_seconds)
         # Echo the coordinator's plan fingerprint so stale summaries in a
@@ -225,16 +218,13 @@ def local_worker_threads(
     transport: Transport,
     n_workers: int,
     dataset: Optional[LongitudinalDataset] = None,
-    memo_pool=None,
 ) -> Iterator[LocalWorkerPool]:
     """Run ``n_workers`` worker threads against ``transport`` for a block.
 
     The workers poll until the block exits (they have no idle timeout); on
     exit they are signalled to stop and joined.  A worker exception is
     re-raised in the caller after the block (and is visible earlier through
-    :meth:`LocalWorkerPool.failure_reason`).  ``memo_pool`` is handed to
-    every worker (see :func:`run_worker`); the threads share the pool's
-    address space, so no attach step is needed.
+    :meth:`LocalWorkerPool.failure_reason`).
     """
     stop = threading.Event()
     pool: LocalWorkerPool
@@ -248,7 +238,6 @@ def local_worker_threads(
                 idle_timeout=None,
                 poll_interval=0.02,
                 stop=stop,
-                memo_pool=memo_pool,
             )
         except BaseException as error:  # surfaced via failure_reason / below
             pool.errors.append(error)

@@ -24,9 +24,6 @@ Each instrument supports an optional label set via :meth:`labels`
 itself usable directly.  All mutation goes through one registry lock, so
 instruments may be updated from the asyncio consumer while a scrape renders
 the registry from another thread.
-
-This module used to live at ``repro.service.metrics``; that path remains
-importable as a deprecation shim.
 """
 
 from __future__ import annotations

@@ -32,8 +32,7 @@ _EXPORTS = {
     # round windowing
     "RoundClock": ".clock",
     "SealEvent": ".clock",
-    # metrics surface (moved to repro.obs.metrics; re-exported for
-    # compatibility without the repro.service.metrics deprecation warning)
+    # metrics surface (lives in repro.obs.metrics; re-exported here)
     "Counter": "repro.obs.metrics",
     "Gauge": "repro.obs.metrics",
     "Histogram": "repro.obs.metrics",

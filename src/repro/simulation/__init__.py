@@ -57,11 +57,6 @@ _EXPORTS = {
     "PackedBitMemo": ".state",
     "SparsePackedBitMemo": ".state",
     "make_packed_bit_memo": ".state",
-    # shared-memory execution tier
-    "SharedArray": ".shm",
-    "SharedDatasetBuffer": ".shm",
-    "SharedMemoPool": ".shm",
-    "SharedPoolHandle": ".shm",
     # sinks
     "SupportCountSink": ".sinks",
     "ShardSummary": ".sinks",
@@ -161,12 +156,6 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
         simulate_protocol,
         simulate_protocol_sharded,
         simulate_with_clients,
-    )
-    from .shm import (
-        SharedArray,
-        SharedDatasetBuffer,
-        SharedMemoPool,
-        SharedPoolHandle,
     )
     from .sinks import ShardedSink, ShardSummary, SupportCountSink, estimate_support_counts
     from .state import (

@@ -49,6 +49,7 @@ randomness-consuming kernels always stay on the numpy ``Generator``.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from functools import partial
 from typing import Callable, List, Optional, Union
 
 import numpy as np
@@ -137,6 +138,12 @@ class _DeltaFoldCache:
 
     Longitudinal values are sticky across rounds, making the delta path the
     common case.
+
+    The engines build their folds with :func:`functools.partial` over the
+    memo table and backend, never as bound methods: a cache holding the
+    engine's own methods would put every engine in a reference cycle, and
+    its memo (hundreds of MB at paper scale) would outlive the engine until
+    the cyclic collector happened to run.
     """
 
     def __init__(
@@ -373,6 +380,29 @@ class GRRChainEngine(PopulationEngine):
         return self._state.distinct_per_user()
 
 
+def _packed_fold(backend, rows, n_bits, users, keys):
+    """Column sums of the packed rows ``rows(users, keys)``."""
+    return backend.packed_column_sums(rows(users, keys), n_bits)
+
+
+def _packed_fold_delta(backend, rows, n_bits, users, new_keys, old_keys):
+    # colsum(new) − colsum(old) == colsum([new, ~old]) − n_changed per
+    # column: inverting the packed bytes turns each old row into its
+    # complement (the byte tail pad lands in truncated columns >= n_bits), so
+    # one fused fold replaces the two-pass add/subtract.
+    fused = np.concatenate([rows(users, new_keys), np.invert(rows(users, old_keys))])
+    return backend.packed_column_sums(fused, n_bits) - users.size
+
+
+def _plane_rows(planes, users, symbols):
+    return planes[symbols, users]
+
+
+def _compare_fold(backend, hashed_domain, users, symbols):
+    """``sum_u [H_u(v) == symbols[u]]`` per value ``v``, compared per round."""
+    return backend.support_fold(hashed_domain[users], symbols)
+
+
 class UnaryChainEngine(PopulationEngine):
     """Vectorized population for the longitudinal UE protocols.
 
@@ -380,9 +410,8 @@ class UnaryChainEngine(PopulationEngine):
     memo table indexed by (user, value), materialized lazily in batches; the
     layout (dense below ~2 GiB, row-sparse above) is picked by
     :func:`repro.simulation.state.make_packed_bit_memo` and can be forced
-    with ``memo_layout=``, or the table itself injected with ``memo=`` (the
-    shared-memory pool of :mod:`repro.simulation.shm` does this to let
-    co-located shards share one allocation).  The round path folds the
+    with ``memo_layout=``, or the table itself injected with ``memo=``.
+    The round path folds the
     packed rows straight into per-column sums — the full ``(n_users, k)``
     bit matrix is never unpacked — and samples the instantaneous flips in
     aggregate (two binomials per column).
@@ -415,29 +444,10 @@ class UnaryChainEngine(PopulationEngine):
             self._state = make_packed_bit_memo(
                 n_users, protocol.k, protocol.k, layout=memo_layout
             )
+        fold_args = (self._backend, self._state.packed_rows, protocol.k)
         self._column_sums = _DeltaFoldCache(
-            n_users, self._fold_column_sums, self._fold_column_sums_delta
+            n_users, partial(_packed_fold, *fold_args), partial(_packed_fold_delta, *fold_args)
         )
-
-    def _fold_column_sums(self, users: np.ndarray, keys: np.ndarray) -> np.ndarray:
-        return self._backend.packed_column_sums(
-            self._state.packed_rows(users, keys), self.protocol.k
-        )
-
-    def _fold_column_sums_delta(
-        self, users: np.ndarray, new_keys: np.ndarray, old_keys: np.ndarray
-    ) -> np.ndarray:
-        # colsum(new) − colsum(old) == colsum([new, ~old]) − n_changed per
-        # column: inverting the packed bytes turns each old row into its
-        # complement (the byte tail pad lands in truncated columns >= k), so
-        # one fused fold replaces the two-pass add/subtract.
-        fused = np.concatenate(
-            [
-                self._state.packed_rows(users, new_keys),
-                np.invert(self._state.packed_rows(users, old_keys)),
-            ]
-        )
-        return self._backend.packed_column_sums(fused, self.protocol.k) - users.size
 
     def _memoized_column_sums(
         self, values_t: np.ndarray, generator: np.random.Generator
@@ -650,32 +660,19 @@ class LOLOHAEngine(PopulationEngine):
         # A user's support row depends only on its memoized symbol (the hash
         # tables are fixed), so the fold is delta-cached on those symbols;
         # the packed-plane layout additionally gets the fused delta pass.
-        self._memoized_support = _DeltaFoldCache(
-            n_users,
-            self._fold_support,
-            self._fold_support_delta if use_planes else None,
-        )
-
-    def _fold_support(self, users: np.ndarray, symbols: np.ndarray) -> np.ndarray:
-        """Fold the support rows of the given users under the given memoized
-        symbols: ``sum_u [H_u(v) == symbols[u]]`` per value ``v``."""
-        if self._support_planes is not None:
-            rows = self._support_planes[symbols, users]
-            return self._backend.packed_column_sums(rows, self.protocol.k)
-        return self._backend.support_fold(self.hashed_domain[users], symbols)
-
-    def _fold_support_delta(
-        self, users: np.ndarray, new_symbols: np.ndarray, old_symbols: np.ndarray
-    ) -> np.ndarray:
-        # Same fused add/remove identity as the UE column-sum delta: the
-        # complement of an old support row contributes 1 − old per column.
-        fused = np.concatenate(
-            [
-                self._support_planes[new_symbols, users],
-                np.invert(self._support_planes[old_symbols, users]),
-            ]
-        )
-        return self._backend.packed_column_sums(fused, self.protocol.k) - users.size
+        if use_planes:
+            fold_args = (
+                self._backend, partial(_plane_rows, self._support_planes), protocol.k
+            )
+            self._memoized_support = _DeltaFoldCache(
+                n_users,
+                partial(_packed_fold, *fold_args),
+                partial(_packed_fold_delta, *fold_args),
+            )
+        else:
+            self._memoized_support = _DeltaFoldCache(
+                n_users, partial(_compare_fold, self._backend, self.hashed_domain)
+            )
 
     def _memoized_support_counts(
         self, values_t: np.ndarray, generator: np.random.Generator

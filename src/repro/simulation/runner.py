@@ -263,49 +263,31 @@ class ShardTask:
 
 
 # ``fork``-safe per-worker shard context (see sweep.py for the same pattern).
-# ``ShardTask`` itself stays minimal for codec compatibility, so everything a
-# co-located worker shares — the dataset, and optionally a shared-memory memo
-# pool — travels through the pool initializer instead of the task.
+# ``ShardTask`` itself stays minimal for codec compatibility, so the dataset a
+# co-located worker shares travels through the pool initializer instead of
+# the task.
 _SHARD_DATASET: Optional[LongitudinalDataset] = None
-_SHARD_MEMO_POOL = None
 
 
-def _init_shard_worker(
-    dataset: Optional[LongitudinalDataset],
-    dataset_block: Optional[str] = None,
-    pool_handle=None,
-) -> None:
-    global _SHARD_DATASET, _SHARD_MEMO_POOL
-    if dataset_block is not None:
-        from .shm import SharedDatasetBuffer  # runtime import: shm builds on state
-
-        dataset = SharedDatasetBuffer.attach(dataset_block)
+def _init_shard_worker(dataset: LongitudinalDataset) -> None:
+    global _SHARD_DATASET
     _SHARD_DATASET = dataset
-    _SHARD_MEMO_POOL = None
-    if pool_handle is not None:
-        from .shm import SharedMemoPool
-
-        _SHARD_MEMO_POOL = SharedMemoPool.attach(pool_handle)
 
 
 def run_shard_task(
-    task: ShardTask,
-    dataset: Optional[LongitudinalDataset] = None,
-    memo_pool=None,
+    task: ShardTask, dataset: Optional[LongitudinalDataset] = None
 ) -> ShardSummary:
     """Execute one shard and return its picklable partial counts.
 
-    ``memo_pool`` (a :class:`~repro.simulation.shm.SharedMemoPool`, or the
-    one installed by the pool initializer) hands the shard's engine a memo
-    view over the host-shared table for users ``[task.start, task.stop)``
-    instead of a private allocation; shard slices are disjoint, so workers
-    write without locks, and the view resolves through the dense-memo code
-    path — summaries stay bit-identical to private-memo execution.
+    ``dataset`` defaults to the one installed by the pool initializer.
     """
     if dataset is None:
         dataset = _SHARD_DATASET
-    if memo_pool is None:
-        memo_pool = _SHARD_MEMO_POOL
+    if dataset is None:
+        raise ExperimentError(
+            f"no dataset for shard task {task.dataset_name!r}: pass dataset= "
+            "or run the task on a pool initialized with one"
+        )
     if task.dataset_name and dataset.name != task.dataset_name:
         # Tasks are shippable; a worker holding a different workload must
         # fail loudly instead of producing mislabelled partial counts.
@@ -318,16 +300,7 @@ def run_shard_task(
     protocol = build_protocol(task.spec.at(k=dataset.k))
     generator = np.random.default_rng(task.seed)
     n_shard_users = task.stop - task.start
-    options: Dict[str, object] = {}
-    if memo_pool is not None:
-        memo = memo_pool.memo_for_slice(task.start, task.stop)
-        # A requeued or duplicate delivery must behave exactly like a fresh
-        # run: partial state left by an interrupted attempt would skip
-        # fresh-row draws and desynchronize the shard's randomness stream,
-        # so the slice is always cleared before execution.
-        memo.reset()
-        options["memo"] = memo
-    engine = engine_for(protocol, n_shard_users, generator, **options)
+    engine = engine_for(protocol, n_shard_users, generator)
     sink = SupportCountSink(
         dataset.n_rounds, protocol.estimation_domain_size, n_shard_users
     )
@@ -459,7 +432,6 @@ def simulate_protocol_sharded(
     transport=None,
     lease_timeout: float = 30.0,
     weights: Optional[Sequence[float]] = None,
-    shared_memory: bool = False,
 ) -> SimulationResult:
     """Simulate ``protocol`` by splitting the population into user shards.
 
@@ -491,16 +463,6 @@ def simulate_protocol_sharded(
     bit-identical across every execution mode, because seed derivation is
     full-grid (shard ``i`` owns child seed ``i`` no matter how large its
     slice is).
-
-    ``shared_memory=True`` backs the co-located execution modes with one
-    host-shared state block (:mod:`repro.simulation.shm`): the process-pool
-    workers attach to a single published copy of the dataset and a single
-    population-wide memo table instead of each receiving a pickled dataset
-    and allocating a private memo, and the transport path hands the same
-    memo pool to its local worker threads.  Shard user slices are disjoint,
-    so the sharing is lock-free, and the estimates stay bit-identical to
-    every other execution mode.  The pool owner (this function) creates and
-    unlinks the segments; a failure inside the block still releases them.
     """
     resolved = _resolve_protocol(protocol, dataset.k)
     _check_domains(resolved, dataset)
@@ -516,83 +478,53 @@ def simulate_protocol_sharded(
             "are not shipped as work units); pass a spec from repro.specs"
         )
 
-    memo_pool = None
-    if shared_memory:
-        from .shm import SharedMemoPool  # runtime import: shm builds on state
+    if transport is not None:
+        # runtime import: repro.distributed builds on this module
+        from ..distributed import Coordinator, local_worker_threads
 
-        memo_pool = SharedMemoPool.create(resolved, dataset.n_users)
+        tasks = make_shard_tasks(protocol, dataset, n_shards, rng, weights=weights)
+        coordinator = Coordinator(tasks, transport, lease_timeout=lease_timeout)
+        with local_worker_threads(transport, n_workers, dataset=dataset) as pool:
+            # Abort (instead of polling forever) if every local worker died;
+            # with n_workers=0 external workers are expected and the pool
+            # reports nothing.
+            coordinator.run(abort=pool.failure_reason)
+        return result_from_summaries(
+            protocol,
+            dataset,
+            coordinator.ordered_summaries(),
+            extra={"transport": type(transport).__name__},
+        )
 
-    try:
-        if transport is not None:
-            # runtime import: repro.distributed builds on this module
-            from ..distributed import Coordinator, local_worker_threads
-
-            tasks = make_shard_tasks(protocol, dataset, n_shards, rng, weights=weights)
-            coordinator = Coordinator(tasks, transport, lease_timeout=lease_timeout)
-            with local_worker_threads(
-                transport, n_workers, dataset=dataset, memo_pool=memo_pool
-            ) as pool:
-                # Abort (instead of polling forever) if every local worker died;
-                # with n_workers=0 external workers are expected and the pool
-                # reports nothing.
-                coordinator.run(abort=pool.failure_reason)
-            return result_from_summaries(
-                protocol,
-                dataset,
-                coordinator.ordered_summaries(),
-                extra={"transport": type(transport).__name__},
-            )
-
-        summaries: List[ShardSummary]
-        if isinstance(protocol, ProtocolSpec):
-            tasks = make_shard_tasks(protocol, dataset, n_shards, rng, weights=weights)
-            if n_workers == 1:
-                summaries = [
-                    run_shard_task(task, dataset, memo_pool=memo_pool) for task in tasks
-                ]
-            elif memo_pool is not None:
-                # Shared-memory mode: publish the dataset once and hand every
-                # worker the block names; workers attach instead of receiving
-                # a pickled copy each.
-                from .shm import SharedDatasetBuffer
-
-                with SharedDatasetBuffer.publish(dataset) as buffer:
-                    with ProcessPoolExecutor(
-                        max_workers=min(n_workers, n_shards),
-                        initializer=_init_shard_worker,
-                        initargs=(None, buffer.name, memo_pool.handle),
-                    ) as pool:
-                        summaries = list(pool.map(run_shard_task, tasks))
-            else:
-                with ProcessPoolExecutor(
-                    max_workers=min(n_workers, n_shards),
-                    initializer=_init_shard_worker,
-                    initargs=(dataset,),
-                ) as pool:
-                    # ``map`` preserves task order, so the merge below absorbs
-                    # shards in shard order — bit-identical to the serial path.
-                    summaries = list(pool.map(run_shard_task, tasks))
+    summaries: List[ShardSummary]
+    if isinstance(protocol, ProtocolSpec):
+        tasks = make_shard_tasks(protocol, dataset, n_shards, rng, weights=weights)
+        if n_workers == 1:
+            summaries = [run_shard_task(task, dataset) for task in tasks]
         else:
-            shard_seeds = derive_seed_sequences(rng, n_shards)
-            boundaries = shard_boundaries(dataset.n_users, n_shards, weights)
-            summaries = []
-            for shard, seed in enumerate(shard_seeds):
-                generator = np.random.default_rng(seed)
-                start, stop = int(boundaries[shard]), int(boundaries[shard + 1])
-                options: Dict[str, object] = {}
-                if memo_pool is not None:
-                    options["memo"] = memo_pool.memo_for_slice(start, stop)
-                engine = engine_for(resolved, stop - start, generator, **options)
-                sink = SupportCountSink(
-                    dataset.n_rounds, resolved.estimation_domain_size, stop - start
-                )
-                _drive_windows(engine, dataset.values[start:stop], sink, generator)
-                summaries.append(sink.to_summary(engine.distinct_memoized_per_user()))
+            with ProcessPoolExecutor(
+                max_workers=min(n_workers, n_shards),
+                initializer=_init_shard_worker,
+                initargs=(dataset,),
+            ) as pool:
+                # ``map`` preserves task order, so the merge below absorbs
+                # shards in shard order — bit-identical to the serial path.
+                summaries = list(pool.map(run_shard_task, tasks))
+    else:
+        shard_seeds = derive_seed_sequences(rng, n_shards)
+        boundaries = shard_boundaries(dataset.n_users, n_shards, weights)
+        summaries = []
+        for shard, seed in enumerate(shard_seeds):
+            generator = np.random.default_rng(seed)
+            start, stop = int(boundaries[shard]), int(boundaries[shard + 1])
+            engine = engine_for(resolved, stop - start, generator)
+            sink = SupportCountSink(
+                dataset.n_rounds, resolved.estimation_domain_size, stop - start
+            )
+            _drive_windows(engine, dataset.values[start:stop], sink, generator)
+            summaries.append(sink.to_summary(engine.distinct_memoized_per_user()))
 
-        return result_from_summaries(resolved, dataset, summaries)
-    finally:
-        if memo_pool is not None:
-            memo_pool.unlink()
+    return result_from_summaries(resolved, dataset, summaries)
 
 
 def simulate_with_clients(

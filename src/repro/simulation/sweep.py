@@ -192,20 +192,12 @@ class _RunStats:
 
 
 # ``fork``-safe per-worker cache: the dataset is shipped once through the pool
-# initializer instead of being pickled into every task — or, with
-# ``shared_dataset=True``, attached from one host-shared block so the worker
-# holds a zero-copy view instead of a private copy.
+# initializer instead of being pickled into every task.
 _WORKER_DATASET: Optional[LongitudinalDataset] = None
 
 
-def _init_worker(
-    dataset: Optional[LongitudinalDataset], dataset_block: Optional[str] = None
-) -> None:
+def _init_worker(dataset: LongitudinalDataset) -> None:
     global _WORKER_DATASET
-    if dataset_block is not None:
-        from .shm import SharedDatasetBuffer  # runtime import: shm builds on state
-
-        dataset = SharedDatasetBuffer.attach(dataset_block)
     _WORKER_DATASET = dataset
 
 
@@ -281,12 +273,6 @@ class SweepExecutor:
         ``has_rows`` / ``append_rows`` are required, and the store is only
         touched from the parent process — backends whose handles cannot
         cross a fork/pickle boundary (SQLite) are safe here.
-    shared_dataset:
-        With ``n_workers > 1``, publish the dataset once through
-        :class:`repro.simulation.shm.SharedDatasetBuffer` and have every
-        pool worker attach a zero-copy view, instead of shipping a pickled
-        copy per worker.  Results are identical; only memory and pool
-        start-up time change.
     completed, resume:
         Resume support: grid keys in ``completed`` (``(protocol_name,
         alpha, eps_inf)``, see :func:`completed_points_from_rows`) are
@@ -319,7 +305,6 @@ class SweepExecutor:
         resume: bool = False,
         protocol_factories: Optional[Mapping[str, ProtocolFactory]] = None,
         header_comment: Optional[str] = None,
-        shared_dataset: bool = False,
     ) -> None:
         if protocol_factories is not None:
             if protocols is not None:
@@ -335,6 +320,8 @@ class SweepExecutor:
         alpha_values = list(alpha_values)
         if not protocols:
             raise ExperimentError("at least one protocol spec is required")
+        if dataset is None:
+            raise ExperimentError("no dataset given: pass the dataset to simulate")
         if not eps_inf_values or not alpha_values:
             raise ExperimentError("the privacy grid must be non-empty")
         # Fail fast on an invalid grid, before any generator table is derived
@@ -359,7 +346,6 @@ class SweepExecutor:
                 stacklevel=2,
             )
         self.dataset = dataset
-        self.shared_dataset = bool(shared_dataset)
         self.rng = rng
         self.keep_runs = keep_runs
         self.store = store
@@ -479,7 +465,7 @@ class SweepExecutor:
                         )
                     on_task_done(task_index, payload, seconds)
             else:
-                self._run_parallel(work_items, seeds, on_task_done)
+                self._run_pool(work_items, seeds, on_task_done)
         finally:
             # Flush the completed grid-order prefix even when a task failed
             # or the sweep was interrupted — finished points stay on disk.
@@ -498,7 +484,6 @@ class SweepExecutor:
     ) -> List[Optional[Union[SweepTask, LongitudinalProtocol]]]:
         """One picklable work item per task; ``None`` for skipped tasks."""
         items: List[Optional[Union[SweepTask, LongitudinalProtocol]]] = []
-        dataset_name = self.dataset.name if self.dataset is not None else ""
         for point_index, (name, alpha, eps_inf) in enumerate(self.grid):
             for run in range(self.n_runs):
                 if skip[point_index]:
@@ -507,7 +492,7 @@ class SweepExecutor:
                     items.append(
                         SweepTask(
                             spec=self.protocols[name],
-                            dataset_name=dataset_name,
+                            dataset_name=self.dataset.name,
                             eps_inf=eps_inf,
                             alpha=alpha,
                             run=run,
@@ -522,32 +507,14 @@ class SweepExecutor:
                     )
         return items
 
-    def _run_parallel(self, work_items, seeds, on_task_done) -> None:
+    def _run_pool(self, work_items, seeds, on_task_done) -> None:
         active = [index for index, work in enumerate(work_items) if work is not None]
         if not active:
             return
-        max_workers = min(self.n_workers, len(active))
-        buffer = None
-        if self.shared_dataset:
-            from .shm import SharedDatasetBuffer
-
-            buffer = SharedDatasetBuffer.publish(self.dataset)
-            initargs = (None, buffer.name)
-        else:
-            initargs = (self.dataset,)
-        try:
-            self._run_pool(work_items, seeds, on_task_done, active, max_workers, initargs)
-        finally:
-            if buffer is not None:
-                buffer.unlink()
-
-    def _run_pool(
-        self, work_items, seeds, on_task_done, active, max_workers, initargs
-    ) -> None:
         with ProcessPoolExecutor(
-            max_workers=max_workers,
+            max_workers=min(self.n_workers, len(active)),
             initializer=_init_worker,
-            initargs=initargs,
+            initargs=(self.dataset,),
         ) as pool:
             pending = {
                 pool.submit(
@@ -640,7 +607,6 @@ def run_sweep(
     resume: bool = False,
     protocol_factories: Optional[Mapping[str, ProtocolFactory]] = None,
     header_comment: Optional[str] = None,
-    shared_dataset: bool = False,
 ) -> List[Optional[SweepPoint]]:
     """Run the full ``(protocol, eps_inf, alpha)`` grid over one dataset.
 
@@ -665,6 +631,5 @@ def run_sweep(
         resume=resume,
         protocol_factories=protocol_factories,
         header_comment=header_comment,
-        shared_dataset=shared_dataset,
     )
     return executor.run()

@@ -8,7 +8,8 @@ overwrites silently: re-saving an experiment requires ``overwrite=True``.
 Whole-file writes (:meth:`ResultsStore.save_rows`,
 :meth:`ResultsStore.save_json`) are **atomic**: content is staged to a temp
 file in the same directory, fsynced and renamed over the target.  Incremental flushes (:meth:`ResultsStore.append_rows`) use
-``O_APPEND`` + fsync — O(batch) I/O per flush instead of re-reading and
+``O_APPEND`` + fsync under an exclusive ``flock`` (so concurrent writers
+never both write a header) — O(batch) I/O per flush instead of re-reading and
 rewriting the whole file, which over a long sweep was O(rows^2).  A writer
 killed mid-flush can leave at most one torn trailing line; readers (and the
 next append) detect it by the missing newline terminator and drop it, so a
@@ -21,6 +22,7 @@ comments — a data row whose first cell happens to start with ``#`` is data.
 from __future__ import annotations
 
 import csv
+import fcntl
 import hashlib
 import io
 import json
@@ -158,28 +160,34 @@ class ResultsStore:
                     raise ExperimentError(
                         "appended cell values must not contain newlines"
                     )
-        buffer = io.StringIO()
-        writer = csv.DictWriter(buffer, fieldnames=fieldnames)
-        existing_header = None
-        if path.exists() and path.stat().st_size > 0:
-            _truncate_torn_tail(path)
-            existing_header = _read_header_fields(path)
-        if existing_header is None:
-            if header_comment is not None:
-                if "\n" in header_comment or "\r" in header_comment:
-                    raise ExperimentError("header comment must be a single line")
-                buffer.write(f"# {header_comment}\n")
-            writer.writeheader()
-        elif existing_header != fieldnames:
-            raise ExperimentError(
-                f"cannot append to {path}: existing columns {existing_header} do "
-                f"not match {fieldnames}"
-            )
-        writer.writerows(rows)
-        payload = buffer.getvalue().encode("utf-8")
+        if header_comment is not None and (
+            "\n" in header_comment or "\r" in header_comment
+        ):
+            raise ExperimentError("header comment must be a single line")
         fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
         try:
-            view = memoryview(payload)
+            # One exclusive lock spans the header check, the torn-tail cut
+            # and the write: two writers that both saw an empty file would
+            # otherwise each write a header, and the second header would
+            # load as a data row.
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            buffer = io.StringIO()
+            writer = csv.DictWriter(buffer, fieldnames=fieldnames)
+            existing_header = None
+            if os.fstat(fd).st_size > 0:
+                _truncate_torn_tail(path)
+                existing_header = _read_header_fields(path)
+            if existing_header is None:
+                if header_comment is not None:
+                    buffer.write(f"# {header_comment}\n")
+                writer.writeheader()
+            elif existing_header != fieldnames:
+                raise ExperimentError(
+                    f"cannot append to {path}: existing columns {existing_header} do "
+                    f"not match {fieldnames}"
+                )
+            writer.writerows(rows)
+            view = memoryview(buffer.getvalue().encode("utf-8"))
             while view:
                 view = view[os.write(fd, view) :]
             os.fsync(fd)

@@ -30,6 +30,21 @@ class TestParser:
         assert args.eps == [0.5, 2.0, 5.0]
         assert args.alpha == [0.5]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--spec", "s.json", "--output-dir", "o", "--shared-dataset"],
+            ["serve", "--spec", "s.json", "--publish-dataset"],
+            ["work", "--queue-dir", "q", "--attach-dataset"],
+        ],
+        ids=["sweep", "serve", "work"],
+    )
+    def test_shared_memory_flags_are_gone(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {argv[-1]}" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_datasets_summary(self, capsys):
@@ -68,6 +83,37 @@ class TestCommands:
         assert "MSE_avg" in output
         assert list(tmp_path.glob("figure3.csv"))
 
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (command, "alpha values must lie in (0, 1), got 1.5")
+            for command in ("figure1", "figure2", "figure3", "figure4", "table2")
+        ]
+        + [
+            (
+                "table1",
+                "eps_1 (first-report budget) must be strictly smaller than "
+                "eps_inf (longitudinal budget); got eps_1=3.0, eps_inf=2.0",
+            )
+        ],
+    )
+    def test_invalid_grid_answers_error_line_and_exit_2(
+        self, capsys, tmp_path, command, message
+    ):
+        code = main(
+            [
+                command,
+                "--eps", "1.0",
+                "--alpha", "1.5",
+                "--scale", "0.02",
+                "--output-dir", str(tmp_path),
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == f"error: {message}"
+        assert "Traceback" not in captured.err
+
     def test_table2_command_small(self, capsys):
         code = main(
             ["table2", "--dataset", "syn", "--eps", "0.5", "--alpha", "0.5", "--scale", "0.02"]
@@ -90,10 +136,10 @@ class TestSweepCommand:
         assert len(lines) == 6
         assert lines[0].startswith("# sweep_spec_fingerprint=")
 
-    def test_sweep_shared_dataset_and_backend_flags(
+    def test_sweep_workers_and_backend_flags(
         self, capsys, tmp_path, write_sweep_grid, monkeypatch
     ):
-        """--shared-dataset and --kernel-backend produce the same CSV as the
+        """--workers 2 and --kernel-backend produce the same CSV as the
         default sweep (bit-identical grid, numpy backend pinned via env)."""
         import os
 
@@ -103,15 +149,14 @@ class TestSweepCommand:
         # the CLI writes os.environ directly; "auto" is the default policy.
         monkeypatch.setenv(BACKEND_ENV_VAR, "auto")
         grid = write_sweep_grid()
-        plain_out, shared_out = tmp_path / "plain", tmp_path / "shared"
+        plain_out, pooled_out = tmp_path / "plain", tmp_path / "pooled"
         assert main(["sweep", "--spec", str(grid), "--output-dir", str(plain_out)]) == 0
         assert (
             main(
                 [
                     "sweep",
                     "--spec", str(grid),
-                    "--output-dir", str(shared_out),
-                    "--shared-dataset",
+                    "--output-dir", str(pooled_out),
                     "--workers", "2",
                     "--kernel-backend", "numpy",
                 ]
@@ -121,7 +166,7 @@ class TestSweepCommand:
         assert "kernel backend: numpy" in capsys.readouterr().out
         assert os.environ[BACKEND_ENV_VAR] == "numpy"
         assert (plain_out / "cli_syn.csv").read_text().splitlines()[1:] == (
-            shared_out / "cli_syn.csv"
+            pooled_out / "cli_syn.csv"
         ).read_text().splitlines()[1:]
 
     def test_sweep_csv_fingerprint_matches_spec(self, tmp_path, write_sweep_grid):

@@ -101,6 +101,11 @@ class TestCodec:
         _, _, ref, _ = decode_task(encode_task(0, task))
         assert ref is None
 
+    def test_task_outside_initialized_pool_needs_dataset(self, tiny_dataset):
+        task = make_shard_tasks(LONGITUDINAL_SPEC, tiny_dataset, 2, rng=5)[0]
+        with pytest.raises(ExperimentError, match="no dataset for shard task 'tiny'"):
+            run_shard_task(task)
+
     def test_summary_round_trip(self, tiny_dataset):
         task = make_shard_tasks(LONGITUDINAL_SPEC, tiny_dataset, 2, rng=5)[0]
         summary = run_shard_task(task, tiny_dataset)
@@ -1106,65 +1111,6 @@ class TestServeWorkCli:
         with np.load(estimates_path) as archive:
             assert np.array_equal(archive["estimates"], serial.estimates)
             assert float(archive["mse_avg"]) == serial.mse_avg
-
-    def test_serve_publish_dataset_and_worker_attach(
-        self, tmp_path, capsys, write_collection_spec, queue_dir
-    ):
-        """serve --publish-dataset shares the dataset over shm; a worker
-        started with --attach-dataset maps it instead of rebuilding it, and
-        the estimates stay bit-identical to the serial path."""
-        import re
-
-        from repro.cli import main
-        from repro.datasets import make_dataset
-        from repro.simulation.shm import SharedDatasetBuffer
-
-        spec, spec_path = write_collection_spec(name="shm-test")
-        estimates_path = tmp_path / "estimates.npz"
-
-        # The worker needs the block name serve prints, so publish a copy
-        # up front for the worker and let serve publish its own: both map
-        # the same bytes, so attaching to either is equivalent.  (A shell
-        # user would copy the name from serve's stdout instead.)
-        dataset = make_dataset(spec.dataset, scale=spec.dataset_scale, rng=spec.seed)
-        with SharedDatasetBuffer.publish(dataset) as buffer:
-            worker = threading.Thread(
-                target=main,
-                args=(
-                    [
-                        "work",
-                        "--queue-dir", str(queue_dir),
-                        "--idle-exit", "10",
-                        "--attach-dataset", buffer.name,
-                    ],
-                ),
-                daemon=True,
-            )
-            worker.start()
-            code = main(
-                [
-                    "serve",
-                    "--spec", str(spec_path),
-                    "--transport", "file",
-                    "--queue-dir", str(queue_dir),
-                    "--lease-timeout", "10",
-                    "--save-estimates", str(estimates_path),
-                    "--timeout", "60",
-                    "--publish-dataset",
-                ]
-            )
-            worker.join(timeout=30)
-        assert code == 0
-        output = capsys.readouterr().out
-        assert re.search(r"dataset published as shared block \S+", output)
-        assert "dataset attached from shared block" in output
-        assert "collected 3 shards" in output
-
-        serial = simulate_protocol_sharded(
-            spec.protocol, dataset, n_shards=3, rng=spec.seed
-        )
-        with np.load(estimates_path) as archive:
-            assert np.array_equal(archive["estimates"], serial.estimates)
 
     def test_serve_with_local_workers_and_tcp(
         self, tmp_path, capsys, write_collection_spec

@@ -1,5 +1,8 @@
 """Tests for the vectorized population engines and the simulation runner."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -94,6 +97,33 @@ class TestEngineMemoization:
         for _ in range(20):
             engine.run_round(rng.integers(0, 40, size=15))
         assert engine.key_history is None
+
+
+@pytest.mark.parametrize(
+    "protocol, options",
+    [
+        (LGRR(12, 2.0, 1.0), {}),
+        (LOSUE(12, 2.0, 1.0), {}),
+        (OLOLOHA(12, 2.0, 1.0), {"support_layout": "packed"}),
+        (OLOLOHA(12, 2.0, 1.0), {"support_layout": "compare"}),
+        (DBitFlipPM(12, 2.0), {}),
+    ],
+    ids=["grr", "ue", "loloha-packed", "loloha-compare", "dbitflip"],
+)
+def test_engine_freed_without_cyclic_gc(protocol, options):
+    # An engine must not sit in a reference cycle: its memo would otherwise
+    # outlive it until the cyclic collector ran, and peak memory across a
+    # sweep would depend on when that happened.
+    engine = engine_for(protocol, 8, rng=0, **options)
+    for t in range(3):
+        engine.run_round(np.full(8, t, dtype=np.int64))
+    ref = weakref.ref(engine)
+    gc.disable()
+    try:
+        del engine
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 class TestAggregatedRounds:

@@ -1,4 +1,4 @@
-"""Execution-tier tests: batched windows, shared memory, kernel backends.
+"""Execution-tier tests: batched windows, process-pool shards, kernel backends.
 
 Guards the three layers added by the execution tier:
 
@@ -8,9 +8,8 @@ Guards the three layers added by the execution tier:
   that an R-round window consumes exactly R rounds' worth of variates, at
   two population sizes), and the runner's window driver splits windows at
   every mid-window value change.
-* **Shared-memory state** — datasets and memo pools published through
-  :mod:`repro.simulation.shm` keep every execution mode bit-identical and
-  enforce the owner-unlinks lifecycle.
+* **Process-pool shards** — sharded runs on a pool stay bit-identical to
+  serial execution for every protocol family.
 * **Kernel backends** — the optional compiled backend must match the numpy
   oracle exactly, and the dispatch must fall back (or fail loudly when
   explicitly requested) when the compiler is missing.
@@ -19,12 +18,9 @@ Guards the three layers added by the execution tier:
 import numpy as np
 import pytest
 
-from repro.exceptions import ExperimentError, ParameterError
+from repro.exceptions import ParameterError
 from repro.longitudinal import DBitFlipPM, LGRR, LOSUE, OLOLOHA
 from repro.simulation import (
-    SharedArray,
-    SharedDatasetBuffer,
-    SharedMemoPool,
     engine_for,
     round_windows,
     simulate_protocol,
@@ -236,105 +232,19 @@ class TestEngineOptionValidation:
             )
 
 
-class TestSharedArray:
-    def test_roundtrip_and_readonly_attach(self):
-        values = np.arange(24, dtype=np.int32).reshape(4, 6)
-        block = SharedArray.create(values, extra={"tag": "t"})
-        try:
-            attached = SharedArray.attach(block.name)
-            assert np.array_equal(attached.array, values)
-            assert attached.extra["tag"] == "t"
-            with pytest.raises(ValueError):
-                attached.array[0, 0] = 9
-            attached.close()
-        finally:
-            block.unlink()
-
-    def test_writable_attach_shares_updates(self):
-        values = np.zeros(5, dtype=np.int64)
-        block = SharedArray.create(values)
-        try:
-            writer = SharedArray.attach(block.name, writable=True)
-            writer.array[2] = 42
-            assert block.array[2] == 42
-            writer.close()
-        finally:
-            block.unlink()
-
-    def test_only_owner_may_unlink(self):
-        block = SharedArray.create(np.ones(3))
-        try:
-            attached = SharedArray.attach(block.name)
-            with pytest.raises(ExperimentError, match="owner"):
-                attached.unlink()
-            attached.close()
-        finally:
-            block.unlink()
-
-    def test_double_unlink_is_idempotent(self):
-        block = SharedArray.create(np.ones(3))
-        block.unlink()
-        block.unlink()  # second unlink is a no-op, not an error
-
-
-class TestSharedDatasetBuffer:
-    def test_publish_attach_roundtrip(self, tiny_dataset):
-        with SharedDatasetBuffer.publish(tiny_dataset) as buffer:
-            attached = SharedDatasetBuffer.attach(buffer.name)
-            assert attached.name == tiny_dataset.name
-            assert attached.k == tiny_dataset.k
-            assert np.array_equal(attached.values, tiny_dataset.values)
-            assert attached.metadata["shared_block"] == buffer.name
-
-
-class TestSharedMemoPool:
-    @PROTOCOL_PARAMS
-    def test_slices_cover_population_and_reset(self, protocol_factory):
-        protocol = protocol_factory(K)
-        with SharedMemoPool.create(protocol, 40) as pool:
-            memo = pool.memo_for_slice(10, 25)
-            values = np.random.default_rng(7).integers(0, K, size=15)
-            engine = engine_for(protocol, 15, rng=1, memo=memo)
-            engine.run_round(values, np.random.default_rng(2))
-            assert memo.distinct_per_user().sum() > 0
-            memo.reset()
-            assert memo.distinct_per_user().sum() == 0
-
-    def test_over_budget_allocation_refused(self):
-        with pytest.raises(ExperimentError, match="sparse"):
-            SharedMemoPool.create(
-                LOSUE(2_048, 2.0, 1.0), 100_000, max_bytes=1 << 20
-            )
-
+class TestProcessPoolShards:
     @pytest.mark.parametrize(
         "name", ["L-GRR", "L-OSUE", "OLOLOHA", "dBitFlipPM"]
     )
-    def test_shared_memory_modes_bit_identical(self, name, tiny_dataset):
-        """Serial, shared-memory serial, and shared-memory process-pool runs
-        all produce the same bits (the existing L-OSUE / L-GRR identity
-        tests, extended to the shared pool)."""
+    def test_pool_matches_serial_bit_for_bit(self, name, tiny_dataset):
+        """Sharded runs on a process pool produce the same bits as serial."""
         params = {"b": 6, "d": 4} if name == "dBitFlipPM" else {}
         spec = ProtocolSpec(name=name, eps_inf=2.0, alpha=0.5, params=params)
-        plain = simulate_protocol_sharded(
-            spec, tiny_dataset, n_shards=3, rng=77
+        serial = simulate_protocol_sharded(spec, tiny_dataset, n_shards=3, rng=77)
+        pooled = simulate_protocol_sharded(
+            spec, tiny_dataset, n_shards=3, rng=77, n_workers=2
         )
-        shared_serial = simulate_protocol_sharded(
-            spec, tiny_dataset, n_shards=3, rng=77, shared_memory=True
-        )
-        assert np.array_equal(plain.estimates, shared_serial.estimates)
-        shared_pool = simulate_protocol_sharded(
-            spec, tiny_dataset, n_shards=3, rng=77, n_workers=2, shared_memory=True
-        )
-        assert np.array_equal(plain.estimates, shared_pool.estimates)
-
-    def test_shared_memory_with_protocol_object(self, tiny_dataset):
-        """The non-spec serial path also honors shared_memory=True."""
-        protocol = OLOLOHA(tiny_dataset.k, 2.0, 1.0)
-        plain = simulate_protocol_sharded(protocol, tiny_dataset, n_shards=2, rng=5)
-        shared = simulate_protocol_sharded(
-            protocol, tiny_dataset, n_shards=2, rng=5, shared_memory=True
-        )
-        assert np.array_equal(plain.estimates, shared.estimates)
+        assert np.array_equal(serial.estimates, pooled.estimates)
 
 
 class TestKernelBackends:

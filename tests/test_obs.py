@@ -11,10 +11,8 @@ the coordinator/worker instrumentation of a live fleet, and the bit-identity
 of estimates with instrumentation on versus off.
 """
 
-import importlib
 import json
 import math
-import sys
 import threading
 import urllib.error
 import urllib.request
@@ -77,23 +75,12 @@ def _isolated_obs_state():
 
 
 # --------------------------------------------------------------------- #
-# The move: repro.service.metrics -> repro.obs.metrics
+# The repro.service re-export of repro.obs.metrics
 # --------------------------------------------------------------------- #
 class TestModuleMove:
-    def test_old_import_path_warns_and_aliases(self):
-        sys.modules.pop("repro.service.metrics", None)
-        with pytest.warns(DeprecationWarning, match="repro.obs.metrics"):
-            shim = importlib.import_module("repro.service.metrics")
-        from repro.obs import metrics as new_home
-
-        assert shim.MetricsRegistry is new_home.MetricsRegistry
-        assert shim.Counter is new_home.Counter
-        assert shim.Histogram is new_home.Histogram
-        assert shim.default_registry is new_home.default_registry
-
     def test_service_package_reexport_does_not_warn(self):
         # ``from repro.service import MetricsRegistry`` is the supported
-        # compatibility spelling; only the submodule path is deprecated.
+        # spelling for the metrics surface outside repro.obs.
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             from repro.service import MetricsRegistry as via_service

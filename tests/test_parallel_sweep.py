@@ -50,23 +50,47 @@ class TestParallelBitIdentity:
             assert s.eps_avg == p.eps_avg
             assert s.run_mses == p.run_mses
 
-    def test_shared_dataset_pool_reproduces_serial_bit_for_bit(self, tiny_dataset):
-        """shared_dataset=True publishes one shm copy of the dataset for the
-        pool workers; results must stay bit-identical to the serial path."""
-        kwargs = dict(
-            protocols=_specs(),
-            dataset=tiny_dataset,
-            eps_inf_values=[1.0],
-            alpha_values=[0.5],
-            n_runs=2,
-            rng=123,
-            keep_runs=False,
+    @pytest.mark.parametrize("start_method", ["spawn", "forkserver"])
+    def test_non_fork_pool_reproduces_serial_bit_for_bit(self, tmp_path, start_method):
+        """Under ``spawn`` and ``forkserver`` the pool workers receive a
+        pickled dataset through the initializer instead of fork-inherited
+        pages; results must stay bit-identical to the serial path."""
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        script = tmp_path / "pool_sweep.py"
+        script.write_text(
+            "import json, multiprocessing\n"
+            "from repro.datasets.synthetic import make_uniform_changing\n"
+            "from repro.simulation.sweep import run_sweep\n"
+            "from repro.specs import ProtocolSpec\n"
+            "if __name__ == '__main__':\n"
+            f"    multiprocessing.set_start_method({start_method!r})\n"
+            "    dataset = make_uniform_changing(k=12, n_users=120, n_rounds=4,\n"
+            "        change_probability=0.4, name='tiny', rng=11)\n"
+            "    kwargs = dict(protocols={'OLOLOHA': ProtocolSpec(name='OLOLOHA'),\n"
+            "        'L-GRR': ProtocolSpec(name='L-GRR')}, dataset=dataset,\n"
+            "        eps_inf_values=[1.0], alpha_values=[0.5], n_runs=2, rng=123,\n"
+            "        keep_runs=False)\n"
+            "    print(json.dumps([[(p.mse_avg, p.eps_avg) for p in\n"
+            "        run_sweep(**kwargs, n_workers=n)] for n in (1, 2)]))\n"
         )
-        serial = run_sweep(**kwargs, n_workers=1)
-        shared = run_sweep(**kwargs, n_workers=2, shared_dataset=True)
-        for s, p in zip(serial, shared):
-            assert s.mse_avg == p.mse_avg
-            assert s.eps_avg == p.eps_avg
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        process = subprocess.run(
+            [sys.executable, str(script)],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert process.returncode == 0, process.stderr
+        serial, pooled = json.loads(process.stdout)
+        assert len(serial) == 2
+        assert serial == pooled
 
     def test_worker_count_does_not_change_results(self, tiny_dataset):
         kwargs = dict(
@@ -166,6 +190,10 @@ class TestFailFastValidation:
                 alpha_values=[1.5],
                 n_runs=1_000_000_000,
             )
+
+    def test_missing_dataset_rejected(self):
+        with pytest.raises(ExperimentError, match="no dataset"):
+            run_sweep(_specs(), None, eps_inf_values=[1.0], alpha_values=[0.5])
 
     def test_empty_grid_rejected(self, tiny_dataset):
         with pytest.raises(ExperimentError):

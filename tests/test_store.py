@@ -170,6 +170,13 @@ class TestHeaderCommentAndAtomicity:
         with pytest.raises(ExperimentError, match="single line"):
             store.append_rows("bad", [{"a": 1}], header_comment="two\nlines")
 
+    def test_multiline_header_comment_rejected_for_existing_file(self, tmp_path):
+        store = ResultsStore(tmp_path)
+        store.append_rows("bad", [{"a": 1}], header_comment="k=v")
+        with pytest.raises(ExperimentError, match="single line"):
+            store.append_rows("bad", [{"a": 2}], header_comment="two\nlines")
+        assert [row["a"] for row in store.load_rows("bad")] == ["1"]
+
     def test_append_flush_is_atomic_no_temp_left_behind(self, tmp_path):
         """Flushes go through temp+rename: no partial CSV state is visible."""
         store = ResultsStore(tmp_path)
@@ -270,6 +277,44 @@ class TestAppendModeAndTornTails:
         store.append_rows("fresh", [{"a": 1, "b": 2}])
         rows = store.load_rows("fresh")
         assert [(row["a"], row["b"]) for row in rows] == [("1", "2")]
+
+
+class TestConcurrentAppends:
+    def test_racing_first_appends_write_one_header(self, tmp_path, monkeypatch):
+        """Two writers that both find the CSV empty must not both write a
+        header: the second header would load as a data row."""
+        import csv
+        import threading
+
+        store = ResultsStore(tmp_path)
+        inside, release = threading.Event(), threading.Event()
+        original = csv.DictWriter.writeheader
+
+        def gated_writeheader(writer):
+            # Park the first writer between its "file is empty" check and
+            # its write, the window in which the second writer arrives.
+            if threading.current_thread().name == "first":
+                inside.set()
+                release.wait(timeout=30)
+            return original(writer)
+
+        monkeypatch.setattr(csv.DictWriter, "writeheader", gated_writeheader)
+        first = threading.Thread(
+            target=store.append_rows, args=("race", [{"a": 1}]), name="first"
+        )
+        second = threading.Thread(
+            target=store.append_rows, args=("race", [{"a": 2}]), name="second"
+        )
+        first.start()
+        assert inside.wait(timeout=30)
+        second.start()
+        second.join(timeout=0.5)
+        release.set()
+        first.join(timeout=30)
+        second.join(timeout=30)
+        assert not first.is_alive() and not second.is_alive()
+        assert (tmp_path / "race.csv").read_text().splitlines().count("a") == 1
+        assert sorted(row["a"] for row in store.load_rows("race")) == ["1", "2"]
 
 
 class TestSafeExperimentStem:
