@@ -1,7 +1,7 @@
-"""Append / load / query throughput of the pluggable results backends.
+"""Append / load / query throughput of the results backends.
 
-Every registered ``ResultsBackend`` stores the same append-only rows, so
-one parametrized harness benchmarks them side by side:
+Every ``ResultsBackend`` kind in ``repro.store.BACKENDS`` stores the same
+append-only rows, so one parametrized harness benchmarks them side by side:
 
 * ``test_append_rows`` — many small batches into one experiment, the
   sweep-flush pattern (``SweepExecutor`` appends completed grid points as
@@ -10,7 +10,7 @@ one parametrized harness benchmarks them side by side:
   resume pattern (``completed_points_from_rows`` scans every row);
 * ``test_query_by_fingerprint`` — fingerprint-filtered query across many
   experiments, where sqlite's indexed ``WHERE`` clause should beat the
-  file backends' scan-with-prefilter.
+  csv backend's scan-with-prefilter.
 
 Run with ``python -m pytest benchmarks/bench_store_backends.py
 --benchmark-only`` (add ``--benchmark-json=...`` for machine-readable
@@ -19,14 +19,14 @@ output).
 
 import pytest
 
-from repro.store import available_backend_kinds, make_backend
+from repro.store import BACKENDS, make_backend
 
 N_BATCHES = 50
 BATCH_ROWS = 20
 N_EXPERIMENTS = 10
 FINGERPRINT = "deadbeefdeadbeef"
 
-KINDS = available_backend_kinds()
+KINDS = sorted(BACKENDS)
 
 
 def _row(index):

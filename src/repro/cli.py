@@ -49,12 +49,10 @@ does not match the current spec file, so a changed grid (different runs,
 seed, protocols …) cannot silently absorb rows computed under different
 parameters.
 
-Results are written through a pluggable backend (``--store {csv,sqlite,
-parquet}``, or the spec's ``store`` field): ``csv`` keeps the historical
-one-append-only-CSV-per-dataset layout, ``sqlite`` stores every dataset in
-one WAL-mode queryable database, and ``parquet`` writes immutable columnar
-chunk files (a pure-numpy ``.npz`` layout when pyarrow is not installed).
-Rows are bit-identical across backends; resume works with any of them.
+Results are written through a backend (``--store {csv,sqlite}``, or the
+spec's ``store`` field): ``csv`` keeps one append-only CSV per dataset, and
+``sqlite`` stores every dataset in one WAL-mode queryable database.  Rows
+are bit-identical across backends; resume works with either.
 ``query`` filters a store — by spec fingerprint, protocol or ε range —
 without loading whole tables where the backend can index, and
 ``migrate-store`` lifts experiments between backends (typically historical
@@ -158,6 +156,7 @@ from .experiments import (
 from .simulation.sweep import completed_points_from_rows, run_sweep
 from .specs import SweepSpec, load_collection_spec, load_sweep_spec
 from .store import (
+    BACKENDS,
     FINGERPRINT_KEY,
     ResultsStore,
     detect_backend_kind,
@@ -179,9 +178,6 @@ __all__ = [
 ]
 
 _FINGERPRINT_KEY = FINGERPRINT_KEY
-
-#: ``--store`` choices; mirrors the registered backend kinds.
-_STORE_KINDS = ("csv", "sqlite", "parquet")
 
 
 def _add_backend_option(parser: argparse.ArgumentParser) -> None:
@@ -353,12 +349,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the spec's worker-process count",
     )
     sweep_parser.add_argument(
-        "--store", choices=_STORE_KINDS, default=None,
+        "--store", choices=sorted(BACKENDS), default=None,
         help="results backend: csv (one append-only CSV per dataset, the "
-             "default), sqlite (one WAL database, queryable), or parquet "
-             "(columnar chunk files; pure-numpy npz layout without "
-             "pyarrow).  Overrides the spec's 'store' field; rows are "
-             "bit-identical across backends",
+             "default) or sqlite (one WAL database, queryable).  Overrides "
+             "the spec's 'store' field; rows are bit-identical across "
+             "backends",
     )
     _add_backend_option(sweep_parser)
     _add_obs_options(sweep_parser)
@@ -405,12 +400,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--checkpoint-store", default=None, metavar="DIR",
         help="additionally checkpoint every accepted shard summary as one "
-             "appended row in a results store at DIR (same pluggable "
-             "backends as 'sweep --store'); an existing checkpoint of the "
+             "appended row in a results store at DIR (same backends as "
+             "'sweep --store'); an existing checkpoint of the "
              "same plan is restored on startup",
     )
     serve_parser.add_argument(
-        "--checkpoint-store-kind", choices=_STORE_KINDS, default="sqlite",
+        "--checkpoint-store-kind", choices=sorted(BACKENDS), default="sqlite",
         help="backend of --checkpoint-store (default: sqlite)",
     )
     serve_parser.add_argument(
@@ -605,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
              "unless --store is given)",
     )
     query_parser.add_argument(
-        "--store", choices=_STORE_KINDS, default=None,
+        "--store", choices=sorted(BACKENDS), default=None,
         help="backend of the results directory (default: auto-detect)",
     )
     query_parser.add_argument(
@@ -654,11 +649,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="results directory to write (may equal --source)",
     )
     migrate_parser.add_argument(
-        "--from", dest="from_kind", choices=_STORE_KINDS, default=None,
+        "--from", dest="from_kind", choices=sorted(BACKENDS), default=None,
         help="source backend (default: auto-detect)",
     )
     migrate_parser.add_argument(
-        "--to", dest="to_kind", choices=_STORE_KINDS, default="sqlite",
+        "--to", dest="to_kind", choices=sorted(BACKENDS), default="sqlite",
         help="destination backend (default: sqlite)",
     )
     migrate_parser.add_argument(
@@ -710,7 +705,7 @@ def run_spec_sweep(
     """Execute a :class:`~repro.specs.SweepSpec`, one experiment per dataset.
 
     Completed grid points stream into the results backend (``store_kind``,
-    defaulting to the spec's ``store`` field — csv / sqlite / parquet) while
+    defaulting to the spec's ``store`` field — csv or sqlite) while
     the sweep runs; with ``resume=True``, points already present in a
     partial store are skipped and only the missing remainder is computed
     (with unchanged derived seeds, so the final rows are bit-identical to an

@@ -28,7 +28,7 @@ delivery order:
   coordinator can atomically rewrite an ``.npz`` checkpoint of all received
   summaries, or append the summary as one row to a
   :class:`~repro.store.ResultsBackend` (``checkpoint_store``) — the same
-  pluggable store the sweeps write results through, so a SQLite-backed
+  results backend the sweeps write through, so a SQLite-backed
   deployment keeps checkpoints and results in one queryable database.  A
   killed collector restores, republishes only the missing shards, and
   finishes bit-identical to an uninterrupted run.
@@ -488,7 +488,7 @@ class Coordinator:
         The arrays are JSON-encoded cell strings (``tolist`` of the float64 /
         int64 buffers — exact round trips, since :class:`ShardSummary`
         coerces dtypes in ``__post_init__``), so the row survives any
-        registered backend and migrates between them unchanged.
+        results backend and migrates between them unchanged.
         """
         started = time.perf_counter()
         self.checkpoint_store.append_rows(

@@ -7,26 +7,21 @@ builds the protocol line-up of Section 5.1 (including the two dBitFlipPM
 configurations and the paper's bucket-count rule) as declarative
 :class:`~repro.specs.ProtocolSpec` templates and runs the sweep once per
 dataset so the two figures can share the results.
-
-``paper_protocol_factories`` is kept as a deprecated shim over the spec
-line-up for callers that still expect ``(k, eps_inf, eps_1)`` closures.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Optional
 
 from ..datasets import make_dataset
 from ..datasets.base import LongitudinalDataset
-from ..registry import build_protocol, dbitflip_bucket_count
-from ..simulation.sweep import ProtocolFactory, SweepPoint, run_sweep
+from ..registry import dbitflip_bucket_count
+from ..simulation.sweep import SweepPoint, run_sweep
 from ..specs import ProtocolSpec, SweepSpec
 from .config import ExperimentConfig
 
 __all__ = [
     "paper_protocol_specs",
-    "paper_protocol_factories",
     "paper_sweep_spec",
     "dbitflip_bucket_count",
     "run_empirical_sweep",
@@ -68,31 +63,6 @@ def paper_protocol_specs(include_dbitflip: bool = True) -> Dict[str, ProtocolSpe
             name="dBitFlipPM", label="bBitFlipPM", params={"d": "b"}
         )
     return specs
-
-
-def paper_protocol_factories(include_dbitflip: bool = True) -> Dict[str, ProtocolFactory]:
-    """Deprecated: factory closures over :func:`paper_protocol_specs`.
-
-    Each factory receives ``(k, eps_inf, eps_1)`` and returns a configured
-    protocol.  Factories cannot be pickled or serialized; new code should
-    use the spec templates directly.
-    """
-    warnings.warn(
-        "paper_protocol_factories is deprecated; use paper_protocol_specs "
-        "(ProtocolSpec templates are picklable and serializable)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-
-    def factory_for(spec: ProtocolSpec) -> ProtocolFactory:
-        return lambda k, eps_inf, eps_1: build_protocol(
-            spec.at(k=k, eps_inf=eps_inf, eps_1=eps_1)
-        )
-
-    return {
-        name: factory_for(spec)
-        for name, spec in paper_protocol_specs(include_dbitflip).items()
-    }
 
 
 def paper_sweep_spec(

@@ -14,9 +14,10 @@ processes:
 * every task is seeded by its own :class:`numpy.random.SeedSequence` child
   derived from the root seed, so a parallel sweep (``n_workers > 1``) is
   **bit-identical** to the serial one — only wall-clock time changes;
-* completed grid points can be flushed incrementally to a
-  :class:`repro.store.ResultsStore` CSV, so an interrupted sweep keeps every
-  finished point on disk;
+* completed grid points can be flushed incrementally to a results backend
+  (a :class:`repro.store.ResultsStore` CSV or a
+  :class:`repro.store.SqliteBackend` database), so an interrupted sweep
+  keeps every finished point on disk;
 * an interrupted sweep can be *resumed*: pass the already-present grid keys
   as ``completed`` (see :func:`completed_points_from_rows`) and only the
   missing points are computed — with unchanged derived seeds, so a resumed
@@ -24,21 +25,14 @@ processes:
 
 :func:`run_sweep` remains the functional entry point used by the experiment
 harnesses.
-
-The legacy ``ProtocolFactory`` closures (``(k, eps_inf, eps_1) ->
-protocol``) are still accepted as a **deprecated shim**; factories cannot be
-serialized, so they run in the parent process and the constructed protocol
-objects are pickled into every task instead.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import (
-    Callable,
     Collection,
     Dict,
     Iterable,
@@ -48,7 +42,6 @@ from typing import (
     Sequence,
     Set,
     Tuple,
-    Union,
 )
 
 import numpy as np
@@ -64,7 +57,6 @@ from ..registry import build_protocol
 from ..rng import derive_seed_sequences
 from ..specs import ProtocolSpec
 from ..store.backends import ResultsBackend
-from ..store.results_store import ResultsStore
 from .runner import SimulationResult, simulate_protocol
 
 __all__ = [
@@ -74,11 +66,6 @@ __all__ = [
     "run_sweep",
     "completed_points_from_rows",
 ]
-
-#: Deprecated: a protocol factory receives ``(k, eps_inf, eps_1)`` and
-#: returns a protocol.  Use :class:`~repro.specs.ProtocolSpec` templates
-#: instead — specs are picklable and serializable.
-ProtocolFactory = Callable[[int, float, float], LongitudinalProtocol]
 
 #: A grid key: ``(display name, alpha, eps_inf)``.
 GridKey = Tuple[str, float, float]
@@ -203,7 +190,7 @@ def _init_worker(dataset: LongitudinalDataset) -> None:
 
 def _execute_task(
     task_index: int,
-    work: Union[SweepTask, LongitudinalProtocol],
+    task: SweepTask,
     seed: np.random.SeedSequence,
     keep_full: bool,
     dataset: Optional[LongitudinalDataset] = None,
@@ -217,10 +204,7 @@ def _execute_task(
     started = time.perf_counter()
     if dataset is None:
         dataset = _WORKER_DATASET
-    if isinstance(work, SweepTask):
-        protocol = work.build(work.check_dataset(dataset).k)
-    else:
-        protocol = work
+    protocol = task.build(task.check_dataset(dataset).k)
     result = simulate_protocol(protocol, dataset, np.random.default_rng(seed))
     seconds = time.perf_counter() - started
     if keep_full:
@@ -245,10 +229,7 @@ class SweepExecutor:
     protocols:
         Mapping from display name to a :class:`~repro.specs.ProtocolSpec`
         template; tasks carry the spec across process boundaries and resolve
-        it with :func:`repro.registry.build_protocol`.  A mapping of legacy
-        factories ``(k, eps_inf, eps_1) -> protocol`` is still accepted
-        (deprecated): factories run in the parent process and the
-        constructed protocol objects are pickled into the tasks.
+        it with :func:`repro.registry.build_protocol`.
     dataset:
         The longitudinal workload to simulate (shipped to each worker once).
     eps_inf_values, alpha_values:
@@ -266,8 +247,8 @@ class SweepExecutor:
     n_workers:
         Number of worker processes; ``1`` (default) runs in-process.
     store, experiment_id, flush_every:
-        When ``store`` is given (a :class:`repro.store.ResultsStore` or any
-        :class:`repro.store.ResultsBackend`), completed grid points are
+        When ``store`` is given (any :class:`repro.store.ResultsBackend`,
+        such as a :class:`repro.store.ResultsStore`), completed grid points are
         appended under ``experiment_id`` in grid order, ``flush_every``
         points at a time, while the sweep is still running.  Only
         ``has_rows`` / ``append_rows`` are required, and the store is only
@@ -290,7 +271,7 @@ class SweepExecutor:
 
     def __init__(
         self,
-        protocols: Optional[Mapping[str, Union[ProtocolSpec, ProtocolFactory]]] = None,
+        protocols: Optional[Mapping[str, ProtocolSpec]] = None,
         dataset: LongitudinalDataset = None,
         eps_inf_values: Iterable[float] = (),
         alpha_values: Iterable[float] = (),
@@ -298,21 +279,13 @@ class SweepExecutor:
         rng: Optional[int] = 0,
         keep_runs: bool = True,
         n_workers: int = 1,
-        store: Optional[Union[ResultsStore, ResultsBackend]] = None,
+        store: Optional[ResultsBackend] = None,
         experiment_id: str = "sweep",
         flush_every: int = 1,
         completed: Optional[Collection[GridKey]] = None,
         resume: bool = False,
-        protocol_factories: Optional[Mapping[str, ProtocolFactory]] = None,
         header_comment: Optional[str] = None,
     ) -> None:
-        if protocol_factories is not None:
-            if protocols is not None:
-                raise ExperimentError(
-                    "give either 'protocols' or the deprecated "
-                    "'protocol_factories', not both"
-                )
-            protocols = protocol_factories
         self.n_runs = require_int_at_least(n_runs, 1, "n_runs")
         self.n_workers = require_int_at_least(n_workers, 1, "n_workers")
         self.flush_every = require_int_at_least(flush_every, 1, "flush_every")
@@ -329,22 +302,13 @@ class SweepExecutor:
         for alpha in alpha_values:
             if not 0.0 < alpha < 1.0:
                 raise ExperimentError(f"alpha must lie in (0, 1), got {alpha}")
-        self.protocols: Dict[str, Union[ProtocolSpec, ProtocolFactory]] = dict(protocols)
-        self._spec_mode = all(
-            isinstance(entry, ProtocolSpec) for entry in self.protocols.values()
-        )
-        if not self._spec_mode:
-            if any(isinstance(entry, ProtocolSpec) for entry in self.protocols.values()):
+        self.protocols: Dict[str, ProtocolSpec] = dict(protocols)
+        for name, spec in self.protocols.items():
+            if not isinstance(spec, ProtocolSpec):
                 raise ExperimentError(
-                    "cannot mix ProtocolSpec entries and factory callables in "
-                    "one sweep"
+                    f"protocol {name!r} must be a ProtocolSpec template, got "
+                    f"{type(spec).__name__}"
                 )
-            warnings.warn(
-                "protocol factories are deprecated; pass ProtocolSpec templates "
-                "instead (see repro.specs) so sweep tasks stay picklable",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         self.dataset = dataset
         self.rng = rng
         self.keep_runs = keep_runs
@@ -364,21 +328,9 @@ class SweepExecutor:
             for eps_inf in eps_inf_values
         ]
 
-    # Backwards-compatible view of the legacy constructor argument.
-    @property
-    def protocol_factories(self) -> Dict[str, Union[ProtocolSpec, ProtocolFactory]]:
-        return self.protocols
-
-    def tasks(self) -> List[Optional[SweepTask]]:
-        """The picklable task list, in task order (``None`` in factory mode).
-
-        Factory mode short-circuits: running the (possibly expensive,
-        parent-process-only) factories just to enumerate tasks would be
-        wasteful, and factory work items are protocol objects, not tasks.
-        """
-        if not self._spec_mode:
-            return [None] * (len(self.grid) * self.n_runs)
-        return self._work_items([False] * len(self.grid))
+    def tasks(self) -> List[SweepTask]:
+        """The picklable task list, in task order."""
+        return self._tasks([False] * len(self.grid))
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -407,7 +359,7 @@ class SweepExecutor:
         # consume exactly the streams they would have in one uninterrupted run.
         seeds = derive_seed_sequences(self.rng, n_tasks)
         skip = [key in self.completed for key in self.grid]
-        work_items = self._work_items(skip)
+        tasks = self._tasks(skip)
 
         registry = default_registry()
         m_points = registry.counter(
@@ -455,17 +407,17 @@ class SweepExecutor:
 
         try:
             if self.n_workers == 1:
-                for task_index, work in enumerate(work_items):
-                    if work is None:
+                for task_index, task in enumerate(tasks):
+                    if task is None:
                         continue
                     with span("sweep.task", component="sweep", task_index=task_index):
                         _, payload, seconds = _execute_task(
-                            task_index, work, seeds[task_index],
+                            task_index, task, seeds[task_index],
                             self.keep_runs, self.dataset,
                         )
                     on_task_done(task_index, payload, seconds)
             else:
-                self._run_pool(work_items, seeds, on_task_done)
+                self._run_pool(tasks, seeds, on_task_done)
         finally:
             # Flush the completed grid-order prefix even when a task failed
             # or the sweep was interrupted — finished points stay on disk.
@@ -479,16 +431,14 @@ class SweepExecutor:
         )
         return list(points)
 
-    def _work_items(
-        self, skip: Sequence[bool]
-    ) -> List[Optional[Union[SweepTask, LongitudinalProtocol]]]:
-        """One picklable work item per task; ``None`` for skipped tasks."""
-        items: List[Optional[Union[SweepTask, LongitudinalProtocol]]] = []
+    def _tasks(self, skip: Sequence[bool]) -> List[Optional[SweepTask]]:
+        """One picklable task per (grid point, run); ``None`` for skipped ones."""
+        items: List[Optional[SweepTask]] = []
         for point_index, (name, alpha, eps_inf) in enumerate(self.grid):
             for run in range(self.n_runs):
                 if skip[point_index]:
                     items.append(None)
-                elif self._spec_mode:
+                else:
                     items.append(
                         SweepTask(
                             spec=self.protocols[name],
@@ -498,17 +448,10 @@ class SweepExecutor:
                             run=run,
                         )
                     )
-                else:
-                    # Deprecated path: factories run in the parent (they may
-                    # be lambdas); the protocol object crosses the process
-                    # boundary instead of a spec.
-                    items.append(
-                        self.protocols[name](self.dataset.k, eps_inf, alpha * eps_inf)
-                    )
         return items
 
-    def _run_pool(self, work_items, seeds, on_task_done) -> None:
-        active = [index for index, work in enumerate(work_items) if work is not None]
+    def _run_pool(self, tasks, seeds, on_task_done) -> None:
+        active = [index for index, task in enumerate(tasks) if task is not None]
         if not active:
             return
         with ProcessPoolExecutor(
@@ -518,7 +461,7 @@ class SweepExecutor:
         ) as pool:
             pending = {
                 pool.submit(
-                    _execute_task, index, work_items[index], seeds[index], self.keep_runs
+                    _execute_task, index, tasks[index], seeds[index], self.keep_runs
                 )
                 for index in active
             }
@@ -592,7 +535,7 @@ class SweepExecutor:
 
 
 def run_sweep(
-    protocols: Optional[Mapping[str, Union[ProtocolSpec, ProtocolFactory]]] = None,
+    protocols: Optional[Mapping[str, ProtocolSpec]] = None,
     dataset: LongitudinalDataset = None,
     eps_inf_values: Iterable[float] = (),
     alpha_values: Iterable[float] = (),
@@ -600,12 +543,11 @@ def run_sweep(
     rng: Optional[int] = 0,
     keep_runs: bool = True,
     n_workers: int = 1,
-    store: Optional[Union[ResultsStore, ResultsBackend]] = None,
+    store: Optional[ResultsBackend] = None,
     experiment_id: str = "sweep",
     flush_every: int = 1,
     completed: Optional[Collection[GridKey]] = None,
     resume: bool = False,
-    protocol_factories: Optional[Mapping[str, ProtocolFactory]] = None,
     header_comment: Optional[str] = None,
 ) -> List[Optional[SweepPoint]]:
     """Run the full ``(protocol, eps_inf, alpha)`` grid over one dataset.
@@ -629,7 +571,6 @@ def run_sweep(
         flush_every=flush_every,
         completed=completed,
         resume=resume,
-        protocol_factories=protocol_factories,
         header_comment=header_comment,
     )
     return executor.run()

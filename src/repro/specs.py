@@ -7,7 +7,7 @@ parameters) that can be pickled, JSON round-tripped and shipped across
 processes or hosts.  :func:`repro.registry.build_protocol` turns a concrete
 spec into a live :class:`~repro.longitudinal.base.LongitudinalProtocol`.
 
-Specs replace the old ``ProtocolFactory`` closures (``lambda k, eps_inf,
+Specs replace the old protocol factory closures (``lambda k, eps_inf,
 eps_1: ...``), which could not be serialized and therefore blocked
 distributing sweeps and sharded simulations.  A spec may be *partial* — grid
 fields (``k``, ``eps_inf``, ``alpha``) left as ``None`` act as a template
@@ -42,7 +42,7 @@ from typing import Dict, Mapping, Optional, Tuple, Union
 
 from ._atomicio import atomic_write_text
 from ._validation import require_int_at_least, require_positive
-from .exceptions import ExperimentError, ParameterError
+from .exceptions import ParameterError
 
 __all__ = [
     "CollectionSpec",
@@ -274,10 +274,10 @@ class SweepSpec:
     name:
         Experiment-id prefix of the output CSVs (``<name>_<dataset>.csv``).
     store:
-        Results backend the sweep writes through (``csv``, ``sqlite`` or
-        ``parquet``); overridable per run with ``sweep --store``.  Like
-        ``n_workers``, the backend never changes a row's bytes, so it is
-        excluded from :meth:`fingerprint`.
+        Results backend the sweep writes through (``csv`` or ``sqlite``,
+        the keys of :data:`repro.store.BACKENDS`); overridable per run with
+        ``sweep --store``.  Like ``n_workers``, the backend never changes a
+        row's bytes, so it is excluded from :meth:`fingerprint`.
     """
 
     protocols: Tuple[ProtocolSpec, ...]
@@ -330,15 +330,13 @@ class SweepSpec:
         # Lazy import: specs is a leaf module; the store package imports
         # nothing from it, but keeping the edge one-directional at import
         # time avoids a cycle if that ever changes.
-        from .store.backends import available_backend_kinds, require_backend_kind
+        from .store.backends import BACKENDS
 
-        try:
-            require_backend_kind(self.store)
-        except ExperimentError:
+        if not isinstance(self.store, str) or self.store not in BACKENDS:
             raise ParameterError(
                 f"unknown results store {self.store!r}; "
-                f"available: {', '.join(available_backend_kinds())}"
-            ) from None
+                f"available: {', '.join(sorted(BACKENDS))}"
+            )
 
     def grid_protocols(self) -> Dict[str, ProtocolSpec]:
         """Protocol templates keyed by display name, in grid order."""

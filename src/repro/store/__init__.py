@@ -4,51 +4,40 @@ backends.
 * :class:`ReportStore` accumulates sanitized reports per round in columnar
   numpy buffers, which is how a real collection server would stage reports
   before aggregation.
-* :class:`ResultsStore` persists experiment outputs (sweep points, figure
-  series, table rows) to JSON / CSV files so benchmark runs can be inspected
-  and compared after the fact.
-* :class:`ResultsBackend` is the pluggable durable-row-store interface the
-  sweep and distributed layers write through, with three registered
-  implementations — ``csv`` (:class:`CsvBackend`, the historical format),
-  ``sqlite`` (:class:`SqliteBackend`, WAL database, indexed queries) and
-  ``parquet`` (:class:`ParquetBackend`, columnar chunks; pure-numpy npz
-  fallback when pyarrow is absent).  :func:`migrate_store` lifts experiments
-  between backends byte-identically.
+* :class:`ResultsBackend` is the durable-row-store interface the sweep and
+  distributed layers write through.  :data:`BACKENDS` maps each kind to its
+  class: ``csv`` (:class:`ResultsStore`, one append-only CSV per experiment,
+  which also saves the experiment harnesses' JSON documents and tables) and
+  ``sqlite`` (:class:`SqliteBackend`, one WAL database, indexed queries).
+  :func:`migrate_store` lifts experiments between them byte-identically.
 """
 
+# backends first: it imports the two backend modules once ResultsBackend
+# is defined.
 from .backends import (
+    BACKENDS,
     FINGERPRINT_KEY,
     ResultsBackend,
-    available_backend_kinds,
     detect_backend_kind,
     fingerprint_from_comment,
     make_backend,
-    register_backend,
-    require_backend_kind,
 )
-from .csv_backend import CsvBackend
 from .migrate import migrate_store
-from .parquet_backend import ParquetBackend, pyarrow_available
 from .report_store import ReportStore, RoundBatch
 from .results_store import ResultsStore, safe_experiment_stem
 from .sqlite_backend import SqliteBackend
 
 __all__ = [
+    "BACKENDS",
     "FINGERPRINT_KEY",
-    "CsvBackend",
-    "ParquetBackend",
     "ReportStore",
     "ResultsBackend",
     "ResultsStore",
     "RoundBatch",
     "SqliteBackend",
-    "available_backend_kinds",
     "detect_backend_kind",
     "fingerprint_from_comment",
     "make_backend",
     "migrate_store",
-    "pyarrow_available",
-    "register_backend",
-    "require_backend_kind",
     "safe_experiment_stem",
 ]

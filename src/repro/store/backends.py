@@ -1,13 +1,14 @@
-"""Pluggable results backends: one durable-store contract, many formats.
+"""Results backends: one durable-store contract, two formats.
 
 The sweep / distributed layers persist results as *flat rows* — ordered
 string-valued records grouped by ``experiment_id``, optionally tagged with a
 single-line header comment (the sweep layer stores the spec fingerprint
-there).  Historically the only implementation was the append-only CSV
-:class:`~repro.store.results_store.ResultsStore`; at millions of grid points
-a CSV is the bottleneck and is unqueryable.  This module defines the small
-backend interface those layers now write through, plus the registry that the
-CLI ``--store {csv,sqlite,parquet}`` flag resolves against.
+there).  This module defines the small backend interface those layers write
+through, and :data:`BACKENDS`, the one table of backend kinds that the CLI
+``--store {csv,sqlite}`` flag, the sweep spec's ``store`` field and
+:func:`detect_backend_kind` all read: ``csv`` is the append-only
+:class:`~repro.store.results_store.ResultsStore` (interchange), ``sqlite``
+the WAL :class:`~repro.store.sqlite_backend.SqliteBackend` (indexed query).
 
 Contract (every backend, verified by the conformance suite in
 ``tests/test_store_backends.py``):
@@ -25,8 +26,7 @@ Contract (every backend, verified by the conformance suite in
   prefix: every previously *completed* ``append_rows`` call survives, and no
   torn or half-written row is ever observable.  Each backend realizes this
   with its own native mechanism (``O_APPEND`` + torn-tail truncation for
-  CSV, WAL transactions for SQLite, staged-temp + rename chunk files for the
-  columnar backends).
+  CSV, WAL transactions for SQLite).
 * **Header comment.**  The comment given with the *creating* append is
   durable and returned verbatim by :meth:`ResultsBackend.read_header_comment`;
   later comments are ignored.  The sweep fingerprint convention
@@ -39,19 +39,18 @@ Contract (every backend, verified by the conformance suite in
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from pathlib import Path
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Type
 
 from ..exceptions import ExperimentError
 
 __all__ = [
+    "BACKENDS",
     "FINGERPRINT_KEY",
     "ResultsBackend",
-    "available_backend_kinds",
     "detect_backend_kind",
     "fingerprint_from_comment",
     "make_backend",
-    "register_backend",
-    "require_backend_kind",
     "stringify_cell",
     "validate_rows",
 ]
@@ -114,12 +113,16 @@ def validate_header_comment(header_comment: Optional[str]) -> Optional[str]:
 class ResultsBackend(ABC):
     """Abstract durable row store; see the module docstring for the contract.
 
-    Subclasses set :attr:`kind` (the ``--store`` flag value) and register a
-    factory with :func:`register_backend`.
+    Subclasses set :attr:`kind` (their key in :data:`BACKENDS`, the
+    ``--store`` flag value) and :attr:`marker`.
     """
 
-    #: Registry key of this backend (``"csv"``, ``"sqlite"``, ``"parquet"``).
+    #: Key of this backend in :data:`BACKENDS` (``"csv"`` or ``"sqlite"``).
     kind: str = ""
+
+    #: Glob pattern of what this backend leaves in its root directory, the
+    #: sign :func:`detect_backend_kind` looks for.
+    marker: str = ""
 
     # ------------------------------------------------------------------ #
     # Writing
@@ -219,7 +222,7 @@ def row_matches(
     eps_min: Optional[float],
     eps_max: Optional[float],
 ) -> bool:
-    """Row-level filter shared by the scan-based backends."""
+    """Row-level filter of the :meth:`ResultsBackend.query` scan."""
     if protocol is not None and row.get("protocol") != protocol:
         return False
     if eps_min is not None or eps_max is not None:
@@ -235,60 +238,43 @@ def row_matches(
 
 
 # ---------------------------------------------------------------------- #
-# Registry
+# Backend kinds
 # ---------------------------------------------------------------------- #
-_BACKEND_FACTORIES: Dict[str, Callable[..., ResultsBackend]] = {}
-
-
-def register_backend(kind: str, factory: Callable[..., ResultsBackend]) -> None:
-    """Register a backend factory ``(root) -> ResultsBackend`` under a kind."""
-    if not kind or not isinstance(kind, str):
-        raise ExperimentError("backend kind must be a non-empty string")
-    _BACKEND_FACTORIES[kind] = factory
-
-
-def available_backend_kinds() -> Tuple[str, ...]:
-    """Registered backend kinds, sorted (the ``--store`` choices)."""
-    return tuple(sorted(_BACKEND_FACTORIES))
-
-
-def require_backend_kind(kind: str) -> str:
-    """Validate a backend kind against the registry and return it."""
-    # Importing the sibling modules registers the built-in backends; the
-    # lazy import keeps module import order irrelevant.
-    from . import csv_backend, parquet_backend, sqlite_backend  # noqa: F401
-
-    if kind not in _BACKEND_FACTORIES:
-        raise ExperimentError(
-            f"unknown results backend {kind!r}; "
-            f"available: {', '.join(available_backend_kinds())}"
-        )
-    return kind
-
-
 def make_backend(kind: str, root) -> ResultsBackend:
     """Open a results backend of ``kind`` rooted at directory ``root``."""
-    return _BACKEND_FACTORIES[require_backend_kind(kind)](root)
+    if kind not in BACKENDS:
+        raise ExperimentError(
+            f"unknown results backend {kind!r}; "
+            f"available: {', '.join(sorted(BACKENDS))}"
+        )
+    return BACKENDS[kind](root)
 
 
 def detect_backend_kind(root) -> str:
     """Infer which backend wrote a results directory (``repro-ldp query``).
 
-    A SQLite database file wins over columnar part directories, which win
-    over loose CSVs — matching the specificity of the formats' markers.
+    Kinds are tried in :data:`BACKENDS` order, so a SQLite database file
+    wins over loose CSVs next to it.
     """
-    from pathlib import Path
-
     root = Path(root)
     if not root.exists():
         raise ExperimentError(f"no results directory at {root}")
-    if (root / "results.sqlite").exists():
-        return "sqlite"
-    if any(root.glob("*.parts")):
-        return "parquet"
-    if any(root.glob("*.csv")):
-        return "csv"
+    for kind, backend_class in BACKENDS.items():
+        if any(root.glob(backend_class.marker)):
+            return kind
+    markers = " or ".join(backend.marker for backend in BACKENDS.values())
     raise ExperimentError(
-        f"{root} holds no recognizable results store (no results.sqlite, "
-        f"*.parts directory or *.csv file); pass --store explicitly"
+        f"{root} holds no recognizable results store (no {markers}); "
+        f"pass --store explicitly"
     )
+
+
+# The backends subclass ResultsBackend, so they are imported once it exists.
+from .results_store import ResultsStore  # noqa: E402
+from .sqlite_backend import SqliteBackend  # noqa: E402
+
+#: Every results backend by kind, in :func:`detect_backend_kind` order.
+BACKENDS: Dict[str, Type[ResultsBackend]] = {
+    "sqlite": SqliteBackend,
+    "csv": ResultsStore,
+}

@@ -1,7 +1,7 @@
 """Lift results between backends (``repro-ldp migrate-store``).
 
 The canonical use is promoting a directory of historical sweep CSVs into a
-queryable SQLite database, but any registered backend pair works: rows are
+queryable SQLite database, but either direction works: rows are
 read through the source backend's ``load_rows`` (canonical cell strings) and
 re-appended through the destination's ``append_rows``, so the migrated rows
 are byte-identical to the originals and header comments — including the
@@ -35,13 +35,15 @@ def migrate_store(
         Results directories (may be the same directory — e.g. adding a
         ``results.sqlite`` next to the CSVs it was lifted from).
     source_kind, dest_kind:
-        Registered backend kinds (``csv``, ``sqlite``, ``parquet``).
+        Backend kinds, keys of :data:`~repro.store.backends.BACKENDS`.
     experiments:
         Identifiers to migrate; every experiment in the source when omitted.
 
-    The migration is append-only and refuses to touch a destination
-    experiment that already has rows — rerunning after a partial failure
-    migrates only the experiments that are still missing.
+    The migration is append-only.  A destination experiment whose rows and
+    header comment already equal the source's is skipped (and left out of
+    the returned counts), so rerunning after a partial failure migrates only
+    the experiments that are still missing; one that holds different rows is
+    refused.
     """
     with make_backend(source_kind, source_root) as source, make_backend(
         dest_kind, dest_root
@@ -56,7 +58,13 @@ def migrate_store(
         migrated: Dict[str, int] = {}
         for experiment_id in identifiers:
             rows = source.load_rows(experiment_id)
+            header_comment = source.read_header_comment(experiment_id)
             if dest.has_rows(experiment_id):
+                if (
+                    dest.load_rows(experiment_id) == rows
+                    and dest.read_header_comment(experiment_id) == header_comment
+                ):
+                    continue
                 raise ExperimentError(
                     f"destination already holds rows for {experiment_id!r} at "
                     f"{dest.location(experiment_id)}; refusing to mix stores"
@@ -64,10 +72,6 @@ def migrate_store(
             if not rows:
                 migrated[experiment_id] = 0
                 continue
-            dest.append_rows(
-                experiment_id,
-                rows,
-                header_comment=source.read_header_comment(experiment_id),
-            )
+            dest.append_rows(experiment_id, rows, header_comment=header_comment)
             migrated[experiment_id] = len(rows)
         return migrated

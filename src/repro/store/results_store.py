@@ -1,9 +1,10 @@
-"""Persistence of experiment results to JSON and CSV files.
+"""The ``csv`` results backend: experiment rows as append-only CSV files.
 
-Every experiment harness in :mod:`repro.experiments` can hand its output to a
-:class:`ResultsStore`, which writes one JSON document per experiment plus an
-optional flat CSV for spreadsheet-style inspection.  The store never
-overwrites silently: re-saving an experiment requires ``overwrite=True``.
+:class:`ResultsStore` is the :class:`~repro.store.backends.ResultsBackend`
+of kind ``csv``: one ``<stem>.csv`` per experiment under one directory (see
+:func:`safe_experiment_stem`).  The experiment harnesses also use it to save
+whole JSON documents and CSV tables for inspection; the store never
+overwrites silently: re-saving requires ``overwrite=True``.
 
 Whole-file writes (:meth:`ResultsStore.save_rows`,
 :meth:`ResultsStore.save_json`) are **atomic**: content is staged to a temp
@@ -14,9 +15,13 @@ rewriting the whole file, which over a long sweep was O(rows^2).  A writer
 killed mid-flush can leave at most one torn trailing line; readers (and the
 next append) detect it by the missing newline terminator and drop it, so a
 crash can never poison a later ``--resume``.  CSVs may carry leading
-``# key=value`` comment lines (e.g. the sweep-spec fingerprint) above the
-header; readers skip them transparently.  Only lines *before* the header are
-comments — a data row whose first cell happens to start with ``#`` is data.
+``# key=value`` comment lines above the header; readers skip them
+transparently.  Only lines *before* the header are comments — a data row
+whose first cell happens to start with ``#`` is data.  Two comments have a
+meaning: an ``# experiment_id=<id>`` line comes first when the file stem
+cannot spell the id (so :meth:`ResultsStore.list_experiments` returns the
+id, not the stem), and the header comment of the creating append (e.g. the
+sweep-spec fingerprint) follows it.
 """
 
 from __future__ import annotations
@@ -33,11 +38,16 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from .._atomicio import atomic_write_text as _atomic_write_text
 from ..exceptions import ExperimentError
+from .backends import ResultsBackend, validate_header_comment, validate_rows
 
 __all__ = ["ResultsStore", "safe_experiment_stem"]
 
 #: Characters allowed verbatim in on-disk experiment file stems.
 _UNSAFE_STEM_CHARS = re.compile(r"[^a-z0-9._-]")
+
+#: Prefix of the leading CSV comment that records an experiment id its file
+#: stem cannot spell.
+_ID_RECORD = "# experiment_id="
 
 
 def safe_experiment_stem(experiment_id: str) -> str:
@@ -60,8 +70,18 @@ def safe_experiment_stem(experiment_id: str) -> str:
     return sanitized
 
 
-class ResultsStore:
-    """Directory-backed store for experiment outputs.
+def _id_record(experiment_id: str) -> str:
+    """The ``# experiment_id=<id>`` line a new CSV of ``experiment_id``
+    starts with; empty when the file stem already spells the id."""
+    if safe_experiment_stem(experiment_id) == experiment_id:
+        return ""
+    if "\n" in experiment_id or "\r" in experiment_id:
+        raise ExperimentError("a CSV experiment_id must be a single line")
+    return f"{_ID_RECORD}{experiment_id}\n"
+
+
+class ResultsStore(ResultsBackend):
+    """Directory-backed store for experiment outputs; the ``csv`` backend.
 
     Parameters
     ----------
@@ -69,11 +89,17 @@ class ResultsStore:
         Directory in which result files are written (created on demand).
     """
 
+    kind = "csv"
+    marker = "*.csv"
+
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
 
     def _path(self, experiment_id: str, suffix: str) -> Path:
         return self.root / f"{safe_experiment_stem(experiment_id)}.{suffix}"
+
+    def location(self, experiment_id: str) -> str:
+        return str(self._path(experiment_id, "csv"))
 
     # ------------------------------------------------------------------ #
     # Writing
@@ -114,6 +140,7 @@ class ResultsStore:
             if list(row.keys()) != fieldnames:
                 raise ExperimentError("all rows must share the same columns")
         buffer = io.StringIO()
+        buffer.write(_id_record(experiment_id))
         writer = csv.DictWriter(buffer, fieldnames=fieldnames)
         writer.writeheader()
         writer.writerows(rows)
@@ -144,26 +171,16 @@ class ResultsStore:
         line above the CSV header of a *newly created* file (existing files
         keep whatever comment they have); readers skip leading comment lines.
         """
-        if not rows:
-            return self._path(experiment_id, "csv")
-        self.root.mkdir(parents=True, exist_ok=True)
         path = self._path(experiment_id, "csv")
-        fieldnames = list(rows[0].keys())
-        for row in rows:
-            if list(row.keys()) != fieldnames:
-                raise ExperimentError("all rows must share the same columns")
-            for value in row.values():
-                if isinstance(value, str) and ("\n" in value or "\r" in value):
-                    # A quoted multi-line cell would span physical lines, and
-                    # a writer killed between them leaves a torn record that
-                    # ends in a newline — invisible to the torn-tail guard.
-                    raise ExperimentError(
-                        "appended cell values must not contain newlines"
-                    )
-        if header_comment is not None and (
-            "\n" in header_comment or "\r" in header_comment
-        ):
-            raise ExperimentError("header comment must be a single line")
+        if not rows:
+            return path
+        # A quoted multi-line cell would span physical lines, and a writer
+        # killed between them leaves a torn record that ends in a newline —
+        # invisible to the torn-tail guard; validate_rows rejects it.
+        fieldnames, stringified = validate_rows(rows)
+        validate_header_comment(header_comment)
+        id_record = _id_record(experiment_id)
+        self.root.mkdir(parents=True, exist_ok=True)
         fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
         try:
             # One exclusive lock spans the header check, the torn-tail cut
@@ -178,6 +195,7 @@ class ResultsStore:
                 _truncate_torn_tail(path)
                 existing_header = _read_header_fields(path)
             if existing_header is None:
+                buffer.write(id_record)
                 if header_comment is not None:
                     buffer.write(f"# {header_comment}\n")
                 writer.writeheader()
@@ -186,7 +204,7 @@ class ResultsStore:
                     f"cannot append to {path}: existing columns {existing_header} do "
                     f"not match {fieldnames}"
                 )
-            writer.writerows(rows)
+            writer.writerows(stringified)
             view = memoryview(buffer.getvalue().encode("utf-8"))
             while view:
                 view = view[os.write(fd, view) :]
@@ -196,8 +214,9 @@ class ResultsStore:
         return path
 
     def read_header_comment(self, experiment_id: str) -> Optional[str]:
-        """The first ``# <comment>`` line of a CSV, without the marker;
-        ``None`` if the file is missing or carries no comment.
+        """The first ``# <comment>`` line of a CSV after the experiment-id
+        record, without the marker; ``None`` if the file is missing or
+        carries no comment.
 
         Skips leading blank lines exactly like :meth:`load_rows` and
         :func:`_read_header_fields` do — the three readers must agree on
@@ -209,9 +228,13 @@ class ResultsStore:
         path = self._path(experiment_id, "csv")
         if not path.exists():
             return None
+        id_record = _id_record(experiment_id).rstrip("\n")
         with path.open("r", encoding="utf-8", newline="") as handle:
             for line in handle:
                 if not line.strip():
+                    continue
+                if id_record and line.rstrip("\r\n") == id_record:
+                    id_record = ""
                     continue
                 if line.startswith("#"):
                     return line[1:].strip()
@@ -259,10 +282,25 @@ class ResultsStore:
         return list(csv.DictReader(lines[start:]))
 
     def list_experiments(self) -> List[str]:
-        """Identifiers of every experiment with a saved JSON document."""
+        """Identifiers of every experiment with a CSV, sorted."""
         if not self.root.exists():
             return []
-        return sorted(path.stem for path in self.root.glob("*.json"))
+        return sorted(_recorded_id(path) for path in self.root.glob("*.csv"))
+
+
+def _recorded_id(path: Path) -> str:
+    """The experiment id a CSV records in its leading comment, else its
+    stem (a CSV written before ids were recorded, or a safe id)."""
+    with path.open("r", encoding="utf-8", newline="") as handle:
+        for line in handle:
+            if not line.strip():
+                continue
+            if line.startswith(_ID_RECORD):
+                experiment_id = line[len(_ID_RECORD) :].rstrip("\r\n")
+                if safe_experiment_stem(experiment_id) == path.stem:
+                    return experiment_id
+            break
+    return path.stem
 
 
 def _read_header_fields(path: Path) -> Optional[List[str]]:

@@ -20,11 +20,14 @@ torn-tail truncation, but batch-granular instead of line-granular).
 Concurrent sweep writers on one database serialize on the WAL write lock
 with a 30 s busy timeout; each process must open its own backend instance
 (SQLite connections do not cross ``fork``/pickle boundaries, and the sweep
-executor only ever flushes from the parent process).
+executor only ever flushes from the parent process).  A ``results.sqlite``
+that is not a readable database (overwritten, truncated) raises
+:class:`~repro.exceptions.ExperimentError` naming the file.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import sqlite3
 from pathlib import Path
@@ -34,7 +37,6 @@ from ..exceptions import ExperimentError
 from .backends import (
     ResultsBackend,
     fingerprint_from_comment,
-    register_backend,
     validate_header_comment,
     validate_rows,
 )
@@ -75,10 +77,27 @@ def _eps_inf_of(row: Mapping[str, str]) -> Optional[float]:
         return None
 
 
+def _typed_database_errors(method):
+    """Re-raise SQLite's errors from a corrupt or unreadable database file as
+    :class:`~repro.exceptions.ExperimentError` naming that file."""
+
+    @functools.wraps(method)
+    def wrapper(self: "SqliteBackend", *args, **kwargs):
+        try:
+            return method(self, *args, **kwargs)
+        except sqlite3.DatabaseError as error:
+            raise ExperimentError(
+                f"cannot use results database {self.path}: {error}"
+            ) from error
+
+    return wrapper
+
+
 class SqliteBackend(ResultsBackend):
     """All experiments of one results directory in a single WAL database."""
 
     kind = "sqlite"
+    marker = DB_FILENAME
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
@@ -94,16 +113,21 @@ class SqliteBackend(ResultsBackend):
             connection = sqlite3.connect(
                 str(self.path), timeout=30.0, isolation_level=None
             )
-            connection.execute("PRAGMA journal_mode=WAL")
-            connection.execute("PRAGMA synchronous=FULL")
-            connection.execute("PRAGMA busy_timeout=30000")
-            connection.executescript(_SCHEMA)
+            try:
+                connection.execute("PRAGMA journal_mode=WAL")
+                connection.execute("PRAGMA synchronous=FULL")
+                connection.execute("PRAGMA busy_timeout=30000")
+                connection.executescript(_SCHEMA)
+            except sqlite3.Error:
+                connection.close()
+                raise
             self._connection = connection
         return self._connection
 
     # ------------------------------------------------------------------ #
     # Writing
     # ------------------------------------------------------------------ #
+    @_typed_database_errors
     def append_rows(
         self,
         experiment_id: str,
@@ -173,6 +197,7 @@ class SqliteBackend(ResultsBackend):
     # ------------------------------------------------------------------ #
     # Reading
     # ------------------------------------------------------------------ #
+    @_typed_database_errors
     def load_rows(self, experiment_id: str) -> List[Dict[str, str]]:
         connection = self._connect()
         if not self.has_rows(experiment_id):
@@ -185,6 +210,7 @@ class SqliteBackend(ResultsBackend):
         )
         return [json.loads(data) for (data,) in cursor]
 
+    @_typed_database_errors
     def read_header_comment(self, experiment_id: str) -> Optional[str]:
         row = self._connect().execute(
             "SELECT header_comment FROM experiments WHERE experiment_id = ?",
@@ -192,6 +218,7 @@ class SqliteBackend(ResultsBackend):
         ).fetchone()
         return None if row is None else row[0]
 
+    @_typed_database_errors
     def has_rows(self, experiment_id: str) -> bool:
         row = self._connect().execute(
             "SELECT 1 FROM experiments WHERE experiment_id = ? LIMIT 1",
@@ -199,6 +226,7 @@ class SqliteBackend(ResultsBackend):
         ).fetchone()
         return row is not None
 
+    @_typed_database_errors
     def list_experiments(self) -> List[str]:
         cursor = self._connect().execute(
             "SELECT experiment_id FROM experiments ORDER BY experiment_id"
@@ -211,6 +239,7 @@ class SqliteBackend(ResultsBackend):
     # ------------------------------------------------------------------ #
     # Querying
     # ------------------------------------------------------------------ #
+    @_typed_database_errors
     def query(
         self,
         experiment_id: Optional[str] = None,
@@ -259,5 +288,3 @@ class SqliteBackend(ResultsBackend):
             self._connection.close()
             self._connection = None
 
-
-register_backend(SqliteBackend.kind, SqliteBackend)

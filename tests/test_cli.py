@@ -417,6 +417,15 @@ class TestSweepStoreBackends:
                 str(tmp_path / "db"), "--to", "sqlite"]
         assert main(args) == 0
         capsys.readouterr()
+        # Rerunning over an identical destination copies nothing ...
+        assert main(args) == 0
+        assert "migrated 0 experiments (0 rows)" in capsys.readouterr().out
+        # ... but a destination holding other rows is refused.
+        from repro.store import make_backend
+
+        with make_backend("sqlite", tmp_path / "db") as backend:
+            rows = backend.load_rows("cli_syn")
+            backend.append_rows("cli_syn", rows[:1])
         assert main(args) == 2
         assert "refusing to mix" in capsys.readouterr().err
 

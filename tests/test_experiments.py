@@ -21,7 +21,7 @@ from repro.experiments import (
     run_table1,
     run_table2,
 )
-from repro.experiments.empirical import dbitflip_bucket_count, paper_protocol_factories
+from repro.experiments.empirical import dbitflip_bucket_count
 from repro.experiments.report import ascii_curve, format_table
 
 
@@ -173,13 +173,6 @@ class TestEmpiricalHelpers:
             protocol = build_protocol(spec.at(k=24, eps_inf=2.0, alpha=0.5))
             assert protocol.k == 24
             assert spec.display_name == name
-
-    def test_factories_shim_instantiates_protocols_but_warns(self):
-        with pytest.warns(DeprecationWarning, match="paper_protocol_factories"):
-            factories = paper_protocol_factories()
-        for name, factory in factories.items():
-            protocol = factory(24, 2.0, 1.0)
-            assert protocol.k == 24
 
 
 class TestReportFormatting:

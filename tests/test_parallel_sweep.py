@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ExperimentError
-from repro.longitudinal import LGRR, LSUE, OLOLOHA
+from repro.simulation import sweep as sweep_module
+from repro.simulation.runner import simulate_protocol
 from repro.simulation.sweep import (
     SweepExecutor,
     SweepTask,
@@ -131,52 +132,6 @@ class TestParallelBitIdentity:
         assert protocol.k == tiny_dataset.k
 
 
-class TestLegacyFactoryShim:
-    def test_factories_still_run_but_warn(self, tiny_dataset):
-        factories = {
-            "OLOLOHA": lambda k, e, e1: OLOLOHA(k, e, e1),
-            "RAPPOR": lambda k, e, e1: LSUE(k, e, e1),
-        }
-        kwargs = dict(
-            dataset=tiny_dataset,
-            eps_inf_values=[1.0, 2.0],
-            alpha_values=[0.5],
-            n_runs=1,
-            rng=123,
-            keep_runs=False,
-        )
-        with pytest.warns(DeprecationWarning, match="factories are deprecated"):
-            legacy = run_sweep(factories, **kwargs)
-        via_specs = run_sweep(_specs(), **kwargs)
-        # The deprecated closure path and the spec path are bit-identical.
-        for a, b in zip(legacy, via_specs):
-            assert a.protocol_name == b.protocol_name
-            assert a.mse_avg == b.mse_avg
-            assert a.eps_avg == b.eps_avg
-
-    def test_protocol_factories_keyword_still_accepted(self, tiny_dataset):
-        with pytest.warns(DeprecationWarning):
-            points = run_sweep(
-                protocol_factories={"L-GRR": lambda k, e, e1: LGRR(k, e, e1)},
-                dataset=tiny_dataset,
-                eps_inf_values=[1.0],
-                alpha_values=[0.5],
-            )
-        assert len(points) == 1
-
-    def test_mixing_specs_and_factories_rejected(self, tiny_dataset):
-        with pytest.raises(ExperimentError, match="mix"):
-            SweepExecutor(
-                {
-                    "OLOLOHA": ProtocolSpec(name="OLOLOHA"),
-                    "RAPPOR": lambda k, e, e1: LSUE(k, e, e1),
-                },
-                tiny_dataset,
-                eps_inf_values=[1.0],
-                alpha_values=[0.5],
-            )
-
-
 class TestFailFastValidation:
     def test_invalid_alpha_rejected_before_any_simulation(self, tiny_dataset):
         # A huge run count would make the old post-derivation validation
@@ -198,6 +153,15 @@ class TestFailFastValidation:
     def test_empty_grid_rejected(self, tiny_dataset):
         with pytest.raises(ExperimentError):
             SweepExecutor(_specs(), tiny_dataset, eps_inf_values=[], alpha_values=[0.5])
+
+    def test_non_spec_protocol_rejected(self, tiny_dataset):
+        with pytest.raises(ExperimentError, match="'RAPPOR' must be a ProtocolSpec"):
+            SweepExecutor(
+                {"RAPPOR": lambda k, eps_inf, eps_1: None},
+                tiny_dataset,
+                eps_inf_values=[1.0],
+                alpha_values=[0.5],
+            )
 
     def test_grid_order_is_protocol_alpha_eps(self, tiny_dataset):
         executor = SweepExecutor(
@@ -306,27 +270,29 @@ class TestIncrementalFlushing:
             run_sweep(**kwargs)
         assert len(store.load_rows("dup")) == 1
 
-    def test_completed_prefix_flushed_when_a_task_fails(self, tiny_dataset, tmp_path):
+    def test_completed_prefix_flushed_when_a_task_fails(
+        self, tiny_dataset, tmp_path, monkeypatch
+    ):
         """Finished grid points reach the store even if a later point errors."""
         store = ResultsStore(tmp_path)
 
-        def late_fail_factory(k, eps_inf, eps_1):
-            # constructs fine; fails inside simulate_protocol (domain mismatch)
-            return LSUE(k + (1 if eps_inf == 3.0 else 0), eps_inf, eps_1)
+        def late_fail(protocol, dataset, rng):
+            if protocol.eps_inf == 3.0:
+                raise ExperimentError("injected failure at eps_inf=3.0")
+            return simulate_protocol(protocol, dataset, rng)
 
-        with pytest.raises(ExperimentError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                run_sweep(
-                    {"RAPPOR": late_fail_factory},
-                    tiny_dataset,
-                    eps_inf_values=[1.0, 2.0, 3.0],
-                    alpha_values=[0.5],
-                    keep_runs=False,
-                    store=store,
-                    experiment_id="latefail",
-                    flush_every=10,
-                )
+        monkeypatch.setattr(sweep_module, "simulate_protocol", late_fail)
+        with pytest.raises(ExperimentError, match="injected failure"):
+            run_sweep(
+                {"RAPPOR": ProtocolSpec(name="L-SUE", label="RAPPOR")},
+                tiny_dataset,
+                eps_inf_values=[1.0, 2.0, 3.0],
+                alpha_values=[0.5],
+                keep_runs=False,
+                store=store,
+                experiment_id="latefail",
+                flush_every=10,
+            )
         rows = store.load_rows("latefail")
         assert [float(row["eps_inf"]) for row in rows] == [1.0, 2.0]
 

@@ -208,21 +208,10 @@ class TestSweepSpec:
 
 
 class TestSpecSweepEquivalence:
-    """Acceptance criterion: spec-driven sweeps are bit-identical to the
-    legacy factory path, for two protocols x two grid points, serial and
-    parallel."""
+    """Spec-driven sweeps are bit-identical serial and parallel, for two
+    protocols x two grid points."""
 
     GRID = dict(eps_inf_values=[1.0, 2.0], alpha_values=[0.5], n_runs=2, rng=123)
-
-    def _legacy(self, dataset, **overrides):
-        factories = {
-            "OLOLOHA": lambda k, e, e1: OLOLOHA(k, e, e1),
-            "RAPPOR": lambda k, e, e1: LSUE(k, e, e1),
-        }
-        with pytest.warns(DeprecationWarning):
-            return run_sweep(
-                factories, dataset, keep_runs=False, **{**self.GRID, **overrides}
-            )
 
     def _specs(self, dataset, **overrides):
         specs = {
@@ -230,20 +219,6 @@ class TestSpecSweepEquivalence:
             "RAPPOR": ProtocolSpec(name="L-SUE", label="RAPPOR"),
         }
         return run_sweep(specs, dataset, keep_runs=False, **{**self.GRID, **overrides})
-
-    def test_spec_sweep_bit_identical_to_legacy_factories(self, tiny_dataset):
-        legacy = self._legacy(tiny_dataset)
-        via_specs = self._specs(tiny_dataset)
-        assert len(legacy) == len(via_specs) == 4
-        for a, b in zip(legacy, via_specs):
-            assert (a.protocol_name, a.alpha, a.eps_inf) == (
-                b.protocol_name,
-                b.alpha,
-                b.eps_inf,
-            )
-            assert a.mse_avg == b.mse_avg
-            assert a.eps_avg == b.eps_avg
-            assert a.run_mses == b.run_mses
 
     def test_spec_sweep_bit_identical_serial_vs_two_workers(self, tiny_dataset):
         serial = self._specs(tiny_dataset)

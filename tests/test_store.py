@@ -1,5 +1,7 @@
 """Tests for the report store and the results store."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -136,9 +138,25 @@ class TestResultsStore:
     def test_list_experiments(self, tmp_path):
         store = ResultsStore(tmp_path)
         assert store.list_experiments() == []
-        store.save_json("b_exp", {})
-        store.save_json("a_exp", {})
-        assert store.list_experiments() == ["a_exp", "b_exp"]
+        store.save_rows("b_exp", [{"a": 1}])
+        store.append_rows("a_exp", [{"a": 1}])
+        store.save_rows("C/Exp", [{"a": 1}])
+        store.save_json("json_only", {})
+        assert store.list_experiments() == ["C/Exp", "a_exp", "b_exp"]
+
+    def test_id_record_written_only_when_the_stem_differs(self, tmp_path):
+        store = ResultsStore(tmp_path)
+        store.append_rows("plain", [{"a": 1}], header_comment="fp=1")
+        store.append_rows("Odd id", [{"a": 1}], header_comment="fp=2")
+        assert (tmp_path / "plain.csv").read_text().splitlines()[0] == "# fp=1"
+        odd = Path(store.location("Odd id")).read_text().splitlines()
+        assert odd[:2] == ["# experiment_id=Odd id", "# fp=2"]
+        assert store.read_header_comment("Odd id") == "fp=2"
+        assert store.load_rows("Odd id") == [{"a": "1"}]
+
+    def test_multiline_id_rejected_when_it_must_be_recorded(self, tmp_path):
+        with pytest.raises(ExperimentError, match="single line"):
+            ResultsStore(tmp_path).append_rows("two\nlines", [{"a": 1}])
 
 
 class TestHeaderCommentAndAtomicity:

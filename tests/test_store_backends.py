@@ -1,7 +1,7 @@
-"""Conformance suite for the pluggable results backends.
+"""Conformance suite for the results backends.
 
-Every test in :class:`TestBackendConformance` runs against each registered
-backend (csv, sqlite, parquet) through one parametrized fixture — the
+Every test in :class:`TestBackendConformance` runs against each backend
+kind (csv, sqlite) through one parametrized fixture — the
 contract of :class:`repro.store.ResultsBackend` is whatever this file
 asserts.  Separate classes cover crash safety under a mid-write SIGKILL,
 concurrent writers, cross-backend migration, the sweep/CLI integration and
@@ -21,21 +21,19 @@ import pytest
 
 from repro.exceptions import ExperimentError, ParameterError
 from repro.specs import ProtocolSpec, SweepSpec
+from repro.cli import build_parser, main
 from repro.store import (
+    BACKENDS,
     FINGERPRINT_KEY,
-    CsvBackend,
-    ParquetBackend,
     ResultsStore,
     SqliteBackend,
-    available_backend_kinds,
     detect_backend_kind,
     fingerprint_from_comment,
     make_backend,
     migrate_store,
-    pyarrow_available,
 )
 
-KINDS = ("csv", "sqlite", "parquet")
+KINDS = ("csv", "sqlite")
 
 
 @pytest.fixture(params=KINDS)
@@ -57,7 +55,9 @@ ROWS_LOADED = [
 
 class TestRegistry:
     def test_all_builtin_kinds_registered(self):
-        assert set(KINDS) <= set(available_backend_kinds())
+        assert set(BACKENDS) == set(KINDS)
+        for kind in KINDS:
+            assert BACKENDS[kind].kind == kind
 
     def test_unknown_kind_rejected(self, tmp_path):
         with pytest.raises(ExperimentError, match="unknown results backend"):
@@ -80,6 +80,13 @@ class TestRegistry:
         with pytest.raises(ExperimentError, match="no results directory"):
             detect_backend_kind(tmp_path / "absent")
         (tmp_path / "stray.txt").write_text("not a store\n")
+        with pytest.raises(ExperimentError, match="no recognizable results store"):
+            detect_backend_kind(tmp_path)
+
+    def test_detect_rejects_a_columnar_parts_directory(self, tmp_path):
+        """A ``*.parts`` store of the removed columnar backend is not a kind."""
+        (tmp_path / "sweep_syn.parts").mkdir()
+        (tmp_path / "sweep_syn.parts" / "part-000000.npz").write_bytes(b"PK")
         with pytest.raises(ExperimentError, match="no recognizable results store"):
             detect_backend_kind(tmp_path)
 
@@ -145,8 +152,33 @@ class TestBackendConformance:
         assert not backend.has_rows("exp_b")
         backend.append_rows("exp_b", ROWS)
         backend.append_rows("exp_a", ROWS)
+        backend.append_rows("Exp/C", ROWS)
         assert backend.has_rows("exp_b")
-        assert backend.list_experiments() == ["exp_a", "exp_b"]
+        assert backend.list_experiments() == ["Exp/C", "exp_a", "exp_b"]
+        # Listed ids are real ids: they load and tag query rows as given.
+        assert backend.load_rows("Exp/C") == ROWS_LOADED
+        assert {row["experiment_id"] for row in backend.query()} == {
+            "Exp/C", "exp_a", "exp_b"
+        }
+
+    @pytest.mark.parametrize(
+        "experiment_id", ["Paper", "Sweep/Syn", "two words", "eps:2*alpha", "Ünïcode"]
+    )
+    def test_an_id_needing_sanitizing_keeps_its_name(self, backend, experiment_id):
+        """An id the csv file stem cannot spell lists, loads, queries and
+        fingerprints under its own name, also after the store is reopened."""
+        backend.append_rows(
+            experiment_id, ROWS, header_comment=f"{FINGERPRINT_KEY}=fp_name"
+        )
+        backend.close()
+        with make_backend(backend.kind, backend.root) as reopened:
+            assert reopened.list_experiments() == [experiment_id]
+            assert reopened.has_rows(experiment_id)
+            assert reopened.load_rows(experiment_id) == ROWS_LOADED
+            assert reopened.fingerprint(experiment_id) == "fp_name"
+            assert {row["experiment_id"] for row in reopened.query()} == {
+                experiment_id
+            }
 
     def test_location_is_informative(self, backend):
         backend.append_rows("exp", ROWS)
@@ -365,6 +397,54 @@ class TestMigrateStore:
         )
         assert counts == {"sweep_syn": 2}
 
+    def test_csv_to_sqlite_keeps_an_id_the_file_stem_cannot_spell(self, tmp_path):
+        """``Sweep/Syn`` lives in ``sweep_syn-<hash>.csv`` but migrates, and
+        resumes, under its own id."""
+        with make_backend("csv", tmp_path) as backend:
+            backend.append_rows(
+                "Sweep/Syn", ROWS, header_comment=f"{FINGERPRINT_KEY}=fp_id"
+            )
+        assert migrate_store(tmp_path, tmp_path, "csv", "sqlite") == {"Sweep/Syn": 2}
+        with make_backend("sqlite", tmp_path) as backend:
+            assert backend.has_rows("Sweep/Syn")
+            assert backend.load_rows("Sweep/Syn") == ROWS_LOADED
+            assert backend.fingerprint("Sweep/Syn") == "fp_id"
+
+    def test_sanitized_id_survives_csv_sqlite_csv_byte_for_byte(self, tmp_path):
+        """The ``# experiment_id`` record is rewritten on the way back, so the
+        round trip reproduces the original CSV exactly."""
+        first, db, second = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+        with make_backend("csv", first) as backend:
+            backend.append_rows(
+                "Sweep/Syn", ROWS, header_comment=f"{FINGERPRINT_KEY}=fp_rt"
+            )
+        migrate_store(first, db, "csv", "sqlite")
+        assert migrate_store(db, second, "sqlite", "csv") == {"Sweep/Syn": 2}
+        (original,) = first.glob("*.csv")
+        assert original.read_text().startswith("# experiment_id=Sweep/Syn\n")
+        assert (second / original.name).read_bytes() == original.read_bytes()
+
+    def test_rerun_after_partial_migration_skips_identical_experiments(self, tmp_path):
+        source, dest = tmp_path / "src", tmp_path / "dst"
+        self._populate("csv", source)
+        assert migrate_store(
+            source, dest, "csv", "sqlite", experiments=["sweep_syn"]
+        ) == {"sweep_syn": 2}
+        assert migrate_store(source, dest, "csv", "sqlite") == {"plain": 1}
+        with make_backend("sqlite", dest) as backend:
+            assert backend.load_rows("sweep_syn") == ROWS_LOADED
+            assert backend.load_rows("plain") == [{"a": "1"}]
+
+    def test_rerun_refuses_a_destination_with_another_header_comment(self, tmp_path):
+        source, dest = tmp_path / "src", tmp_path / "dst"
+        self._populate("csv", source)
+        with make_backend("sqlite", dest) as backend:
+            backend.append_rows(
+                "sweep_syn", ROWS, header_comment=f"{FINGERPRINT_KEY}=other"
+            )
+        with pytest.raises(ExperimentError, match="refusing to mix"):
+            migrate_store(source, dest, "csv", "sqlite", experiments=["sweep_syn"])
+
     def test_empty_source_rejected(self, tmp_path):
         (tmp_path / "src").mkdir()
         with pytest.raises(ExperimentError, match="no experiments"):
@@ -405,23 +485,52 @@ class TestSqliteSpecifics:
             assert [row["a"] for row in backend.load_rows("exp")] == ["1"]
 
 
-class TestParquetSpecifics:
-    def test_npz_fallback_active_without_pyarrow(self, tmp_path):
-        with ParquetBackend(tmp_path) as backend:
-            backend.append_rows("exp", ROWS)
-            parts = list((tmp_path / "exp.parts").glob("part-*"))
-            assert parts, "no chunk written"
-            expected = ".parquet" if pyarrow_available() else ".npz"
-            assert all(p.suffix == expected for p in parts)
+def _garbage(database):
+    database.write_bytes(b"not a database\n" * 64)
 
-    def test_chunks_are_immutable_across_appends(self, tmp_path):
-        with ParquetBackend(tmp_path) as backend:
-            backend.append_rows("exp", ROWS[:1])
-            first = sorted((tmp_path / "exp.parts").glob("part-*"))
-            before = first[0].read_bytes()
-            backend.append_rows("exp", ROWS[1:])
-            assert first[0].read_bytes() == before
-            assert len(list((tmp_path / "exp.parts").glob("part-*"))) == 2
+
+def _truncated(database):
+    database.write_bytes(database.read_bytes()[:1024])
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [(_garbage, "file is not a database"), (_truncated, "malformed")],
+    ids=["garbage", "truncated"],
+)
+class TestCorruptSqliteDatabase:
+    """A damaged ``results.sqlite`` raises a typed error naming the file."""
+
+    @pytest.fixture
+    def root(self, tmp_path, corrupt):
+        with SqliteBackend(tmp_path) as backend:
+            for index in range(40):
+                backend.append_rows(f"exp{index % 4}", [{"i": index, "pad": "x" * 200}])
+        corrupt(tmp_path / "results.sqlite")
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda backend: backend.has_rows("exp1"),
+            lambda backend: backend.load_rows("exp1"),
+            lambda backend: backend.list_experiments(),
+            lambda backend: backend.query(),
+            lambda backend: backend.append_rows("exp1", [{"i": 0, "pad": ""}]),
+        ],
+        ids=["has_rows", "load_rows", "list_experiments", "query", "append_rows"],
+    )
+    def test_api_raises_experiment_error(self, root, message, call):
+        with SqliteBackend(root) as backend:
+            with pytest.raises(ExperimentError, match=message) as caught:
+                call(backend)
+        assert "results.sqlite" in str(caught.value)
+
+    def test_query_cli_answers_error_line_and_exit_2(self, root, message, capsys):
+        assert main(["query", "--dir", str(root)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "results.sqlite" in err
+        assert message in err and "Traceback" not in err
 
 
 class TestSweepSpecStoreField:
@@ -443,10 +552,45 @@ class TestSweepSpecStoreField:
         with pytest.raises(ParameterError, match="unknown results store"):
             self._spec(store="oracle")
 
+    def test_parquet_store_rejected_naming_the_kinds(self):
+        with pytest.raises(ParameterError, match="available: csv, sqlite"):
+            SweepSpec.from_dict({**self._spec().to_dict(), "store": "parquet"})
+
     def test_store_excluded_from_fingerprint(self):
         assert self._spec(store="csv").fingerprint() == self._spec(
             store="sqlite"
         ).fingerprint()
+
+
+#: Every CLI option that picks a store kind, with the required arguments of
+#: its subcommand and the namespace attribute it sets.
+_STORE_KIND_OPTIONS = {
+    "sweep --store": (
+        ["sweep", "--spec", "s.json", "--output-dir", "out", "--store"], "store"
+    ),
+    "query --store": (["query", "--dir", "d", "--store"], "store"),
+    "migrate-store --from": (
+        ["migrate-store", "--source", "a", "--dest", "b", "--from"], "from_kind"
+    ),
+    "migrate-store --to": (
+        ["migrate-store", "--source", "a", "--dest", "b", "--to"], "to_kind"
+    ),
+    "serve --checkpoint-store-kind": (
+        ["serve", "--spec", "s.json", "--checkpoint-store-kind"],
+        "checkpoint_store_kind",
+    ),
+}
+
+
+@pytest.mark.parametrize("option", sorted(_STORE_KIND_OPTIONS))
+def test_cli_store_kind_options_offer_exactly_the_backends(option, capsys):
+    argv, attribute = _STORE_KIND_OPTIONS[option]
+    for kind in KINDS:
+        assert getattr(build_parser().parse_args(argv + [kind]), attribute) == kind
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(argv + ["parquet"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'parquet'" in capsys.readouterr().err
 
 
 class TestCoordinatorStoreCheckpoint:
@@ -516,12 +660,22 @@ class TestCoordinatorStoreCheckpoint:
 
 class TestLegacyInterop:
     def test_results_store_and_csv_backend_share_files(self, tmp_path):
-        """The adapter is the legacy store: files written by either class
-        are read by the other, so nothing existing needs migration."""
+        """The csv backend is the ResultsStore: a directory written through
+        either entry point is read through the other."""
         legacy = ResultsStore(tmp_path)
         legacy.append_rows("exp", [{"a": 1}], header_comment="fp=legacy")
-        with CsvBackend(tmp_path) as backend:
+        with make_backend("csv", tmp_path) as backend:
+            assert type(backend) is ResultsStore
             assert backend.load_rows("exp") == [{"a": "1"}]
             assert backend.read_header_comment("exp") == "fp=legacy"
             backend.append_rows("exp", [{"a": 2}])
         assert [row["a"] for row in legacy.load_rows("exp")] == ["1", "2"]
+
+    def test_csv_without_an_id_record_lists_by_stem(self, tmp_path):
+        """CSVs written before ids were recorded keep listing by file stem."""
+        (tmp_path / "sweep_syn-ac71c1b6.csv").write_text(
+            "# sweep_spec_fingerprint=abc\na\n1\n"
+        )
+        store = ResultsStore(tmp_path)
+        assert store.list_experiments() == ["sweep_syn-ac71c1b6"]
+        assert store.fingerprint("sweep_syn-ac71c1b6") == "abc"
