@@ -6,6 +6,8 @@ the vectorized engines are caught and so that Table 1's communication /
 complexity discussion can be related to wall-clock numbers.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,37 @@ def test_one_collection_round_10k_users(benchmark, name):
     benchmark.extra_info["n_users"] = N_USERS_LARGE
     if benchmark.stats:  # absent under --benchmark-disable
         benchmark.extra_info["users_per_second"] = N_USERS_LARGE / benchmark.stats["mean"]
+
+
+@pytest.mark.benchmark(group="round-throughput-10k-changing")
+@pytest.mark.parametrize("churn", [0.25, 1.0], ids=["churn25", "churn100"])
+@pytest.mark.parametrize("name", ["L-OSUE", "dBitFlipPM(d=b)"])
+def test_changing_collection_round_10k_users(benchmark, name, churn):
+    """Round cost when a share of the users changes value every round.
+
+    The steady rounds above replay identical values, which the delta-cached
+    folds reduce to an empty update.  Here two value vectors alternate, so
+    25 % churn times the delta fold and 100 % the full refold.  Both vectors
+    are memoized during warm-up, so no fresh rows are drawn.
+    """
+    protocol = _protocols()[name]
+    engine = engine_for(protocol, N_USERS_LARGE, rng=0)
+    rng = np.random.default_rng(1)
+    values = rng.integers(0, K, size=N_USERS_LARGE)
+    movers = rng.permutation(N_USERS_LARGE)[: round(churn * N_USERS_LARGE)]
+    moved = values.copy()
+    moved[movers] = (moved[movers] + rng.integers(1, K, size=movers.size)) % K
+    rounds = itertools.cycle([values, moved])
+    for _ in range(2):
+        engine.estimate_round(next(rounds), np.random.default_rng(2))
+
+    def one_round():
+        return engine.estimate_round(next(rounds), np.random.default_rng(3))
+
+    estimate = benchmark(one_round)
+    assert estimate.shape[0] in (K, protocol.estimation_domain_size)
+    benchmark.extra_info["n_users"] = N_USERS_LARGE
+    benchmark.extra_info["churn"] = churn
 
 
 @pytest.mark.benchmark(group="engine-construction")

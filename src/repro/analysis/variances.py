@@ -8,9 +8,7 @@ V* (Eq. 5) is obtained by instantiating its chained parameters for a given
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
-
-import numpy as np
+from typing import Callable, Dict, Iterable, List, Sequence
 
 from .._validation import require_domain_size, require_int_at_least
 from ..exceptions import ParameterError
@@ -23,7 +21,7 @@ from ..longitudinal.parameters import (
     l_sue_parameters,
     loloha_parameters,
 )
-from ..longitudinal.variance import approximate_variance, dbitflip_closed_form_variance
+from ..longitudinal.variance import approximate_variance
 
 __all__ = [
     "PROTOCOL_VARIANCE_FUNCTIONS",
@@ -61,13 +59,6 @@ def _variance_ololoha(eps_inf: float, eps_1: float, n: int, k: int) -> float:
     return approximate_variance(loloha_parameters(eps_inf, eps_1, g), n)
 
 
-def _variance_dbitflip(eps_inf: float, eps_1: float, n: int, k: int, d: Optional[int] = None) -> float:
-    b = k
-    if d is None:
-        d = 1
-    return dbitflip_closed_form_variance(eps_inf, b, d, n)
-
-
 #: Mapping from protocol display name to its approximate-variance function
 #: ``f(eps_inf, eps_1, n, k) -> V*``.  The names match the legend of Fig. 2/3.
 PROTOCOL_VARIANCE_FUNCTIONS: Dict[str, Callable[[float, float, int, int], float]] = {
@@ -86,8 +77,8 @@ def approximate_variance_for(
 ) -> float:
     """Approximate variance V* of a named protocol.
 
-    ``k`` only matters for L-GRR (and for the dBitFlipPM closed form via
-    ``b = k``); the UE and LOLOHA variances are domain-size agnostic.
+    ``k`` only matters for L-GRR; the UE and LOLOHA variances are
+    domain-size agnostic.
     """
     n = require_int_at_least(n, 1, "n")
     k = require_domain_size(k, "k")

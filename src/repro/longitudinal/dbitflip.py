@@ -20,7 +20,12 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .._validation import as_rng, require_int_at_least, validate_value_in_domain
+from .._validation import (
+    as_rng,
+    require_int_at_least,
+    require_probability,
+    validate_value_in_domain,
+)
 from ..exceptions import AggregationError, EncodingError, ParameterError
 from ..freq_oneshot.base import sue_parameters, unbiased_estimate
 from ..rng import RngLike
@@ -185,6 +190,34 @@ class DBitFlipPM(LongitudinalProtocol):
             )
         buckets = self.bucket_of(np.arange(self.k))
         return np.bincount(buckets, weights=frequencies, minlength=self.b)
+
+    def approximate_variance(self, n: int) -> float:
+        """Estimator variance V* at ``f = 0`` (see :meth:`exact_variance`).
+
+        The chained Eq. (5) would model dBitFlipPM as a chain whose second
+        round is the identity, which ignores that only ``d`` of the ``b``
+        buckets are reported per user.
+        """
+        return self.exact_variance(n, 0.0)
+
+    def exact_variance(self, n: int, f: float) -> float:
+        """Exact variance of one bucket's estimate when its true frequency is ``f``.
+
+        A user reports bucket ``j`` with probability ``pi = d / b`` and then
+        sets its bit with probability ``p`` (its bucket is ``j``) or ``q``
+        (it is not), so the support count is a sum of independent Bernoulli
+        draws and the estimator ``(C_j / (n pi) - q) / (p - q)`` has variance
+        ``[f pi p (1 - pi p) + (1 - f) pi q (1 - pi q)] / (n pi^2 (p - q)^2)``.
+        At ``d = b`` this is the Section 4 closed form
+        (:func:`~repro.longitudinal.variance.dbitflip_closed_form_variance`);
+        below it, the closed form omits the bucket-sampling term.
+        """
+        n = require_int_at_least(n, 1, "n")
+        f = require_probability(f, "f")
+        p, q = self._bit_probabilities
+        pi = self.d / self.b
+        numerator = f * pi * p * (1.0 - pi * p) + (1.0 - f) * pi * q * (1.0 - pi * q)
+        return numerator / (n * pi**2 * (p - q) ** 2)
 
     def create_client(self, rng: RngLike = None) -> DBitFlipClient:
         return DBitFlipClient(self, rng)

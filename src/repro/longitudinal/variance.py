@@ -68,12 +68,15 @@ def l_osue_closed_form_variance(eps_1: float, n: int) -> float:
 
 
 def dbitflip_closed_form_variance(eps_inf: float, b: int, d: int, n: int) -> float:
-    """Closed-form dBitFlipPM variance quoted in Section 4.
+    """The paper's Section 4 approximation of the dBitFlipPM variance.
 
     With the SUE-style bit parameters ``p = e^{eps/2}/(e^{eps/2}+1)`` and
     ``q = 1 - p`` and an effective sample size of ``n d / b`` per bucket, the
     approximate variance of the bucket-frequency estimator is
-    ``b * e^{eps_inf/2} / (d * n * (e^{eps_inf/2} - 1)^2)``.
+    ``b * e^{eps_inf/2} / (d * n * (e^{eps_inf/2} - 1)^2)``.  It is exact at
+    ``d = b`` only: below that it omits the bucket-sampling term and falls
+    short by up to ``1 / p``.  :meth:`repro.longitudinal.DBitFlipPM.exact_variance`
+    has the exact form.
     """
     n = require_int_at_least(n, 1, "n")
     b = require_int_at_least(b, 2, "b")

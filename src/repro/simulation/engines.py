@@ -128,7 +128,7 @@ class _DeltaFoldCache:
       ``+ new − old`` adjustment in **one fused pass** instead of two folds
       (the packed engines fold ``[new_rows, ~old_rows]`` together and
       subtract the row count, using ``colsum(~r) = 1 − colsum(r)``
-      per column);
+      per column; dBitFlipPM bincounts the per-bit differences);
     * the full-refold cutover has *hysteresis*: the cache enters the delta
       path when at most half the population moved (the naive break-even for
       the two-fold delta) but, once in it, tolerates up to 5/8 before
@@ -403,6 +403,26 @@ def _compare_fold(backend, hashed_domain, users, symbols):
     return backend.support_fold(hashed_domain[users], symbols)
 
 
+def _bucket_fold(packed_rows, sampled_buckets, d, b, users, keys):
+    """Per-bucket sums of the memoized dBitFlipPM bits ``packed_rows(users, keys)``.
+
+    The sums are integer-valued floats, so the fold cache's delta updates
+    are exact.  A full refold reads ``sampled_buckets`` in place rather than
+    through a fancy-indexed copy of every row.
+    """
+    bits = np.unpackbits(packed_rows(users, keys), axis=1, count=d)
+    buckets = sampled_buckets if users.size == sampled_buckets.shape[0] else sampled_buckets[users]
+    return np.bincount(buckets.ravel(), weights=bits.ravel(), minlength=b)
+
+
+def _bucket_fold_delta(packed_rows, sampled_buckets, d, b, users, new_keys, old_keys):
+    # One bincount of the per-bit differences (-1, 0 or +1) replaces the
+    # two-fold add/subtract and gathers the changed users' buckets once.
+    delta = np.unpackbits(packed_rows(users, new_keys), axis=1, count=d).view(np.int8)
+    delta -= np.unpackbits(packed_rows(users, old_keys), axis=1, count=d).view(np.int8)
+    return np.bincount(sampled_buckets[users].ravel(), weights=delta.ravel(), minlength=b)
+
+
 class UnaryChainEngine(PopulationEngine):
     """Vectorized population for the longitudinal UE protocols.
 
@@ -542,14 +562,33 @@ class DBitFlipEngine(PopulationEngine):
         #: ``record_key_history=True`` (``None`` otherwise); consumed by the
         #: change-detection attack.
         self.key_history: Optional[List[np.ndarray]] = [] if record_key_history else None
+        # Last round's buckets (-1 before the first round, so every user is
+        # looked up) and the keys they map to.
+        self._last_buckets = np.full(n_users, -1, dtype=np.int64)
+        self._keys = np.full(n_users, d, dtype=np.int64)
+        # Each (user, key) row's contribution to the bucket sums is fixed, so
+        # the fold is delta-cached on the keys like the other engines'.
+        fold_args = (self._state.packed_rows, self.sampled_buckets, d, b)
+        self._bucket_sums = _DeltaFoldCache(
+            n_users, partial(_bucket_fold, *fold_args), partial(_bucket_fold_delta, *fold_args)
+        )
 
     def _indicator_keys(self, buckets: np.ndarray) -> np.ndarray:
-        """Position of each user's current bucket among its sampled buckets, or d."""
-        matches = self.sampled_buckets == buckets[:, None]
-        keys = np.full(self.n_users, self.protocol.d, dtype=np.int64)
-        matched_users, matched_positions = np.nonzero(matches)
-        keys[matched_users] = matched_positions
-        return keys
+        """Position of each user's current bucket among its sampled buckets, or d.
+
+        A key depends only on the user's bucket (the samples are fixed), so
+        only users whose bucket changed since the last round are looked up:
+        ``O(n + changed * d)`` per round instead of an ``(n, d)`` compare.
+        """
+        changed = np.flatnonzero(buckets != self._last_buckets)
+        if changed.size:
+            matches = self.sampled_buckets[changed] == buckets[changed, None]
+            positions = matches.argmax(axis=1)
+            self._keys[changed] = np.where(
+                matches[np.arange(changed.size), positions], positions, self.protocol.d
+            )
+            self._last_buckets = buckets
+        return self._keys
 
     def run_round(self, values_t: np.ndarray, rng: Optional[np.random.Generator] = None) -> np.ndarray:
         values_t = self._validate_round(values_t)
@@ -557,19 +596,16 @@ class DBitFlipEngine(PopulationEngine):
         p, q = self.protocol.bit_probabilities
         d = self.protocol.d
 
-        buckets = self.protocol.bucket_of(values_t)
-        keys = self._indicator_keys(buckets)
+        keys = self._indicator_keys(self.protocol.bucket_of(values_t))
         if self.key_history is not None:
             self.key_history.append(keys.copy())
 
-        current = self._state.resolve(
+        self._state.ensure_rows(
             keys, lambda users, kk: dbitflip_fresh_bits_kernel(kk, d, p, q, generator)
         )
-        return np.bincount(
-            self.sampled_buckets.ravel(),
-            weights=current.ravel(),
-            minlength=self.protocol.b,
-        )
+        # The cache updates its sums in place and no draw follows the fold,
+        # so the caller gets its own copy.
+        return self._bucket_sums.update(keys).copy()
 
     def run_rounds(
         self,

@@ -261,6 +261,18 @@ class TestRoundRandomnessIndependentOfPopulation:
         assert small == large
         assert small <= 4 * self.K  # O(k) draws, nothing per-user
 
+    @pytest.mark.parametrize("d", [1, K], ids=["d=1", "d=b"])
+    def test_dbitflip_steady_round_draws_nothing(self, d):
+        # dBitFlipPM has no instantaneous randomization: once every
+        # (user, current key) pair is memoized, a round is pure lookup.
+        for n_users in (200, 2_000):
+            engine = engine_for(DBitFlipPM(self.K, 3.0, d=d), n_users, rng=0)
+            values = np.random.default_rng(1).integers(0, self.K, size=n_users)
+            engine.run_round(values)
+            counter = _CountingGenerator(2)
+            engine.run_round(values, counter)
+            assert counter.variates == 0
+
 
 class TestEngineVsClients:
     """The engines must agree statistically with the reference client path."""

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.datasets import make_uniform_changing
+from repro.datasets import make_dataset, make_uniform_changing
 from repro.exceptions import ExperimentError
 from repro.experiments import (
     ExperimentConfig,
@@ -147,6 +147,17 @@ class TestTables:
             assert result.detection["syn"]["d=b"][i] >= result.detection["syn"]["d=1"][i]
         assert "Table 2" in format_table2(result)
 
+    def test_table2_result_pinned(self, tiny_config, tiny_named_datasets):
+        # The attack reads the engine's key history and memoized rows, so any
+        # change to how dBitFlipPM keys or memoizes shows up here exactly.
+        result = run_table2(tiny_config, datasets=tiny_named_datasets)
+        cells = {
+            label: [(r.n_users_with_changes, r.n_fully_detected) for r in runs]
+            for label, runs in result.details["syn"].items()
+        }
+        assert cells == {"d=1": [(238, 8), (238, 6)], "d=b": [(238, 238), (238, 238)]}
+        assert result.detection["syn"]["d=1"] == [8 / 300, 6 / 300]
+
     def test_table2_rows_structure(self, tiny_config, tiny_named_datasets):
         result = run_table2(tiny_config, datasets=tiny_named_datasets)
         rows = result.rows()
@@ -173,6 +184,28 @@ class TestEmpiricalHelpers:
             protocol = build_protocol(spec.at(k=24, eps_inf=2.0, alpha=0.5))
             assert protocol.k == 24
             assert spec.display_name == name
+
+
+@pytest.fixture(scope="module")
+def reduced_syn():
+    return make_dataset("syn", scale=0.02, n_rounds=30, rng=0)
+
+
+@pytest.mark.parametrize(
+    "protocol_name",
+    ["RAPPOR", "L-OSUE", "L-GRR", "BiLOLOHA", "OLOLOHA", "1BitFlipPM", "bBitFlipPM"],
+)
+def test_realized_budget_within_table1_worst_case(protocol_name, reduced_syn):
+    from repro.experiments.empirical import paper_protocol_specs
+    from repro.registry import build_protocol
+    from repro.simulation import simulate_protocol, simulate_protocol_sharded
+
+    spec = paper_protocol_specs()[protocol_name].at(k=reduced_syn.k, eps_inf=2.0, alpha=0.5)
+    protocol = build_protocol(spec)
+    serial = simulate_protocol(protocol, reduced_syn, rng=1)
+    pooled = simulate_protocol_sharded(spec, reduced_syn, n_shards=2, rng=1, n_workers=2)
+    for result in (serial, pooled):
+        assert 0 < result.eps_avg <= protocol.worst_case_budget()
 
 
 class TestReportFormatting:

@@ -2,12 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datasets import make_dataset
 from repro.exceptions import ParameterError
-from repro.longitudinal import optimal_g, optimal_g_numeric
+from repro.longitudinal import DBitFlipPM, optimal_g, optimal_g_numeric
 from repro.longitudinal.parameters import (
     l_osue_parameters,
     l_sue_parameters,
@@ -67,6 +69,49 @@ class TestClosedForms:
     def test_dbitflip_closed_form_rejects_d_above_b(self):
         with pytest.raises(ParameterError):
             dbitflip_closed_form_variance(2.0, b=10, d=11, n=1000)
+
+
+class TestDBitFlipVariance:
+    """dBitFlipPM's own variance: a ``d / b`` share of users reports each bucket."""
+
+    def test_exact_at_full_sampling_is_the_closed_form(self):
+        protocol = DBitFlipPM(100, 2.0, b=50, d=50)
+        assert protocol.approximate_variance(1000) == pytest.approx(
+            dbitflip_closed_form_variance(2.0, b=50, d=50, n=1000), rel=1e-12
+        )
+
+    def test_bucket_sampling_term_adds_to_the_closed_form(self):
+        protocol = DBitFlipPM(100, 2.0, b=100, d=1)
+        p, q = protocol.bit_probabilities
+        closed = dbitflip_closed_form_variance(2.0, b=100, d=1, n=1000)
+        assert protocol.approximate_variance(1000) == pytest.approx(
+            closed * (1 - q / 100) / p, rel=1e-12
+        )
+
+    def test_exact_variance_grows_with_frequency(self):
+        protocol = DBitFlipPM(40, 1.0, b=20, d=4)
+        assert protocol.exact_variance(500, 0.0) == protocol.approximate_variance(500)
+        assert protocol.exact_variance(500, 0.3) > protocol.exact_variance(500, 0.0)
+        with pytest.raises(ParameterError):
+            protocol.exact_variance(500, 1.5)
+
+    @pytest.mark.parametrize("d_label", ["1", "b"])
+    @pytest.mark.parametrize("dataset_name", ["syn", "db_mt"])
+    def test_simulated_mse_matches_v_star(self, dataset_name, d_label):
+        # Memoization correlates a run's rounds, so the spread comes from
+        # independent seeds, not from rounds.
+        from repro.registry import dbitflip_bucket_count
+        from repro.simulation import simulate_protocol
+
+        dataset = make_dataset(dataset_name, scale=0.2, rng=0)
+        b = dbitflip_bucket_count(dataset.k)
+        protocol = DBitFlipPM(dataset.k, 2.0, b=b, d=1 if d_label == "1" else b)
+        v_star = protocol.approximate_variance(dataset.n_users)
+        ratios = np.array(
+            [simulate_protocol(protocol, dataset, rng=seed).mse_avg for seed in range(1, 9)]
+        ) / v_star
+        standard_error = ratios.std(ddof=1) / math.sqrt(ratios.size)
+        assert abs(ratios.mean() - 1.0) <= max(0.1, 4 * standard_error)
 
 
 class TestVarianceOrdering:
