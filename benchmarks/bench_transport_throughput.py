@@ -13,13 +13,8 @@ costs on top of the raw shard computation:
 * ``test_authenticated_file_queue_collection`` — the spool collection with
   HMAC-SHA256 payload signing/verification on both endpoints;
 * ``test_codec_round_trip`` — pure payload encode/decode cost for one
-  shard summary;
-* ``test_socket_idle_chatter`` — claim frames an idle TCP worker sends per
-  second: the before (``--poll`` READY/IDLE loop) versus after (blocking
-  broker-side wait) of the idle-chatter removal.
+  shard summary.
 """
-
-import time
 
 import numpy as np
 import pytest
@@ -30,7 +25,6 @@ from repro.distributed import (
     FileQueueTransport,
     InProcessTransport,
     PayloadAuthenticator,
-    SocketTransport,
     decode_summary,
     encode_summary,
     local_worker_threads,
@@ -124,42 +118,6 @@ def test_authenticated_file_queue_collection(benchmark, workload, tmp_path_facto
 
     coordinator = benchmark(run)
     assert coordinator.is_complete
-
-
-#: How long each idle-chatter measurement lets a worker poll an empty queue.
-_IDLE_WINDOW_SECONDS = 0.25
-
-
-@pytest.mark.benchmark(group="transport-idle-chatter")
-def test_socket_idle_chatter(benchmark):
-    """Claim frames per second from an idle TCP worker, poll vs blocking.
-
-    The poll compatibility mode re-sends READY every 20 ms sleep cycle; the
-    blocking mode parks a single READY at the broker, so an idle worker's
-    frame rate is ~0 however long the queue stays empty.
-    """
-
-    def measure():
-        rates = {}
-        for mode in ("poll", "blocking"):
-            transport = SocketTransport()
-            worker = transport.worker(mode=mode)
-            try:
-                deadline = time.monotonic() + _IDLE_WINDOW_SECONDS
-                while time.monotonic() < deadline:
-                    assert worker.claim(timeout=0.02) is None
-                rates[mode] = worker.claim_frames_sent / _IDLE_WINDOW_SECONDS
-            finally:
-                worker.close()
-                transport.close()
-        return rates
-
-    rates = benchmark(measure)
-    # The blocking worker parked once; the poll worker kept chattering.
-    assert rates["blocking"] <= 1.0 / _IDLE_WINDOW_SECONDS
-    assert rates["poll"] > rates["blocking"]
-    benchmark.extra_info["poll_frames_per_second"] = rates["poll"]
-    benchmark.extra_info["blocking_frames_per_second"] = rates["blocking"]
 
 
 @pytest.mark.benchmark(group="transport-codec")

@@ -8,22 +8,23 @@ Walks through the distributed subsystem (``repro.distributed``) end to end:
    requeue — final estimates bit-identical to the serial path;
 3. streaming shard summaries into a :class:`repro.service.CollectorSession`
    as they arrive, out of order, with coordinator checkpointing;
-4. an HMAC-authenticated TCP run over a weighted shard plan: workers park
-   at the broker (no idle polling), advertise capacity hints, every payload
-   is signed with a shared secret from the environment, and a worker
-   holding the wrong key is rejected without disturbing the collection.
+4. an HMAC-authenticated file-queue run over a weighted shard plan: every
+   task and summary file is signed with a shared secret from the
+   environment, and a worker holding the wrong key executes nothing — the
+   task files it rejects are republished and the collection completes
+   bit-identical to the serially-run weighted plan.
 
 The CLI equivalent of step 2, with real separate processes, is::
 
-    repro-ldp serve --spec collection.json --transport file --queue-dir q/
+    repro-ldp serve --spec collection.json --queue-dir q/
     repro-ldp work --queue-dir q/      # in as many shells / hosts as you like
 
-and of step 4 (both sides export the same ``REPRO_AUTH_KEY`` secret)::
+and of step 4 (both sides export the same ``REPRO_AUTH_KEY`` secret; the
+spec's ``shard_weights`` sizes the shards)::
 
-    repro-ldp serve --spec collection.json --transport tcp \\
-        --bind 0.0.0.0:7000 --auth-key-env REPRO_AUTH_KEY
-    repro-ldp work --connect collector:7000 \\
-        --auth-key-env REPRO_AUTH_KEY --capacity 4
+    repro-ldp serve --spec collection.json --queue-dir /shared/q \\
+        --auth-key-env REPRO_AUTH_KEY
+    repro-ldp work --queue-dir /shared/q --auth-key-env REPRO_AUTH_KEY
 
 Run from the repository root::
 
@@ -40,12 +41,10 @@ from repro.datasets import make_dataset
 from repro.distributed import (
     Coordinator,
     FileQueueTransport,
+    FileQueueWorker,
     InProcessTransport,
-    SocketTransport,
-    SocketWorker,
     authenticator_from_env,
     local_worker_threads,
-    run_worker,
 )
 from repro.service import CollectorSession
 from repro.simulation.runner import (
@@ -122,48 +121,46 @@ def step_3_streaming_session_with_checkpoint(dataset, serial, workdir):
     )
 
 
-def step_4_authenticated_weighted_tcp(dataset):
-    print("== 4. authenticated TCP broker, weighted shards, capacity hints ==")
+def step_4_authenticated_weighted_file_queue(dataset, workdir):
+    print("== 4. authenticated file queue, weighted shards ==")
     # The shared secret travels through the environment, never through spec
-    # files; a fast host gets twice the users of each slow one.
+    # files; a fast host's shard holds twice the users of each slow one.
     os.environ.setdefault("REPRO_QUICKSTART_KEY", "quickstart-shared-secret")
     auth = authenticator_from_env("REPRO_QUICKSTART_KEY")
     weights = (2.0, 1.0, 1.0)
     serial = simulate_protocol_sharded(
         SPEC, dataset, n_shards=3, rng=SEED, weights=weights
     )
-    transport = SocketTransport(auth=auth)
+    queue_dir = workdir / "auth-queue"
+    transport = FileQueueTransport(queue_dir, auth=auth)
     coordinator = Coordinator(
         make_shard_tasks(SPEC, dataset, 3, rng=SEED, weights=weights),
         transport,
-        lease_timeout=5.0,
+        lease_timeout=1.0,
     )
     coordinator.publish_pending()
-    host, port = transport.address
 
-    # A worker with the WRONG key claims nothing: every task payload fails
-    # verification client-side and is counted, never executed.
+    # A worker with the WRONG key executes nothing: every task file fails
+    # verification, is counted and destroyed; the coordinator notices the
+    # vanished shards and republishes its authentic copies.
     os.environ["REPRO_WRONG_KEY"] = "not-the-secret"
-    intruder = SocketWorker(
-        host, port, auth=authenticator_from_env("REPRO_WRONG_KEY"), mode="poll"
+    intruder = FileQueueWorker(
+        queue_dir, auth=authenticator_from_env("REPRO_WRONG_KEY")
     )
-    assert intruder.claim(timeout=0.3) is None
+    assert intruder.claim(timeout=0.1) is None
     print(f"   wrong-key worker rejected {intruder.rejected} task payload(s)")
-    intruder.close()
 
-    # The honest worker parks at the broker (zero idle frames) and
-    # advertises capacity 4, so it is handed the largest shard first.
-    worker = transport.worker(capacity=4)
-    completed = run_worker(worker, dataset=dataset, max_tasks=3, idle_timeout=5.0)
-    worker.close()
-    coordinator.drain(idle_timeout=1.0)
+    # Workers holding the right key (threads here; any process that mounts
+    # the queue directory in practice) drain the republished tasks.
+    with local_worker_threads(transport, 2, dataset=dataset):
+        coordinator.run(timeout=60.0)
     transport.close()
     result = result_from_summaries(SPEC, dataset, coordinator.ordered_summaries())
     assert np.array_equal(result.estimates, serial.estimates)
     print(
-        f"   {completed} weighted shards collected over authenticated TCP "
-        f"({worker.claim_frames_sent} claim frames), estimates bit-identical "
-        f"to the serially-run weighted plan\n"
+        f"   {coordinator.n_shards} weighted shards collected over the "
+        f"authenticated queue ({coordinator.republished} republished), "
+        f"estimates bit-identical to the serially-run weighted plan\n"
     )
 
 
@@ -180,7 +177,7 @@ def main():
         step_1_in_process(dataset, serial)
         step_2_file_queue_with_crash(dataset, serial, workdir)
         step_3_streaming_session_with_checkpoint(dataset, serial, workdir)
-    step_4_authenticated_weighted_tcp(dataset)
+        step_4_authenticated_weighted_file_queue(dataset, workdir)
     print("distributed quickstart OK")
 
 

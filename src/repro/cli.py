@@ -65,26 +65,22 @@ over::
 
 The ``serve`` / ``work`` pair runs a *distributed* sharded collection (see
 :mod:`repro.distributed`): ``serve`` loads a
-:class:`repro.specs.CollectionSpec`, publishes shard tasks over a transport
-— a crash-safe spool directory (``--transport file --queue-dir DIR``) or a
-TCP broker (``--transport tcp --bind HOST:PORT``) — and aggregates worker
-summaries fault-tolerantly (lease-based requeue of dead workers' shards,
+:class:`repro.specs.CollectionSpec`, spools shard tasks to a crash-safe
+queue directory (``--queue-dir DIR``) and aggregates worker summaries
+fault-tolerantly (lease-based requeue of dead workers' shards,
 duplicate-delivery dedup, optional ``--checkpoint`` for collector restarts).
-``work`` processes attach to the same queue from any host::
+``work`` processes attach to the same directory, locally or from any host
+that mounts it::
 
-    repro-ldp serve --spec collection.json --transport file --queue-dir q/
+    repro-ldp serve --spec collection.json --queue-dir q/
     repro-ldp work --queue-dir q/          # as many of these as you like
-    repro-ldp work --connect 10.0.0.5:7000 # tcp flavour
 
-TCP workers park at the broker until work is pushed (no idle polling;
-``--poll`` restores the READY/IDLE exchange for compatibility) and may
-advertise a ``--capacity`` hint so a mixed fleet's fastest hosts receive
-the largest shards of a weighted plan (``CollectionSpec.shard_weights``).
-On untrusted networks or shared filesystems, ``--auth-key-env SECRET_VAR``
-(or ``auth_key_env`` in the spec) HMAC-signs every task and summary
-payload with the secret held in that environment variable — both sides
-must export it; tampered or unsigned payloads are rejected and counted,
-never absorbed.
+A mixed fleet can size its shards unevenly with
+``CollectionSpec.shard_weights``.  On shared filesystems other parties can
+write to, ``--auth-key-env SECRET_VAR`` (or ``auth_key_env`` in the spec)
+HMAC-signs every task and summary payload with the secret held in that
+environment variable — both sides must export it; tampered or unsigned
+payloads are rejected and counted, never absorbed.
 
 Every shard's randomness derives from the collection seed alone, so the
 final estimates are bit-identical to the serial path regardless of worker
@@ -360,8 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve_parser = subparsers.add_parser(
         "serve",
-        help="coordinate a distributed sharded collection: publish shard "
-             "tasks over a transport and aggregate worker summaries "
+        help="coordinate a distributed sharded collection: spool shard "
+             "tasks to a queue directory and aggregate worker summaries "
              "fault-tolerantly",
     )
     serve_parser.add_argument(
@@ -369,16 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="collection spec JSON file (see repro.specs.CollectionSpec)",
     )
     serve_parser.add_argument(
-        "--transport", choices=["file", "tcp"], default="file",
-        help="how shard tasks reach the workers (default: file)",
-    )
-    serve_parser.add_argument(
-        "--queue-dir", default=None, metavar="DIR",
-        help="spool directory of the file transport (shared with workers)",
-    )
-    serve_parser.add_argument(
-        "--bind", default="127.0.0.1:0", metavar="HOST:PORT",
-        help="bind address of the tcp broker (port 0 = ephemeral)",
+        "--queue-dir", required=True, metavar="DIR",
+        help="spool directory shared with the workers",
     )
     serve_parser.add_argument(
         "--lease-timeout", type=float, default=30.0, metavar="SECONDS",
@@ -430,14 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
              "and return summaries (datasets are rebuilt from the task's "
              "registry reference — no code is shipped)",
     )
-    work_endpoint = work_parser.add_mutually_exclusive_group(required=True)
-    work_endpoint.add_argument(
-        "--queue-dir", default=None, metavar="DIR",
-        help="spool directory of a file-transport collection",
-    )
-    work_endpoint.add_argument(
-        "--connect", default=None, metavar="HOST:PORT",
-        help="address of a tcp-transport broker",
+    work_parser.add_argument(
+        "--queue-dir", required=True, metavar="DIR",
+        help="spool directory of the collection (the one given to serve)",
     )
     work_parser.add_argument(
         "--max-tasks", type=int, default=None, metavar="N",
@@ -451,17 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--auth-key-env", default=None, metavar="ENV_VAR",
         help="environment variable holding the shared HMAC secret "
              "(must match the collector's)",
-    )
-    work_parser.add_argument(
-        "--capacity", type=int, default=1, metavar="N",
-        help="relative throughput hint advertised to the tcp broker; the "
-             "fleet's highest hint receives the largest pending shards "
-             "(default: 1)",
-    )
-    work_parser.add_argument(
-        "--poll", action="store_true",
-        help="tcp compatibility mode: poll the broker with READY/IDLE "
-             "round-trips instead of parking until work is pushed",
     )
     _add_backend_option(work_parser)
     _add_obs_options(work_parser)
@@ -875,7 +847,6 @@ def run_serve(args: argparse.Namespace) -> int:
         Coordinator,
         DatasetRef,
         FileQueueTransport,
-        SocketTransport,
         authenticator_from_env,
         local_worker_threads,
     )
@@ -895,22 +866,11 @@ def run_serve(args: argparse.Namespace) -> int:
         name=spec.dataset, scale=spec.dataset_scale, seed=spec.seed
     )
     authenticated = f", HMAC-authenticated via ${auth_key_env}" if auth else ""
-    if args.transport == "file":
-        if not args.queue_dir:
-            raise ReproError("--transport file requires --queue-dir")
-        transport = FileQueueTransport(args.queue_dir, auth=auth)
-        print(
-            f"{spec.name}: spooling {len(tasks)} shard tasks to "
-            f"{args.queue_dir}{authenticated}"
-        )
-    else:
-        host, port = _parse_host_port(args.bind, "--bind")
-        transport = SocketTransport(host, port, auth=auth)
-        print(
-            f"{spec.name}: broker listening on "
-            f"{transport.address[0]}:{transport.address[1]} "
-            f"({len(tasks)} shard tasks{authenticated})"
-        )
+    transport = FileQueueTransport(args.queue_dir, auth=auth)
+    print(
+        f"{spec.name}: spooling {len(tasks)} shard tasks to "
+        f"{args.queue_dir}{authenticated}"
+    )
     checkpoint_store = (
         make_backend(args.checkpoint_store_kind, args.checkpoint_store)
         if args.checkpoint_store
@@ -958,7 +918,7 @@ def run_serve(args: argparse.Namespace) -> int:
         coordinator.ordered_summaries(),
         extra={"transport": type(transport).__name__},
     )
-    rejected = getattr(transport, "rejected", 0)
+    rejected = transport.rejected
     print(
         f"{spec.name}: collected {coordinator.n_shards} shards "
         f"({coordinator.requeued} requeued, {coordinator.republished} "
@@ -988,36 +948,14 @@ def run_serve(args: argparse.Namespace) -> int:
 
 
 def run_work(args: argparse.Namespace) -> int:
-    """Run one worker process against a file or tcp queue."""
-    from .distributed import (
-        FileQueueWorker,
-        SocketWorker,
-        authenticator_from_env,
-        run_worker,
-    )
+    """Run one worker process against a queue directory."""
+    from .distributed import FileQueueWorker, authenticator_from_env, run_worker
 
     _apply_backend_option(args)
     _apply_obs_options(args, component="worker")
     auth = authenticator_from_env(args.auth_key_env)
-    if args.queue_dir:
-        # Capacity hints and claim modes are TCP broker concepts; silently
-        # ignoring them would let an operator believe a file-queue fleet is
-        # weighted when it is not.
-        if args.capacity != 1:
-            raise ReproError("--capacity only applies to tcp workers (--connect)")
-        if args.poll:
-            raise ReproError("--poll only applies to tcp workers (--connect)")
-        endpoint = FileQueueWorker(args.queue_dir, auth=auth)
-        where = args.queue_dir
-    else:
-        host, port = _parse_host_port(args.connect, "--connect")
-        endpoint = SocketWorker(
-            host, port, auth=auth,
-            capacity=args.capacity,
-            mode="poll" if args.poll else "blocking",
-        )
-        where = args.connect
-    print(f"worker attached to {where}")
+    endpoint = FileQueueWorker(args.queue_dir, auth=auth)
+    print(f"worker attached to {args.queue_dir}")
     try:
         completed = run_worker(
             endpoint,
@@ -1026,7 +964,7 @@ def run_work(args: argparse.Namespace) -> int:
         )
     finally:
         endpoint.close()
-    rejected = getattr(endpoint, "rejected", 0)
+    rejected = endpoint.rejected
     suffix = f" ({rejected} unverified task payloads rejected)" if rejected else ""
     print(f"worker done: {completed} shards completed{suffix}")
     return 0
@@ -1098,7 +1036,7 @@ def run_ingest(args: argparse.Namespace) -> int:
     spec = load_ingest_spec(args.spec)
     if args.checkpoint_interval is not None and not args.checkpoint:
         # A cadence without a checkpoint path would be silently inert;
-        # refuse it, matching the work --capacity/--queue-dir precedent.
+        # refuse it rather than let the operator believe it is in effect.
         raise ReproError("--checkpoint-interval requires --checkpoint")
     if args.bind:
         host, port = _parse_host_port(args.bind, "--bind")

@@ -11,9 +11,7 @@ and ``.npz`` summary payloads — never pickled code — between one
 :class:`InProcessTransport`  in-memory queues; tests and worker threads
 :class:`FileQueueTransport`  spool directory with atomic claim-by-rename;
                              crash-safe across worker processes on one host
-                             (or a shared filesystem)
-:class:`SocketTransport`     length-prefixed TCP frames through an asyncio
-                             broker; workers on other hosts
+                             or, through a shared filesystem, on many hosts
 =========================  ====================================================
 
 The coordinator detects dead workers through lease timeouts, requeues their
@@ -23,14 +21,10 @@ as they arrive; because every shard's randomness is derived from the root
 seed alone, the final estimates are bit-identical to the serial path no
 matter how the work was distributed, weighted, crashed or retried.
 
-For untrusted media, both remote transports accept a
+For untrusted media, the file queue accepts a
 :class:`PayloadAuthenticator` (shared HMAC-SHA256 secret, resolved from an
 environment variable via :func:`authenticator_from_env`): tampered or
 unsigned payloads are rejected and counted, never absorbed or executed.
-TCP workers park at the broker until work is pushed (zero idle frames) and
-may advertise capacity hints so weighted shard plans
-(``make_shard_tasks(weights=...)``) land their biggest shards on the
-fastest hosts.
 
 The ``repro-ldp serve`` / ``repro-ldp work`` CLI subcommands wire these
 pieces into long-running processes; ``simulate_protocol_sharded(transport=...)``
@@ -48,7 +42,6 @@ from .codec import (
 )
 from .coordinator import Coordinator, CoordinatorTimeout
 from .file_queue import FileQueueTransport, FileQueueWorker
-from .socket_transport import SocketTransport, SocketWorker
 from .transports import (
     InProcessTransport,
     SummaryEnvelope,
@@ -69,8 +62,6 @@ __all__ = [
     "FileQueueWorker",
     "InProcessTransport",
     "LocalWorkerPool",
-    "SocketTransport",
-    "SocketWorker",
     "SummaryEnvelope",
     "TaskEnvelope",
     "Transport",

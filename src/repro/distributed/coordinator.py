@@ -217,17 +217,8 @@ class Coordinator:
         return len(pending)
 
     def _envelope(self, shard_id: int) -> TaskEnvelope:
-        """The authentic task envelope of one shard, costed by its user count.
-
-        The cost lets capacity-aware transports hand the biggest shards of a
-        weighted plan to the workers advertising the most capacity.
-        """
-        task = self.tasks[shard_id]
-        return TaskEnvelope(
-            shard_id=shard_id,
-            payload=self._payloads[shard_id],
-            cost=float(task.stop - task.start),
-        )
+        """The authentic task envelope of one shard."""
+        return TaskEnvelope(shard_id=shard_id, payload=self._payloads[shard_id])
 
     def absorb(self, shard_id: int, summary: ShardSummary) -> bool:
         """Accept one summary; returns ``False`` for duplicates.
@@ -433,8 +424,11 @@ class Coordinator:
         """Restore previously accepted summaries; returns how many.
 
         Refuses checkpoints written for a different plan (spec, shard count
-        or seeds) via the plan fingerprint.  Restored summaries are streamed
-        into the session exactly like live arrivals, so a resumed collection
+        or seeds) via the plan fingerprint.  A file that cannot be decoded
+        (truncated, bit-flipped, or listing a shard outside the plan) raises
+        :class:`~repro.exceptions.ExperimentError` naming the path, and
+        nothing is restored.  Restored summaries are streamed into the
+        session exactly like live arrivals, so a resumed collection
         continues from identical state.
         """
         path = Path(path) if path is not None else self.checkpoint_path
@@ -442,42 +436,62 @@ class Coordinator:
             raise ExperimentError("no checkpoint path configured")
         if not path.exists():
             return 0
-        with np.load(path, allow_pickle=False) as archive:
-            meta = json.loads(str(archive["meta"][()]))
-            if meta.get("format") != _CHECKPOINT_FORMAT:
-                raise ExperimentError(
-                    f"unsupported coordinator checkpoint format "
-                    f"{meta.get('format')!r}"
-                )
-            if meta.get("plan_fingerprint") != self.plan_fingerprint:
-                raise ExperimentError(
-                    f"checkpoint {path} belongs to a different collection plan "
-                    f"(fingerprint {meta.get('plan_fingerprint')!r} != "
-                    f"{self.plan_fingerprint!r}); refusing to merge it"
-                )
-            if int(meta.get("n_shards", -1)) != self.n_shards:
-                raise ExperimentError(
-                    f"checkpoint has {meta.get('n_shards')} shards, "
-                    f"plan has {self.n_shards}"
-                )
-            restored = 0
-            # Suppress the per-summary checkpoint rewrite while restoring —
-            # the file already holds exactly this state.
-            self._restoring = True
-            try:
+        summaries = self._read_checkpoint(path)
+        restored = 0
+        # Suppress the per-summary checkpoint rewrite while restoring — the
+        # file already holds exactly this state.
+        self._restoring = True
+        try:
+            for shard_id, summary in summaries.items():
+                if self.absorb(shard_id, summary):
+                    restored += 1
+        finally:
+            self._restoring = False
+        return restored
+
+    def _read_checkpoint(self, path: Path) -> Dict[int, ShardSummary]:
+        """Decode and validate every summary of a checkpoint file."""
+        try:
+            with np.load(path, allow_pickle=False) as archive:
+                meta = json.loads(str(archive["meta"][()]))
+                if meta.get("format") != _CHECKPOINT_FORMAT:
+                    raise ExperimentError(
+                        f"checkpoint {path} has unsupported coordinator "
+                        f"checkpoint format {meta.get('format')!r}"
+                    )
+                if meta.get("plan_fingerprint") != self.plan_fingerprint:
+                    raise ExperimentError(
+                        f"checkpoint {path} belongs to a different collection "
+                        f"plan (fingerprint {meta.get('plan_fingerprint')!r} "
+                        f"!= {self.plan_fingerprint!r}); refusing to merge it"
+                    )
+                if int(meta.get("n_shards", -1)) != self.n_shards:
+                    raise ExperimentError(
+                        f"checkpoint {path} has {meta.get('n_shards')} shards, "
+                        f"plan has {self.n_shards}"
+                    )
+                summaries: Dict[int, ShardSummary] = {}
                 for shard_id in meta.get("completed", []):
                     shard_id = int(shard_id)
+                    if not 0 <= shard_id < self.n_shards:
+                        raise ExperimentError(
+                            f"checkpoint {path} lists shard {shard_id}, outside "
+                            f"the plan's {self.n_shards} shards"
+                        )
                     task = self.tasks[shard_id]
-                    summary = ShardSummary(
+                    summaries[shard_id] = ShardSummary(
                         support_counts=archive[f"counts_{shard_id}"],
                         distinct_memoized_per_user=archive[f"distinct_{shard_id}"],
                         n_users=int(task.stop - task.start),
                     )
-                    if self.absorb(shard_id, summary):
-                        restored += 1
-            finally:
-                self._restoring = False
-        return restored
+        except ExperimentError:
+            raise
+        except Exception as error:  # zipfile/zlib/EOF/KeyError/ValueError: corrupt
+            raise ExperimentError(
+                f"corrupt coordinator checkpoint {path}: "
+                f"{type(error).__name__}: {error}"
+            ) from None
+        return summaries
 
     # ------------------------------------------------------------------ #
     # Store-backed checkpointing

@@ -111,8 +111,14 @@ class _QueueLayout:
         self.claims = self.root / "claims"
         self.summaries = self.root / "summaries"
         self.tmp = self.root / "tmp"
-        for directory in (self.tasks, self.claims, self.summaries, self.tmp):
-            directory.mkdir(parents=True, exist_ok=True)
+        try:
+            for directory in (self.tasks, self.claims, self.summaries, self.tmp):
+                directory.mkdir(parents=True, exist_ok=True)
+        except OSError as error:
+            # Typically a queue path that names an existing file.
+            raise TransportError(
+                f"cannot use {self.root} as a queue directory: {error}"
+            ) from None
 
     def task_name(self, shard_id: int) -> str:
         return f"{_TASK_PREFIX}{int(shard_id):06d}.json"
@@ -425,12 +431,3 @@ class FileQueueWorker(WorkerEndpoint):
             os.unlink(layout.claims / layout.task_name(shard_id))
         except FileNotFoundError:
             pass  # requeued meanwhile, or claimed by a later attempt
-
-
-def validate_queue_dir(queue_dir: Union[str, Path]) -> Path:
-    """Normalize and create a queue directory, rejecting file paths."""
-    path = Path(queue_dir)
-    if path.exists() and not path.is_dir():
-        raise TransportError(f"queue path {path} exists and is not a directory")
-    _QueueLayout(path)
-    return path

@@ -10,7 +10,7 @@ separate interfaces:
 * :class:`WorkerEndpoint` — the worker side: claim one task at a time and
   hand back its summary.  ``transport.worker()`` builds an endpoint wired to
   the same queue; remote workers construct their endpoint directly from the
-  shared location (a spool directory or a TCP address).
+  shared spool directory.
 
 Delivery is **at-least-once**: a lease that expires while the worker is
 merely slow leads to the same shard being executed twice, and both summaries
@@ -19,8 +19,8 @@ and the :class:`~repro.distributed.coordinator.Coordinator` deduplicates by
 shard id, so duplicate delivery is harmless by construction.
 
 :class:`InProcessTransport` is the in-memory reference implementation used by
-tests and single-process runs; the file-spool and TCP implementations live in
-:mod:`repro.distributed.file_queue` and :mod:`repro.distributed.socket_transport`.
+tests and single-process runs; the cross-process file-spool implementation
+lives in :mod:`repro.distributed.file_queue`.
 """
 
 from __future__ import annotations
@@ -45,18 +45,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TaskEnvelope:
-    """One task payload in flight, addressed by its shard id.
-
-    ``cost`` is the coordinator's estimate of how much work the task holds
-    (the shard's user count).  It never crosses the wire — capacity-aware
-    transports use it locally to hand the biggest pending shards to the
-    workers advertising the most capacity; the default of ``1.0`` keeps
-    hand-built envelopes order-neutral.
-    """
+    """One task payload in flight, addressed by its shard id."""
 
     shard_id: int
     payload: bytes
-    cost: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -125,8 +117,8 @@ class Transport(abc.ABC):
         vanishes (deleted by an operator, or destroyed by a worker that
         rejected a tampered payload).  The coordinator republishes its
         authentic copy of every lost shard.  Transports whose tasks cannot
-        vanish (in-memory queues, the TCP broker) keep the default: nothing
-        is ever lost, so nothing is republished.
+        vanish (in-memory queues) keep the default: nothing is ever lost, so
+        nothing is republished.
         """
         return []
 

@@ -88,7 +88,7 @@ def run_worker(
         Stop after this many completed shards (``None`` = unbounded).
     idle_timeout:
         Exit after this many seconds without claimable work (``None`` =
-        wait forever, until ``stop`` is set or the broker shuts down).
+        wait forever, until ``stop`` is set).
     poll_interval:
         Claim poll granularity.
     stop:
@@ -126,8 +126,6 @@ def run_worker(
         envelope = endpoint.claim(timeout=poll_interval)
         if envelope is None:
             m_idle_seconds.inc(max(0.0, time.monotonic() - claim_started))
-            if getattr(endpoint, "saw_shutdown", False):
-                break
             if (
                 idle_timeout is not None
                 and time.monotonic() - idle_since >= idle_timeout

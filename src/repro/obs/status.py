@@ -161,9 +161,15 @@ def snapshot_from_spool(
     if checkpoint_path is not None and checkpoint_path.exists():
         import numpy as np
 
-        with np.load(checkpoint_path, allow_pickle=False) as archive:
-            meta = json.loads(str(archive["meta"][()]))
-        progress = meta.get("progress")
+        try:
+            with np.load(checkpoint_path, allow_pickle=False) as archive:
+                meta = json.loads(str(archive["meta"][()]))
+            progress = meta.get("progress")
+        except Exception as error:  # zipfile/zlib/EOF/KeyError/ValueError: corrupt
+            raise ReproError(
+                f"corrupt coordinator checkpoint {checkpoint_path}: "
+                f"{type(error).__name__}: {error}"
+            ) from None
         if isinstance(progress, dict):
             snapshot.shards_total = int(progress.get("n_shards", 0)) or None
             snapshot.shards_done = int(progress.get("done", 0))

@@ -18,7 +18,7 @@ declarative :class:`~repro.specs.ProtocolSpec`; with a spec, every shard
 becomes a picklable :class:`ShardTask` and ``n_workers > 1`` distributes the
 shards across a process pool.  Passing ``transport=`` (see
 :mod:`repro.distributed`) instead routes the same tasks through a pluggable
-transport — in-memory, a crash-safe file spool, or a TCP broker — with a
+transport — in-memory or a crash-safe file spool — with a
 fault-tolerant :class:`~repro.distributed.coordinator.Coordinator` that
 requeues crashed workers' shards and deduplicates double deliveries; the
 estimates stay bit-identical to the serial path in every case.
@@ -325,8 +325,8 @@ def shard_boundaries(
 ) -> np.ndarray:
     """Population split points for ``n_shards`` contiguous user shards.
 
-    With ``weights`` (one positive number per shard — e.g. per-worker
-    capacity hints) shard ``i`` covers a population slice proportional to
+    With ``weights`` (one positive number per shard — e.g. relative host
+    speeds) shard ``i`` covers a population slice proportional to
     ``weights[i]``; ``None`` splits evenly.  The result is a pure function
     of ``(n_users, n_shards, weights)``: every shard is guaranteed at least
     one user (rounding never collapses a tiny weight to an empty slice,
@@ -376,7 +376,7 @@ def make_shard_tasks(
 
     Shard ``i`` covers users ``[boundaries[i], boundaries[i+1])`` and is
     seeded by the ``i``-th child of the root seed — a pure function of
-    ``(rng, n_shards, i)``, so any executor (process pool, file queue, TCP
+    ``(rng, n_shards, i)``, so any executor (process pool, file-queue
     worker, a retry after a crash) reproduces the identical summary.
 
     ``weights`` sizes the shards proportionally (see :func:`shard_boundaries`)

@@ -473,7 +473,7 @@ class CollectionSpec:
         Collection id used in logs and output file names.
     shard_weights:
         Optional per-shard sizing weights (one positive number per shard,
-        e.g. worker capacity hints) for heterogeneous fleets; ``None``
+        e.g. relative host speeds) for heterogeneous fleets; ``None``
         splits the population evenly.  See
         :func:`repro.simulation.runner.shard_boundaries`.
     auth_key_env:

@@ -34,7 +34,7 @@ class TestParser:
         "argv",
         [
             ["sweep", "--spec", "s.json", "--output-dir", "o", "--shared-dataset"],
-            ["serve", "--spec", "s.json", "--publish-dataset"],
+            ["serve", "--spec", "s.json", "--queue-dir", "q", "--publish-dataset"],
             ["work", "--queue-dir", "q", "--attach-dataset"],
         ],
         ids=["sweep", "serve", "work"],
@@ -44,6 +44,35 @@ class TestParser:
             build_parser().parse_args(argv)
         assert excinfo.value.code == 2
         assert f"unrecognized arguments: {argv[-1]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, removed",
+        [
+            ("serve", "--transport tcp"),
+            ("serve", "--bind h:1"),
+            ("work", "--connect h:1"),
+            ("work", "--capacity 4"),
+            ("work", "--poll"),
+        ],
+        ids=["serve-transport", "serve-bind", "work-connect", "work-capacity",
+             "work-poll"],
+    )
+    def test_tcp_transport_flags_are_gone(self, capsys, command, removed):
+        """The file queue is the one cross-process transport: the TCP
+        broker's flags are unknown options, not silently ignored ones."""
+        argv = [command, "--queue-dir", "q"] + removed.split()
+        if command == "serve":
+            argv += ["--spec", "s.json"]
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {removed}" in capsys.readouterr().err
+
+    def test_work_requires_queue_dir(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["work", "--idle-exit", "1"])
+        assert excinfo.value.code == 2
+        assert "--queue-dir" in capsys.readouterr().err
 
 
 class TestCommands:

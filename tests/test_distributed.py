@@ -1,17 +1,24 @@
 """Tests for the distributed collection subsystem.
 
-Covers the wire codec, the three transports (in-process, file spool, TCP
-broker) across their modes (blocking vs poll claims, HMAC authentication on
-and off), payload tampering and capacity-aware weighted sharding, the
-fault-tolerant coordinator — worker crash with lease-expiry requeue,
-duplicate summary delivery, out-of-order arrival, vanished-task republish,
-coordinator checkpoint/restore — and the end-to-end bit-identity of
+Covers the wire codec, the two transports (in-process and file spool, the
+latter with HMAC authentication on and off), payload tampering and weighted
+sharding, the fault-tolerant coordinator — worker crash with lease-expiry
+requeue, duplicate summary delivery, out-of-order arrival, vanished-task
+republish, coordinator checkpoint/restore and corrupt checkpoints — the
+``serve``/``work`` CLI with external worker processes, and the end-to-end
+bit-identity of
 ``simulate_protocol_sharded(transport=...)`` against the serial path for a
 one-shot (single-round) and a longitudinal workload.
 """
 
+import json
+import os
+import re
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +31,6 @@ from repro.distributed import (
     FileQueueWorker,
     InProcessTransport,
     PayloadAuthenticator,
-    SocketTransport,
     SummaryEnvelope,
     TaskEnvelope,
     TransportError,
@@ -50,26 +56,17 @@ from repro.specs import CollectionSpec, ProtocolSpec
 LONGITUDINAL_SPEC = ProtocolSpec(name="L-OSUE", eps_inf=2.0, alpha=0.5)
 ONESHOT_SPEC = ProtocolSpec(name="L-GRR", eps_inf=1.0, alpha=0.5)
 
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
 AUTH_KEY = PayloadAuthenticator(b"transport-test-secret")
 OTHER_KEY = PayloadAuthenticator(b"a-different-secret")
 
-#: Transport/worker configurations the contract suite runs over: the three
-#: media, with and without payload authentication, and both socket claim
-#: modes.  Each value is ``(transport factory, worker kwargs)``.
+#: Transport factories the contract suite runs over: the in-memory queue and
+#: the file spool, with and without payload authentication.
 TRANSPORT_MODES = {
-    "inprocess": (lambda tmp_path: InProcessTransport(), {}),
-    "file": (lambda tmp_path: FileQueueTransport(tmp_path / "queue"), {}),
-    "file-auth": (
-        lambda tmp_path: FileQueueTransport(tmp_path / "queue", auth=AUTH_KEY),
-        {},
-    ),
-    "socket": (lambda tmp_path: SocketTransport(), {}),
-    "socket-poll": (lambda tmp_path: SocketTransport(), {"mode": "poll"}),
-    "socket-auth": (lambda tmp_path: SocketTransport(auth=AUTH_KEY), {}),
-    "socket-auth-poll": (
-        lambda tmp_path: SocketTransport(auth=AUTH_KEY),
-        {"mode": "poll"},
-    ),
+    "inprocess": lambda path: InProcessTransport(),
+    "file": lambda path: FileQueueTransport(path),
+    "file-auth": lambda path: FileQueueTransport(path, auth=AUTH_KEY),
 }
 
 
@@ -133,9 +130,8 @@ class TestTransportContract:
     @pytest.fixture(params=sorted(TRANSPORT_MODES))
     def endpoints(self, request, tmp_path):
         """One transport plus a matching worker factory, per mode."""
-        factory, worker_kwargs = TRANSPORT_MODES[request.param]
-        transport = factory(tmp_path)
-        yield transport, (lambda: transport.worker(**worker_kwargs))
+        transport = TRANSPORT_MODES[request.param](tmp_path / "queue")
+        yield transport, transport.worker
         transport.close()
 
     def test_publish_claim_complete_poll(self, endpoints, tiny_dataset):
@@ -339,126 +335,9 @@ class TestAuthentication:
         )
         assert np.array_equal(result.estimates, serial.estimates)
 
-    def test_socket_rejects_mismatched_key_and_unsigned_summaries(
-        self, tiny_dataset
-    ):
-        """A worker holding the wrong key cannot feed the broker, and an
-        unsigned summary is dropped; the honest fleet still completes."""
-        serial = simulate_protocol_sharded(
-            LONGITUDINAL_SPEC, tiny_dataset, n_shards=2, rng=9
-        )
-        transport = SocketTransport(auth=AUTH_KEY)
-        tasks = make_shard_tasks(LONGITUDINAL_SPEC, tiny_dataset, 2, rng=9)
-        coordinator = Coordinator(
-            tasks, transport, lease_timeout=0.5, poll_interval=0.02
-        )
-        coordinator.publish_pending()
-
-        host, port = transport.address
-        from repro.distributed import SocketWorker
-
-        # Wrong key: every task payload fails verification client-side.
-        intruder = SocketWorker(host, port, auth=OTHER_KEY, mode="poll")
-        assert intruder.claim(timeout=0.3) is None
-        assert intruder.rejected >= 1
-        # Unsigned summary (auth=None worker sends bare payloads): dropped.
-        forged = encode_summary(0, run_shard_task(tasks[0], tiny_dataset))
-        unsigned = SocketWorker(host, port, mode="poll")
-        unsigned.complete(0, forged)
-        intruder.close()
-
-        with local_worker_threads(transport, 1, dataset=tiny_dataset) as pool:
-            coordinator.run(timeout=60.0, abort=pool.failure_reason)
-        unsigned.close()
-        transport.close()
-        assert transport.rejected >= 1
-        result = result_from_summaries(
-            LONGITUDINAL_SPEC, tiny_dataset, coordinator.ordered_summaries()
-        )
-        assert np.array_equal(result.estimates, serial.estimates)
-
 
 # --------------------------------------------------------------------- #
-# Blocking broker waits
-# --------------------------------------------------------------------- #
-class TestBlockingBroker:
-    def test_idle_blocking_worker_sends_zero_frames(self):
-        """After parking, an idle blocking worker sends zero READY frames
-        while the queue is empty — however often claim() times out."""
-        transport = SocketTransport()
-        worker = transport.worker()
-        try:
-            assert worker.claim(timeout=0.05) is None  # parks: one frame
-            parked_frames = worker.claim_frames_sent
-            assert parked_frames == 1
-            for _ in range(20):
-                assert worker.claim(timeout=0.01) is None
-            assert worker.claim_frames_sent - parked_frames == 0
-        finally:
-            worker.close()
-            transport.close()
-
-    def test_poll_worker_keeps_sending_frames(self):
-        """The --poll compatibility mode still does READY/IDLE round-trips."""
-        transport = SocketTransport()
-        worker = transport.worker(mode="poll")
-        try:
-            assert worker.claim(timeout=0.3) is None
-            assert worker.claim_frames_sent > 1
-        finally:
-            worker.close()
-            transport.close()
-
-    def test_parked_worker_is_woken_by_publish(self, tiny_dataset):
-        """A publish pushes the task to a parked worker immediately."""
-        transport = SocketTransport()
-        worker = transport.worker()
-        try:
-            assert worker.claim(timeout=0.05) is None  # park
-            task = make_shard_tasks(LONGITUDINAL_SPEC, tiny_dataset, 2, rng=5)[0]
-            claimed = {}
-
-            def wait_for_task():
-                claimed["envelope"] = worker.claim(timeout=10.0)
-
-            thread = threading.Thread(target=wait_for_task)
-            thread.start()
-            time.sleep(0.05)
-            transport.publish(
-                TaskEnvelope(shard_id=0, payload=encode_task(0, task))
-            )
-            thread.join(timeout=10.0)
-            assert not thread.is_alive()
-            envelope = claimed["envelope"]
-            assert envelope is not None and envelope.shard_id == 0
-            # The push consumed the original READY: still exactly one frame.
-            assert worker.claim_frames_sent == 1
-        finally:
-            worker.close()
-            transport.close()
-
-    def test_parked_worker_is_woken_by_shutdown(self):
-        transport = SocketTransport()
-        worker = transport.worker()
-        assert worker.claim(timeout=0.05) is None  # park
-        released = {}
-
-        def wait_for_shutdown():
-            released["claim"] = worker.claim(timeout=10.0)
-
-        thread = threading.Thread(target=wait_for_shutdown)
-        thread.start()
-        time.sleep(0.05)
-        transport.close()
-        thread.join(timeout=10.0)
-        assert not thread.is_alive()
-        assert released["claim"] is None
-        assert worker.saw_shutdown
-        worker.close()
-
-
-# --------------------------------------------------------------------- #
-# Weighted sharding and capacity hints
+# Weighted sharding
 # --------------------------------------------------------------------- #
 class TestWeightedSharding:
     def test_boundaries_track_weights(self):
@@ -488,7 +367,7 @@ class TestWeightedSharding:
     )
     @pytest.mark.parametrize("weights", [(3.0, 1.0, 2.0, 0.5), (1.0, 10.0, 1.0, 1.0)])
     def test_weighted_split_bit_identical_to_serial(
-        self, spec_name, weights, tiny_dataset, oneshot_dataset
+        self, spec_name, weights, tmp_path, tiny_dataset, oneshot_dataset
     ):
         """Acceptance: any weight vector, distributed == serial, bit for bit."""
         if spec_name == "longitudinal":
@@ -498,7 +377,7 @@ class TestWeightedSharding:
         serial = simulate_protocol_sharded(
             spec, dataset, n_shards=4, rng=9, weights=weights
         )
-        transport = SocketTransport()
+        transport = _file_transport(tmp_path)
         try:
             distributed = simulate_protocol_sharded(
                 spec, dataset, n_shards=4, rng=9, n_workers=2,
@@ -510,69 +389,15 @@ class TestWeightedSharding:
         assert distributed.mse_avg == serial.mse_avg
         assert distributed.eps_avg == serial.eps_avg
 
-    def test_broker_hands_biggest_shard_to_highest_capacity(self):
-        """Capacity hints steer assignment: the fleet's fastest claimant
-        receives the most expensive pending shard, others the cheapest."""
-        transport = SocketTransport()
-        try:
-            for shard_id, cost in ((0, 10.0), (1, 30.0), (2, 20.0)):
-                transport.publish(
-                    TaskEnvelope(shard_id=shard_id, payload=b"x", cost=cost)
-                )
-            fast = transport.worker(capacity=8)
-            slow = transport.worker(capacity=1)
-            try:
-                assert fast.claim(timeout=5.0).shard_id == 1  # cost 30
-                assert slow.claim(timeout=5.0).shard_id == 0  # cost 10
-                hints = set(transport.capacity_hints().values())
-                assert hints == {8, 1}
-                assert fast.claim(timeout=5.0).shard_id == 2  # the remainder
-            finally:
-                fast.close()
-                slow.close()
-        finally:
-            transport.close()
-
-    def test_heterogeneous_capacity_fleet_bit_identical(self, tiny_dataset):
-        """A weighted plan drained by workers of different capacities still
-        reproduces the serial estimates (assignment never affects results)."""
-        weights = (4.0, 1.0, 1.0, 2.0)
-        serial = simulate_protocol_sharded(
-            LONGITUDINAL_SPEC, tiny_dataset, n_shards=4, rng=9, weights=weights
-        )
-        transport = SocketTransport()
-        tasks = make_shard_tasks(
-            LONGITUDINAL_SPEC, tiny_dataset, 4, rng=9, weights=weights
-        )
-        coordinator = Coordinator(tasks, transport, lease_timeout=10.0)
-        coordinator.publish_pending()
-        threads = []
-        for capacity in (4, 1):
-            endpoint = transport.worker(capacity=capacity)
-
-            def drain(endpoint=endpoint):
-                try:
-                    run_worker(
-                        endpoint, dataset=tiny_dataset,
-                        idle_timeout=2.0, poll_interval=0.05,
-                    )
-                finally:
-                    endpoint.close()
-
-            threads.append(threading.Thread(target=drain))
-        for thread in threads:
-            thread.start()
-        coordinator.run(timeout=60.0)
-        for thread in threads:
-            thread.join(timeout=10.0)
-        transport.close()
-        result = result_from_summaries(
-            LONGITUDINAL_SPEC, tiny_dataset, coordinator.ordered_summaries()
-        )
-        assert np.array_equal(result.estimates, serial.estimates)
-
 
 class TestFileQueueDetails:
+    @pytest.mark.parametrize("endpoint", [FileQueueTransport, FileQueueWorker])
+    def test_queue_dir_naming_a_file_is_refused(self, endpoint, tmp_path):
+        not_a_dir = tmp_path / "queue.txt"
+        not_a_dir.write_text("a file, not a spool directory")
+        with pytest.raises(TransportError, match="cannot use .* as a queue directory"):
+            endpoint(not_a_dir)
+
     def test_concurrent_workers_claim_distinct_tasks(self, tmp_path, tiny_dataset):
         transport = _file_transport(tmp_path)
         tasks = make_shard_tasks(LONGITUDINAL_SPEC, tiny_dataset, 4, rng=5)
@@ -678,16 +503,9 @@ class TestFileQueueDetails:
 # End-to-end bit-identity over every transport
 # --------------------------------------------------------------------- #
 class TestBitIdentity:
-    @pytest.fixture(params=["inprocess", "file", "socket"])
+    @pytest.fixture(params=sorted(TRANSPORT_MODES))
     def make_transport(self, request, tmp_path):
-        def factory():
-            if request.param == "inprocess":
-                return InProcessTransport()
-            if request.param == "file":
-                return FileQueueTransport(tmp_path / f"queue-{time.monotonic_ns()}")
-            return SocketTransport()
-
-        return factory
+        return lambda: TRANSPORT_MODES[request.param](tmp_path / "queue")
 
     @pytest.mark.parametrize(
         "spec_name", ["longitudinal", "oneshot"], ids=["L-OSUE", "L-GRR-oneshot"]
@@ -732,25 +550,18 @@ class TestBitIdentity:
 # Failure modes
 # --------------------------------------------------------------------- #
 class TestFailureModes:
-    @pytest.mark.parametrize("kind", ["inprocess", "file", "socket"])
+    @pytest.mark.parametrize("kind", sorted(TRANSPORT_MODES))
     def test_worker_crash_lease_expiry_requeue(self, kind, tmp_path, tiny_dataset):
         """A claimed-then-abandoned shard is requeued and the final estimates
         are bit-identical to the serial run — on every transport."""
         serial = simulate_protocol_sharded(
             LONGITUDINAL_SPEC, tiny_dataset, n_shards=4, rng=9
         )
-        if kind == "inprocess":
-            transport = InProcessTransport()
-        elif kind == "file":
-            transport = _file_transport(tmp_path)
-        else:
-            transport = SocketTransport()
+        transport = TRANSPORT_MODES[kind](tmp_path / "queue")
         tasks = make_shard_tasks(LONGITUDINAL_SPEC, tiny_dataset, 4, rng=9)
         coordinator = Coordinator(tasks, transport, lease_timeout=0.1)
         coordinator.publish_pending()
-        # A worker claims a shard and dies without completing it.  (Keep the
-        # endpoint open: the socket broker would requeue instantly on
-        # disconnect, and this test exercises the lease-timeout path.)
+        # A worker claims a shard and dies without completing it.
         doomed = transport.worker()
         assert doomed.claim(timeout=5.0) is not None
         with local_worker_threads(transport, 1, dataset=tiny_dataset):
@@ -1006,6 +817,113 @@ class TestCoordinatorCheckpoint:
         transport.close()
 
 
+    @staticmethod
+    def _full_checkpoint(path, dataset):
+        """A checkpoint of a completed 3-shard collection, plus its tasks
+        and summaries."""
+        tasks = make_shard_tasks(LONGITUDINAL_SPEC, dataset, 3, rng=9)
+        transport = InProcessTransport()
+        coordinator = Coordinator(tasks, transport, checkpoint_path=path)
+        for shard_id, task in enumerate(tasks):
+            coordinator.absorb(shard_id, run_shard_task(task, dataset))
+        transport.close()
+        return tasks, dict(coordinator.summaries)
+
+    @staticmethod
+    def _restore(tasks, path):
+        """Load ``path`` into a fresh coordinator: ``(coordinator, error)``."""
+        coordinator = Coordinator(tasks, InProcessTransport())
+        try:
+            coordinator.load_checkpoint(path)
+        except ExperimentError as error:
+            return coordinator, error
+        return coordinator, None
+
+    def test_truncated_checkpoint_raises_typed_error(self, tmp_path, tiny_dataset):
+        """Every proper prefix of a checkpoint, down to the empty file, is
+        refused with an ExperimentError naming the path; nothing restored."""
+        checkpoint = tmp_path / "coordinator.npz"
+        tasks, _ = self._full_checkpoint(checkpoint, tiny_dataset)
+        blob = checkpoint.read_bytes()
+        damaged = tmp_path / "truncated.npz"
+        for size in range(len(blob)):
+            damaged.write_bytes(blob[:size])
+            coordinator, error = self._restore(tasks, damaged)
+            assert error is not None, f"a {size}-byte prefix was accepted"
+            assert str(damaged) in str(error)
+            assert coordinator.summaries == {}
+
+    def test_bit_flipped_checkpoint_is_refused_or_restored_exactly(
+        self, tmp_path, tiny_dataset
+    ):
+        """Flip one bit in every byte of a checkpoint in turn: each load
+        either raises an ExperimentError naming the path and restores
+        nothing, or (a flip in bytes the zip format ignores) restores every
+        summary exactly.  Never a raw library error, never altered data."""
+        checkpoint = tmp_path / "coordinator.npz"
+        tasks, expected = self._full_checkpoint(checkpoint, tiny_dataset)
+        blob = checkpoint.read_bytes()
+        damaged = tmp_path / "flipped.npz"
+        refused = 0
+        for position in range(len(blob)):
+            flipped = bytearray(blob)
+            flipped[position] ^= 0x01
+            damaged.write_bytes(bytes(flipped))
+            coordinator, error = self._restore(tasks, damaged)
+            if error is not None:
+                refused += 1
+                assert str(damaged) in str(error)
+                assert coordinator.summaries == {}
+                continue
+            assert sorted(coordinator.summaries) == [0, 1, 2]
+            for shard_id, summary in expected.items():
+                restored = coordinator.summaries[shard_id]
+                assert np.array_equal(restored.support_counts, summary.support_counts)
+                assert np.array_equal(
+                    restored.distinct_memoized_per_user,
+                    summary.distinct_memoized_per_user,
+                )
+        assert refused > len(blob) // 2
+
+    @staticmethod
+    def _rewrite_meta(path, **changes):
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        meta = json.loads(str(arrays["meta"][()]))
+        meta.update(changes)
+        arrays["meta"] = np.array(json.dumps(meta))
+        np.savez_compressed(path, **arrays)
+
+    @pytest.mark.parametrize("shard_id", [-1, 3])
+    def test_completed_shard_outside_plan_is_refused(
+        self, shard_id, tmp_path, tiny_dataset
+    ):
+        checkpoint = tmp_path / "coordinator.npz"
+        tasks, _ = self._full_checkpoint(checkpoint, tiny_dataset)
+        self._rewrite_meta(checkpoint, completed=[0, shard_id])
+        coordinator, error = self._restore(tasks, checkpoint)
+        assert error is not None
+        assert f"lists shard {shard_id}, outside the plan's 3 shards" in str(error)
+        assert str(checkpoint) in str(error)
+        assert coordinator.summaries == {}
+
+    def test_checkpoint_missing_a_listed_shard_restores_nothing(
+        self, tmp_path, tiny_dataset
+    ):
+        """A checkpoint whose meta lists a shard it holds no arrays for is
+        corrupt as a whole: no earlier shard is absorbed before the error."""
+        checkpoint = tmp_path / "coordinator.npz"
+        tasks, _ = self._full_checkpoint(checkpoint, tiny_dataset)
+        with np.load(checkpoint, allow_pickle=False) as archive:
+            arrays = {
+                name: archive[name] for name in archive.files if name != "counts_2"
+            }
+        np.savez_compressed(checkpoint, **arrays)
+        coordinator, error = self._restore(tasks, checkpoint)
+        assert error is not None and "corrupt coordinator checkpoint" in str(error)
+        assert coordinator.summaries == {}
+
+
 # --------------------------------------------------------------------- #
 # Remote workers rebuild datasets from the registry reference
 # --------------------------------------------------------------------- #
@@ -1069,6 +987,32 @@ class TestCollectionSpec:
             CollectionSpec.from_dict({"protocol": {"name": "L-OSUE"}, "zap": 1})
 
 
+def _cli_process(*argv, env=None):
+    """Start ``repro-ldp ARGV`` as a separate Python process."""
+    process_env = dict(os.environ if env is None else env)
+    process_env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC_DIR)]
+        + ([process_env["PYTHONPATH"]] if process_env.get("PYTHONPATH") else [])
+    )
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", *map(str, argv)],
+        env=process_env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+
+
+def _wait_for_spooled_tasks(queue_dir, serve_process=None, timeout=60.0):
+    """Block until the collector has published its first task file."""
+    deadline = time.monotonic() + timeout
+    while not list((queue_dir / "tasks").glob("task-*")):
+        if serve_process is not None and serve_process.poll() is not None:
+            pytest.fail(f"serve exited early: {serve_process.communicate()}")
+        assert time.monotonic() < deadline, "serve never spooled a task"
+        time.sleep(0.05)
+
+
 class TestServeWorkCli:
     def test_serve_with_file_queue_and_cli_worker(
         self, tmp_path, capsys, write_collection_spec, queue_dir
@@ -1083,7 +1027,10 @@ class TestServeWorkCli:
         worker = threading.Thread(
             target=main,
             args=(
-                ["work", "--queue-dir", str(queue_dir), "--idle-exit", "10"],
+                [
+                    "work", "--queue-dir", str(queue_dir),
+                    "--max-tasks", "3", "--idle-exit", "10",
+                ],
             ),
             daemon=True,
         )
@@ -1092,7 +1039,6 @@ class TestServeWorkCli:
             [
                 "serve",
                 "--spec", str(spec_path),
-                "--transport", "file",
                 "--queue-dir", str(queue_dir),
                 "--lease-timeout", "10",
                 "--save-estimates", str(estimates_path),
@@ -1112,36 +1058,59 @@ class TestServeWorkCli:
             assert np.array_equal(archive["estimates"], serial.estimates)
             assert float(archive["mse_avg"]) == serial.mse_avg
 
-    def test_serve_with_local_workers_and_tcp(
-        self, tmp_path, capsys, write_collection_spec
+    @pytest.mark.parametrize("weights", [None, (2.0, 1.0, 3.0)], ids=["even", "weighted"])
+    @pytest.mark.parametrize(
+        "protocol",
+        [LONGITUDINAL_SPEC, ProtocolSpec(name="L-GRR", eps_inf=1.0, alpha=0.5)],
+        ids=["L-OSUE", "L-GRR"],
+    )
+    def test_serve_and_external_work_processes_bit_identical(
+        self, protocol, weights, tmp_path, write_collection_spec, queue_dir
     ):
-        from repro.cli import main
+        """serve and two work processes, each its own interpreter, share
+        only the spool directory; the saved estimates equal the serial
+        path bit for bit, evenly and unevenly sharded."""
         from repro.datasets import make_dataset
 
-        spec, spec_path = write_collection_spec(name="tcp-test", n_shards=2)
-        estimates_path = tmp_path / "estimates.npz"
-        code = main(
-            [
-                "serve",
-                "--spec", str(spec_path),
-                "--transport", "tcp",
-                "--bind", "127.0.0.1:0",
-                "--local-workers", "2",
-                "--save-estimates", str(estimates_path),
-                "--timeout", "60",
-            ]
+        spec, spec_path = write_collection_spec(
+            name="external-test", protocol=protocol, shard_weights=weights
         )
-        assert code == 0
-        assert "broker listening" in capsys.readouterr().out
+        estimates_path = tmp_path / "estimates.npz"
+        serve = _cli_process(
+            "serve", "--spec", spec_path, "--queue-dir", queue_dir,
+            "--lease-timeout", "30", "--save-estimates", estimates_path,
+            "--timeout", "120",
+        )
+        _wait_for_spooled_tasks(queue_dir, serve)
+        workers = [
+            _cli_process("work", "--queue-dir", queue_dir, "--idle-exit", "1")
+            for _ in range(2)
+        ]
+        serve_out, serve_err = serve.communicate(timeout=180)
+        assert serve.returncode == 0, serve_err
+        assert "collected 3 shards" in serve_out
+        completed = 0
+        for worker in workers:
+            out, err = worker.communicate(timeout=60)
+            assert worker.returncode == 0, err
+            completed += int(re.search(r"(\d+) shards completed", out).group(1))
+        assert completed == spec.n_shards
+
         dataset = make_dataset("syn", scale=0.02, rng=spec.seed)
         serial = simulate_protocol_sharded(
-            spec.protocol, dataset, n_shards=2, rng=spec.seed
+            spec.protocol, dataset, n_shards=3, rng=spec.seed, weights=weights
         )
         with np.load(estimates_path) as archive:
             assert np.array_equal(archive["estimates"], serial.estimates)
+            assert np.array_equal(
+                archive["distinct_memoized_per_user"],
+                serial.distinct_memoized_per_user,
+            )
+            assert float(archive["mse_avg"]) == serial.mse_avg
+            assert float(archive["eps_avg"]) == serial.eps_avg
 
     def test_serve_checkpoint_store_restores_completed_collection(
-        self, tmp_path, capsys, write_collection_spec
+        self, tmp_path, capsys, write_collection_spec, queue_dir
     ):
         """serve --checkpoint-store appends one row per absorbed shard; a
         restarted service restores every summary from the store and
@@ -1154,8 +1123,7 @@ class TestServeWorkCli:
         base = [
             "serve",
             "--spec", str(spec_path),
-            "--transport", "tcp",
-            "--bind", "127.0.0.1:0",
+            "--queue-dir", str(queue_dir),
             "--timeout", "60",
             "--checkpoint-store", str(store_dir),
         ]
@@ -1173,67 +1141,62 @@ class TestServeWorkCli:
         )
         assert "collected 2 shards" in output
 
-    def test_authenticated_tcp_serve_and_work(
-        self, tmp_path, capsys, monkeypatch, write_collection_spec
+    def test_authenticated_weighted_serve_rejects_wrong_key_worker(
+        self, tmp_path, capsys, monkeypatch, write_collection_spec, queue_dir
     ):
-        """An HMAC-authenticated weighted TCP collection: an external-style
-        CLI worker with the matching key drains a broker whose spec names
-        the key's environment variable; estimates stay bit-identical."""
-        import re
-
-        from repro.cli import main, run_serve, build_parser
+        """An HMAC-authenticated weighted collection: a CLI worker holding
+        the wrong key executes nothing, the collector republishes the task
+        files it destroyed, and a worker with the right key finishes the
+        collection bit-identical to the serial weighted plan."""
+        from repro.cli import main
         from repro.datasets import make_dataset
 
         monkeypatch.setenv("REPRO_COLLECTION_KEY", "cli-shared-secret")
+        monkeypatch.setenv("REPRO_WRONG_KEY", "not-the-secret")
         spec, spec_path = write_collection_spec(
-            name="auth-tcp-test",
-            n_shards=3,
+            name="auth-test",
             shard_weights=(2.0, 1.0, 3.0),
             auth_key_env="REPRO_COLLECTION_KEY",
         )
         estimates_path = tmp_path / "estimates.npz"
-
-        # serve in a thread so a CLI worker can connect to the printed port.
-        serve_args = build_parser().parse_args(
-            [
-                "serve",
-                "--spec", str(spec_path),
-                "--transport", "tcp",
-                "--bind", "127.0.0.1:0",
-                "--lease-timeout", "10",
-                "--save-estimates", str(estimates_path),
-                "--timeout", "60",
-            ]
-        )
         outcome = {}
 
         def serve():
-            outcome["code"] = run_serve(serve_args)
+            outcome["code"] = main(
+                [
+                    "serve",
+                    "--spec", str(spec_path),
+                    "--queue-dir", str(queue_dir),
+                    "--lease-timeout", "2",
+                    "--save-estimates", str(estimates_path),
+                    "--timeout", "60",
+                ]
+            )
 
         serve_thread = threading.Thread(target=serve, daemon=True)
         serve_thread.start()
-        address = None
-        deadline = time.monotonic() + 10.0
-        while address is None and time.monotonic() < deadline:
-            match = re.search(
-                r"broker listening on ([\d.]+:\d+)", capsys.readouterr().out
-            )
-            if match:
-                address = match.group(1)
-            else:
-                time.sleep(0.05)
-        assert address is not None, "broker address was never printed"
-        code = main(
-            [
-                "work",
-                "--connect", address,
-                "--auth-key-env", "REPRO_COLLECTION_KEY",
-                "--capacity", "4",
-                "--idle-exit", "5",
-            ]
-        )
+        _wait_for_spooled_tasks(queue_dir)
+        intruder = [
+            "work", "--queue-dir", str(queue_dir),
+            "--auth-key-env", "REPRO_WRONG_KEY", "--idle-exit", "0.5",
+        ]
+        assert main(intruder) == 0
+        honest = [
+            "work", "--queue-dir", str(queue_dir),
+            "--auth-key-env", "REPRO_COLLECTION_KEY",
+            "--max-tasks", "3", "--idle-exit", "30",
+        ]
+        assert main(honest) == 0
         serve_thread.join(timeout=60.0)
-        assert code == 0 and outcome.get("code") == 0
+        assert outcome.get("code") == 0
+        output = capsys.readouterr().out
+        assert "HMAC-authenticated via $REPRO_COLLECTION_KEY" in output
+        rejected = re.search(
+            r"0 shards completed \((\d+) unverified task payloads rejected\)",
+            output,
+        )
+        assert rejected is not None and int(rejected.group(1)) >= 1
+        assert "worker done: 3 shards completed" in output
 
         dataset = make_dataset("syn", scale=0.02, rng=spec.seed)
         serial = simulate_protocol_sharded(
@@ -1249,29 +1212,84 @@ class TestServeWorkCli:
         from repro.cli import main
 
         spec, spec_path = write_collection_spec(name="no-queue-dir")
-        code = main(["serve", "--spec", str(spec_path), "--transport", "file"])
-        assert code == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--spec", str(spec_path)])
+        assert excinfo.value.code == 2
         assert "--queue-dir" in capsys.readouterr().err
 
-    def test_work_rejects_tcp_only_flags_with_queue_dir(self, capsys, tmp_path):
-        """--capacity / --poll are broker concepts; a file-queue worker must
-        refuse them instead of silently ignoring them."""
+    @pytest.mark.parametrize("command", ["serve", "work"])
+    def test_queue_dir_naming_a_file_is_an_error(
+        self, command, tmp_path, capsys, write_collection_spec
+    ):
         from repro.cli import main
 
-        queue = str(tmp_path / "q")
-        assert main(["work", "--queue-dir", queue, "--capacity", "2"]) == 2
-        assert "--capacity" in capsys.readouterr().err
-        assert main(["work", "--queue-dir", queue, "--poll"]) == 2
-        assert "--poll" in capsys.readouterr().err
+        not_a_dir = tmp_path / "queue.txt"
+        not_a_dir.write_text("a file, not a spool directory")
+        argv = [command, "--queue-dir", str(not_a_dir)]
+        if command == "serve":
+            argv += ["--spec", str(write_collection_spec()[1])]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot use ")
+        assert str(not_a_dir) in err and "Traceback" not in err
 
-    def test_work_with_missing_auth_key_env_fails_cleanly(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("damage", ["empty", "garbage", "truncated", "directory"])
+    def test_corrupt_checkpoint_is_an_error(
+        self, damage, tmp_path, capsys, write_collection_spec, queue_dir
+    ):
+        """serve --checkpoint over an unreadable file answers one error line
+        naming the file and exit code 2, never a traceback."""
+        from repro.cli import main
+
+        checkpoint = tmp_path / "bad.npz"
+        if damage == "empty":
+            checkpoint.write_bytes(b"")
+        elif damage == "garbage":
+            checkpoint.write_bytes(b"not a zip archive at all")
+        elif damage == "truncated":
+            np.savez_compressed(checkpoint, meta=np.array('{"format": 1}'))
+            checkpoint.write_bytes(checkpoint.read_bytes()[:40])
+        else:
+            checkpoint.mkdir()
+        spec, spec_path = write_collection_spec(name="corrupt-checkpoint")
+        code = main(
+            [
+                "serve",
+                "--spec", str(spec_path),
+                "--queue-dir", str(queue_dir),
+                "--checkpoint", str(checkpoint),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: corrupt coordinator checkpoint {checkpoint}")
+        assert "Traceback" not in err
+
+    def test_status_with_corrupt_checkpoint_is_an_error(
+        self, tmp_path, capsys, queue_dir
+    ):
+        from repro.cli import main
+
+        FileQueueTransport(queue_dir).close()
+        checkpoint = tmp_path / "bad.npz"
+        checkpoint.write_bytes(b"not a zip archive at all")
+        code = main(
+            ["status", "--queue-dir", str(queue_dir), "--checkpoint", str(checkpoint)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: corrupt coordinator checkpoint {checkpoint}")
+
+    def test_work_with_missing_auth_key_env_fails_cleanly(
+        self, capsys, monkeypatch, queue_dir
+    ):
         from repro.cli import main
 
         monkeypatch.delenv("REPRO_MISSING_KEY", raising=False)
         code = main(
             [
                 "work",
-                "--connect", "127.0.0.1:1",
+                "--queue-dir", str(queue_dir),
                 "--auth-key-env", "REPRO_MISSING_KEY",
             ]
         )

@@ -1,6 +1,6 @@
 """Smoke tests for the runnable examples.
 
-The quickstart is executed end to end (it is fast); the heavier scenario
+The quickstarts are executed end to end (they are fast); the heavier scenario
 examples are compiled and their ``main`` entry points imported, which catches
 API drift without paying their full simulation cost in the unit-test suite.
 """
@@ -25,6 +25,25 @@ def _load_module(path: pathlib.Path):
     return module
 
 
+def _run_example(name: str) -> str:
+    """Run ``examples/<name>`` in a fresh interpreter; returns its stdout."""
+    # The subprocess does not inherit pytest's ``pythonpath`` setting, so
+    # expose src/ explicitly (works with or without a caller PYTHONPATH).
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC_DIR)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    completed = subprocess.run(
+        [sys.executable, str(EXAMPLES_DIR / name)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=env,
+    )
+    assert completed.returncode == 0, completed.stderr
+    return completed.stdout
+
+
 class TestExamples:
     def test_examples_directory_has_expected_scenarios(self):
         names = {path.name for path in ALL_EXAMPLES}
@@ -37,19 +56,12 @@ class TestExamples:
         assert callable(getattr(module, "main", None)), f"{path.name} must define main()"
 
     def test_quickstart_runs_end_to_end(self):
-        # The subprocess does not inherit pytest's ``pythonpath`` setting, so
-        # expose src/ explicitly (works with or without a caller PYTHONPATH).
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(SRC_DIR)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-        )
-        completed = subprocess.run(
-            [sys.executable, str(EXAMPLES_DIR / "quickstart.py")],
-            capture_output=True,
-            text=True,
-            timeout=300,
-            env=env,
-        )
-        assert completed.returncode == 0, completed.stderr
-        assert "MSE averaged" in completed.stdout
-        assert "realized longitudinal budget" in completed.stdout
+        stdout = _run_example("quickstart.py")
+        assert "MSE averaged" in stdout
+        assert "realized longitudinal budget" in stdout
+
+    def test_distributed_quickstart_runs_end_to_end(self):
+        stdout = _run_example("distributed_quickstart.py")
+        assert "wrong-key worker rejected 3 task payload(s)" in stdout
+        assert "bit-identical to the serially-run weighted plan" in stdout
+        assert stdout.rstrip().endswith("distributed quickstart OK")

@@ -576,7 +576,7 @@ _STORE_KIND_OPTIONS = {
         ["migrate-store", "--source", "a", "--dest", "b", "--to"], "to_kind"
     ),
     "serve --checkpoint-store-kind": (
-        ["serve", "--spec", "s.json", "--checkpoint-store-kind"],
+        ["serve", "--spec", "s.json", "--queue-dir", "q", "--checkpoint-store-kind"],
         "checkpoint_store_kind",
     ),
 }
