@@ -77,8 +77,8 @@ def main() -> None:
         print(f"round {estimate.round_index}: running estimate from "
               f"{estimate.n_reports} reports, mean abs error vs uniform = {mae:.4f}")
     # Sessions built from a spec can checkpoint and resume anywhere:
-    #   session.checkpoint("session.json")
-    #   session = CollectorSession.restore("session.json")
+    #   session.checkpoint("session.npz")
+    #   session = CollectorSession.restore("session.npz")
 
 
 if __name__ == "__main__":

@@ -386,17 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
              "collector resumes bit-identical to an uninterrupted run",
     )
     serve_parser.add_argument(
-        "--checkpoint-store", default=None, metavar="DIR",
-        help="additionally checkpoint every accepted shard summary as one "
-             "appended row in a results store at DIR (same backends as "
-             "'sweep --store'); an existing checkpoint of the "
-             "same plan is restored on startup",
-    )
-    serve_parser.add_argument(
-        "--checkpoint-store-kind", choices=sorted(BACKENDS), default="sqlite",
-        help="backend of --checkpoint-store (default: sqlite)",
-    )
-    serve_parser.add_argument(
         "--local-workers", type=int, default=0, metavar="N",
         help="also run N worker threads inside the collector process",
     )
@@ -490,8 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ingest_parser.add_argument(
         "--checkpoint", default=None, metavar="PATH.npz",
-        help="session checkpoint path; an existing checkpoint (plus its "
-             ".clock.json sidecar) is restored so a killed service resumes "
+        help="session + round-clock checkpoint (one atomic .npz); an "
+             "existing checkpoint is restored so a killed service resumes "
              "mid-horizon bit-identical to an uninterrupted run",
     )
     ingest_parser.add_argument(
@@ -871,11 +860,6 @@ def run_serve(args: argparse.Namespace) -> int:
         f"{spec.name}: spooling {len(tasks)} shard tasks to "
         f"{args.queue_dir}{authenticated}"
     )
-    checkpoint_store = (
-        make_backend(args.checkpoint_store_kind, args.checkpoint_store)
-        if args.checkpoint_store
-        else None
-    )
     try:
         coordinator = Coordinator(
             tasks,
@@ -883,8 +867,6 @@ def run_serve(args: argparse.Namespace) -> int:
             dataset_ref=dataset_ref,
             lease_timeout=args.lease_timeout,
             checkpoint_path=args.checkpoint,
-            checkpoint_store=checkpoint_store,
-            checkpoint_experiment_id=f"{spec.name}_checkpoint",
         )
         if args.checkpoint:
             restored = coordinator.load_checkpoint()
@@ -892,14 +874,6 @@ def run_serve(args: argparse.Namespace) -> int:
                 print(
                     f"{spec.name}: restored {restored} shard summaries from "
                     f"{args.checkpoint}"
-                )
-        if checkpoint_store is not None:
-            restored = coordinator.load_checkpoint_from_store()
-            if restored:
-                print(
-                    f"{spec.name}: restored {restored} shard summaries from "
-                    f"the {args.checkpoint_store_kind} store at "
-                    f"{args.checkpoint_store}"
                 )
         workers = (
             local_worker_threads(transport, args.local_workers, dataset=dataset)
@@ -910,8 +884,6 @@ def run_serve(args: argparse.Namespace) -> int:
             coordinator.run(timeout=args.timeout)
     finally:
         transport.close()
-        if checkpoint_store is not None:
-            checkpoint_store.close()
     result = result_from_summaries(
         spec.protocol,
         dataset,

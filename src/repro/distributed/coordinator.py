@@ -26,12 +26,8 @@ delivery order:
   the per-user budget vector layout.
 * **Crash-safe checkpointing** — after every accepted summary the
   coordinator can atomically rewrite an ``.npz`` checkpoint of all received
-  summaries, or append the summary as one row to a
-  :class:`~repro.store.ResultsBackend` (``checkpoint_store``) — the same
-  results backend the sweeps write through, so a SQLite-backed
-  deployment keeps checkpoints and results in one queryable database.  A
-  killed collector restores, republishes only the missing shards, and
-  finishes bit-identical to an uninterrupted run.
+  summaries.  A killed collector restores, republishes only the missing
+  shards, and finishes bit-identical to an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -86,13 +82,6 @@ class Coordinator:
     checkpoint_path:
         Optional ``.npz`` path rewritten atomically after every accepted
         summary; see :meth:`load_checkpoint`.
-    checkpoint_store, checkpoint_experiment_id:
-        Optional :class:`~repro.store.ResultsBackend` (any kind): every
-        accepted summary is durably *appended* as one row under
-        ``checkpoint_experiment_id`` — O(shard) per summary instead of the
-        O(collection) ``.npz`` rewrite — with the plan fingerprint in the
-        store's header comment; see :meth:`load_checkpoint_from_store`.
-        Composable with ``checkpoint_path`` (both are written).
     """
 
     def __init__(
@@ -104,8 +93,6 @@ class Coordinator:
         poll_interval: float = 0.05,
         session=None,
         checkpoint_path: Optional[Union[str, Path]] = None,
-        checkpoint_store=None,
-        checkpoint_experiment_id: str = "coordinator_checkpoint",
     ) -> None:
         self.tasks: List[ShardTask] = list(tasks)
         if not self.tasks:
@@ -116,8 +103,6 @@ class Coordinator:
         self.poll_interval = float(poll_interval)
         self.session = session
         self.checkpoint_path = Path(checkpoint_path) if checkpoint_path else None
-        self.checkpoint_store = checkpoint_store
-        self.checkpoint_experiment_id = checkpoint_experiment_id
         self.summaries: Dict[int, ShardSummary] = {}
         self.duplicates = 0
         self.requeued = 0
@@ -249,11 +234,8 @@ class Coordinator:
         self._g_shards_pending.set(self.n_shards - len(self.summaries))
         if self.session is not None:
             self.session.absorb_summary(summary)
-        if not self._restoring:
-            if self.checkpoint_path is not None:
-                self.checkpoint(self.checkpoint_path)
-            if self.checkpoint_store is not None:
-                self._checkpoint_summary_to_store(shard_id, summary)
+        if not self._restoring and self.checkpoint_path is not None:
+            self.checkpoint(self.checkpoint_path)
         return True
 
     def step(self, timeout: float = 0.0) -> Optional[bool]:
@@ -492,77 +474,3 @@ class Coordinator:
                 f"{type(error).__name__}: {error}"
             ) from None
         return summaries
-
-    # ------------------------------------------------------------------ #
-    # Store-backed checkpointing
-    # ------------------------------------------------------------------ #
-    def _checkpoint_summary_to_store(self, shard_id: int, summary: ShardSummary) -> None:
-        """Append one accepted summary as a row to the checkpoint store.
-
-        The arrays are JSON-encoded cell strings (``tolist`` of the float64 /
-        int64 buffers — exact round trips, since :class:`ShardSummary`
-        coerces dtypes in ``__post_init__``), so the row survives any
-        results backend and migrates between them unchanged.
-        """
-        started = time.perf_counter()
-        self.checkpoint_store.append_rows(
-            self.checkpoint_experiment_id,
-            [
-                {
-                    "shard_id": shard_id,
-                    "n_users": summary.n_users,
-                    "support_counts": json.dumps(summary.support_counts.tolist()),
-                    "distinct_memoized_per_user": json.dumps(
-                        summary.distinct_memoized_per_user.tolist()
-                    ),
-                }
-            ],
-            header_comment=f"plan_fingerprint={self.plan_fingerprint}",
-        )
-        self._m_checkpoint_seconds.observe(time.perf_counter() - started)
-
-    def load_checkpoint_from_store(self) -> int:
-        """Restore summaries previously appended to the checkpoint store.
-
-        The mirror of :meth:`load_checkpoint` for ``checkpoint_store``:
-        refuses rows whose header comment carries a different plan
-        fingerprint, streams restored summaries through :meth:`absorb` like
-        live arrivals (duplicate rows from a crash between the append and
-        the transport ack are deduplicated for free), and suppresses
-        re-appending while restoring.  Returns how many summaries were
-        restored; ``0`` when the store holds no checkpoint rows yet.
-        """
-        if self.checkpoint_store is None:
-            raise ExperimentError("no checkpoint store configured")
-        if not self.checkpoint_store.has_rows(self.checkpoint_experiment_id):
-            return 0
-        comment = self.checkpoint_store.read_header_comment(
-            self.checkpoint_experiment_id
-        )
-        expected = f"plan_fingerprint={self.plan_fingerprint}"
-        if comment != expected:
-            raise ExperimentError(
-                f"checkpoint rows at "
-                f"{self.checkpoint_store.location(self.checkpoint_experiment_id)} "
-                f"belong to a different collection plan ({comment!r} != "
-                f"{expected!r}); refusing to merge them"
-            )
-        restored = 0
-        self._restoring = True
-        try:
-            for row in self.checkpoint_store.load_rows(self.checkpoint_experiment_id):
-                shard_id = int(row["shard_id"])
-                summary = ShardSummary(
-                    support_counts=np.asarray(
-                        json.loads(row["support_counts"]), dtype=np.float64
-                    ),
-                    distinct_memoized_per_user=np.asarray(
-                        json.loads(row["distinct_memoized_per_user"]), dtype=np.int64
-                    ),
-                    n_users=int(row["n_users"]),
-                )
-                if self.absorb(shard_id, summary):
-                    restored += 1
-        finally:
-            self._restoring = False
-        return restored

@@ -18,8 +18,9 @@ harness follows the same rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from ..datasets import make_dataset
 from ..datasets.base import LongitudinalDataset
 from ..exceptions import ExperimentError
 from .config import ExperimentConfig, PAPER_CONFIG
@@ -82,12 +83,12 @@ def run_figure3(
     dataset_names = tuple(datasets.keys()) if datasets else config.datasets
     mse: Dict[str, Dict[str, Dict[float, List[float]]]] = {}
     for name in dataset_names:
-        dataset = datasets[name] if datasets else None
-        include_dbitflip = True
-        if dataset is not None:
-            include_dbitflip = dataset.k <= 360
+        if datasets:
+            dataset = datasets[name]
+        else:
+            dataset = make_dataset(name, scale=config.dataset_scale, rng=config.seed)
         points = run_empirical_sweep(
-            config, name, dataset=dataset, include_dbitflip=include_dbitflip
+            config, name, dataset=dataset, include_dbitflip=dataset.k <= 360
         )
         per_protocol: Dict[str, Dict[float, List[float]]] = {}
         for point in points:

@@ -32,7 +32,7 @@ The clock is deliberately free of I/O and asyncio: time comes from an
 injectable ``time_source`` (tests pass a fake), sealing is reported through
 an optional ``on_seal`` callback plus the :attr:`seals` history, and the
 whole state round-trips through :meth:`state_dict` /
-:meth:`from_state` so the ingestion service can checkpoint it next to the
+:meth:`from_state` so the ingestion service checkpoints it inside the
 session's ``.npz``.
 """
 

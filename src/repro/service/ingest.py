@@ -23,9 +23,8 @@ of from a dataset file:
 * optional HMAC-SHA256 submission authentication reusing the
   :mod:`repro.distributed.auth` envelope (same ``--auth-key-env``
   convention as the distributed transports),
-* periodic atomic checkpointing of the session (``.npz``/JSON, unchanged
-  format) plus a ``<checkpoint>.clock.json`` sidecar for the clock, and a
-  graceful drain-and-checkpoint on SIGTERM.
+* periodic atomic checkpointing of the session and its clock into one
+  ``.npz`` file, and a graceful drain-and-checkpoint on SIGTERM.
 
 Submissions are validated and folded to support counts *in the HTTP
 handler* (so malformed batches fail with ``400`` synchronously), then the
@@ -65,7 +64,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .._atomicio import atomic_write_bytes
 from ..distributed.auth import AuthenticationError, authenticator_from_env
 from ..exceptions import AggregationError, ParameterError
 from ..longitudinal.base import LongitudinalProtocol
@@ -260,11 +258,11 @@ class IngestServer:
         Declarative service configuration (protocol, horizon, windowing,
         queue capacity, authentication).
     checkpoint_path:
-        Optional session checkpoint path (``.npz`` or JSON).  When it exists
-        the server *restores* from it (plus the ``<path>.clock.json`` clock
-        sidecar) and continues the horizon; while running it checkpoints
-        atomically every ``spec.checkpoint_interval_seconds`` and once more
-        on shutdown.
+        Optional checkpoint path: one ``.npz`` holding the session and its
+        round clock.  When it exists the server *restores* both from it and
+        continues the horizon in the same round window; while running it
+        checkpoints atomically every ``spec.checkpoint_interval_seconds``
+        and once more on shutdown.
     metrics:
         Registry to expose on ``/metrics``; a private one is created when
         omitted (pass one to share series with an embedding process).
@@ -359,53 +357,34 @@ class IngestServer:
     # ------------------------------------------------------------------ #
     # State construction / restore
     # ------------------------------------------------------------------ #
-    @property
-    def clock_state_path(self) -> Optional[Path]:
-        """The clock sidecar written next to the session checkpoint."""
-        if self._checkpoint_path is None:
-            return None
-        return self._checkpoint_path.with_name(
-            self._checkpoint_path.name + ".clock.json"
-        )
-
     def _build_state(self) -> Tuple[CollectorSession, RoundClock]:
         path = self._checkpoint_path
-        if path is not None and path.exists():
-            session = CollectorSession.restore(path)
-            if session.spec is None or session.spec.to_dict() != self.spec.protocol.to_dict():
-                raise ParameterError(
-                    f"checkpoint {path} was recorded for protocol spec "
-                    f"{session.spec.to_dict() if session.spec else None}, which "
-                    f"does not match this service's protocol "
-                    f"{self.spec.protocol.to_dict()}"
-                )
-            if session.n_rounds != self.spec.n_rounds:
-                raise ParameterError(
-                    f"checkpoint horizon ({session.n_rounds} rounds) does not "
-                    f"match the spec horizon ({self.spec.n_rounds} rounds)"
-                )
-            sidecar = self.clock_state_path
-            if sidecar is not None and sidecar.exists():
-                try:
-                    state = json.loads(sidecar.read_text(encoding="utf-8"))
-                except json.JSONDecodeError as error:
-                    raise ParameterError(
-                        f"invalid round-clock sidecar {sidecar}: {error}"
-                    ) from None
-                clock = RoundClock.from_state(
-                    state, time_source=self._time, on_seal=self._on_seal
-                )
-                if clock.n_rounds != self.spec.n_rounds:
-                    raise ParameterError(
-                        f"clock sidecar horizon ({clock.n_rounds} rounds) does "
-                        f"not match the spec horizon ({self.spec.n_rounds})"
-                    )
-                return session, clock
-            return session, self._fresh_clock()
-        return (
-            CollectorSession(self.spec.protocol, self.spec.n_rounds),
-            self._fresh_clock(),
-        )
+        if path is None or not path.exists():
+            return (
+                CollectorSession(self.spec.protocol, self.spec.n_rounds),
+                self._fresh_clock(),
+            )
+        session = CollectorSession.restore(path, time_source=self._time)
+        if session.spec.to_dict() != self.spec.protocol.to_dict():
+            raise ParameterError(
+                f"checkpoint {path} was recorded for protocol spec "
+                f"{session.spec.to_dict()}, which does not match this "
+                f"service's protocol {self.spec.protocol.to_dict()}"
+            )
+        if session.n_rounds != self.spec.n_rounds:
+            raise ParameterError(
+                f"checkpoint horizon ({session.n_rounds} rounds) does not "
+                f"match the spec horizon ({self.spec.n_rounds} rounds)"
+            )
+        if session.clock is None:
+            # Restarting the clock at round 0 would reopen sealed rounds and
+            # count a resent batch twice.
+            raise ParameterError(
+                f"checkpoint {path} carries no round-clock state; an ingest "
+                f"server cannot resume from a clock-less session checkpoint"
+            )
+        session.clock.on_seal = self._on_seal
+        return session, session.clock
 
     def _fresh_clock(self) -> RoundClock:
         return RoundClock(
@@ -550,7 +529,7 @@ class IngestServer:
                 self._m_queue_depth.set(self._queue.qsize())
 
     def checkpoint(self, force: bool = False) -> bool:
-        """Write the session checkpoint + clock sidecar if due (atomic).
+        """Write the session + clock checkpoint if due (one atomic ``.npz``).
 
         Periodic calls are rate-limited by
         ``spec.checkpoint_interval_seconds`` and skipped while nothing
@@ -566,10 +545,6 @@ class IngestServer:
             if now - self._last_checkpoint < self.spec.checkpoint_interval_seconds:
                 return False
         self.session.checkpoint(self._checkpoint_path)
-        state = json.dumps(self.clock.state_dict()).encode("utf-8")
-        sidecar = self.clock_state_path
-        assert sidecar is not None
-        atomic_write_bytes(sidecar, lambda handle: handle.write(state))
         self._m_checkpoints.inc()
         self._dirty = False
         self._last_checkpoint = now

@@ -20,21 +20,20 @@ received* for that round, so estimates are unbiased even while a round is
 only partially collected.
 
 Sessions created from a :class:`~repro.specs.ProtocolSpec` can
-:meth:`~CollectorSession.checkpoint` their state to a JSON file — or, for
-high-frequency checkpointing, to a binary ``.npz`` archive (pass a path
-ending in ``.npz``), which skips the ``O(n_rounds × m)`` floats-as-text
-round trip — and be :meth:`~CollectorSession.restore`\\ d later (or
-elsewhere): the checkpoint carries the spec, so the restoring process
-rebuilds the protocol through :func:`repro.registry.build_protocol` without
-any pickled code.  ``restore`` auto-detects the format from the file
-content, and both formats are written atomically (temp + rename).
+:meth:`~CollectorSession.checkpoint` their state — together with the
+attached :class:`~repro.service.clock.RoundClock`, if any — to one binary
+``.npz`` archive, written atomically (temp + rename), and be
+:meth:`~CollectorSession.restore`\\ d later (or elsewhere): the checkpoint
+carries the spec, so the restoring process rebuilds the protocol through
+:func:`repro.registry.build_protocol` without any pickled code.
 """
 
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -294,19 +293,16 @@ class CollectorSession:
     # Checkpoint / restore
     # ------------------------------------------------------------------ #
     def checkpoint(self, path: Union[str, Path]) -> Path:
-        """Persist the session state (JSON, or binary ``.npz``).
+        """Persist the session state as one binary ``.npz`` archive.
 
         Requires a spec-built session: the checkpoint stores the declarative
-        spec (never pickled code), the accumulated counts and the per-round
-        report tallies, so any process with this library can
-        :meth:`restore` and continue the collection.
-
-        Paths ending in ``.npz`` use numpy's binary archive format — the
-        fast path for high-frequency checkpointing, avoiding the
-        ``O(n_rounds × m)`` floats-as-text serialization of the JSON form.
-        Both formats are written atomically (same-directory temp + rename),
-        so a process killed mid-checkpoint leaves the previous complete
-        checkpoint intact.
+        spec (never pickled code), the accumulated counts, the per-round
+        report tallies and — when a clock is attached — its
+        :meth:`RoundClock.state_dict`, so any process with this library can
+        :meth:`restore` and continue the collection in the same round
+        window.  The archive is written atomically (same-directory temp +
+        rename) whatever the file suffix, so a process killed
+        mid-checkpoint leaves the previous complete checkpoint intact.
         """
         if self.spec is None:
             raise ParameterError(
@@ -315,64 +311,37 @@ class CollectorSession:
             )
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-
-        def write(handle) -> None:
-            if path.suffix == ".npz":
-                np.savez_compressed(
-                    handle,
-                    format=np.int64(_CHECKPOINT_FORMAT),
-                    spec=np.array(self.spec.to_json()),
-                    n_rounds=np.int64(self.n_rounds),
-                    counts=self._counts,
-                    n_reports=self._n_reports,
-                )
-            else:
-                payload: Dict[str, object] = {
-                    "format": _CHECKPOINT_FORMAT,
-                    "spec": self.spec.to_dict(),
-                    "n_rounds": self.n_rounds,
-                    "counts": self._counts.tolist(),
-                    "n_reports": self._n_reports.tolist(),
-                }
-                handle.write(json.dumps(payload).encode("utf-8"))
-
-        return atomic_write_bytes(path, write)
+        arrays = {
+            "format": np.int64(_CHECKPOINT_FORMAT),
+            "spec": np.array(self.spec.to_json()),
+            "n_rounds": np.int64(self.n_rounds),
+            "counts": self._counts,
+            "n_reports": self._n_reports,
+        }
+        if self.clock is not None:
+            arrays["clock"] = np.array(json.dumps(self.clock.state_dict()))
+        return atomic_write_bytes(
+            path, lambda handle: np.savez_compressed(handle, **arrays)
+        )
 
     @classmethod
-    def restore(cls, path: Union[str, Path]) -> "CollectorSession":
+    def restore(
+        cls,
+        path: Union[str, Path],
+        *,
+        time_source: Callable[[], float] = time.monotonic,
+    ) -> "CollectorSession":
         """Rebuild a session from a :meth:`checkpoint` file.
 
-        The format is auto-detected from the file content (``.npz`` archives
-        are zip files and start with the ``PK`` magic; everything else is
-        parsed as JSON), so checkpoints can be renamed freely.
+        A checkpointed clock is rebuilt with :meth:`RoundClock.from_state`
+        (its window reopens now, on ``time_source``) and attached.  Any file
+        that cannot be decoded — truncated, bit-flipped, not an archive, or
+        state that does not fit its spec — raises
+        :class:`~repro.exceptions.ParameterError` naming the path.
         """
         path = Path(path)
         if not path.exists():
             raise ParameterError(f"no session checkpoint found at {path}")
-        with path.open("rb") as handle:
-            magic = handle.read(2)
-        if magic == b"PK":
-            return cls._restore_npz(path)
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
-            raise ParameterError(
-                f"invalid session checkpoint {path}: {error}"
-            ) from None
-        if payload.get("format") != _CHECKPOINT_FORMAT:
-            raise ParameterError(
-                f"unsupported checkpoint format {payload.get('format')!r} "
-                f"(expected {_CHECKPOINT_FORMAT})"
-            )
-        return cls._rebuild(
-            ProtocolSpec.from_dict(payload["spec"]),
-            int(payload["n_rounds"]),
-            np.asarray(payload["counts"], dtype=np.float64),
-            np.asarray(payload["n_reports"], dtype=np.int64),
-        )
-
-    @classmethod
-    def _restore_npz(cls, path: Path) -> "CollectorSession":
         try:
             with np.load(path, allow_pickle=False) as archive:
                 if int(archive["format"]) != _CHECKPOINT_FORMAT:
@@ -384,32 +353,30 @@ class CollectorSession:
                 n_rounds = int(archive["n_rounds"])
                 counts = np.asarray(archive["counts"], dtype=np.float64)
                 n_reports = np.asarray(archive["n_reports"], dtype=np.int64)
-        except ParameterError:
-            raise
-        except Exception as error:  # zipfile/KeyError from np.load
+                clock_state = (
+                    json.loads(str(archive["clock"][()]))
+                    if "clock" in archive.files
+                    else None
+                )
+            session = cls(spec, n_rounds=n_rounds)
+            if counts.shape != session._counts.shape or n_reports.shape != (
+                session.n_rounds,
+            ):
+                raise ParameterError(
+                    f"state shape {counts.shape} does not match the spec's "
+                    f"estimation domain {session._counts.shape}"
+                )
+            session._counts = counts
+            session._n_reports = n_reports
+            if clock_state is not None:
+                session.attach_clock(
+                    RoundClock.from_state(clock_state, time_source=time_source)
+                )
+        except Exception as error:  # zipfile/zlib/EOF/KeyError/ValueError: corrupt
             raise ParameterError(
-                f"invalid session checkpoint {path}: {error}"
+                f"invalid session checkpoint {path}: "
+                f"{type(error).__name__}: {error}"
             ) from None
-        return cls._rebuild(spec, n_rounds, counts, n_reports)
-
-    @classmethod
-    def _rebuild(
-        cls,
-        spec: ProtocolSpec,
-        n_rounds: int,
-        counts: np.ndarray,
-        n_reports: np.ndarray,
-    ) -> "CollectorSession":
-        session = cls(spec, n_rounds=n_rounds)
-        if counts.shape != session._counts.shape or n_reports.shape != (
-            session.n_rounds,
-        ):
-            raise ParameterError(
-                f"checkpoint state shape {counts.shape} does not match the "
-                f"spec's estimation domain {session._counts.shape}"
-            )
-        session._counts = counts
-        session._n_reports = n_reports
         return session
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -429,8 +429,8 @@ class UnaryChainEngine(PopulationEngine):
     The permanently randomized ``k``-bit vectors are held in a bit-packed
     memo table indexed by (user, value), materialized lazily in batches; the
     layout (dense below ~2 GiB, row-sparse above) is picked by
-    :func:`repro.simulation.state.make_packed_bit_memo` and can be forced
-    with ``memo_layout=``, or the table itself injected with ``memo=``.
+    :func:`repro.simulation.state.make_packed_bit_memo`, or the table itself
+    injected with ``memo=`` (which also forces a layout).
     The round path folds the
     packed rows straight into per-column sums — the full ``(n_users, k)``
     bit matrix is never unpacked — and samples the instantaneous flips in
@@ -442,7 +442,6 @@ class UnaryChainEngine(PopulationEngine):
         protocol: LongitudinalUnaryEncoding,
         n_users: int,
         rng: RngLike = None,
-        memo_layout: str = "auto",
         backend: Union[str, KernelBackend, None] = None,
         memo: Optional[_PackedBitMemoBase] = None,
     ) -> None:
@@ -450,10 +449,6 @@ class UnaryChainEngine(PopulationEngine):
             raise ParameterError("UnaryChainEngine requires a longitudinal UE protocol")
         super().__init__(protocol, n_users, rng, backend=backend)
         if memo is not None:
-            if memo_layout != "auto":
-                raise ParameterError(
-                    "memo_layout cannot be combined with an injected memo table"
-                )
             self._state = _validated_memo(
                 memo,
                 _PackedBitMemoBase,
@@ -461,9 +456,7 @@ class UnaryChainEngine(PopulationEngine):
                 "UnaryChainEngine",
             )
         else:
-            self._state = make_packed_bit_memo(
-                n_users, protocol.k, protocol.k, layout=memo_layout
-            )
+            self._state = make_packed_bit_memo(n_users, protocol.k, protocol.k)
         fold_args = (self._backend, self._state.packed_rows, protocol.k)
         self._column_sums = _DeltaFoldCache(
             n_users, partial(_packed_fold, *fold_args), partial(_packed_fold_delta, *fold_args)
@@ -531,7 +524,6 @@ class DBitFlipEngine(PopulationEngine):
         protocol: DBitFlipPM,
         n_users: int,
         rng: RngLike = None,
-        memo_layout: str = "auto",
         record_key_history: bool = False,
         backend: Union[str, KernelBackend, None] = None,
         memo: Optional[_PackedBitMemoBase] = None,
@@ -546,10 +538,6 @@ class DBitFlipEngine(PopulationEngine):
         # Memoized bits per (user, indicator key); key d means "no sampled
         # bucket matches".
         if memo is not None:
-            if memo_layout != "auto":
-                raise ParameterError(
-                    "memo_layout cannot be combined with an injected memo table"
-                )
             self._state = _validated_memo(
                 memo,
                 _PackedBitMemoBase,
@@ -557,7 +545,7 @@ class DBitFlipEngine(PopulationEngine):
                 "DBitFlipEngine",
             )
         else:
-            self._state = make_packed_bit_memo(n_users, d + 1, d, layout=memo_layout)
+            self._state = make_packed_bit_memo(n_users, d + 1, d)
         #: Per-round memoization keys used by each user, recorded only when
         #: ``record_key_history=True`` (``None`` otherwise); consumed by the
         #: change-detection attack.
@@ -760,12 +748,12 @@ class LOLOHAEngine(PopulationEngine):
 
 #: Options each engine constructor accepts beyond ``(protocol, n_users,
 #: rng)``.  ``engine_for`` validates against this so an override that an
-#: engine would silently ignore (for instance ``memo_layout`` on the
-#: symbol-memo engines) is an explicit error instead.
+#: engine would silently ignore (for instance ``support_layout`` on the
+#: packed-memo engines) is an explicit error instead.
 _ENGINE_OPTIONS = {
     GRRChainEngine: ("backend", "memo"),
-    UnaryChainEngine: ("backend", "memo", "memo_layout"),
-    DBitFlipEngine: ("backend", "memo", "memo_layout", "record_key_history"),
+    UnaryChainEngine: ("backend", "memo"),
+    DBitFlipEngine: ("backend", "memo", "record_key_history"),
     LOLOHAEngine: ("backend", "memo", "support_layout"),
 }
 
@@ -778,8 +766,8 @@ def engine_for(
     Keyword ``options`` are forwarded to the engine constructor after being
     validated against the engine's accepted set (see the per-engine
     signatures): passing an option the selected engine does not understand
-    — e.g. ``memo_layout`` for :class:`GRRChainEngine`, whose memo is a
-    symbol table with no packed layout to choose — raises a
+    — e.g. ``support_layout`` for :class:`GRRChainEngine`, which has no
+    LOLOHA support table to lay out — raises a
     :class:`~repro.exceptions.ParameterError` naming the valid options
     instead of being silently ignored.
     """

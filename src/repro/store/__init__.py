@@ -1,15 +1,11 @@
-"""Storage helpers: a columnar in-memory report store and durable results
-backends.
+"""Durable results backends.
 
-* :class:`ReportStore` accumulates sanitized reports per round in columnar
-  numpy buffers, which is how a real collection server would stage reports
-  before aggregation.
-* :class:`ResultsBackend` is the durable-row-store interface the sweep and
-  distributed layers write through.  :data:`BACKENDS` maps each kind to its
-  class: ``csv`` (:class:`ResultsStore`, one append-only CSV per experiment,
-  which also saves the experiment harnesses' JSON documents and tables) and
-  ``sqlite`` (:class:`SqliteBackend`, one WAL database, indexed queries).
-  :func:`migrate_store` lifts experiments between them byte-identically.
+:class:`ResultsBackend` is the durable-row-store interface the sweeps write
+through.  :data:`BACKENDS` maps each kind to its class: ``csv``
+(:class:`ResultsStore`, one append-only CSV per experiment, which also saves
+the experiment harnesses' JSON documents and tables) and ``sqlite``
+(:class:`SqliteBackend`, one WAL database, indexed queries).
+:func:`migrate_store` lifts experiments between them byte-identically.
 """
 
 # backends first: it imports the two backend modules once ResultsBackend
@@ -23,17 +19,14 @@ from .backends import (
     make_backend,
 )
 from .migrate import migrate_store
-from .report_store import ReportStore, RoundBatch
 from .results_store import ResultsStore, safe_experiment_stem
 from .sqlite_backend import SqliteBackend
 
 __all__ = [
     "BACKENDS",
     "FINGERPRINT_KEY",
-    "ReportStore",
     "ResultsBackend",
     "ResultsStore",
-    "RoundBatch",
     "SqliteBackend",
     "detect_backend_kind",
     "fingerprint_from_comment",

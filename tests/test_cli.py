@@ -68,6 +68,17 @@ class TestParser:
         assert excinfo.value.code == 2
         assert f"unrecognized arguments: {removed}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "removed", ["--checkpoint-store x", "--checkpoint-store-kind sqlite"]
+    )
+    def test_checkpoint_store_flags_are_gone(self, capsys, removed):
+        """serve --checkpoint PATH.npz is the one coordinator restart path."""
+        argv = ["serve", "--spec", "s.json", "--queue-dir", "q"] + removed.split()
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {removed}" in capsys.readouterr().err
+
     def test_work_requires_queue_dir(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["work", "--idle-exit", "1"])
@@ -502,6 +513,41 @@ class TestIngestLoadgenCli:
         path.write_text(json.dumps(spec.to_dict()), encoding="utf-8")
         return path
 
+    @pytest.mark.parametrize("kind", ["clockless", "json", "garbage"])
+    def test_ingest_refuses_unusable_checkpoint(
+        self, capsys, tmp_path, ingest_spec_path, kind
+    ):
+        """Only a session + clock .npz restarts the service; anything else
+        is one error line and exit 2, never a clock restarted at round 0."""
+        from repro.service import CollectorSession
+        from repro.specs import load_ingest_spec
+
+        checkpoint = tmp_path / "state.npz"
+        protocol = load_ingest_spec(ingest_spec_path).protocol
+        if kind == "clockless":
+            session = CollectorSession(protocol, n_rounds=2)
+            session.submit_counts(0, [1.0] * 8, n_reports=20)
+            session.checkpoint(checkpoint)
+        elif kind == "json":
+            checkpoint.write_text(
+                json.dumps({"format": 1, "spec": protocol.to_dict()}),
+                encoding="utf-8",
+            )
+        else:
+            checkpoint.write_bytes(b"PK\x03\x04 not a zip")
+        code = main(
+            [
+                "ingest",
+                "--spec", str(ingest_spec_path),
+                "--checkpoint", str(checkpoint),
+                "--run-seconds", "0.1",
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and str(checkpoint) in err
+        assert "Traceback" not in err
+
     def test_ingest_parser_accepts_service_flags(self):
         args = build_parser().parse_args(
             [
@@ -702,5 +748,28 @@ class TestIngestEndToEnd:
         assert server.returncode == 0, out + err
         assert "drained at round 2/2" in out
         assert "40 reports folded" in out
-        assert (tmp_path / "e2e.npz").exists()
-        assert (tmp_path / "e2e.npz.clock.json").exists()
+        # Session and round clock live in one checkpoint file, no sidecar.
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["e2e.json", "e2e.npz"]
+
+        import subprocess
+        import sys
+
+        restarted = subprocess.run(
+            [
+                sys.executable, "-m", "repro.cli",
+                "ingest",
+                "--spec", str(spec_path),
+                "--auth-key-env", "REPRO_E2E_KEY",
+                "--checkpoint", str(tmp_path / "e2e.npz"),
+                "--run-seconds", "0.1",
+            ],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+        )
+        assert restarted.returncode == 0, restarted.stdout + restarted.stderr
+        assert (
+            f"restored from {tmp_path / 'e2e.npz'} at round 2/2 (40 reports)"
+            in restarted.stdout
+        )

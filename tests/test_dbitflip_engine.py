@@ -17,6 +17,7 @@ import pytest
 from repro.datasets.base import LongitudinalDataset
 from repro.longitudinal import DBitFlipPM
 from repro.simulation import DBitFlipEngine, simulate_protocol
+from repro.simulation.state import make_packed_bit_memo
 
 K, B, N_USERS, N_ROUNDS = 32, 16, 300, 12
 
@@ -81,7 +82,9 @@ def estimates_digest(d, churn, layout):
         DBitFlipPM(K, 2.0, b=B, d=d),
         churn_dataset(CHURN_SCHEDULES[churn]),
         rng=7,
-        engine_options={"memo_layout": layout},
+        engine_options={
+            "memo": make_packed_bit_memo(N_USERS, d + 1, d, layout=layout)
+        },
     )
     return hashlib.sha256(np.ascontiguousarray(result.estimates).tobytes()).hexdigest()
 

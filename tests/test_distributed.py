@@ -1109,36 +1109,30 @@ class TestServeWorkCli:
             assert float(archive["mse_avg"]) == serial.mse_avg
             assert float(archive["eps_avg"]) == serial.eps_avg
 
-    def test_serve_checkpoint_store_restores_completed_collection(
+    def test_serve_checkpoint_restores_completed_collection(
         self, tmp_path, capsys, write_collection_spec, queue_dir
     ):
-        """serve --checkpoint-store appends one row per absorbed shard; a
-        restarted service restores every summary from the store and
-        completes without any workers at all."""
+        """serve --checkpoint rewrites the .npz after every absorbed shard;
+        a restarted service restores every summary from it and completes
+        without any workers at all."""
         from repro.cli import main
-        from repro.store import make_backend
 
-        spec, spec_path = write_collection_spec(name="ckpt-store-test", n_shards=2)
-        store_dir = tmp_path / "ckpt"
+        spec, spec_path = write_collection_spec(name="ckpt-test", n_shards=2)
+        checkpoint = tmp_path / "ckpt.npz"
         base = [
             "serve",
             "--spec", str(spec_path),
             "--queue-dir", str(queue_dir),
             "--timeout", "60",
-            "--checkpoint-store", str(store_dir),
+            "--checkpoint", str(checkpoint),
         ]
         assert main(base + ["--local-workers", "2"]) == 0
         assert "collected 2 shards" in capsys.readouterr().out
-        with make_backend("sqlite", store_dir) as store:
-            rows = store.load_rows(f"{spec.name}_checkpoint")
-        assert sorted(int(row["shard_id"]) for row in rows) == [0, 1]
+        assert checkpoint.exists()
 
         assert main(base + ["--local-workers", "0"]) == 0
         output = capsys.readouterr().out
-        assert (
-            f"restored 2 shard summaries from the sqlite store at {store_dir}"
-            in output
-        )
+        assert f"restored 2 shard summaries from {checkpoint}" in output
         assert "collected 2 shards" in output
 
     def test_authenticated_weighted_serve_rejects_wrong_key_worker(

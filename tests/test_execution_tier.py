@@ -222,14 +222,17 @@ class TestEngineOptionValidation:
         with pytest.raises(ParameterError, match="valid options"):
             engine_for(LGRR(8, 2.0, 1.0), 10, rng=0, support_layout="packed")
 
-    def test_memo_layout_with_injected_memo_rejected(self):
-        from repro.simulation.state import make_packed_bit_memo
-
-        memo = make_packed_bit_memo(10, 8, 8)
-        with pytest.raises(ParameterError, match="memo"):
-            engine_for(
-                LOSUE(8, 2.0, 1.0), 10, rng=0, memo=memo, memo_layout="sparse"
-            )
+    @pytest.mark.parametrize(
+        "protocol",
+        [LOSUE(8, 2.0, 1.0), DBitFlipPM(8, 2.0, b=4, d=2)],
+        ids=["unary", "dbitflip"],
+    )
+    def test_memo_layout_option_is_gone(self, protocol):
+        """A layout is forced through ``memo=make_packed_bit_memo(...)``."""
+        with pytest.raises(
+            ParameterError, match=r"does not accept engine option\(s\) 'memo_layout'"
+        ):
+            engine_for(protocol, 10, rng=0, memo_layout="sparse")
 
 
 class TestProcessPoolShards:

@@ -109,6 +109,18 @@ class TestFigure3And4:
         for values in series.values():
             assert values[-1] <= values[0] * 1.5
 
+    def test_figure3_by_name_drops_dbitflip_on_large_domains(self, tiny_config):
+        """The k > 360 rule holds for datasets built by name, not only for
+        prebuilt ones: db_mt at scale 0.1 has k = 509."""
+        config = tiny_config.scaled(
+            eps_inf_values=(2.0,), dataset_scale=0.1, datasets=("db_mt", "syn")
+        )
+        assert make_dataset("db_mt", scale=0.1, rng=config.seed).k > 360
+        result = run_figure3(config)
+        assert not any("BitFlipPM" in name for name in result.mse["db_mt"])
+        assert "OLOLOHA" in result.mse["db_mt"]
+        assert {"1BitFlipPM", "bBitFlipPM"} <= set(result.mse["syn"])
+
     def test_figure3_rows_and_formatting(self, tiny_config, tiny_named_datasets):
         result = run_figure3(tiny_config, datasets=tiny_named_datasets)
         assert len(result.rows()) > 0

@@ -591,8 +591,8 @@ class TestIngestHttp:
 
         sealed_at_kill = asyncio.run(first_generation())
         assert sealed_at_kill == 2  # two quorum seals before the "crash"
-        assert checkpoint.exists()
-        assert (tmp_path / "live.npz.clock.json").exists()
+        # Session and round clock live in one checkpoint file, no sidecar.
+        assert os.listdir(tmp_path) == ["live.npz"]
         resumed_round, estimates = asyncio.run(second_generation())
         assert resumed_round == 3
         for t, payload in enumerate(estimates):
@@ -635,6 +635,128 @@ class TestIngestHttp:
         assert [s["reason"] for s in payload["seals"]] == ["timeout"] * 3
         assert 'repro_ingest_rounds_sealed_total{reason="timeout"} 3' in metrics
         assert "repro_ingest_seal_latency_seconds_count 3" in metrics
+
+
+# ---------------------------------------------------------------------- #
+# One checkpoint file: session + round clock
+# ---------------------------------------------------------------------- #
+def _clock_state(clock: RoundClock):
+    return (
+        clock.current_round,
+        clock.window_reports,
+        clock.seals,
+        clock.late_dropped,
+        clock.late_absorbed,
+        clock.early_reports,
+    )
+
+
+class TestIngestCheckpoint:
+    """The ingest server restores session *and* clock from one ``.npz``."""
+
+    def _live_checkpoint(self, tmp_path):
+        """Reports in every round, one quorum seal, late and early traffic."""
+        checkpoint = tmp_path / "live.npz"
+        server = IngestServer(_spec(quorum=30), checkpoint_path=checkpoint)
+        rounds = _reports(n_users=30)
+        session = server.session
+        session.submit_reports(0, rounds[0])  # quorum seals round 0
+        session.submit_reports(2, rounds[2][:10])  # early
+        session.submit_reports(0, rounds[0][:5])  # late, dropped
+        session.submit_reports(1, rounds[1][:12])
+        assert server.clock.current_round == 1
+        assert server.checkpoint(force=True)
+        return checkpoint, server
+
+    def test_checkpoint_writes_one_file_and_restores_clock(self, tmp_path):
+        checkpoint, server = self._live_checkpoint(tmp_path)
+        assert os.listdir(tmp_path) == ["live.npz"]
+        restored = IngestServer(_spec(quorum=30), checkpoint_path=checkpoint)
+        assert _clock_state(restored.clock) == _clock_state(server.clock)
+        assert restored.clock.late_dropped == 5
+        assert restored.clock.early_reports == 10
+        assert restored.session.clock is restored.clock
+        np.testing.assert_array_equal(
+            restored.session.reports_per_round, server.session.reports_per_round
+        )
+        np.testing.assert_array_equal(
+            restored.session.estimates(), server.session.estimates()
+        )
+        # The plain session restore still answers the same state.
+        session = CollectorSession.restore(checkpoint)
+        np.testing.assert_array_equal(
+            session.estimates(), server.session.estimates()
+        )
+        assert _clock_state(session.clock) == _clock_state(server.clock)
+
+    @pytest.mark.parametrize(
+        "late_policy, per_round",
+        [("drop", [60, 0, 0, 0]), ("absorb", [60, 60, 0, 0])],
+        ids=["drop", "absorb"],
+    )
+    def test_resent_sealed_round_is_not_counted_twice(
+        self, tmp_path, late_policy, per_round
+    ):
+        """Seal round 0, checkpoint, restart, resend round 0: the resent
+        batch follows the late policy instead of re-entering round 0."""
+        checkpoint = tmp_path / "live.npz"
+        spec = _spec(quorum=60, n_rounds=4, late_policy=late_policy)
+        rounds = _reports(n_rounds=4, n_users=60)
+        server = IngestServer(spec, checkpoint_path=checkpoint)
+        server.session.submit_reports(0, rounds[0])
+        assert server.clock.current_round == 1
+        server.checkpoint(force=True)
+
+        restarted = IngestServer(spec, checkpoint_path=checkpoint)
+        assert restarted.clock.current_round == 1
+        restarted.session.submit_reports(0, rounds[0])
+        assert restarted.session.reports_per_round.tolist() == per_round
+        late = restarted.clock.late_dropped + restarted.clock.late_absorbed
+        assert late == 60
+
+    def test_clockless_session_checkpoint_is_refused(self, tmp_path):
+        checkpoint = tmp_path / "session.npz"
+        session = CollectorSession(PROTO, n_rounds=3)
+        session.submit_reports(0, _reports()[0])
+        session.checkpoint(checkpoint)
+        with pytest.raises(ParameterError, match="no round-clock state") as info:
+            IngestServer(_spec(), checkpoint_path=checkpoint)
+        assert str(checkpoint) in str(info.value)
+
+    def _assert_refused_or_identical(self, path, server):
+        try:
+            restored = IngestServer(_spec(quorum=30), checkpoint_path=path)
+        except ParameterError as error:
+            assert str(path) in str(error)
+            return False
+        np.testing.assert_array_equal(
+            restored.session._counts, server.session._counts
+        )
+        np.testing.assert_array_equal(
+            restored.session.reports_per_round, server.session.reports_per_round
+        )
+        assert _clock_state(restored.clock) == _clock_state(server.clock)
+        return True
+
+    def test_every_truncation_is_refused(self, tmp_path):
+        checkpoint, server = self._live_checkpoint(tmp_path)
+        data = checkpoint.read_bytes()
+        damaged = tmp_path / "damaged.npz"
+        for size in range(len(data)):
+            damaged.write_bytes(data[:size])
+            assert not self._assert_refused_or_identical(damaged, server), size
+
+    def test_every_bit_flip_is_refused_or_restores_exactly(self, tmp_path):
+        checkpoint, server = self._live_checkpoint(tmp_path)
+        data = checkpoint.read_bytes()
+        damaged = tmp_path / "damaged.npz"
+        outcomes = []
+        for offset in range(len(data)):
+            flipped = bytearray(data)
+            flipped[offset] ^= 1 << (offset % 8)
+            damaged.write_bytes(bytes(flipped))
+            outcomes.append(self._assert_refused_or_identical(damaged, server))
+        assert not all(outcomes) and any(outcomes)
 
 
 # ---------------------------------------------------------------------- #

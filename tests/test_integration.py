@@ -13,7 +13,8 @@ from repro import BiLOLOHA, LOSUE, LSUE, OLOLOHA, __version__
 from repro.datasets import make_dataset, make_syn
 from repro.experiments.report import format_table
 from repro.simulation import simulate_protocol
-from repro.store import ReportStore, ResultsStore
+from repro.service import CollectorSession
+from repro.store import ResultsStore
 
 
 class TestPublicAPI:
@@ -75,25 +76,26 @@ class TestPaperScenarioSmallScale:
 
 
 class TestCollectionPipeline:
-    def test_report_store_feeds_server_aggregation(self, rng):
-        """Reports staged in the ReportStore aggregate to the same estimate as
-        direct aggregation."""
+    def test_session_feeds_server_aggregation(self, rng):
+        """Reports folded by a CollectorSession, out of round order, give
+        the same estimate as direct aggregation."""
         protocol = OLOLOHA(k=20, eps_inf=2.0, eps_1=1.0)
         n_users, n_rounds = 400, 3
         clients = [protocol.create_client(rng) for _ in range(n_users)]
-        store = ReportStore(expected_users=n_users)
+        session = CollectorSession(protocol, n_rounds=n_rounds)
         values = np.random.default_rng(3).integers(0, 20, size=(n_users, n_rounds))
         direct_estimates = []
-        for t in range(n_rounds):
-            round_reports = []
-            for user, client in enumerate(clients):
-                report = client.report(int(values[user, t]), rng)
-                store.add(t, user, report)
-                round_reports.append(report)
+        for t in reversed(range(n_rounds)):
+            round_reports = [
+                client.report(int(values[user, t]), rng)
+                for user, client in enumerate(clients)
+            ]
+            session.submit_reports(t, round_reports[: n_users // 2])
+            session.submit_reports(t, round_reports[n_users // 2 :])
             direct_estimates.append(protocol.estimate_frequencies(round_reports))
-        for batch in store.iter_complete_rounds():
-            staged = protocol.estimate_frequencies(batch.reports)
-            assert np.allclose(staged, direct_estimates[batch.round_index])
+        assert session.reports_per_round.tolist() == [n_users] * n_rounds
+        for t, direct in zip(reversed(range(n_rounds)), direct_estimates):
+            assert np.allclose(session.estimate(t).frequencies, direct)
 
     def test_results_persist_and_reload(self, tmp_path):
         dataset = make_dataset("syn", n_users=300, n_rounds=4, rng=1)

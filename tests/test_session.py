@@ -1,11 +1,13 @@
 """Tests for the CollectorSession streaming server façade."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.exceptions import AggregationError, ParameterError
 from repro.longitudinal import LOSUE
-from repro.service import CollectorSession
+from repro.service import CollectorSession, RoundClock
 from repro.simulation import simulate_protocol_sharded, simulate_with_clients
 from repro.simulation.runner import run_shard_task, ShardTask
 from repro.specs import ProtocolSpec
@@ -158,7 +160,7 @@ class TestSessionValidation:
         client = session.protocol.create_client(rng=0)
         session.submit_reports(0, [client.report(1, rng=1)])
         with pytest.raises(ParameterError, match="ProtocolSpec"):
-            session.checkpoint(tmp_path / "ck.json")
+            session.checkpoint(tmp_path / "ck.npz")
 
 
 class TestCheckpointRestore:
@@ -169,7 +171,10 @@ class TestCheckpointRestore:
         session.submit_reports(0, rounds[0])
         session.submit_reports(2, rounds[2][:50])
 
-        path = session.checkpoint(tmp_path / "session.json")
+        # checkpoint() writes the one .npz format whatever the suffix.
+        path = session.checkpoint(tmp_path / "session.ckpt")
+        with np.load(path, allow_pickle=False) as archive:
+            assert "counts" in archive.files
         restored = CollectorSession.restore(path)
         assert restored.spec == spec
         assert restored.n_rounds == session.n_rounds
@@ -194,10 +199,25 @@ class TestCheckpointRestore:
             CollectorSession.restore(path)
 
     def test_restore_wrong_format_rejected(self, tmp_path):
-        path = tmp_path / "v99.json"
-        path.write_text('{"format": 99}', encoding="utf-8")
+        path = tmp_path / "v99.npz"
+        np.savez(path, format=np.int64(99))
         with pytest.raises(ParameterError, match="unsupported checkpoint format"):
             CollectorSession.restore(path)
+
+    def test_json_checkpoint_is_refused(self, tmp_path):
+        """The JSON session format is gone: such a file is a typed error."""
+        path = tmp_path / "session.json"
+        payload = {
+            "format": 1,
+            "spec": _spec(8).to_dict(),
+            "n_rounds": 2,
+            "counts": [[0.0] * 8] * 2,
+            "n_reports": [0, 0],
+        }
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ParameterError, match="invalid session checkpoint") as info:
+            CollectorSession.restore(path)
+        assert str(path) in str(info.value)
 
 
 class TestNpzCheckpoint:
@@ -212,6 +232,7 @@ class TestNpzCheckpoint:
 
         path = session.checkpoint(tmp_path / "session.npz")
         restored = CollectorSession.restore(path)
+        assert restored.clock is None  # none was attached, none is restored
         assert restored.spec == spec
         assert restored.n_rounds == session.n_rounds
         np.testing.assert_array_equal(
@@ -225,10 +246,8 @@ class TestNpzCheckpoint:
         session.submit_reports(2, rounds[2][50:])
         np.testing.assert_array_equal(restored.estimates(), session.estimates())
 
-    def test_restore_auto_detects_format_regardless_of_suffix(
-        self, tiny_dataset, tmp_path
-    ):
-        """Detection is content-based (zip magic), not name-based."""
+    def test_restore_ignores_the_suffix(self, tiny_dataset, tmp_path):
+        """A checkpoint restores whatever it is named."""
         spec = _spec(tiny_dataset.k)
         session = CollectorSession(spec, n_rounds=tiny_dataset.n_rounds)
         rounds = _collect_reports(session.protocol, tiny_dataset, rng=4)
@@ -241,16 +260,6 @@ class TestNpzCheckpoint:
             restored.reports_per_round, session.reports_per_round
         )
 
-    def test_npz_checkpoint_is_smaller_than_json_for_wide_state(self, tmp_path):
-        spec = ProtocolSpec(name="L-OSUE", k=128, eps_inf=2.0, eps_1=1.0)
-        session = CollectorSession(spec, n_rounds=64)
-        rng = np.random.default_rng(0)
-        for t in range(64):
-            session.submit_counts(t, rng.integers(0, 500, size=128), n_reports=1000)
-        json_path = session.checkpoint(tmp_path / "big.json")
-        npz_path = session.checkpoint(tmp_path / "big.npz")
-        assert npz_path.stat().st_size < json_path.stat().st_size
-
     def test_corrupt_npz_rejected(self, tmp_path):
         bad = tmp_path / "bad.npz"
         bad.write_bytes(b"PK\x03\x04 garbage that is not a real zip")
@@ -262,6 +271,65 @@ class TestNpzCheckpoint:
         session = CollectorSession(spec, n_rounds=tiny_dataset.n_rounds)
         rounds = _collect_reports(session.protocol, tiny_dataset, rng=4)
         session.submit_reports(0, rounds[0])
-        session.checkpoint(tmp_path / "a.json")
         session.checkpoint(tmp_path / "a.npz")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "a.npz"]
+        session.submit_reports(1, rounds[1])
+        session.checkpoint(tmp_path / "a.npz")
+        assert [p.name for p in tmp_path.iterdir()] == ["a.npz"]
+
+
+class TestClockCheckpoint:
+    """An attached RoundClock is saved in, and restored from, the same .npz."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ProtocolSpec(name="L-GRR", k=8, eps_inf=2.0, eps_1=1.0),
+            ProtocolSpec(name="L-OSUE", k=8, eps_inf=2.0, eps_1=1.0),
+            ProtocolSpec(name="OLOLOHA", k=8, eps_inf=2.0, eps_1=1.0),
+            ProtocolSpec(name="dBitFlipPM", k=8, eps_inf=2.0, params={"d": 2}),
+        ],
+        ids=lambda spec: spec.name,
+    )
+    def test_clock_round_trip_and_resume(self, spec, tmp_path):
+        session = CollectorSession(
+            spec, n_rounds=4, clock=RoundClock(4, quorum=10, late_policy="absorb")
+        )
+        m = session.protocol.estimation_domain_size
+        counts = np.arange(m, dtype=np.float64) % 3
+        session.submit_counts(0, counts, n_reports=10)  # quorum seals round 0
+        session.submit_counts(3, counts, n_reports=4)  # early
+        session.submit_counts(0, counts, n_reports=2)  # late, absorbed into 1
+        path = session.checkpoint(tmp_path / "live.npz")
+
+        restored = CollectorSession.restore(path)
+        clock = restored.clock
+        assert clock is not None and clock.quorum == 10
+        assert clock.late_policy == "absorb"
+        assert clock.current_round == 1 and clock.window_reports == 2
+        assert (clock.late_absorbed, clock.early_reports) == (2, 4)
+        assert clock.seals == session.clock.seals
+        np.testing.assert_array_equal(
+            restored.reports_per_round, session.reports_per_round
+        )
+        # Both continue identically: the late batch reaches the open window.
+        for target in (session, restored):
+            assert target.submit_counts(0, counts, n_reports=8).round_index == 1
+        np.testing.assert_array_equal(restored.estimates(), session.estimates())
+        assert restored.clock.current_round == session.clock.current_round == 2
+
+    def test_restored_window_reopens_on_the_time_source(self, tmp_path):
+        now = [100.0]
+        session = CollectorSession(
+            _spec(8), n_rounds=3,
+            clock=RoundClock(3, window_seconds=5.0, time_source=lambda: now[0]),
+        )
+        now[0] = 104.0  # 4 s into round 0's window
+        path = session.checkpoint(tmp_path / "live.npz")
+
+        later = [1000.0]
+        restored = CollectorSession.restore(path, time_source=lambda: later[0])
+        later[0] = 1004.0
+        assert restored.clock.tick() == []  # the window age did not carry over
+        later[0] = 1005.0
+        assert [event.round_index for event in restored.clock.tick()] == [0]
+

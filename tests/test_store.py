@@ -1,87 +1,12 @@
-"""Tests for the report store and the results store."""
+"""Tests for the results store."""
 
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.exceptions import AggregationError, ExperimentError
-from repro.store import ReportStore, ResultsStore, safe_experiment_stem
-
-
-class TestReportStore:
-    def test_add_and_query(self):
-        store = ReportStore(expected_users=3)
-        store.add(0, 0, "r0")
-        store.add(0, 1, "r1")
-        assert store.n_reports(0) == 2
-        assert not store.is_round_complete(0)
-        store.add(0, 2, "r2")
-        assert store.is_round_complete(0)
-        assert store.batch(0).reports == ["r0", "r1", "r2"]
-
-    def test_duplicate_submission_rejected(self):
-        store = ReportStore()
-        store.add(0, 7, "a")
-        with pytest.raises(AggregationError):
-            store.add(0, 7, "b")
-
-    def test_same_user_can_report_in_different_rounds(self):
-        store = ReportStore()
-        store.add(0, 7, "a")
-        store.add(1, 7, "b")
-        assert store.rounds() == [0, 1]
-
-    def test_negative_round_rejected(self):
-        with pytest.raises(AggregationError):
-            ReportStore().add(-1, 0, "x")
-
-    def test_missing_round_raises(self):
-        with pytest.raises(AggregationError):
-            ReportStore().batch(3)
-
-    def test_add_round_bulk(self):
-        store = ReportStore(expected_users=4)
-        store.add_round(2, ["a", "b", "c", "d"])
-        assert store.is_round_complete(2)
-        assert len(store) == 1
-
-    def test_is_round_complete_requires_expectation(self):
-        store = ReportStore()
-        store.add(0, 0, "a")
-        with pytest.raises(AggregationError):
-            store.is_round_complete(0)
-
-    def test_iter_complete_rounds(self):
-        store = ReportStore(expected_users=2)
-        store.add_round(0, ["a", "b"])
-        store.add(1, 0, "c")
-        complete = list(store.iter_complete_rounds())
-        assert [batch.round_index for batch in complete] == [0]
-
-    def test_negative_user_id_rejected(self):
-        with pytest.raises(AggregationError, match="user_id must be non-negative"):
-            ReportStore().add(0, -1, "x")
-
-    def test_add_round_negative_round_rejected_before_any_mutation(self):
-        store = ReportStore()
-        with pytest.raises(AggregationError):
-            store.add_round(-1, ["a"])
-        assert len(store) == 0
-
-    def test_add_round_is_all_or_nothing_on_duplicate_users(self):
-        """A rejected round must leave the store exactly as it was: the old
-        per-report loop registered users 0..k-1 before raising on the first
-        duplicate, so retrying the round failed on users it never accepted."""
-        store = ReportStore(expected_users=3)
-        store.add(5, 1, "early")  # user 1 already reported for round 5
-        with pytest.raises(AggregationError, match="all-or-nothing"):
-            store.add_round(5, ["a", "b", "c"])
-        # Users 0 and 2 were NOT registered by the failed bulk call...
-        assert store.n_reports(5) == 1
-        store.add(5, 0, "a")
-        store.add(5, 2, "c")
-        assert store.is_round_complete(5)
+from repro.exceptions import ExperimentError
+from repro.store import ResultsStore, safe_experiment_stem
 
 
 class TestResultsStore:

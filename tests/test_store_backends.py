@@ -16,7 +16,6 @@ import sys
 import textwrap
 import time
 
-import numpy as np
 import pytest
 
 from repro.exceptions import ExperimentError, ParameterError
@@ -575,10 +574,6 @@ _STORE_KIND_OPTIONS = {
     "migrate-store --to": (
         ["migrate-store", "--source", "a", "--dest", "b", "--to"], "to_kind"
     ),
-    "serve --checkpoint-store-kind": (
-        ["serve", "--spec", "s.json", "--queue-dir", "q", "--checkpoint-store-kind"],
-        "checkpoint_store_kind",
-    ),
 }
 
 
@@ -591,71 +586,6 @@ def test_cli_store_kind_options_offer_exactly_the_backends(option, capsys):
         build_parser().parse_args(argv + ["parquet"])
     assert excinfo.value.code == 2
     assert "invalid choice: 'parquet'" in capsys.readouterr().err
-
-
-class TestCoordinatorStoreCheckpoint:
-    def _coordinator(self, store):
-        from repro.datasets import make_dataset
-        from repro.distributed import Coordinator, InProcessTransport
-        from repro.simulation.runner import make_shard_tasks
-        from repro.specs import ProtocolSpec
-
-        spec = ProtocolSpec(name="L-OSUE", eps_inf=2.0, alpha=0.5)
-        self._dataset = make_dataset("syn", scale=0.01, rng=3)
-        tasks = make_shard_tasks(spec, self._dataset, 4, rng=3)
-        return Coordinator(
-            tasks,
-            InProcessTransport(),
-            checkpoint_store=store,
-            checkpoint_experiment_id="ckpt",
-        )
-
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_absorb_appends_and_restore_round_trips(self, kind, tmp_path):
-        from repro.distributed import local_worker_threads
-
-        with make_backend(kind, tmp_path) as store:
-            first = self._coordinator(store)
-            with local_worker_threads(first.transport, 1, dataset=self._dataset):
-                first.run(timeout=60.0)
-            first.transport.close()
-            assert first.is_complete
-            assert store.has_rows("ckpt")
-            comment = store.read_header_comment("ckpt")
-            assert comment == f"plan_fingerprint={first.plan_fingerprint}"
-
-            second = self._coordinator(store)
-            restored = second.load_checkpoint_from_store()
-            assert restored == first.n_shards
-            assert second.is_complete
-            for shard_id in range(first.n_shards):
-                np.testing.assert_array_equal(
-                    second.summaries[shard_id].support_counts,
-                    first.summaries[shard_id].support_counts,
-                )
-                np.testing.assert_array_equal(
-                    second.summaries[shard_id].distinct_memoized_per_user,
-                    first.summaries[shard_id].distinct_memoized_per_user,
-                )
-            # Restoring must not have re-appended checkpoint rows.
-            assert len(store.load_rows("ckpt")) == first.n_shards
-
-    def test_foreign_plan_checkpoint_refused(self, tmp_path):
-        with make_backend("sqlite", tmp_path) as store:
-            store.append_rows(
-                "ckpt",
-                [{"shard_id": 0, "n_users": 1, "support_counts": "[0.0]",
-                  "distinct_memoized_per_user": "[1]"}],
-                header_comment="plan_fingerprint=someoneelse",
-            )
-            coordinator = self._coordinator(store)
-            with pytest.raises(ExperimentError, match="different collection plan"):
-                coordinator.load_checkpoint_from_store()
-
-    def test_no_store_configured_raises(self):
-        coordinator = self._coordinator(None)
-        with pytest.raises(ExperimentError, match="no checkpoint store"):
-            coordinator.load_checkpoint_from_store()
 
 
 class TestLegacyInterop:
