@@ -1,34 +1,27 @@
-"""Live-ingestion benchmarks: HTTP front door, queue, fold and sealing.
+"""Live-ingestion benchmarks: HTTP front door, fold and sealing.
 
 The ingestion service accepts report batches over real sockets, folds them
 through the streaming :class:`~repro.service.session.CollectorSession` and
 seals round windows by quorum — this module measures what that live path
-costs relative to the in-process batch fold it wraps.  Three numbers:
+costs relative to the in-process batch fold it wraps.  Two numbers:
 
 * **reports/second end to end** — seeded load generator against a real
   ``IngestServer`` on loopback, in both wire modes (``reports``: raw
   per-user reports; ``counts``: client-side pre-folded support counts);
-* **seal latency** — how long each quorum-sealed window stayed open;
 * **batch-fold baseline** — the same reports submitted straight into a
   ``CollectorSession``, which bounds the achievable service throughput.
 
-Run as a script to emit the machine-readable baseline committed as
-``BENCH_ingest.json``::
-
-    PYTHONPATH=src python benchmarks/bench_ingest.py --json BENCH_ingest.json
+Run with ``python -m pytest benchmarks/bench_ingest.py --benchmark-only``.
+The paper-sized ingest workload (k = 1335) is ``perfbench`` ``ingest-ue``.
 
 Bit-identity is the correctness anchor (and is CI-enforced in
 ``tests/test_ingest_service.py``): the live estimates must equal the batch
 session's exactly, so the benchmark pair times the *same* float arithmetic
-with and without the HTTP/queue/clock machinery around it.
+with and without the HTTP/clock machinery around it.
 """
 
-import argparse
 import asyncio
-import json
 import os
-import sys
-import time
 
 import numpy as np
 import pytest
@@ -57,16 +50,14 @@ def _spec() -> IngestSpec:
         host="127.0.0.1",
         port=0,
         quorum=N_USERS,
-        queue_capacity=1024,
     )
 
 
 async def _live_run(mode: str):
-    """One full collection over loopback HTTP; returns (result, server, s)."""
+    """One full collection over loopback HTTP; returns (result, server)."""
     server = IngestServer(_spec())
     await server.start()
     host, port = server.address
-    start = time.perf_counter()
     result = await run_loadgen(
         PROTOCOL,
         host,
@@ -77,11 +68,10 @@ async def _live_run(mode: str):
         batch_size=BATCH_SIZE,
         mode=mode,
     )
-    elapsed = time.perf_counter() - start
     await server.stop()
     if result.rejected_batches:
         raise AssertionError(f"benchmark run rejected batches: {result.statuses}")
-    return result, server, elapsed
+    return result, server
 
 
 def _batch_run(reports):
@@ -103,7 +93,7 @@ def seeded_reports():
 @pytest.mark.parametrize("mode", ["reports", "counts"])
 def test_live_ingest_throughput(benchmark, mode):
     """Full collection through the HTTP front door, per wire mode."""
-    result, server, _ = benchmark(lambda: asyncio.run(_live_run(mode)))
+    result, server = benchmark(lambda: asyncio.run(_live_run(mode)))
     assert result.accepted_reports == N_USERS * N_ROUNDS
     assert len(server.clock.seals) == N_ROUNDS
     benchmark.extra_info.update(
@@ -121,101 +111,8 @@ def test_batch_fold_baseline(benchmark, seeded_reports):
 
 def test_live_matches_batch_bit_identical(seeded_reports):
     """Correctness anchor for the benchmark pair: live == batch exactly."""
-    _, server, _ = asyncio.run(_live_run("reports"))
+    _, server = asyncio.run(_live_run("reports"))
     reference = _batch_run(seeded_reports)
     np.testing.assert_array_equal(
         server.session.estimates(), reference.estimates()
     )
-
-
-# --------------------------------------------------------------------------
-# Script mode: machine-readable baseline (BENCH_ingest.json)
-# --------------------------------------------------------------------------
-
-
-def _best(fn, repeats):
-    best_value, best_seconds = None, float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        value = fn()
-        seconds = time.perf_counter() - start
-        if seconds < best_seconds:
-            best_value, best_seconds = value, seconds
-    return best_value, best_seconds
-
-
-def collect_results(repeats=3):
-    total = N_USERS * N_ROUNDS
-    modes = {}
-    for mode in ("reports", "counts"):
-        (result, server, elapsed), _ = _best(
-            lambda mode=mode: asyncio.run(_live_run(mode)), repeats
-        )
-        durations = [event.duration for event in server.clock.seals]
-        modes[mode] = {
-            "reports_per_s": total / elapsed,
-            "elapsed_s": elapsed,
-            "batches": result.submitted_reports // BATCH_SIZE,
-            "seal_latency_s": {
-                "mean": float(np.mean(durations)),
-                "max": float(np.max(durations)),
-            },
-        }
-
-    protocol = build_protocol(PROTOCOL)
-    reports = generate_round_reports(protocol, N_ROUNDS, N_USERS, seed=SEED)
-    _, batch_seconds = _best(lambda: _batch_run(reports), repeats)
-    batch = {"reports_per_s": total / batch_seconds, "elapsed_s": batch_seconds}
-    return modes, batch
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--json",
-        metavar="PATH",
-        default="-",
-        help="write the machine-readable report to PATH ('-' for stdout)",
-    )
-    parser.add_argument(
-        "--repeats", type=int, default=3, help="best-of-N timing repeats"
-    )
-    args = parser.parse_args(argv)
-
-    modes, batch = collect_results(repeats=args.repeats)
-    report = {
-        "benchmark": "ingest",
-        "config": {
-            "k": K,
-            "n_users": N_USERS,
-            "n_rounds": N_ROUNDS,
-            "batch_size": BATCH_SIZE,
-            "repeats": args.repeats,
-            "eps_inf": EPS_INF,
-            "eps_1": EPS_1,
-            "protocol": PROTOCOL.name,
-        },
-        "live": modes,
-        "batch_baseline": batch,
-        "http_overhead_factor": {
-            mode: batch["reports_per_s"] / entry["reports_per_s"]
-            for mode, entry in modes.items()
-        },
-    }
-    payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if args.json == "-":
-        sys.stdout.write(payload)
-    else:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-        print(
-            f"wrote {args.json}: live ingest "
-            f"{modes['reports']['reports_per_s']:.0f} reports/s (reports mode), "
-            f"{modes['counts']['reports_per_s']:.0f} reports/s (counts mode), "
-            f"batch baseline {batch['reports_per_s']:.0f} reports/s"
-        )
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

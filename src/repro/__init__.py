@@ -78,9 +78,19 @@ from .registry import (
     register_protocol,
     registered_protocols,
 )
-from .service import CollectorSession
 
 __version__ = "1.0.0"
+
+
+def __getattr__(name):
+    # The service façade loads on first use, so that the batch simulation
+    # stack imports nothing from repro.service.
+    if name == "CollectorSession":
+        from .service import CollectorSession
+
+        return CollectorSession
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

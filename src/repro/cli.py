@@ -98,11 +98,11 @@ port up, from the spool and checkpoint files (``--queue-dir DIR
 The ``ingest`` / ``loadgen`` pair runs a *live* collection (see
 :mod:`repro.service.ingest`): ``ingest`` starts the async HTTP front door
 described by an :class:`repro.specs.IngestSpec` — batched report submission
-on ``POST /v1/reports`` with bounded-queue backpressure (``429`` +
-``Retry-After``), live debiased estimates on ``GET /v1/estimate/<t>``, a
-Prometheus text surface on ``GET /metrics``, round windowing owned by a
+on ``POST /v1/reports`` (each batch folded before its ``202``), live
+debiased estimates on ``GET /v1/estimate/<t>``, a Prometheus text surface
+on ``GET /metrics``, round windowing owned by a
 :class:`repro.service.clock.RoundClock` (wall-clock timeout, report quorum
-or explicit advance), and graceful drain + atomic checkpoint on SIGTERM.
+or explicit advance), and a graceful stop + atomic checkpoint on SIGTERM.
 ``loadgen`` drives it with a seeded synthetic client fleet whose reports
 are bit-identical to what a local batch session would be fed::
 
@@ -495,15 +495,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ingest_parser.add_argument(
         "--run-seconds", type=float, default=None, metavar="SECONDS",
-        help="serve for this long then drain and exit "
+        help="serve for this long then stop and exit "
              "(default: until SIGTERM/SIGINT)",
     )
 
     loadgen_parser = subparsers.add_parser(
         "loadgen",
         help="drive a live ingestion service with a seeded synthetic client "
-             "fleet (Poisson-staggered batches, 429-aware, bit-identical "
-             "report material for a given seed)",
+             "fleet (Poisson-staggered batches, bit-identical report "
+             "material for a given seed)",
     )
     loadgen_parser.add_argument(
         "--spec", required=True, metavar="PATH",
@@ -1090,8 +1090,7 @@ def run_loadgen(args: argparse.Namespace) -> int:
     print(
         f"loadgen: {result.accepted_reports}/{result.submitted_reports} "
         f"reports accepted over {result.n_rounds} rounds "
-        f"({result.retried_429} backpressure retries, "
-        f"{result.rejected_batches} batches rejected; responses: {statuses})"
+        f"({result.rejected_batches} batches rejected; responses: {statuses})"
     )
     return 0 if result.rejected_batches == 0 else 1
 

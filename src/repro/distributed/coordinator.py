@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import time
+import zipfile
 from hashlib import sha256
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
@@ -433,6 +434,11 @@ class Coordinator:
 
     def _read_checkpoint(self, path: Path) -> Dict[int, ShardSummary]:
         """Decode and validate every summary of a checkpoint file."""
+        if not zipfile.is_zipfile(path):
+            # np.load would blame pickled data for any non-zip file.
+            raise ExperimentError(
+                f"corrupt coordinator checkpoint {path}: not an .npz archive"
+            )
         try:
             with np.load(path, allow_pickle=False) as archive:
                 meta = json.loads(str(archive["meta"][()]))

@@ -15,14 +15,14 @@ The model is deliberately small:
 * :class:`Counter` — monotonically increasing totals
   (``repro_ingest_reports_accepted_total``);
 * :class:`Gauge` — point-in-time values that move both ways
-  (``repro_ingest_queue_depth``);
+  (``repro_ingest_current_round``);
 * :class:`Histogram` — cumulative-bucket latency distributions
   (``repro_ingest_seal_latency_seconds``) with ``_sum``/``_count`` series.
 
 Each instrument supports an optional label set via :meth:`labels`
 (``counter.labels(reason="auth").inc()``); the label-less instrument is
 itself usable directly.  All mutation goes through one registry lock, so
-instruments may be updated from the asyncio consumer while a scrape renders
+instruments may be updated from an asyncio handler while a scrape renders
 the registry from another thread.
 """
 

@@ -9,17 +9,17 @@ checkpoint / restore its server-side state.
 
 On top of the session sits the *live ingestion service*
 (:mod:`repro.service.ingest`): an asyncio HTTP/1.1 front door
-(:mod:`repro.service.http`) with batched report submission, backpressure and
-HMAC authentication; a :class:`~repro.service.clock.RoundClock` that owns
-round windowing (seal on wall-clock timeout, quorum or explicit advance,
-with a configurable late-report policy); a Prometheus-text
+(:mod:`repro.service.http`) with batched report submission, each batch
+folded before its ``202``, and HMAC authentication; a
+:class:`~repro.service.clock.RoundClock` that owns round windowing (seal on
+wall-clock timeout, quorum or explicit advance, with a configurable
+late-report policy); a Prometheus-text
 :class:`~repro.obs.metrics.MetricsRegistry` (from the repo-wide
 observability core, :mod:`repro.obs`); and the seeded async load generator
 of :mod:`repro.service.loadgen`.
 
 Submodules are imported lazily (PEP 562) so that dependency-light pieces —
-in particular :mod:`repro.service.clock`, which the lockstep drivers of
-:mod:`repro.simulation.runner` also use — can be loaded without pulling in
+in particular :mod:`repro.service.clock` — can be loaded without pulling in
 the protocol registry or the asyncio stack.
 """
 

@@ -1,18 +1,11 @@
 """Round-window ownership for arrival-time-driven collections.
 
-Historically every driver in this repository advanced rounds in lockstep:
-the batch runner iterated ``for t in range(n_rounds)`` and the sharded /
-distributed paths inherited that loop, so "which round is open" was implicit
-in the position of a Python loop.  A live ingestion service cannot work that
-way — reports arrive whenever clients send them — so the round progression
-is extracted into an explicit :class:`RoundClock` that *owns* the windowing
-decision for both worlds:
-
-* the lockstep drivers use :meth:`RoundClock.lockstep` (explicit
-  :meth:`advance` only, exactly reproducing the old loops), and
-* the ingestion service seals windows on **wall-clock timeout**
-  (``window_seconds``), **report quorum** (``quorum``) or an **explicit
-  advance** (operator request / drain), whichever fires first.
+The batch drivers know which round is open from their loop index.  A live
+ingestion service cannot work that way — reports arrive whenever clients
+send them — so its round progression is owned by an explicit
+:class:`RoundClock`, which seals the open window on **wall-clock timeout**
+(``window_seconds``), **report quorum** (``quorum``) or an **explicit
+advance** (operator request), whichever fires first.
 
 A batch arriving for an already-sealed round is *late*.  The late policy is
 configurable:
@@ -61,8 +54,8 @@ class SealEvent:
     round_index:
         The round that was sealed.
     reason:
-        What closed the window: ``"quorum"``, ``"timeout"``, ``"explicit"``
-        or ``"drain"``.
+        What closed the window: ``"quorum"``, ``"timeout"`` or the reason
+        given to :meth:`RoundClock.advance` (``"explicit"`` by default).
     n_reports:
         Reports routed into the window while it was open (late-absorbed
         reports included).
@@ -97,8 +90,8 @@ class RoundClock:
         Optional callback invoked with each :class:`SealEvent` as it happens
         (the ingestion service wires this to its metrics).
 
-    Not thread-safe: one owner (the ingest consumer, or a driver loop)
-    mutates the clock.
+    Not thread-safe: one owner (the ingest server's event loop) mutates the
+    clock.
     """
 
     def __init__(
@@ -133,19 +126,6 @@ class RoundClock:
         self.late_absorbed = 0
         self.early_reports = 0
         self.seals: List[SealEvent] = []
-
-    # ------------------------------------------------------------------ #
-    # Construction shortcuts
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def lockstep(cls, n_rounds: int) -> "RoundClock":
-        """A clock that only advances explicitly — the legacy driver loops.
-
-        No timeout, no quorum: :meth:`advance` after each simulated round
-        reproduces ``for t in range(n_rounds)`` exactly, but the round
-        progression is now owned by the same object the live service uses.
-        """
-        return cls(n_rounds)
 
     # ------------------------------------------------------------------ #
     # State
@@ -239,7 +219,7 @@ class RoundClock:
         return events
 
     def advance(self, reason: str = "explicit") -> SealEvent:
-        """Seal the open window now (operator request, drain, lockstep)."""
+        """Seal the open window now (operator request)."""
         if self.finished:
             raise ParameterError(
                 f"all {self.n_rounds} rounds are already sealed"

@@ -42,7 +42,6 @@ _REASONS = {
     405: "Method Not Allowed",
     408: "Request Timeout",
     413: "Payload Too Large",
-    429: "Too Many Requests",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -88,14 +87,9 @@ class HttpResponse:
     headers: Tuple[Tuple[str, str], ...] = ()
 
     @classmethod
-    def json(
-        cls,
-        payload: object,
-        status: int = 200,
-        headers: Tuple[Tuple[str, str], ...] = (),
-    ) -> "HttpResponse":
+    def json(cls, payload: object, status: int = 200) -> "HttpResponse":
         body = (json.dumps(payload) + "\n").encode("utf-8")
-        return cls(status=status, body=body, headers=headers)
+        return cls(status=status, body=body)
 
     @classmethod
     def text(
@@ -109,23 +103,12 @@ class HttpResponse:
         )
 
     @classmethod
-    def error(
-        cls,
-        status: int,
-        message: str,
-        headers: Tuple[Tuple[str, str], ...] = (),
-    ) -> "HttpResponse":
-        return cls.json({"error": message}, status=status, headers=headers)
+    def error(cls, status: int, message: str) -> "HttpResponse":
+        return cls.json({"error": message}, status=status)
 
     def parsed_json(self) -> object:
         """Client-side helper: the body parsed as JSON."""
         return json.loads(self.body.decode("utf-8"))
-
-    def header(self, name: str, default: Optional[str] = None) -> Optional[str]:
-        for key, value in self.headers:
-            if key.lower() == name.lower():
-                return value
-        return default
 
 
 def _render_response(response: HttpResponse, keep_alive: bool) -> bytes:

@@ -17,22 +17,20 @@ of from a dataset file:
 
 * a :class:`~repro.service.clock.RoundClock` that owns round windowing
   (timeout / quorum / explicit sealing, late-report policy),
-* a bounded ingest queue between the HTTP handlers and the single
-  aggregation consumer — a full queue answers ``429`` with a ``Retry-After``
-  hint instead of buffering without limit,
 * optional HMAC-SHA256 submission authentication reusing the
   :mod:`repro.distributed.auth` envelope (same ``--auth-key-env``
   convention as the distributed transports),
 * periodic atomic checkpointing of the session and its clock into one
-  ``.npz`` file, and a graceful drain-and-checkpoint on SIGTERM.
+  ``.npz`` file, and a graceful stop-and-checkpoint on SIGTERM.
 
-Submissions are validated and folded to support counts *in the HTTP
-handler* (so malformed batches fail with ``400`` synchronously), then the
-pre-folded counts flow through the queue to the consumer, which routes them
-through the clock and adds them to the session.  Support counts are
-integer-valued floats, so this split is bit-identical to feeding the raw
-reports straight into a batch :class:`~repro.service.session.CollectorSession`
-in any order or grouping.
+Each submission is validated, folded to support counts, routed through the
+clock and added to the session *in its HTTP handler*: malformed batches
+fail with ``400``, and a ``202`` is written only once the batch is in the
+session, so every later checkpoint contains it.  Once :meth:`IngestServer
+.stop` has begun, submissions answer ``503`` and fold nothing.  Support
+counts are integer-valued floats, so folding per batch is bit-identical to
+feeding the raw reports straight into a batch
+:class:`~repro.service.session.CollectorSession` in any order or grouping.
 
 Report wire format (``encode_reports`` / ``decode_reports``): plain JSON
 per protocol family — integers for L-GRR, 0/1 arrays for the unary-encoding
@@ -57,7 +55,6 @@ import asyncio
 import json
 import signal
 import time
-from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -240,15 +237,6 @@ def decode_reports(protocol: LongitudinalProtocol, payload: object) -> List:
     return list(arrays[0])
 
 
-@dataclass
-class _Submission:
-    """One validated batch queued between the front door and the consumer."""
-
-    round_index: int
-    counts: np.ndarray
-    n_reports: int
-
-
 class IngestServer:
     """The live collection endpoint described by an :class:`IngestSpec`.
 
@@ -256,7 +244,7 @@ class IngestServer:
     ----------
     spec:
         Declarative service configuration (protocol, horizon, windowing,
-        queue capacity, authentication).
+        authentication).
     checkpoint_path:
         Optional checkpoint path: one ``.npz`` holding the session and its
         round clock.  When it exists the server *restores* both from it and
@@ -267,8 +255,8 @@ class IngestServer:
         Registry to expose on ``/metrics``; a private one is created when
         omitted (pass one to share series with an embedding process).
     tick_interval:
-        Cadence of the background ticker that fires timeout seals, refreshes
-        the queue gauge and triggers periodic checkpoints.
+        Cadence of the background ticker that fires timeout seals and
+        triggers periodic checkpoints.
     time_source:
         Monotonic clock, injectable for tests.
     """
@@ -313,13 +301,6 @@ class IngestServer:
             "repro_ingest_reports_late_total",
             "Reports that arrived after their round sealed, by policy outcome",
         )
-        self._m_queue_depth = m.gauge(
-            "repro_ingest_queue_depth", "Batches waiting for the consumer"
-        )
-        self._m_queue_capacity = m.gauge(
-            "repro_ingest_queue_capacity", "Bound of the ingest queue"
-        )
-        self._m_queue_capacity.set(spec.queue_capacity)
         self._m_sealed = m.counter(
             "repro_ingest_rounds_sealed_total", "Round windows sealed, by reason"
         )
@@ -345,9 +326,7 @@ class IngestServer:
         self.session.attach_clock(self.clock)
         self._m_current_round.set(self.clock.current_round)
 
-        self._queue: Optional[asyncio.Queue] = None
         self._http: Optional[AsyncHttpServer] = None
-        self._consumer_task: Optional[asyncio.Task] = None
         self._ticker_task: Optional[asyncio.Task] = None
         self._fold_times: Dict[int, float] = {}
         self._dirty = False
@@ -383,6 +362,17 @@ class IngestServer:
                 f"checkpoint {path} carries no round-clock state; an ingest "
                 f"server cannot resume from a clock-less session checkpoint"
             )
+        changed = [
+            f"{field} {getattr(session.clock, field)!r} (checkpoint) != "
+            f"{getattr(self.spec, field)!r} (spec)"
+            for field in ("window_seconds", "quorum", "late_policy")
+            if getattr(session.clock, field) != getattr(self.spec, field)
+        ]
+        if changed:
+            raise ParameterError(
+                f"checkpoint {path} was recorded with other round-clock "
+                f"settings than this service's spec: {'; '.join(changed)}"
+            )
         session.clock.on_seal = self._on_seal
         return session, session.clock
 
@@ -406,13 +396,11 @@ class IngestServer:
     # Lifecycle
     # ------------------------------------------------------------------ #
     async def start(self) -> Tuple[str, int]:
-        """Bind the front door and start the consumer + ticker tasks."""
-        self._queue = asyncio.Queue(self.spec.queue_capacity)
+        """Bind the front door and start the ticker task."""
         self._http = AsyncHttpServer(
             self._handle, host=self.spec.host, port=self.spec.port
         )
         address = await self._http.start()
-        self._consumer_task = asyncio.ensure_future(self._consume())
         self._ticker_task = asyncio.ensure_future(self._tick_loop())
         return address
 
@@ -423,12 +411,13 @@ class IngestServer:
         return self._http.address
 
     async def stop(self) -> None:
-        """Graceful shutdown: refuse new traffic, drain, checkpoint.
+        """Graceful shutdown: refuse new traffic, then checkpoint.
 
-        The front door closes first, every already-queued batch is folded
-        (nothing accepted is ever lost), then the final session + clock
-        checkpoint is written.  The open window is *not* sealed: a restarted
-        server resumes exactly where this one stopped.
+        From the moment this is called, submissions and explicit advances
+        answer ``503`` (also on kept-alive connections), so every batch
+        answered ``202`` is in the final session + clock checkpoint.  The
+        open window is *not* sealed: a restarted server resumes exactly
+        where this one stopped.
         """
         if self._stopped:
             return
@@ -441,10 +430,6 @@ class IngestServer:
                 await self._ticker_task
             except asyncio.CancelledError:
                 pass
-        if self._queue is not None:
-            await self._queue.put(None)  # drain marker: folds FIFO, then exits
-        if self._consumer_task is not None:
-            await self._consumer_task
         self.checkpoint(force=True)
 
     async def run(
@@ -454,11 +439,11 @@ class IngestServer:
         install_signal_handlers: bool = True,
         ready: Optional[Callable[[Tuple[str, int]], None]] = None,
     ) -> Tuple[str, int]:
-        """Serve until SIGTERM/SIGINT (or ``run_seconds``), then drain.
+        """Serve until SIGTERM/SIGINT (or ``run_seconds``), then stop.
 
         This is the ``repro-ldp ingest`` entry point: it owns the whole
-        lifecycle and always exits through :meth:`stop` (drain + final
-        checkpoint), including on signals.
+        lifecycle and always exits through :meth:`stop` (final checkpoint),
+        including on signals.
         """
         address = await self.start()
         if ready is not None:
@@ -488,45 +473,13 @@ class IngestServer:
         return address
 
     # ------------------------------------------------------------------ #
-    # Consumer + ticker
+    # Ticker
     # ------------------------------------------------------------------ #
-    async def _consume(self) -> None:
-        assert self._queue is not None
-        while True:
-            item = await self._queue.get()
-            try:
-                if item is None:
-                    return
-                self._fold(item)
-            finally:
-                self._queue.task_done()
-                self._m_queue_depth.set(self._queue.qsize())
-
-    def _fold(self, submission: _Submission) -> None:
-        dropped_before = self.clock.late_dropped
-        absorbed_before = self.clock.late_absorbed
-        estimate = self.session.submit_counts(
-            submission.round_index, submission.counts, submission.n_reports
-        )
-        dropped = self.clock.late_dropped - dropped_before
-        absorbed = self.clock.late_absorbed - absorbed_before
-        if dropped:
-            self._m_late.labels(policy="drop").inc(dropped)
-        if absorbed:
-            self._m_late.labels(policy="absorb").inc(absorbed)
-        if estimate is not None:
-            self._m_accepted.inc(submission.n_reports)
-            self._m_batches.inc()
-            self._fold_times[estimate.round_index] = self._time()
-            self._dirty = True
-
     async def _tick_loop(self) -> None:
         while True:
             await asyncio.sleep(self._tick_interval)
             self.clock.tick()
             self.checkpoint()
-            if self._queue is not None:
-                self._m_queue_depth.set(self._queue.qsize())
 
     def checkpoint(self, force: bool = False) -> bool:
         """Write the session + clock checkpoint if due (one atomic ``.npz``).
@@ -592,6 +545,7 @@ class IngestServer:
             return HttpResponse.json(self._rounds_payload())
         if path == "/v1/rounds/advance":
             self._require_method(method, "POST")
+            self._require_running()
             try:
                 event = self.clock.advance("explicit")
             except ParameterError as error:
@@ -618,6 +572,12 @@ class IngestServer:
         if method != expected:
             raise HttpError(405, f"use {expected} for this endpoint, not {method}")
 
+    def _require_running(self) -> None:
+        # After stop() has begun nothing may change the session or clock:
+        # the final checkpoint must hold every state a client was told of.
+        if self._stopped:
+            raise HttpError(503, "the ingest server is shutting down")
+
     def _rounds_payload(self) -> Dict[str, object]:
         return {
             "name": self.spec.name,
@@ -630,7 +590,6 @@ class IngestServer:
             "late_dropped": self.clock.late_dropped,
             "late_absorbed": self.clock.late_absorbed,
             "early_reports": self.clock.early_reports,
-            "queue_depth": self._queue.qsize() if self._queue is not None else 0,
             "seals": [
                 {
                     "round_index": event.round_index,
@@ -676,6 +635,7 @@ class IngestServer:
         return HttpError(status, message)
 
     def _submit(self, request: HttpRequest) -> HttpResponse:
+        self._require_running()
         body = request.body
         if self._authenticator is not None:
             try:
@@ -698,23 +658,22 @@ class IngestServer:
         except ParameterError as error:
             raise self._reject("malformed", 400, str(error))
 
-        assert self._queue is not None, "the ingest server is not started"
-        submission = _Submission(
-            round_index=round_index, counts=counts, n_reports=n_reports
-        )
-        try:
-            self._queue.put_nowait(submission)
-        except asyncio.QueueFull:
-            self._m_rejected.labels(reason="backpressure").inc()
-            return HttpResponse.error(
-                429,
-                f"the ingest queue ({self.spec.queue_capacity} batches) is "
-                f"full; retry after {self.spec.retry_after_seconds:g}s",
-                headers=(("Retry-After", f"{self.spec.retry_after_seconds:g}"),),
-            )
-        self._m_queue_depth.set(self._queue.qsize())
+        dropped_before = self.clock.late_dropped
+        absorbed_before = self.clock.late_absorbed
+        estimate = self.session.submit_counts(round_index, counts, n_reports)
+        dropped = self.clock.late_dropped - dropped_before
+        absorbed = self.clock.late_absorbed - absorbed_before
+        if dropped:
+            self._m_late.labels(policy="drop").inc(dropped)
+        if absorbed:
+            self._m_late.labels(policy="absorb").inc(absorbed)
+        if estimate is not None:
+            self._m_accepted.inc(n_reports)
+            self._m_batches.inc()
+            self._fold_times[estimate.round_index] = self._time()
+            self._dirty = True
         return HttpResponse.json(
-            {"status": "queued", "round": round_index, "n_reports": n_reports},
+            {"status": "folded", "round": round_index, "n_reports": n_reports},
             status=202,
         )
 

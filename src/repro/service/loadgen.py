@@ -3,8 +3,7 @@
 ``repro-ldp loadgen`` drives an :class:`~repro.service.ingest.IngestServer`
 the way a fleet of clients would: a seeded population of longitudinal
 protocol clients evolves its values over the horizon, reports are batched
-and POSTed to ``/v1/reports`` with Poisson-ish staggered arrivals, ``429``
-backpressure answers are honored (sleep ``Retry-After``, retry), and
+and POSTed to ``/v1/reports`` with Poisson-ish staggered arrivals, and
 submissions are HMAC-signed when the server requires it.
 
 Everything is deterministic given ``seed``: the report material comes from
@@ -97,7 +96,6 @@ class LoadgenResult:
     submitted_reports: int = 0
     accepted_reports: int = 0
     rejected_batches: int = 0
-    retried_429: int = 0
     statuses: Dict[int, int] = field(default_factory=dict)
 
     def record(self, status: int) -> None:
@@ -117,7 +115,6 @@ async def run_loadgen(
     mode: str = "reports",
     auth_key_env: Optional[str] = None,
     authenticator: Optional[PayloadAuthenticator] = None,
-    max_retries: int = 8,
     rounds: Optional[Sequence[int]] = None,
 ) -> LoadgenResult:
     """Generate seeded traffic against a live ingestion endpoint.
@@ -141,9 +138,6 @@ async def run_loadgen(
         Sign submissions with the key from this environment variable, or
         with an explicit :class:`PayloadAuthenticator` (tests use this to
         present a *wrong* key).  ``authenticator`` wins when both are given.
-    max_retries:
-        Bound on consecutive ``429`` retries per batch before giving up on
-        that batch (counted in ``rejected_batches``).
     rounds:
         Optional subset of round indices to submit (default: the whole
         horizon, in order).  Used by the checkpoint/restart tests to split
@@ -152,7 +146,6 @@ async def run_loadgen(
     if mode not in SUBMIT_MODES:
         raise ParameterError(f"mode must be one of {SUBMIT_MODES}, got {mode!r}")
     batch_size = require_int_at_least(batch_size, 1, "batch_size")
-    max_retries = require_int_at_least(max_retries, 0, "max_retries")
     if rate is not None and not rate > 0:
         raise ParameterError(f"rate must be > 0 batches/s, got {rate}")
     live_protocol = _as_protocol(protocol)
@@ -187,7 +180,6 @@ async def run_loadgen(
                     batch,
                     mode,
                     authenticator,
-                    max_retries,
                     result,
                 )
     finally:
@@ -202,7 +194,6 @@ async def _submit_batch(
     batch: List,
     mode: str,
     authenticator: Optional[PayloadAuthenticator],
-    max_retries: int,
     result: LoadgenResult,
 ) -> None:
     if mode == "reports":
@@ -219,20 +210,9 @@ async def _submit_batch(
         body = authenticator.sign(body)
 
     result.submitted_reports += len(batch)
-    for _ in range(max_retries + 1):
-        response = await client.request("POST", "/v1/reports", body=body)
-        result.record(response.status)
-        if response.status == 202:
-            result.accepted_reports += len(batch)
-            return
-        if response.status != 429:
-            result.rejected_batches += 1
-            return
-        result.retried_429 += 1
-        retry_after = response.header("Retry-After", "0.1")
-        try:
-            delay = max(float(retry_after), 0.01)
-        except (TypeError, ValueError):
-            delay = 0.1
-        await asyncio.sleep(delay)
-    result.rejected_batches += 1
+    response = await client.request("POST", "/v1/reports", body=body)
+    result.record(response.status)
+    if response.status == 202:
+        result.accepted_reports += len(batch)
+    else:
+        result.rejected_batches += 1

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import time
+import zipfile
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
@@ -342,6 +343,11 @@ class CollectorSession:
         path = Path(path)
         if not path.exists():
             raise ParameterError(f"no session checkpoint found at {path}")
+        if not zipfile.is_zipfile(path):
+            # np.load would blame pickled data for any non-zip file.
+            raise ParameterError(
+                f"invalid session checkpoint {path}: not an .npz archive"
+            )
         try:
             with np.load(path, allow_pickle=False) as archive:
                 if int(archive["format"]) != _CHECKPOINT_FORMAT:

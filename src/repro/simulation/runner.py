@@ -40,7 +40,6 @@ from ..longitudinal.dbitflip import DBitFlipPM
 from ..obs.metrics import default_registry
 from ..obs.spans import span
 from ..rng import RngLike, derive_seed_sequences
-from ..service.clock import RoundClock
 from ..specs import ProtocolSpec
 from .engines import engine_for
 from .metrics import averaged_longitudinal_privacy_loss, averaged_mse, mse_per_round
@@ -179,10 +178,7 @@ def _drive_windows(engine, values: np.ndarray, sink, generator) -> None:
     """Run every round of ``values`` (one column per round) into ``sink``,
     batching maximal unchanged windows through ``engine.run_rounds``.
 
-    Round progression is owned by a lockstep
-    :class:`~repro.service.clock.RoundClock` — the same object that windows
-    the live ingestion service — so "which round is open" has exactly one
-    authority in both the batch and the live world.
+    Rounds reach ``sink.add_round`` once each, in order.
     """
     registry = default_registry()
     m_rounds = registry.counter(
@@ -193,7 +189,6 @@ def _drive_windows(engine, values: np.ndarray, sink, generator) -> None:
         "Rounds per batched unchanged-value window.",
         buckets=_WINDOW_BUCKETS,
     )
-    clock = RoundClock.lockstep(values.shape[1])
     engine_name = type(engine).__name__
     for start_t, stop_t in round_windows(values):
         n_window = stop_t - start_t
@@ -203,8 +198,7 @@ def _drive_windows(engine, values: np.ndarray, sink, generator) -> None:
         m_rounds.inc(n_window)
         m_window_rounds.observe(n_window)
         for offset in range(n_window):
-            sink.add_round(clock.current_round, counts[offset])
-            clock.advance("lockstep")
+            sink.add_round(start_t + offset, counts[offset])
     memo_nbytes = getattr(engine, "memo_nbytes", None)
     if callable(memo_nbytes):
         nbytes = memo_nbytes()

@@ -613,12 +613,6 @@ class IngestSpec:
     late_policy:
         What happens to reports for an already-sealed round: ``"drop"``
         (count and discard) or ``"absorb"`` (fold into the open window).
-    queue_capacity:
-        Maximum number of report batches buffered between the HTTP front
-        door and the aggregation consumer; a full queue answers
-        ``429 Too Many Requests`` with a ``Retry-After`` hint.
-    retry_after_seconds:
-        The ``Retry-After`` hint sent with ``429`` responses.
     checkpoint_interval_seconds:
         Minimum seconds between periodic session/clock checkpoints (only
         active when the service is given a checkpoint path).
@@ -637,8 +631,6 @@ class IngestSpec:
     window_seconds: Optional[float] = None
     quorum: Optional[int] = None
     late_policy: str = "drop"
-    queue_capacity: int = 256
-    retry_after_seconds: float = 0.5
     checkpoint_interval_seconds: float = 30.0
     auth_key_env: Optional[str] = None
 
@@ -671,8 +663,6 @@ class IngestSpec:
             raise ParameterError(
                 f"late_policy must be 'drop' or 'absorb', got {self.late_policy!r}"
             )
-        require_int_at_least(self.queue_capacity, 1, "queue_capacity")
-        require_positive(self.retry_after_seconds, "retry_after_seconds")
         require_positive(
             self.checkpoint_interval_seconds, "checkpoint_interval_seconds"
         )
@@ -686,8 +676,7 @@ class IngestSpec:
 
     _OPTIONAL_FIELDS = (
         "name", "host", "port", "window_seconds", "quorum", "late_policy",
-        "queue_capacity", "retry_after_seconds", "checkpoint_interval_seconds",
-        "auth_key_env",
+        "checkpoint_interval_seconds", "auth_key_env",
     )
 
     def to_dict(self) -> Dict[str, object]:

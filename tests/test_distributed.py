@@ -885,6 +885,23 @@ class TestCoordinatorCheckpoint:
                 )
         assert refused > len(blob) // 2
 
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"format": 1, "completed": [0]}', bytes(range(256)) * 4],
+        ids=["json", "random-bytes"],
+    )
+    def test_non_zip_checkpoint_is_named_not_an_npz_archive(
+        self, tmp_path, tiny_dataset, content
+    ):
+        tasks = make_shard_tasks(LONGITUDINAL_SPEC, tiny_dataset, 3, rng=9)
+        checkpoint = tmp_path / "coordinator.npz"
+        checkpoint.write_bytes(content)
+        coordinator, error = self._restore(tasks, checkpoint)
+        assert error is not None and "not an .npz archive" in str(error)
+        assert str(checkpoint) in str(error)
+        assert "pickle" not in str(error)
+        assert coordinator.summaries == {}
+
     @staticmethod
     def _rewrite_meta(path, **changes):
         with np.load(path, allow_pickle=False) as archive:

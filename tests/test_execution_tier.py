@@ -202,6 +202,46 @@ class TestRoundWindows:
             sink.add_round(t, engine.run_round(values_t, generator))
         assert np.array_equal(result.estimates, sink.estimates(engine.protocol))
 
+    def test_window_driver_adds_each_round_once_in_order(self, tiny_dataset):
+        from repro.rng import as_rng
+        from repro.simulation.runner import _drive_windows
+
+        class RecordingSink:
+            def __init__(self):
+                self.rounds = []
+
+            def add_round(self, t, counts):
+                self.rounds.append(t)
+
+        # Windows [0, 3) and [3, 5): multi-round windows are unrolled.
+        values = tiny_dataset.values[:, [0, 0, 0, 1, 1]]
+        assert round_windows(values) == [(0, 3), (3, 5)]
+        generator = as_rng(5)
+        engine = engine_for(LGRR(tiny_dataset.k, 2.0, 1.0), len(values), generator)
+        sink = RecordingSink()
+        _drive_windows(engine, values, sink, generator)
+        assert sink.rounds == [0, 1, 2, 3, 4]
+
+    def test_runner_loads_nothing_from_the_service_layer(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+        ))
+        probe = (
+            "import sys, repro.simulation.runner; "
+            "print(sorted(m for m in sys.modules if m.startswith('repro.service')))"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            env=env, check=True, timeout=120,
+        )
+        assert completed.stdout.strip() == "[]"
+
 
 class TestEngineOptionValidation:
     """Layout overrides on engines that ignore them must fail loudly."""

@@ -4,7 +4,7 @@ Covers the metrics registry and its Prometheus rendering, the RoundClock
 sealing state machine (quorum / timeout / explicit, both late policies,
 state round-trip), the clock-attached session semantics (late, out-of-order,
 duplicate batches), and the HTTP service end to end: bit-identity against a
-batch session, authentication, backpressure, checkpoint/kill/restore.
+batch session, authentication, fold-before-202, stop, checkpoint/kill/restore.
 
 HTTP tests run real asyncio servers on ephemeral localhost ports via
 ``asyncio.run`` wrappers — no event-loop plugins needed.
@@ -35,7 +35,7 @@ PROTO = ProtocolSpec(name="L-OSUE", k=8, eps_inf=2.0, eps_1=1.0)
 
 
 def _spec(**overrides) -> IngestSpec:
-    defaults = dict(protocol=PROTO, n_rounds=3, queue_capacity=64)
+    defaults = dict(protocol=PROTO, n_rounds=3)
     defaults.update(overrides)
     return IngestSpec(**defaults)
 
@@ -376,7 +376,6 @@ class TestIngestHttp:
                 PROTO, host, port, n_rounds=3, n_users=30, seed=11,
                 batch_size=7, rate=200.0,
             )
-            await server._queue.join()
             client = HttpClient(host, port)
             estimates = [
                 (await client.request("GET", f"/v1/estimate/{t}")).parsed_json()
@@ -411,7 +410,6 @@ class TestIngestHttp:
                 PROTO, host, port, n_rounds=3, n_users=30, seed=11,
                 batch_size=10, mode="counts",
             )
-            await server._queue.join()
             client = HttpClient(host, port)
             payload = (await client.request("GET", "/v1/estimate/1")).parsed_json()
             await client.close()
@@ -456,42 +454,96 @@ class TestIngestHttp:
         assert unsigned.status == 401
         assert 'repro_ingest_rejected_total{reason="auth"} 2' in metrics
 
-    def test_full_queue_answers_429_with_retry_after(self):
-        spec = _spec(
-            protocol=ProtocolSpec(name="L-GRR", k=8, eps_inf=2.0, eps_1=1.0),
-            queue_capacity=1,
-            retry_after_seconds=0.25,
-        )
+    def test_each_202_is_already_in_the_next_rounds_read(self):
+        """8 keep-alive clients, one round each: after every 202, the very
+        next GET /v1/rounds on that connection counts the batch."""
+        from repro.registry import build_protocol
+
+        protocol = build_protocol(PROTO)
+        n_clients, batch_size = 8, 5
+        spec = _spec(n_rounds=n_clients)
+        rounds = _reports(n_rounds=n_clients, n_users=20)
+
+        async def one_client(host, port, t):
+            client = HttpClient(host, port)
+            accepted, seen = 0, []
+            for start in range(0, len(rounds[t]), batch_size):
+                batch = rounds[t][start : start + batch_size]
+                body = json.dumps(
+                    {"round": t, "reports": encode_reports(protocol, batch)}
+                ).encode()
+                response = await client.request("POST", "/v1/reports", body=body)
+                assert response.status == 202
+                assert response.parsed_json() == {
+                    "status": "folded", "round": t, "n_reports": len(batch),
+                }
+                accepted += len(batch)
+                status = (await client.request("GET", "/v1/rounds")).parsed_json()
+                seen.append((status["reports_per_round"][t], accepted))
+            await client.close()
+            return seen
 
         async def scenario():
             server = IngestServer(spec, tick_interval=0.02)
             host, port = await server.start()
-            # Pause the consumer so the queue cannot drain.
-            server._consumer_task.cancel()
-            try:
-                await server._consumer_task
-            except asyncio.CancelledError:
-                pass
-            client = HttpClient(host, port)
-            body = json.dumps({"round": 0, "reports": [1, 2]}).encode()
-            first = await client.request("POST", "/v1/reports", body=body)
-            second = await client.request("POST", "/v1/reports", body=body)
-            metrics = (await client.request("GET", "/metrics")).body.decode()
-            await client.close()
-            # The consumer is gone: drain the stuck batch by hand so stop()
-            # can enqueue its drain marker, and clear the dead task handle.
-            server._queue.get_nowait()
-            server._queue.task_done()
-            server._consumer_task = None
+            seen = await asyncio.gather(
+                *(one_client(host, port, t) for t in range(n_clients))
+            )
             await server.stop()
-            return first, second, metrics
+            return seen
 
-        first, second, metrics = asyncio.run(scenario())
-        assert first.status == 202
-        assert second.status == 429
-        assert second.header("Retry-After") == "0.25"
-        assert "retry after 0.25s" in second.parsed_json()["error"]
-        assert 'repro_ingest_rejected_total{reason="backpressure"} 1' in metrics
+        for per_client in asyncio.run(scenario()):
+            assert len(per_client) == 4
+            assert all(counted == accepted for counted, accepted in per_client)
+
+    def test_posts_after_stop_began_answer_503_and_202s_are_checkpointed(
+        self, tmp_path
+    ):
+        from repro.registry import build_protocol
+
+        checkpoint = tmp_path / "live.npz"
+        spec = _spec()
+        batch = _reports(n_users=12)[0]
+        body = json.dumps(
+            {"round": 0, "reports": encode_reports(build_protocol(PROTO), batch)}
+        ).encode()
+
+        async def scenario():
+            server = IngestServer(spec, checkpoint_path=checkpoint, tick_interval=0.02)
+            client = HttpClient(*await server.start())
+            statuses = [
+                (await client.request("POST", "/v1/reports", body=body)).status
+                for _ in range(3)
+            ]
+            stopping = asyncio.ensure_future(server.stop())
+            await asyncio.sleep(0)  # stop() has begun
+            for _ in range(3):
+                response = await client.request("POST", "/v1/reports", body=body)
+                statuses.append(response.status)
+            advance = await client.request("POST", "/v1/rounds/advance")
+            await client.close()
+            await asyncio.wait_for(stopping, timeout=30)
+            return statuses, advance.status
+
+        statuses, advance_status = asyncio.run(scenario())
+        assert statuses == [202] * 3 + [503] * 3
+        assert advance_status == 503
+        restored = CollectorSession.restore(checkpoint)
+        assert restored.total_reports == statuses.count(202) * len(batch)
+        assert restored.clock.current_round == 0
+
+    def test_spec_naming_queue_capacity_is_refused(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.specs import load_ingest_spec
+
+        path = tmp_path / "ingest.json"
+        payload = dict(_spec().to_dict(), queue_capacity=64)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ParameterError, match="queue_capacity"):
+            load_ingest_spec(path)
+        assert main(["ingest", "--spec", str(path), "--run-seconds", "0.1"]) == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and "queue_capacity" in err
 
     def test_malformed_submissions_answer_400(self):
         spec = _spec()
@@ -562,13 +614,12 @@ class TestIngestHttp:
         async def first_generation():
             server = IngestServer(spec, checkpoint_path=checkpoint, tick_interval=0.02)
             host, port = await server.start()
-            # Rounds 0 and 1 arrive, then the process "dies" (drain + stop
-            # stands in for the SIGTERM path, which calls exactly stop()).
+            # Rounds 0 and 1 arrive, then the process "dies" (stop stands
+            # in for the SIGTERM path, which calls exactly stop()).
             await run_loadgen(
                 PROTO, host, port, n_rounds=3, n_users=30, seed=11,
                 batch_size=15, rounds=[0, 1],
             )
-            await server._queue.join()
             await server.stop()
             return server.clock.current_round
 
@@ -579,7 +630,6 @@ class TestIngestHttp:
                 PROTO, host, port, n_rounds=3, n_users=30, seed=11,
                 batch_size=15, rounds=[2],
             )
-            await server._queue.join()
             client = HttpClient(host, port)
             estimates = [
                 (await client.request("GET", f"/v1/estimate/{t}")).parsed_json()
@@ -722,6 +772,35 @@ class TestIngestCheckpoint:
         with pytest.raises(ParameterError, match="no round-clock state") as info:
             IngestServer(_spec(), checkpoint_path=checkpoint)
         assert str(checkpoint) in str(info.value)
+
+    def test_changed_clock_settings_are_refused(self, tmp_path, capsys):
+        """A checkpoint made with quorum 30 / drop is not resumed under
+        quorum 60 / absorb / 5 s windows: each differing field is named."""
+        from repro.cli import main
+
+        checkpoint, _ = self._live_checkpoint(tmp_path)
+        changed = _spec(quorum=60, late_policy="absorb", window_seconds=5.0)
+        with pytest.raises(ParameterError) as info:
+            IngestServer(changed, checkpoint_path=checkpoint)
+        message = str(info.value)
+        assert str(checkpoint) in message
+        assert "window_seconds None (checkpoint) != 5.0 (spec)" in message
+        assert "quorum 30 (checkpoint) != 60 (spec)" in message
+        assert "late_policy 'drop' (checkpoint) != 'absorb' (spec)" in message
+
+        spec_path = changed.save(tmp_path / "ingest.json")
+        code = main(
+            [
+                "ingest",
+                "--spec", str(spec_path),
+                "--checkpoint", str(checkpoint),
+                "--run-seconds", "0.1",
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and "quorum 30 (checkpoint) != 60 (spec)" in err
+        assert "Traceback" not in err
 
     def _assert_refused_or_identical(self, path, server):
         try:
@@ -899,7 +978,6 @@ class TestWireContract:
                 (await client.request("POST", "/v1/reports", body=body)).status
                 for body in bodies
             ]
-            await live._queue.join()
             estimates = [
                 (await client.request("GET", f"/v1/estimate/{t}")).parsed_json()
                 for t in range(len(rounds))

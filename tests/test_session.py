@@ -260,6 +260,19 @@ class TestNpzCheckpoint:
             restored.reports_per_round, session.reports_per_round
         )
 
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"format": 1, "n_rounds": 2}', bytes(range(256)) * 4],
+        ids=["json", "random-bytes"],
+    )
+    def test_non_zip_file_is_named_not_an_npz_archive(self, tmp_path, content):
+        path = tmp_path / "session.npz"
+        path.write_bytes(content)
+        with pytest.raises(ParameterError, match="not an .npz archive") as info:
+            CollectorSession.restore(path)
+        assert str(path) in str(info.value)
+        assert "pickle" not in str(info.value)
+
     def test_corrupt_npz_rejected(self, tmp_path):
         bad = tmp_path / "bad.npz"
         bad.write_bytes(b"PK\x03\x04 garbage that is not a real zip")

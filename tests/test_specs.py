@@ -317,7 +317,6 @@ class TestIngestSpec:
             window_seconds=2.5,
             quorum=100,
             late_policy="absorb",
-            queue_capacity=32,
             auth_key_env="INGEST_KEY",
         )
         path = spec.save(tmp_path / "ingest.json")
