@@ -1,7 +1,4 @@
-"""Append / load / query throughput of the results backends.
-
-Every ``ResultsBackend`` kind in ``repro.store.BACKENDS`` stores the same
-append-only rows, so one parametrized harness benchmarks them side by side:
+"""Append / load / query throughput of the CSV results store.
 
 * ``test_append_rows`` — many small batches into one experiment, the
   sweep-flush pattern (``SweepExecutor`` appends completed grid points as
@@ -9,8 +6,8 @@ append-only rows, so one parametrized harness benchmarks them side by side:
 * ``test_load_rows`` — full ordered read-back of one experiment, the
   resume pattern (``completed_points_from_rows`` scans every row);
 * ``test_query_by_fingerprint`` — fingerprint-filtered query across many
-  experiments, where sqlite's indexed ``WHERE`` clause should beat the
-  csv backend's scan-with-prefilter.
+  experiments (``repro-ldp query --fingerprint``); experiments whose header
+  comment does not match are skipped without reading their rows.
 
 Run with ``python -m pytest benchmarks/bench_store_backends.py
 --benchmark-only`` (add ``--benchmark-json=...`` for machine-readable
@@ -19,14 +16,12 @@ output).
 
 import pytest
 
-from repro.store import BACKENDS, make_backend
+from repro.store import ResultsStore
 
 N_BATCHES = 50
 BATCH_ROWS = 20
 N_EXPERIMENTS = 10
 FINGERPRINT = "deadbeefdeadbeef"
-
-KINDS = sorted(BACKENDS)
 
 
 def _row(index):
@@ -46,33 +41,32 @@ def _batches():
     ]
 
 
-def _populated(kind, root):
+def _populated(root):
     """A store with N_EXPERIMENTS experiments, one fingerprint-tagged."""
-    with make_backend(kind, root) as store:
-        for index in range(N_EXPERIMENTS):
-            fingerprint = FINGERPRINT if index == 0 else f"{index:016x}"
-            store.append_rows(
-                f"sweep_{index}",
-                [_row(i) for i in range(BATCH_ROWS)],
-                header_comment=f"sweep_spec_fingerprint={fingerprint}",
-            )
-    return root
+    store = ResultsStore(root)
+    for index in range(N_EXPERIMENTS):
+        fingerprint = FINGERPRINT if index == 0 else f"{index:016x}"
+        store.append_rows(
+            f"sweep_{index}",
+            [_row(i) for i in range(BATCH_ROWS)],
+            header_comment=f"sweep_spec_fingerprint={fingerprint}",
+        )
+    return store
 
 
 @pytest.mark.benchmark(group="store-append")
-@pytest.mark.parametrize("kind", KINDS)
-def test_append_rows(benchmark, tmp_path_factory, kind):
+def test_append_rows(benchmark, tmp_path_factory):
     batches = _batches()
     counter = iter(range(10_000))
 
     def append():
-        root = tmp_path_factory.mktemp(f"append_{kind}_{next(counter)}")
-        with make_backend(kind, root) as store:
-            for batch in batches:
-                store.append_rows(
-                    "bench", batch,
-                    header_comment=f"sweep_spec_fingerprint={FINGERPRINT}",
-                )
+        root = tmp_path_factory.mktemp(f"append_{next(counter)}")
+        store = ResultsStore(root)
+        for batch in batches:
+            store.append_rows(
+                "bench", batch,
+                header_comment=f"sweep_spec_fingerprint={FINGERPRINT}",
+            )
         return root
 
     benchmark(append)
@@ -81,24 +75,21 @@ def test_append_rows(benchmark, tmp_path_factory, kind):
 
 
 @pytest.mark.benchmark(group="store-load")
-@pytest.mark.parametrize("kind", KINDS)
-def test_load_rows(benchmark, tmp_path, kind):
-    with make_backend(kind, tmp_path) as store:
-        for batch in _batches():
-            store.append_rows("bench", batch)
+def test_load_rows(benchmark, tmp_path):
+    store = ResultsStore(tmp_path)
+    for batch in _batches():
+        store.append_rows("bench", batch)
 
-        rows = benchmark(store.load_rows, "bench")
+    rows = benchmark(store.load_rows, "bench")
     assert len(rows) == N_BATCHES * BATCH_ROWS
     assert rows[0]["run"] == "0"
     benchmark.extra_info["rows"] = len(rows)
 
 
 @pytest.mark.benchmark(group="store-query")
-@pytest.mark.parametrize("kind", KINDS)
-def test_query_by_fingerprint(benchmark, tmp_path, kind):
-    _populated(kind, tmp_path)
-    with make_backend(kind, tmp_path) as store:
-        rows = benchmark(store.query, fingerprint=FINGERPRINT)
+def test_query_by_fingerprint(benchmark, tmp_path):
+    store = _populated(tmp_path)
+    rows = benchmark(store.query, fingerprint=FINGERPRINT)
     assert len(rows) == BATCH_ROWS
     assert {row["experiment_id"] for row in rows} == {"sweep_0"}
     benchmark.extra_info["experiments"] = N_EXPERIMENTS

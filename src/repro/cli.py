@@ -43,25 +43,15 @@ without recomputing the points already on disk::
 The figure/table subcommands can emit their grids in the same format with
 ``--emit-spec grid.json`` instead of running them.
 
-Sweep results carry the spec's fingerprint (a ``#`` comment line in CSVs, an
-indexed column in SQLite); ``--resume`` refuses a store whose fingerprint
-does not match the current spec file, so a changed grid (different runs,
-seed, protocols …) cannot silently absorb rows computed under different
-parameters.
+Each dataset's results go to one append-only CSV, which carries the spec's
+fingerprint in a ``#`` comment line above its header; ``--resume`` refuses
+a CSV whose fingerprint does not match the current spec file, so a changed
+grid (different runs, seed, protocols …) cannot silently absorb rows
+computed under different parameters.  ``query`` filters the CSVs of a
+results directory by spec fingerprint, protocol or ε range, skipping whole
+files whose fingerprint does not match::
 
-Results are written through a backend (``--store {csv,sqlite}``, or the
-spec's ``store`` field): ``csv`` keeps one append-only CSV per dataset, and
-``sqlite`` stores every dataset in one WAL-mode queryable database.  Rows
-are bit-identical across backends; resume works with either.
-``query`` filters a store — by spec fingerprint, protocol or ε range —
-without loading whole tables where the backend can index, and
-``migrate-store`` lifts experiments between backends (typically historical
-CSVs into SQLite), rows byte-identical and fingerprint comments carried
-over::
-
-    repro-ldp sweep --spec grid.json --output-dir results/ --store sqlite
     repro-ldp query --dir results/ --fingerprint 0123abcd... --protocol L-OSUE
-    repro-ldp migrate-store --source results/ --dest db/ --to sqlite
 
 The ``serve`` / ``work`` pair runs a *distributed* sharded collection (see
 :mod:`repro.distributed`): ``serve`` loads a
@@ -151,14 +141,7 @@ from .experiments import (
 )
 from .simulation.sweep import completed_points_from_rows, run_sweep
 from .specs import SweepSpec, load_collection_spec, load_sweep_spec
-from .store import (
-    BACKENDS,
-    FINGERPRINT_KEY,
-    ResultsStore,
-    detect_backend_kind,
-    make_backend,
-    migrate_store,
-)
+from .store import FINGERPRINT_KEY, ResultsStore
 
 __all__ = [
     "build_parser",
@@ -170,10 +153,7 @@ __all__ = [
     "run_ingest",
     "run_loadgen",
     "run_query",
-    "run_migrate_store",
 ]
-
-_FINGERPRINT_KEY = FINGERPRINT_KEY
 
 
 def _add_backend_option(parser: argparse.ArgumentParser) -> None:
@@ -343,13 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument(
         "--workers", type=int, default=None,
         help="override the spec's worker-process count",
-    )
-    sweep_parser.add_argument(
-        "--store", choices=sorted(BACKENDS), default=None,
-        help="results backend: csv (one append-only CSV per dataset, the "
-             "default) or sqlite (one WAL database, queryable).  Overrides "
-             "the spec's 'store' field; rows are bit-identical across "
-             "backends",
     )
     _add_backend_option(sweep_parser)
     _add_obs_options(sweep_parser)
@@ -552,17 +525,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     query_parser = subparsers.add_parser(
         "query",
-        help="filter sweep results in a store (any backend) by spec "
+        help="filter sweep results in a results directory by spec "
              "fingerprint, protocol or eps range, and emit CSV or JSON",
     )
     query_parser.add_argument(
         "--dir", required=True, metavar="DIR",
-        help="results directory written by 'sweep' (backend auto-detected "
-             "unless --store is given)",
-    )
-    query_parser.add_argument(
-        "--store", choices=sorted(BACKENDS), default=None,
-        help="backend of the results directory (default: auto-detect)",
+        help="results directory written by 'sweep'",
     )
     query_parser.add_argument(
         "--experiment", default=None, metavar="ID",
@@ -571,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     query_parser.add_argument(
         "--fingerprint", default=None, metavar="HEX",
         help="only experiments written under this sweep-spec fingerprint "
-             "(see SweepSpec.fingerprint; indexed in the sqlite backend)",
+             "(see SweepSpec.fingerprint)",
     )
     query_parser.add_argument(
         "--protocol", default=None, metavar="NAME",
@@ -592,34 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
     query_parser.add_argument(
         "--output", default=None, metavar="PATH",
         help="write the result atomically to PATH instead of stdout",
-    )
-
-    migrate_parser = subparsers.add_parser(
-        "migrate-store",
-        help="lift experiments between results backends (e.g. historical "
-             "sweep CSVs into one queryable SQLite database), rows "
-             "byte-identical and fingerprint comments carried over",
-    )
-    migrate_parser.add_argument(
-        "--source", required=True, metavar="DIR",
-        help="results directory to read (backend auto-detected unless "
-             "--from is given)",
-    )
-    migrate_parser.add_argument(
-        "--dest", required=True, metavar="DIR",
-        help="results directory to write (may equal --source)",
-    )
-    migrate_parser.add_argument(
-        "--from", dest="from_kind", choices=sorted(BACKENDS), default=None,
-        help="source backend (default: auto-detect)",
-    )
-    migrate_parser.add_argument(
-        "--to", dest="to_kind", choices=sorted(BACKENDS), default="sqlite",
-        help="destination backend (default: sqlite)",
-    )
-    migrate_parser.add_argument(
-        "--experiment", action="append", default=None, metavar="ID",
-        help="migrate only this experiment id (repeatable; default: all)",
     )
 
     datasets_parser = subparsers.add_parser(
@@ -661,18 +601,15 @@ def run_spec_sweep(
     output_dir: str,
     resume: bool = False,
     n_workers: Optional[int] = None,
-    store_kind: Optional[str] = None,
 ) -> int:
     """Execute a :class:`~repro.specs.SweepSpec`, one experiment per dataset.
 
-    Completed grid points stream into the results backend (``store_kind``,
-    defaulting to the spec's ``store`` field — csv or sqlite) while
-    the sweep runs; with ``resume=True``, points already present in a
-    partial store are skipped and only the missing remainder is computed
-    (with unchanged derived seeds, so the final rows are bit-identical to an
-    uninterrupted run, whatever the backend).
+    Completed grid points stream into one CSV per dataset under
+    ``output_dir`` while the sweep runs; with ``resume=True``, points
+    already present in a partial CSV are skipped and only the missing
+    remainder is computed (with unchanged derived seeds, so the final rows
+    are bit-identical to an uninterrupted run).
     """
-    kind = store_kind if store_kind is not None else spec.store
     workers = n_workers if n_workers is not None else spec.n_workers
     protocols = spec.grid_protocols()
     fingerprint = spec.fingerprint()
@@ -682,74 +619,74 @@ def run_spec_sweep(
         for alpha in spec.alpha_values
         for eps_inf in spec.eps_inf_values
     }
-    with make_backend(kind, output_dir) as store:
-        for dataset_name in spec.datasets:
-            experiment_id = spec.experiment_id(dataset_name)
-            completed = set()
-            if resume and store.has_rows(experiment_id):
-                on_disk_fingerprint = store.fingerprint(experiment_id)
-                if on_disk_fingerprint is not None:
-                    if on_disk_fingerprint != fingerprint:
-                        raise ReproError(
-                            f"refusing to resume {experiment_id} in "
-                            f"{store.location(experiment_id)}: it was "
-                            f"written by a sweep spec with fingerprint "
-                            f"{on_disk_fingerprint}, but the current spec's "
-                            f"fingerprint is {fingerprint} (grid, runs, scale or "
-                            f"seed changed); move the old results aside or rerun "
-                            f"with the original spec"
-                        )
-                else:
-                    print(
-                        f"{dataset_name}: warning: {experiment_id} carries no "
-                        f"spec fingerprint (written before fingerprinting); "
-                        f"resuming on row keys only"
+    store = ResultsStore(output_dir)
+    for dataset_name in spec.datasets:
+        experiment_id = spec.experiment_id(dataset_name)
+        completed = set()
+        if resume and store.has_rows(experiment_id):
+            on_disk_fingerprint = store.fingerprint(experiment_id)
+            if on_disk_fingerprint is not None:
+                if on_disk_fingerprint != fingerprint:
+                    raise ReproError(
+                        f"refusing to resume {experiment_id} in "
+                        f"{store.location(experiment_id)}: it was "
+                        f"written by a sweep spec with fingerprint "
+                        f"{on_disk_fingerprint}, but the current spec's "
+                        f"fingerprint is {fingerprint} (grid, runs, scale or "
+                        f"seed changed); move the old results aside or rerun "
+                        f"with the original spec"
                     )
-                on_disk = completed_points_from_rows(store.load_rows(experiment_id))
-                # Only rows that belong to THIS grid count as done; rows left
-                # by a different spec (other eps/alpha/protocols under the
-                # same name) must not silently satisfy the sweep.
-                completed = on_disk & grid_keys
-                if on_disk - grid_keys:
-                    print(
-                        f"{dataset_name}: warning: {len(on_disk - grid_keys)} rows "
-                        f"in {experiment_id} are not part of this grid (stale "
-                        f"spec?); they are kept but do not count as completed"
-                    )
-            n_total = spec.n_grid_points
-            n_done = len(completed)
-            if n_done >= n_total:
+            else:
                 print(
-                    f"{dataset_name}: all {n_total} grid points already complete, "
-                    f"nothing to do"
+                    f"{dataset_name}: warning: {experiment_id} carries no "
+                    f"spec fingerprint (written before fingerprinting); "
+                    f"resuming on row keys only"
                 )
-                continue
+            on_disk = completed_points_from_rows(store.load_rows(experiment_id))
+            # Only rows that belong to THIS grid count as done; rows left
+            # by a different spec (other eps/alpha/protocols under the
+            # same name) must not silently satisfy the sweep.
+            completed = on_disk & grid_keys
+            if on_disk - grid_keys:
+                print(
+                    f"{dataset_name}: warning: {len(on_disk - grid_keys)} rows "
+                    f"in {experiment_id} are not part of this grid (stale "
+                    f"spec?); they are kept but do not count as completed"
+                )
+        n_total = spec.n_grid_points
+        n_done = len(completed)
+        if n_done >= n_total:
             print(
-                f"{dataset_name}: {n_total} grid points "
-                f"({n_done} already complete, {n_total - n_done} to run, "
-                f"{workers} worker{'s' if workers != 1 else ''})"
+                f"{dataset_name}: all {n_total} grid points already complete, "
+                f"nothing to do"
             )
-            dataset = make_dataset(dataset_name, scale=spec.dataset_scale, rng=spec.seed)
-            run_sweep(
-                protocols=protocols,
-                dataset=dataset,
-                eps_inf_values=spec.eps_inf_values,
-                alpha_values=spec.alpha_values,
-                n_runs=spec.n_runs,
-                rng=spec.seed,
-                keep_runs=False,
-                n_workers=workers,
-                store=store,
-                experiment_id=experiment_id,
-                completed=completed,
-                resume=resume,
-                header_comment=f"{_FINGERPRINT_KEY}={fingerprint}",
-            )
-            rows = store.load_rows(experiment_id)
-            print(
-                f"{dataset_name}: {len(rows)} rows in "
-                f"{store.location(experiment_id)}"
-            )
+            continue
+        print(
+            f"{dataset_name}: {n_total} grid points "
+            f"({n_done} already complete, {n_total - n_done} to run, "
+            f"{workers} worker{'s' if workers != 1 else ''})"
+        )
+        dataset = make_dataset(dataset_name, scale=spec.dataset_scale, rng=spec.seed)
+        run_sweep(
+            protocols=protocols,
+            dataset=dataset,
+            eps_inf_values=spec.eps_inf_values,
+            alpha_values=spec.alpha_values,
+            n_runs=spec.n_runs,
+            rng=spec.seed,
+            keep_runs=False,
+            n_workers=workers,
+            store=store,
+            experiment_id=experiment_id,
+            completed=completed,
+            resume=resume,
+            header_comment=f"{FINGERPRINT_KEY}={fingerprint}",
+        )
+        rows = store.load_rows(experiment_id)
+        print(
+            f"{dataset_name}: {len(rows)} rows in "
+            f"{store.location(experiment_id)}"
+        )
     return 0
 
 
@@ -761,15 +698,18 @@ def run_query(args: argparse.Namespace) -> int:
 
     from ._atomicio import atomic_write_text
 
-    kind = args.store or detect_backend_kind(args.dir)
-    with make_backend(kind, args.dir) as backend:
-        rows = backend.query(
-            experiment_id=args.experiment,
-            fingerprint=args.fingerprint,
-            protocol=args.protocol,
-            eps_min=args.eps_min,
-            eps_max=args.eps_max,
-        )
+    store = ResultsStore(args.dir)
+    if not store.root.is_dir():
+        raise ReproError(f"no results directory at {store.root}")
+    if not any(store.root.glob("*.csv")):
+        raise ReproError(f"{store.root} holds no results CSV (no *.csv)")
+    rows = store.query(
+        experiment_id=args.experiment,
+        fingerprint=args.fingerprint,
+        protocol=args.protocol,
+        eps_min=args.eps_min,
+        eps_max=args.eps_max,
+    )
     if args.format == "json":
         text = json.dumps(rows, indent=2) + "\n"
     elif rows:
@@ -792,27 +732,7 @@ def run_query(args: argparse.Namespace) -> int:
         print(f"wrote {len(rows)} matching rows to {args.output}")
     else:
         sys.stdout.write(text)
-        print(f"# {len(rows)} matching rows ({kind} store)", file=sys.stderr)
-    return 0
-
-
-def run_migrate_store(args: argparse.Namespace) -> int:
-    """Lift experiments from one results backend into another."""
-    source_kind = args.from_kind or detect_backend_kind(args.source)
-    counts = migrate_store(
-        args.source,
-        args.dest,
-        source_kind,
-        args.to_kind,
-        experiments=args.experiment,
-    )
-    for experiment_id in sorted(counts):
-        print(f"{experiment_id}: {counts[experiment_id]} rows")
-    print(
-        f"migrated {len(counts)} experiment{'s' if len(counts) != 1 else ''} "
-        f"({sum(counts.values())} rows) from {source_kind} ({args.source}) "
-        f"to {args.to_kind} ({args.dest})"
-    )
+        print(f"# {len(rows)} matching rows", file=sys.stderr)
     return 0
 
 
@@ -1124,7 +1044,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             args.output_dir,
             resume=args.resume,
             n_workers=args.workers,
-            store_kind=args.store,
         )
 
     if args.command == "check":
@@ -1134,7 +1053,6 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     runners = {
         "query": run_query,
-        "migrate-store": run_migrate_store,
         "serve": run_serve,
         "work": run_work,
         "status": run_status,

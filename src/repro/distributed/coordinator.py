@@ -440,7 +440,10 @@ class Coordinator:
                 f"corrupt coordinator checkpoint {path}: not an .npz archive"
             )
         try:
-            with np.load(path, allow_pickle=False) as archive:
+            # np.load(path) leaves the file open when the archive is corrupt.
+            with open(path, "rb") as handle, np.load(
+                handle, allow_pickle=False
+            ) as archive:
                 meta = json.loads(str(archive["meta"][()]))
                 if meta.get("format") != _CHECKPOINT_FORMAT:
                     raise ExperimentError(

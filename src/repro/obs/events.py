@@ -162,14 +162,20 @@ def emit_event(event: str, component: str = "", **fields: object) -> Optional[di
 def iter_events(path: Union[str, Path]) -> Iterator[Dict[str, object]]:
     """Yield validated records of one JSONL event file, in file order.
 
-    Raises :class:`~repro.exceptions.ReproError` on a malformed line, a
-    missing envelope key or an unknown schema version — a timeline that
-    cannot be trusted end to end is worse than none.
+    Raises :class:`~repro.exceptions.ReproError` on a line that is not
+    UTF-8 or not valid JSON, a missing envelope key or an unknown schema
+    version — a timeline that cannot be trusted end to end is worse than
+    none.
     """
     path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
+    with path.open("rb") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as error:
+                raise ReproError(
+                    f"{path}:{line_no}: not UTF-8 text ({error.reason})"
+                ) from None
             if not line:
                 continue
             try:

@@ -162,7 +162,10 @@ def snapshot_from_spool(
         import numpy as np
 
         try:
-            with np.load(checkpoint_path, allow_pickle=False) as archive:
+            # np.load(path) leaves the file open when the archive is corrupt.
+            with open(checkpoint_path, "rb") as handle, np.load(
+                handle, allow_pickle=False
+            ) as archive:
                 meta = json.loads(str(archive["meta"][()]))
             progress = meta.get("progress")
         except Exception as error:  # zipfile/zlib/EOF/KeyError/ValueError: corrupt

@@ -349,7 +349,10 @@ class CollectorSession:
                 f"invalid session checkpoint {path}: not an .npz archive"
             )
         try:
-            with np.load(path, allow_pickle=False) as archive:
+            # np.load(path) leaves the file open when the archive is corrupt.
+            with open(path, "rb") as handle, np.load(
+                handle, allow_pickle=False
+            ) as archive:
                 if int(archive["format"]) != _CHECKPOINT_FORMAT:
                     raise ParameterError(
                         f"unsupported checkpoint format {int(archive['format'])} "

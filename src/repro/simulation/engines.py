@@ -428,7 +428,7 @@ class UnaryChainEngine(PopulationEngine):
 
     The permanently randomized ``k``-bit vectors are held in a bit-packed
     memo table indexed by (user, value), materialized lazily in batches; the
-    layout (dense below ~2 GiB, row-sparse above) is picked by
+    layout (dense up to a 512 MiB projection, row-sparse above) is picked by
     :func:`repro.simulation.state.make_packed_bit_memo`, or the table itself
     injected with ``memo=`` (which also forces a layout).
     The round path folds the

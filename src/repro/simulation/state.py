@@ -27,10 +27,11 @@ and sparse table types of this module:
     ``n = 10^4, k = 2048``), it no longer scales with the key domain at all.
 
 :func:`make_packed_bit_memo` picks between the two behind one interface:
-dense below the :data:`_DENSE_ALLOCATION_WARN_BYTES` threshold, sparse above
-it, with an explicit ``layout=`` override.  Both variants resolve rows
-bit-identically (misses are created in the same order through the same
-``fresh`` callback), so the switch never changes simulation results.
+dense up to the :data:`_DENSE_ALLOCATION_WARN_BYTES` projection, sparse
+above it (construct either class directly to force it).  Both variants
+resolve rows bit-identically (misses are created in the same order through
+the same ``fresh`` callback), so the switch never changes simulation
+results.
 
 All tables are *lazily batch-initialized*: the backing arrays are allocated
 on first use, and missing entries are created for whole batches of users at
@@ -51,7 +52,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .._validation import require_int_at_least
-from ..exceptions import ParameterError
 from .kernels import packed_column_sums_kernel
 
 __all__ = [
@@ -63,7 +63,10 @@ __all__ = [
 
 #: Dense-allocation size above which :func:`make_packed_bit_memo` switches to
 #: the sparse layout (and an explicitly dense :class:`PackedBitMemo` warns).
-_DENSE_ALLOCATION_WARN_BYTES = 2 * 1024**3
+#: Measured on the paper datasets (L-OSUE, scale 1.0): db_mt (1.7 GB
+#: projected) and db_de (1.05 GB) run faster sparse, syn (165 MB) and adult
+#: (56 MB) faster dense.
+_DENSE_ALLOCATION_WARN_BYTES = 512 * 1024**2
 
 #: ``fresh(user_indices, keys) -> symbols`` — batch-create missing entries.
 FreshSymbols = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -211,8 +214,8 @@ class PackedBitMemo(_PackedBitMemoBase):
             if projected > _DENSE_ALLOCATION_WARN_BYTES:
                 # The table is dense over (user, key), unlike the reference
                 # clients' per-visited-pair dicts; at very large domains that
-                # is a real footprint.  make_packed_bit_memo(layout="auto")
-                # switches to SparsePackedBitMemo above this threshold, and
+                # is a real footprint.  make_packed_bit_memo switches to
+                # SparsePackedBitMemo above this threshold, and
                 # sharding bounds the peak further: each shard of
                 # ``simulate_protocol_sharded`` allocates only its own
                 # sub-population's table and frees it before the next shard.
@@ -436,27 +439,14 @@ class SparsePackedBitMemo(_PackedBitMemoBase):
         return np.unpackbits(self._pool[slot], count=self.n_bits)
 
 
-def make_packed_bit_memo(
-    n_users: int, n_keys: int, n_bits: int, layout: str = "auto"
-) -> _PackedBitMemoBase:
+def make_packed_bit_memo(n_users: int, n_keys: int, n_bits: int) -> _PackedBitMemoBase:
     """Create a packed memoization table, picking the layout for the scale.
 
-    ``layout="auto"`` (the default, used by the engines) selects
-    :class:`SparsePackedBitMemo` whenever the dense table would exceed the
-    :data:`_DENSE_ALLOCATION_WARN_BYTES` threshold — the same heuristic that
-    previously only *warned* — and the dense :class:`PackedBitMemo`
-    otherwise.  ``layout="dense"`` / ``layout="sparse"`` force a variant.
-    Both layouts resolve bit-identically, so the choice never changes
-    simulation results.
+    Selects :class:`SparsePackedBitMemo` whenever the dense table would
+    exceed the :data:`_DENSE_ALLOCATION_WARN_BYTES` threshold, and the dense
+    :class:`PackedBitMemo` otherwise.  Both layouts resolve bit-identically,
+    so the choice never changes simulation results.
     """
-    if layout == "dense":
-        return PackedBitMemo(n_users, n_keys, n_bits)
-    if layout == "sparse":
-        return SparsePackedBitMemo(n_users, n_keys, n_bits)
-    if layout != "auto":
-        raise ParameterError(
-            f"memo layout must be 'auto', 'dense' or 'sparse', got {layout!r}"
-        )
     n_bytes = -(-n_bits // 8)
     projected = n_users * n_keys * (n_bytes + 1)
     if projected > _DENSE_ALLOCATION_WARN_BYTES:

@@ -14,10 +14,9 @@ processes:
 * every task is seeded by its own :class:`numpy.random.SeedSequence` child
   derived from the root seed, so a parallel sweep (``n_workers > 1``) is
   **bit-identical** to the serial one — only wall-clock time changes;
-* completed grid points can be flushed incrementally to a results backend
-  (a :class:`repro.store.ResultsStore` CSV or a
-  :class:`repro.store.SqliteBackend` database), so an interrupted sweep
-  keeps every finished point on disk;
+* completed grid points can be flushed incrementally to a
+  :class:`repro.store.ResultsStore` CSV, so an interrupted sweep keeps every
+  finished point on disk;
 * an interrupted sweep can be *resumed*: pass the already-present grid keys
   as ``completed`` (see :func:`completed_points_from_rows`) and only the
   missing points are computed — with unchanged derived seeds, so a resumed
@@ -56,7 +55,7 @@ from ..obs.spans import span
 from ..registry import build_protocol
 from ..rng import derive_seed_sequences
 from ..specs import ProtocolSpec
-from ..store.backends import ResultsBackend
+from ..store.results_store import ResultsStore
 from .runner import SimulationResult, simulate_protocol
 
 __all__ = [
@@ -247,13 +246,11 @@ class SweepExecutor:
     n_workers:
         Number of worker processes; ``1`` (default) runs in-process.
     store, experiment_id, flush_every:
-        When ``store`` is given (any :class:`repro.store.ResultsBackend`,
-        such as a :class:`repro.store.ResultsStore`), completed grid points are
-        appended under ``experiment_id`` in grid order, ``flush_every``
-        points at a time, while the sweep is still running.  Only
-        ``has_rows`` / ``append_rows`` are required, and the store is only
-        touched from the parent process — backends whose handles cannot
-        cross a fork/pickle boundary (SQLite) are safe here.
+        When ``store`` is given (a :class:`repro.store.ResultsStore`, or any
+        object with its ``has_rows`` / ``append_rows`` methods), completed
+        grid points are appended under ``experiment_id`` in grid order,
+        ``flush_every`` points at a time, while the sweep is still running.
+        The store is only touched from the parent process.
     completed, resume:
         Resume support: grid keys in ``completed`` (``(protocol_name,
         alpha, eps_inf)``, see :func:`completed_points_from_rows`) are
@@ -279,7 +276,7 @@ class SweepExecutor:
         rng: Optional[int] = 0,
         keep_runs: bool = True,
         n_workers: int = 1,
-        store: Optional[ResultsBackend] = None,
+        store: Optional[ResultsStore] = None,
         experiment_id: str = "sweep",
         flush_every: int = 1,
         completed: Optional[Collection[GridKey]] = None,
@@ -543,7 +540,7 @@ def run_sweep(
     rng: Optional[int] = 0,
     keep_runs: bool = True,
     n_workers: int = 1,
-    store: Optional[ResultsBackend] = None,
+    store: Optional[ResultsStore] = None,
     experiment_id: str = "sweep",
     flush_every: int = 1,
     completed: Optional[Collection[GridKey]] = None,

@@ -273,11 +273,8 @@ class SweepSpec:
         Worker processes (results are bit-identical for every value).
     name:
         Experiment-id prefix of the output CSVs (``<name>_<dataset>.csv``).
-    store:
-        Results backend the sweep writes through (``csv`` or ``sqlite``,
-        the keys of :data:`repro.store.BACKENDS`); overridable per run with
-        ``sweep --store``.  Like ``n_workers``, the backend never changes a
-        row's bytes, so it is excluded from :meth:`fingerprint`.
+
+    Results go to one :class:`repro.store.ResultsStore` CSV per dataset.
     """
 
     protocols: Tuple[ProtocolSpec, ...]
@@ -289,7 +286,6 @@ class SweepSpec:
     seed: int = 20230328
     n_workers: int = 1
     name: str = "sweep"
-    store: str = "csv"
 
     def __post_init__(self) -> None:
         protocols = tuple(self.protocols)
@@ -327,16 +323,6 @@ class SweepSpec:
         require_int_at_least(self.n_workers, 1, "n_workers")
         if not isinstance(self.name, str) or not self.name:
             raise ParameterError("sweep name must be a non-empty string")
-        # Lazy import: specs is a leaf module; the store package imports
-        # nothing from it, but keeping the edge one-directional at import
-        # time avoids a cycle if that ever changes.
-        from .store.backends import BACKENDS
-
-        if not isinstance(self.store, str) or self.store not in BACKENDS:
-            raise ParameterError(
-                f"unknown results store {self.store!r}; "
-                f"available: {', '.join(sorted(BACKENDS))}"
-            )
 
     def grid_protocols(self) -> Dict[str, ProtocolSpec]:
         """Protocol templates keyed by display name, in grid order."""
@@ -365,7 +351,6 @@ class SweepSpec:
             "dataset_scale": self.dataset_scale,
             "seed": self.seed,
             "n_workers": self.n_workers,
-            "store": self.store,
         }
 
     @classmethod
@@ -376,7 +361,7 @@ class SweepSpec:
             )
         known = {
             "name", "protocols", "eps_inf_values", "alpha_values", "datasets",
-            "n_runs", "dataset_scale", "seed", "n_workers", "store",
+            "n_runs", "dataset_scale", "seed", "n_workers",
         }
         unknown = set(payload) - known
         if unknown:
@@ -394,7 +379,7 @@ class SweepSpec:
             "alpha_values": tuple(payload["alpha_values"]),
         }
         for optional in (
-            "datasets", "n_runs", "dataset_scale", "seed", "n_workers", "name", "store",
+            "datasets", "n_runs", "dataset_scale", "seed", "n_workers", "name",
         ):
             if optional in payload:
                 value = payload[optional]
@@ -423,13 +408,11 @@ class SweepSpec:
         never change a dataset's rows are excluded: ``n_workers`` (sweeps
         are bit-identical for any worker count), ``datasets`` (each
         dataset's CSV depends only on its own grid — adding a dataset to
-        the spec must not invalidate the finished ones), ``name`` (it is
-        already the CSV filename) and ``store`` (every backend persists the
-        same canonical row bytes, so migrating between backends keeps the
-        fingerprint valid).
+        the spec must not invalidate the finished ones) and ``name`` (it is
+        already the CSV filename).
         """
         payload = self.to_dict()
-        for non_determining in ("n_workers", "datasets", "name", "store"):
+        for non_determining in ("n_workers", "datasets", "name"):
             payload.pop(non_determining, None)
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]

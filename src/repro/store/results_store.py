@@ -1,10 +1,13 @@
-"""The ``csv`` results backend: experiment rows as append-only CSV files.
+"""The results store: experiment rows as append-only CSV files.
 
-:class:`ResultsStore` is the :class:`~repro.store.backends.ResultsBackend`
-of kind ``csv``: one ``<stem>.csv`` per experiment under one directory (see
-:func:`safe_experiment_stem`).  The experiment harnesses also use it to save
-whole JSON documents and CSV tables for inspection; the store never
-overwrites silently: re-saving requires ``overwrite=True``.
+:class:`ResultsStore` keeps one ``<stem>.csv`` per experiment under one
+directory (see :func:`safe_experiment_stem`).  The sweeps persist results
+through it as *flat rows*: ordered string-valued records grouped by
+``experiment_id``, optionally tagged with a single-line header comment (the
+sweep layer stores the spec fingerprint there, see :data:`FINGERPRINT_KEY`).
+The experiment harnesses also use it to save whole JSON documents and CSV
+tables for inspection; the store never overwrites silently: re-saving
+requires ``overwrite=True``.
 
 Whole-file writes (:meth:`ResultsStore.save_rows`,
 :meth:`ResultsStore.save_json`) are **atomic**: content is staged to a temp
@@ -14,14 +17,17 @@ never both write a header) — O(batch) I/O per flush instead of re-reading and
 rewriting the whole file, which over a long sweep was O(rows^2).  A writer
 killed mid-flush can leave at most one torn trailing line; readers (and the
 next append) detect it by the missing newline terminator and drop it, so a
-crash can never poison a later ``--resume``.  CSVs may carry leading
+crash can never poison a later ``--resume``.  All rows of an experiment
+share one column set, cells are stored as ``str(value)`` (``None`` → ``""``)
+and must not contain newlines.  CSVs may carry leading
 ``# key=value`` comment lines above the header; readers skip them
 transparently.  Only lines *before* the header are comments — a data row
 whose first cell happens to start with ``#`` is data.  Two comments have a
 meaning: an ``# experiment_id=<id>`` line comes first when the file stem
 cannot spell the id (so :meth:`ResultsStore.list_experiments` returns the
 id, not the stem), and the header comment of the creating append (e.g. the
-sweep-spec fingerprint) follows it.
+sweep-spec fingerprint) follows it.  A file that is not UTF-8 text raises
+:class:`~repro.exceptions.ExperimentError` naming it.
 """
 
 from __future__ import annotations
@@ -33,14 +39,41 @@ import io
 import json
 import os
 import re
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import (
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    TextIO,
+    Tuple,
+    Union,
+)
 
 from .._atomicio import atomic_write_text as _atomic_write_text
 from ..exceptions import ExperimentError
-from .backends import ResultsBackend, validate_header_comment, validate_rows
 
-__all__ = ["ResultsStore", "safe_experiment_stem"]
+__all__ = [
+    "FINGERPRINT_KEY",
+    "ResultsStore",
+    "fingerprint_from_comment",
+    "safe_experiment_stem",
+]
+
+#: Key of the spec-fingerprint header comment
+#: (``# sweep_spec_fingerprint=<hex>`` above a sweep CSV's header).
+FINGERPRINT_KEY = "sweep_spec_fingerprint"
+
+
+def fingerprint_from_comment(comment: Optional[str]) -> Optional[str]:
+    """The spec fingerprint carried by a header comment, or ``None``."""
+    if comment is not None and comment.startswith(f"{FINGERPRINT_KEY}="):
+        return comment.split("=", 1)[1]
+    return None
+
 
 #: Characters allowed verbatim in on-disk experiment file stems.
 _UNSAFE_STEM_CHARS = re.compile(r"[^a-z0-9._-]")
@@ -80,17 +113,14 @@ def _id_record(experiment_id: str) -> str:
     return f"{_ID_RECORD}{experiment_id}\n"
 
 
-class ResultsStore(ResultsBackend):
-    """Directory-backed store for experiment outputs; the ``csv`` backend.
+class ResultsStore:
+    """Directory-backed store for experiment outputs.
 
     Parameters
     ----------
     root:
         Directory in which result files are written (created on demand).
     """
-
-    kind = "csv"
-    marker = "*.csv"
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
@@ -99,6 +129,7 @@ class ResultsStore(ResultsBackend):
         return self.root / f"{safe_experiment_stem(experiment_id)}.{suffix}"
 
     def location(self, experiment_id: str) -> str:
+        """Where the rows of ``experiment_id`` live (log lines)."""
         return str(self._path(experiment_id, "csv"))
 
     # ------------------------------------------------------------------ #
@@ -174,11 +205,11 @@ class ResultsStore(ResultsBackend):
         path = self._path(experiment_id, "csv")
         if not rows:
             return path
-        # A quoted multi-line cell would span physical lines, and a writer
-        # killed between them leaves a torn record that ends in a newline —
-        # invisible to the torn-tail guard; validate_rows rejects it.
-        fieldnames, stringified = validate_rows(rows)
-        validate_header_comment(header_comment)
+        fieldnames, stringified = _validate_rows(rows)
+        if header_comment is not None and (
+            "\n" in header_comment or "\r" in header_comment
+        ):
+            raise ExperimentError("header comment must be a single line")
         id_record = _id_record(experiment_id)
         self.root.mkdir(parents=True, exist_ok=True)
         fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
@@ -229,7 +260,7 @@ class ResultsStore(ResultsBackend):
         if not path.exists():
             return None
         id_record = _id_record(experiment_id).rstrip("\n")
-        with path.open("r", encoding="utf-8", newline="") as handle:
+        with _open_text(path) as handle:
             for line in handle:
                 if not line.strip():
                     continue
@@ -244,6 +275,10 @@ class ResultsStore(ResultsBackend):
     def has_rows(self, experiment_id: str) -> bool:
         """Whether a CSV for ``experiment_id`` already exists on disk."""
         return self._path(experiment_id, "csv").exists()
+
+    def fingerprint(self, experiment_id: str) -> Optional[str]:
+        """The spec fingerprint of one experiment, when recorded."""
+        return fingerprint_from_comment(self.read_header_comment(experiment_id))
 
     # ------------------------------------------------------------------ #
     # Reading
@@ -268,7 +303,7 @@ class ResultsStore(ResultsBackend):
         path = self._path(experiment_id, "csv")
         if not path.exists():
             raise ExperimentError(f"no saved results found at {path}")
-        with path.open("r", encoding="utf-8", newline="") as handle:
+        with _open_text(path) as handle:
             lines = handle.readlines()
         if lines and not lines[-1].endswith(("\n", "\r")):
             # Torn trailing line from a crashed O_APPEND flush; every line of
@@ -287,17 +322,106 @@ class ResultsStore(ResultsBackend):
             return []
         return sorted(_recorded_id(path) for path in self.root.glob("*.csv"))
 
+    def query(
+        self,
+        experiment_id: Optional[str] = None,
+        fingerprint: Optional[str] = None,
+        protocol: Optional[str] = None,
+        eps_min: Optional[float] = None,
+        eps_max: Optional[float] = None,
+    ) -> List[Dict[str, str]]:
+        """Rows matching every given filter, tagged with their experiment.
+
+        Filters: exact ``experiment_id``; exact spec ``fingerprint`` (whole
+        experiments are skipped without reading their rows when theirs does
+        not match); exact ``protocol`` column; inclusive ``eps_min`` /
+        ``eps_max`` range over the ``eps_inf`` column (rows without a
+        numeric ``eps_inf`` never match a range filter).  Returned rows gain
+        an ``experiment_id`` first column.
+        """
+        if experiment_id is not None:
+            identifiers = [experiment_id] if self.has_rows(experiment_id) else []
+        else:
+            identifiers = self.list_experiments()
+        matches: List[Dict[str, str]] = []
+        for identifier in identifiers:
+            if fingerprint is not None and self.fingerprint(identifier) != fingerprint:
+                continue
+            for row in self.load_rows(identifier):
+                if _row_matches(row, protocol, eps_min, eps_max):
+                    matches.append({"experiment_id": identifier, **row})
+        return matches
+
+
+def _row_matches(
+    row: Mapping[str, str],
+    protocol: Optional[str],
+    eps_min: Optional[float],
+    eps_max: Optional[float],
+) -> bool:
+    """Row-level filter of :meth:`ResultsStore.query`."""
+    if protocol is not None and row.get("protocol") != protocol:
+        return False
+    if eps_min is not None or eps_max is not None:
+        try:
+            eps_inf = float(row["eps_inf"])
+        except (KeyError, ValueError):
+            return False
+        if eps_min is not None and eps_inf < eps_min:
+            return False
+        if eps_max is not None and eps_inf > eps_max:
+            return False
+    return True
+
+
+def _validate_rows(
+    rows: Sequence[Mapping[str, object]],
+) -> Tuple[List[str], List[Dict[str, str]]]:
+    """Append-side validation; returns ``(fieldnames, stringified_rows)``.
+
+    A quoted multi-line cell would span physical lines, and a writer killed
+    between them leaves a torn record that ends in a newline — invisible to
+    the torn-tail guard — so newlines in cells are rejected.
+    """
+    fieldnames = list(rows[0].keys())
+    stringified: List[Dict[str, str]] = []
+    for row in rows:
+        if list(row.keys()) != fieldnames:
+            raise ExperimentError("all rows must share the same columns")
+        for value in row.values():
+            if isinstance(value, str) and ("\n" in value or "\r" in value):
+                raise ExperimentError(
+                    "appended cell values must not contain newlines"
+                )
+        stringified.append(
+            {key: "" if row[key] is None else str(row[key]) for key in fieldnames}
+        )
+    return fieldnames, stringified
+
+
+@contextmanager
+def _open_text(path: Path) -> Iterator[TextIO]:
+    """Open a store CSV for reading; bytes that are not UTF-8 raise
+    :class:`~repro.exceptions.ExperimentError` naming the file."""
+    try:
+        with path.open("r", encoding="utf-8", newline="") as handle:
+            yield handle
+    except UnicodeDecodeError as error:
+        raise ExperimentError(
+            f"cannot read results file {path}: not UTF-8 text ({error.reason})"
+        ) from None
+
 
 def _recorded_id(path: Path) -> str:
     """The experiment id a CSV records in its leading comment, else its
     stem (a CSV written before ids were recorded, or a safe id)."""
-    with path.open("r", encoding="utf-8", newline="") as handle:
+    with _open_text(path) as handle:
         for line in handle:
             if not line.strip():
                 continue
             if line.startswith(_ID_RECORD):
                 experiment_id = line[len(_ID_RECORD) :].rstrip("\r\n")
-                if safe_experiment_stem(experiment_id) == path.stem:
+                if experiment_id and safe_experiment_stem(experiment_id) == path.stem:
                     return experiment_id
             break
     return path.stem
@@ -309,7 +433,7 @@ def _read_header_fields(path: Path) -> Optional[List[str]]:
     Reads only the file's prefix (never the data rows); returns ``None`` when
     no header line exists yet.
     """
-    with path.open("r", encoding="utf-8", newline="") as handle:
+    with _open_text(path) as handle:
         for line in handle:
             if line.startswith("#") or not line.strip():
                 continue

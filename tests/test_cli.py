@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.exceptions import ParameterError
 from repro.specs import SweepSpec, load_sweep_spec
 
 
@@ -223,20 +224,20 @@ class TestSweepCommand:
         main(["sweep", "--spec", str(grid), "--output-dir", str(out)])
         capsys.readouterr()
         csv_path = out / "cli_syn.csv"
-        full = csv_path.read_text()
+        full = csv_path.read_bytes()
 
         # Simulate an interrupted sweep: drop the last two data rows
         # (keeping the fingerprint comment, the header and two rows).
-        lines = full.strip().splitlines()
-        csv_path.write_text("\n".join(lines[:4]) + "\n", encoding="utf-8")
+        lines = full.splitlines(keepends=True)
+        csv_path.write_bytes(b"".join(lines[:4]))
 
         code = main(["sweep", "--spec", str(grid), "--output-dir", str(out), "--resume"])
         assert code == 0
         output = capsys.readouterr().out
         assert "2 already complete" in output and "2 to run" in output
-        # Bit-identical to the uninterrupted run: resumed points consume the
+        # Byte-identical to the uninterrupted run: resumed points consume the
         # same derived streams.
-        assert csv_path.read_text() == full
+        assert csv_path.read_bytes() == full
 
     def test_sweep_resume_refuses_csv_from_a_different_spec(self, capsys, tmp_path, write_sweep_grid):
         """A fingerprinted CSV written by a different grid must be refused."""
@@ -304,83 +305,16 @@ class TestSweepCommand:
         assert "error" in capsys.readouterr().err
 
 
-class TestSweepStoreBackends:
-    """`sweep --store`, `query` and `migrate-store` end to end."""
+class TestQueryCli:
+    """`query` over the CSVs a `sweep` wrote."""
 
     def _run(self, grid, out, *extra):
         return main(["sweep", "--spec", str(grid), "--output-dir", str(out), *extra])
 
-    def test_sqlite_sweep_rows_match_csv_sweep(
-        self, capsys, tmp_path, write_sweep_grid
-    ):
-        from repro.store import make_backend
-
-        grid = write_sweep_grid()
-        assert self._run(grid, tmp_path / "csvout") == 0
-        assert self._run(grid, tmp_path / "dbout", "--store", "sqlite") == 0
-        assert "results.sqlite" in capsys.readouterr().out
-        with make_backend("csv", tmp_path / "csvout") as c, make_backend(
-            "sqlite", tmp_path / "dbout"
-        ) as s:
-            assert c.load_rows("cli_syn") == s.load_rows("cli_syn")
-            assert c.fingerprint("cli_syn") == s.fingerprint("cli_syn")
-
-    def test_spec_store_field_selects_backend_without_flag(
-        self, tmp_path, write_sweep_grid
-    ):
-        grid = write_sweep_grid()
-        payload = json.loads(grid.read_text())
-        payload["store"] = "sqlite"
-        grid.write_text(json.dumps(payload))
-        assert self._run(grid, tmp_path / "out") == 0
-        assert (tmp_path / "out" / "results.sqlite").exists()
-        assert not list((tmp_path / "out").glob("*.csv"))
-
-    def test_sqlite_interrupted_resume_is_bit_identical(
-        self, capsys, tmp_path, write_sweep_grid
-    ):
-        """The sqlite analogue of the CSV truncate-then-resume guarantee:
-        delete one committed row, resume, end bit-identical."""
-        import sqlite3
-
-        from repro.store import make_backend
-
-        grid = write_sweep_grid()
-        out = tmp_path / "out"
-        self._run(grid, out, "--store", "sqlite")
-        capsys.readouterr()
-        with make_backend("sqlite", out) as backend:
-            full = backend.load_rows("cli_syn")
-        connection = sqlite3.connect(out / "results.sqlite")
-        connection.execute(
-            "DELETE FROM rows WHERE seq = (SELECT MAX(seq) FROM rows)"
-        )
-        connection.commit()
-        connection.close()
-        code = self._run(grid, out, "--store", "sqlite", "--resume")
-        assert code == 0
-        assert "3 already complete" in capsys.readouterr().out
-        with make_backend("sqlite", out) as backend:
-            assert backend.load_rows("cli_syn") == full
-
-    def test_sqlite_resume_refuses_different_spec(
-        self, capsys, tmp_path, write_sweep_grid
-    ):
-        grid = write_sweep_grid()
-        out = tmp_path / "out"
-        self._run(grid, out, "--store", "sqlite")
-        capsys.readouterr()
-        payload = json.loads(grid.read_text())
-        payload["eps_inf_values"] = [1.0, 4.0]
-        grid.write_text(json.dumps(payload))
-        code = self._run(grid, out, "--store", "sqlite", "--resume")
-        assert code == 2
-        assert "refusing to resume" in capsys.readouterr().err
-
     def test_query_filters_and_formats(self, capsys, tmp_path, write_sweep_grid):
         grid = write_sweep_grid()
         out = tmp_path / "out"
-        self._run(grid, out, "--store", "sqlite")
+        self._run(grid, out)
         fingerprint = load_sweep_spec(grid).fingerprint()
         capsys.readouterr()
 
@@ -403,10 +337,10 @@ class TestSweepStoreBackends:
         assert len(rows) == 1
         assert rows[0]["protocol"] == "L-OSUE" and rows[0]["eps_inf"] == "2.0"
 
-    def test_query_output_file_and_autodetect(self, capsys, tmp_path, write_sweep_grid):
+    def test_query_output_file(self, capsys, tmp_path, write_sweep_grid):
         grid = write_sweep_grid()
         out = tmp_path / "out"
-        self._run(grid, out)  # csv backend, auto-detected by query
+        self._run(grid, out)
         capsys.readouterr()
         target = tmp_path / "result.csv"
         assert main(["query", "--dir", str(out), "--output", str(target)]) == 0
@@ -418,56 +352,46 @@ class TestSweepStoreBackends:
         assert code == 2
         assert "no results directory" in capsys.readouterr().err
 
-    def test_migrate_store_csv_to_sqlite_round_trip(
-        self, capsys, tmp_path, write_sweep_grid
-    ):
-        from repro.store import make_backend
+    def test_query_dir_without_csv_fails_cleanly(self, capsys, tmp_path):
+        (tmp_path / "stray.txt").write_text("not a results file\n")
+        assert main(["query", "--dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no results CSV" in err
 
-        grid = write_sweep_grid()
-        out = tmp_path / "out"
-        self._run(grid, out)
-        capsys.readouterr()
-        code = main(
-            ["migrate-store", "--source", str(out), "--dest", str(tmp_path / "db"),
-             "--to", "sqlite"]
-        )
-        assert code == 0
-        assert "migrated 1 experiment (4 rows)" in capsys.readouterr().out
-        with make_backend("csv", out) as c, make_backend(
-            "sqlite", tmp_path / "db"
-        ) as s:
-            assert c.load_rows("cli_syn") == s.load_rows("cli_syn")
-            assert c.read_header_comment("cli_syn") == s.read_header_comment("cli_syn")
-        # The migrated store resumes cleanly: everything is already complete.
-        code = main(
-            ["sweep", "--spec", str(grid), "--output-dir", str(tmp_path / "db"),
-             "--store", "sqlite", "--resume"]
-        )
-        assert code == 0
-        assert "already complete, nothing to do" in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sweep", "--spec", "s.json", "--output-dir", "o", "--store", "csv"],
+             "unrecognized arguments: --store csv"),
+            (["query", "--dir", "d", "--store", "csv"],
+             "unrecognized arguments: --store csv"),
+            (["migrate-store", "--source", "a", "--dest", "b"],
+             "invalid choice: 'migrate-store'"),
+        ],
+        ids=["sweep-store", "query-store", "migrate-store"],
+    )
+    def test_store_kind_options_are_gone(self, capsys, argv, message):
+        """The CSV store is the only results store: no kind to pick."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
 
-    def test_migrate_store_refuses_existing_destination(
-        self, capsys, tmp_path, write_sweep_grid
-    ):
-        grid = write_sweep_grid()
-        out = tmp_path / "out"
-        self._run(grid, out)
-        capsys.readouterr()
-        args = ["migrate-store", "--source", str(out), "--dest",
-                str(tmp_path / "db"), "--to", "sqlite"]
-        assert main(args) == 0
-        capsys.readouterr()
-        # Rerunning over an identical destination copies nothing ...
-        assert main(args) == 0
-        assert "migrated 0 experiments (0 rows)" in capsys.readouterr().out
-        # ... but a destination holding other rows is refused.
-        from repro.store import make_backend
 
-        with make_backend("sqlite", tmp_path / "db") as backend:
-            rows = backend.load_rows("cli_syn")
-            backend.append_rows("cli_syn", rows[:1])
-        assert main(args) == 2
-        assert "refusing to mix" in capsys.readouterr().err
+def test_sweep_spec_naming_store_is_refused(capsys, tmp_path, write_sweep_grid):
+    """A spec that still names the removed ``store`` field is refused as an
+    unknown field, by the API and by `repro-ldp sweep` (exit 2)."""
+    grid = write_sweep_grid()
+    payload = json.loads(grid.read_text())
+    payload["store"] = "csv"
+    with pytest.raises(ParameterError, match=r"unknown sweep spec fields: \['store'\]"):
+        SweepSpec.from_dict(payload)
+    grid.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    assert main(["sweep", "--spec", str(grid), "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'store'" in err
+    assert not out.exists()
 
 
 class TestEmitSpec:

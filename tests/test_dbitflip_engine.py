@@ -17,7 +17,7 @@ import pytest
 from repro.datasets.base import LongitudinalDataset
 from repro.longitudinal import DBitFlipPM
 from repro.simulation import DBitFlipEngine, simulate_protocol
-from repro.simulation.state import make_packed_bit_memo
+from repro.simulation.state import PackedBitMemo, SparsePackedBitMemo
 
 K, B, N_USERS, N_ROUNDS = 32, 16, 300, 12
 
@@ -77,23 +77,23 @@ def compare_keys(sampled_buckets, buckets, d):
     return keys
 
 
-def estimates_digest(d, churn, layout):
+def estimates_digest(d, churn, memo_class):
     result = simulate_protocol(
         DBitFlipPM(K, 2.0, b=B, d=d),
         churn_dataset(CHURN_SCHEDULES[churn]),
         rng=7,
-        engine_options={
-            "memo": make_packed_bit_memo(N_USERS, d + 1, d, layout=layout)
-        },
+        engine_options={"memo": memo_class(N_USERS, d + 1, d)},
     )
     return hashlib.sha256(np.ascontiguousarray(result.estimates).tobytes()).hexdigest()
 
 
-@pytest.mark.parametrize("layout", ["dense", "sparse"])
+@pytest.mark.parametrize(
+    "memo_class", [PackedBitMemo, SparsePackedBitMemo], ids=["dense", "sparse"]
+)
 @pytest.mark.parametrize("churn", list(CHURN_SCHEDULES))
 @pytest.mark.parametrize("d", [1, 3, B])
-def test_estimates_match_anchor(d, churn, layout):
-    assert estimates_digest(d, churn, layout) == ESTIMATE_SHA256[(d, churn)]
+def test_estimates_match_anchor(d, churn, memo_class):
+    assert estimates_digest(d, churn, memo_class) == ESTIMATE_SHA256[(d, churn)]
 
 
 @pytest.mark.parametrize("churn", list(CHURN_SCHEDULES))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import AggregationError, ParameterError
+from repro.exceptions import AggregationError
 from repro.longitudinal import DBitFlipPM, LGRR, LSUE, OLOLOHA
 from repro.simulation import simulate_protocol, simulate_protocol_sharded
 from repro.simulation.sinks import (
@@ -130,10 +130,12 @@ class TestSparsePackedBitMemo:
         for (user, key), row in resolved.items():
             assert np.array_equal(memo.get_row(user, key), row)
 
-    @pytest.mark.parametrize("layout", ["dense", "sparse"])
-    def test_column_sums_equals_unpacked_ground_truth(self, layout):
-        memo = make_packed_bit_memo(30, 5, 13, layout=layout)
-        shadow = make_packed_bit_memo(30, 5, 13, layout=layout)
+    @pytest.mark.parametrize(
+        "memo_class", [PackedBitMemo, SparsePackedBitMemo], ids=["dense", "sparse"]
+    )
+    def test_column_sums_equals_unpacked_ground_truth(self, memo_class):
+        memo = memo_class(30, 5, 13)
+        shadow = memo_class(30, 5, 13)
         keys = np.random.default_rng(3).integers(0, 5, size=30)
         sums = memo.column_sums(keys, _random_fresh(11))
         unpacked = shadow.resolve(keys, _random_fresh(11))
@@ -225,15 +227,22 @@ class TestMakePackedBitMemo:
         assert isinstance(memo, SparsePackedBitMemo)
         assert memo.nbytes_allocated == 0
 
-    def test_explicit_override(self):
-        assert isinstance(
-            make_packed_bit_memo(100_000, 2_048, 2_048, layout="dense"), PackedBitMemo
-        )
-        assert isinstance(make_packed_bit_memo(4, 2, 2, layout="sparse"), SparsePackedBitMemo)
-
-    def test_unknown_layout_rejected(self):
-        with pytest.raises(ParameterError, match="layout"):
-            make_packed_bit_memo(4, 2, 2, layout="compressed")
+    @pytest.mark.parametrize(
+        "n_users, k, memo_class",
+        [
+            (10_336, 1_152, SparsePackedBitMemo),  # db_mt, 1.7 GB dense
+            (9_123, 956, SparsePackedBitMemo),  # db_de, 1.05 GB dense
+            (10_000, 360, PackedBitMemo),  # syn, 165 MB dense
+            (45_222, 96, PackedBitMemo),  # adult, 56 MB dense
+        ],
+        ids=["db_mt", "db_de", "syn", "adult"],
+    )
+    def test_paper_ue_memos_take_the_layout_measured_faster(
+        self, n_users, k, memo_class
+    ):
+        """The cutover follows L-OSUE timings at scale 1.0: the two large
+        census domains run faster sparse, syn and adult faster dense."""
+        assert type(make_packed_bit_memo(n_users, k, k)) is memo_class
 
 
 class TestSupportCountSink:
