@@ -66,13 +66,7 @@ from .longitudinal import (
     optimal_g,
     optimal_g_numeric,
 )
-from .specs import (
-    CollectionSpec,
-    ProtocolSpec,
-    SweepSpec,
-    load_collection_spec,
-    load_sweep_spec,
-)
+from .specs import ProtocolSpec, SweepSpec, load_sweep_spec
 from .registry import (
     build_protocol,
     register_protocol,
@@ -127,10 +121,8 @@ __all__ = [
     "optimal_g",
     "optimal_g_numeric",
     # Declarative construction API + service façade
-    "CollectionSpec",
     "ProtocolSpec",
     "SweepSpec",
-    "load_collection_spec",
     "load_sweep_spec",
     "build_protocol",
     "register_protocol",

@@ -1,9 +1,9 @@
-"""Atomic file writes shared by the store, session and coordinator layers.
+"""Atomic file writes shared by the store, session and event-log layers.
 
 ``os.replace`` of a same-directory temp file is atomic on POSIX: readers —
-and crash-recovery paths like sweep ``--resume`` or coordinator
-``load_checkpoint`` — observe either the previous complete file or the new
-complete file, never a torn prefix.  The temp name embeds pid + uuid so
+and crash-recovery paths like sweep ``--resume`` or
+``CollectorSession.restore`` — observe either the previous complete file or
+the new complete file, never a torn prefix.  The temp name embeds pid + uuid so
 concurrent writers of the same target cannot collide on the staging file.
 """
 
@@ -45,9 +45,9 @@ def atomic_append_line(path: Union[str, Path], line: str, fsync: bool = True) ->
     """Append one line to ``path`` as a single ``O_APPEND`` write.
 
     POSIX serializes the offset update and the write of an ``O_APPEND``
-    ``write(2)``, so concurrent appenders (coordinator + workers sharing one
-    event log) interleave whole lines, never torn fragments.  A trailing
-    newline is added when missing; ``fsync`` makes the record durable before
+    ``write(2)``, so concurrent appenders (processes sharing one event log)
+    interleave whole lines, never torn fragments.  A trailing newline is
+    added when missing; ``fsync`` makes the record durable before
     returning (the event-log default — events exist to survive the crash
     they describe).
     """

@@ -102,7 +102,7 @@ class RandomModuleRule(Rule):
 
 
 #: Directories whose modules may never read the wall clock.  Round
-#: progression there is owned by RoundClock / the drivers; clock, lease and
+#: progression there is owned by RoundClock / the drivers; clock and
 #: observability modules live elsewhere and may read time freely.
 _TIME_FORBIDDEN_DIRS = frozenset(
     ("simulation", "longitudinal", "freq_oneshot", "hashing")
@@ -119,8 +119,8 @@ class WallClockRule(Rule):
         "freq_oneshot/ or hashing/"
     )
     invariant = (
-        "determinism of the simulation path: round sealing and leases read "
-        "time in clock/lease/obs modules only, so a simulation replays "
+        "determinism of the simulation path: round sealing reads time in "
+        "clock/obs modules only, so a simulation replays "
         "identically regardless of wall-clock speed"
     )
 
@@ -138,7 +138,7 @@ class WallClockRule(Rule):
                     yield self.finding(
                         module, node,
                         f"importing {', '.join(bad)} from 'time' in a "
-                        f"simulation-path package; only clock/lease/obs "
+                        f"simulation-path package; only clock/obs "
                         f"modules may read the wall clock",
                     )
             elif isinstance(node, ast.Call):

@@ -1,8 +1,8 @@
 """Rules keeping failure handling honest.
 
-A fault-tolerant fleet lives or dies by what its handlers swallow: a broad
-``except`` that absorbs a programming error turns a crash (recoverable via
-lease requeue) into silent data corruption.  Bare ``except:`` is banned
+A long-running service lives or dies by what its handlers swallow: a broad
+``except`` that absorbs a programming error turns a crash (recoverable by a
+restart from the checkpoint) into silent data corruption.  Bare ``except:`` is banned
 outright; ``except Exception``/``BaseException`` must carry a comment
 saying *why* catching everything is correct at that site — the pattern
 ``service/http.py`` models with ``# noqa: BLE001 - keep the server up``.

@@ -53,37 +53,12 @@ files whose fingerprint does not match::
 
     repro-ldp query --dir results/ --fingerprint 0123abcd... --protocol L-OSUE
 
-The ``serve`` / ``work`` pair runs a *distributed* sharded collection (see
-:mod:`repro.distributed`): ``serve`` loads a
-:class:`repro.specs.CollectionSpec`, spools shard tasks to a crash-safe
-queue directory (``--queue-dir DIR``) and aggregates worker summaries
-fault-tolerantly (lease-based requeue of dead workers' shards,
-duplicate-delivery dedup, optional ``--checkpoint`` for collector restarts).
-``work`` processes attach to the same directory, locally or from any host
-that mounts it::
-
-    repro-ldp serve --spec collection.json --queue-dir q/
-    repro-ldp work --queue-dir q/          # as many of these as you like
-
-A mixed fleet can size its shards unevenly with
-``CollectionSpec.shard_weights``.  On shared filesystems other parties can
-write to, ``--auth-key-env SECRET_VAR`` (or ``auth_key_env`` in the spec)
-HMAC-signs every task and summary payload with the secret held in that
-environment variable — both sides must export it; tampered or unsigned
-payloads are rejected and counted, never absorbed.
-
-Every shard's randomness derives from the collection seed alone, so the
-final estimates are bit-identical to the serial path regardless of worker
-fleet, sharding weights, crashes or retries.
-
-``serve``, ``work`` and ``sweep`` all accept ``--metrics-port PORT`` (serve
-this process's metric registry on ``/metrics`` + ``/healthz``) and
-``--events PATH.jsonl`` (append a structured, schema-versioned event log;
-see :mod:`repro.obs`).  ``repro-ldp status`` renders a one-shot or
-``--watch`` fleet/sweep dashboard — shards pending/leased/done, throughput,
-ETA — from such a metrics endpoint (``--metrics HOST:PORT``) or, with no
-port up, from the spool and checkpoint files (``--queue-dir DIR
-[--checkpoint PATH.npz]``).
+``sweep`` accepts ``--metrics-port PORT`` (serve this process's metric
+registry on ``/metrics`` + ``/healthz``) and ``--events PATH.jsonl`` (append
+a structured, schema-versioned event log; see :mod:`repro.obs`).
+``repro-ldp status --metrics HOST:PORT`` renders a one-shot or ``--watch``
+sweep progress dashboard — points done, skipped on resume, throughput —
+from such a metrics endpoint.
 
 The ``ingest`` / ``loadgen`` pair runs a *live* collection (see
 :mod:`repro.service.ingest`): ``ingest`` starts the async HTTP front door
@@ -100,8 +75,8 @@ are bit-identical to what a local batch session would be fed::
     repro-ldp loadgen --spec ingest.json --connect 127.0.0.1:8471 --users 500
 
 Both sides honor ``--auth-key-env SECRET_VAR`` (HMAC-signed submissions,
-same envelope as the distributed transports); an ``ingest`` without it
-serves unauthenticated and says so loudly.
+see :mod:`repro.service.auth`); an ``ingest`` without it serves
+unauthenticated and says so loudly.
 
 ``check`` runs the AST-based invariant checker (see :mod:`repro.checks`)
 over the source tree — RNG/wall-clock determinism, atomic-IO, exception
@@ -140,15 +115,13 @@ from .experiments import (
     run_table2,
 )
 from .simulation.sweep import completed_points_from_rows, run_sweep
-from .specs import SweepSpec, load_collection_spec, load_sweep_spec
+from .specs import SweepSpec, load_sweep_spec
 from .store import FINGERPRINT_KEY, ResultsStore
 
 __all__ = [
     "build_parser",
     "main",
     "run_spec_sweep",
-    "run_serve",
-    "run_work",
     "run_status",
     "run_ingest",
     "run_loadgen",
@@ -156,42 +129,14 @@ __all__ = [
 ]
 
 
-def _add_backend_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--kernel-backend", choices=["auto", "numpy", "native"], default=None,
-        help="kernel backend for the hot simulation folds: 'numpy' forces "
-             "the reference implementation, 'native' requires the compiled "
-             "one, 'auto' (the default) compiles when possible and falls "
-             "back to numpy; applies to this process and its worker pool",
-    )
-
-
-def _add_obs_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--metrics-port", type=int, default=None, metavar="PORT",
-        help="serve this process's metrics registry over HTTP on "
-             "127.0.0.1:PORT (GET /metrics + /healthz; port 0 = ephemeral, "
-             "the bound address is printed) — the surface that "
-             "'repro-ldp status' reads",
-    )
-    parser.add_argument(
-        "--events", default=None, metavar="PATH.jsonl",
-        help="append structured events (schema-versioned JSONL, one record "
-             "per line) to this file; span records are mirrored there too",
-    )
-
-
-def _apply_obs_options(
-    args: argparse.Namespace, component: str, run_id: str = ""
-):
-    """Install ``--metrics-port`` / ``--events`` for this process.
+def _apply_obs_options(args: argparse.Namespace, run_id: str):
+    """Install ``sweep --metrics-port`` / ``--events`` for this process.
 
     Returns the started :class:`~repro.obs.MetricsExporter` (or ``None``)
     so callers can close it; either flag also enables span tracing, which
     never touches the RNG streams — estimates stay bit-identical.
     """
-    metrics_port = getattr(args, "metrics_port", None)
-    events = getattr(args, "events", None)
+    metrics_port, events = args.metrics_port, args.events
     if metrics_port is None and events is None:
         return None
     from .obs import (
@@ -202,7 +147,7 @@ def _apply_obs_options(
     )
 
     if events is not None:
-        set_default_event_log(EventLog(events, component=component, run_id=run_id))
+        set_default_event_log(EventLog(events, component="sweep", run_id=run_id))
         print(f"events: appending to {events}", flush=True)
     exporter = None
     if metrics_port is not None:
@@ -220,7 +165,7 @@ def _apply_backend_option(args: argparse.Namespace) -> None:
     ``native`` was requested on a host that cannot compile it, instead of
     erroring mid-sweep inside a worker.
     """
-    choice = getattr(args, "kernel_backend", None)
+    choice = args.kernel_backend
     if choice is None:
         return
     import os
@@ -324,102 +269,34 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=None,
         help="override the spec's worker-process count",
     )
-    _add_backend_option(sweep_parser)
-    _add_obs_options(sweep_parser)
-
-    serve_parser = subparsers.add_parser(
-        "serve",
-        help="coordinate a distributed sharded collection: spool shard "
-             "tasks to a queue directory and aggregate worker summaries "
-             "fault-tolerantly",
+    sweep_parser.add_argument(
+        "--kernel-backend", choices=["auto", "numpy", "native"], default=None,
+        help="kernel backend for the hot simulation folds: 'numpy' forces "
+             "the reference implementation, 'native' requires the compiled "
+             "one, 'auto' (the default) compiles when possible and falls "
+             "back to numpy; applies to this process and its worker pool",
     )
-    serve_parser.add_argument(
-        "--spec", required=True, metavar="PATH",
-        help="collection spec JSON file (see repro.specs.CollectionSpec)",
+    sweep_parser.add_argument(
+        "--metrics-port", type=int, default=None, metavar="PORT",
+        help="serve this process's metrics registry over HTTP on "
+             "127.0.0.1:PORT (GET /metrics + /healthz; port 0 = ephemeral, "
+             "the bound address is printed) — the surface that "
+             "'repro-ldp status' reads",
     )
-    serve_parser.add_argument(
-        "--queue-dir", required=True, metavar="DIR",
-        help="spool directory shared with the workers",
+    sweep_parser.add_argument(
+        "--events", default=None, metavar="PATH.jsonl",
+        help="append structured events (schema-versioned JSONL, one record "
+             "per line) to this file; span records are mirrored there too",
     )
-    serve_parser.add_argument(
-        "--lease-timeout", type=float, default=30.0, metavar="SECONDS",
-        help="requeue a claimed shard after this long without a summary",
-    )
-    serve_parser.add_argument(
-        "--auth-key-env", default=None, metavar="ENV_VAR",
-        help="environment variable holding the shared HMAC secret; task and "
-             "summary payloads are signed/verified and tampered ones rejected "
-             "(overrides the spec's auth_key_env; the key itself never "
-             "appears in files or argv)",
-    )
-    serve_parser.add_argument(
-        "--checkpoint", default=None, metavar="PATH.npz",
-        help="coordinator checkpoint, rewritten after every summary; an "
-             "existing checkpoint of the same plan is restored so a killed "
-             "collector resumes bit-identical to an uninterrupted run",
-    )
-    serve_parser.add_argument(
-        "--local-workers", type=int, default=0, metavar="N",
-        help="also run N worker threads inside the collector process",
-    )
-    serve_parser.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="abort if the collection has not completed in time",
-    )
-    serve_parser.add_argument(
-        "--save-estimates", default=None, metavar="PATH.npz",
-        help="write the final estimate matrix (plus ground truth and "
-             "metrics) as an .npz archive",
-    )
-    _add_backend_option(serve_parser)
-    _add_obs_options(serve_parser)
-
-    work_parser = subparsers.add_parser(
-        "work",
-        help="run a shard worker: claim tasks from a queue, execute them "
-             "and return summaries (datasets are rebuilt from the task's "
-             "registry reference — no code is shipped)",
-    )
-    work_parser.add_argument(
-        "--queue-dir", required=True, metavar="DIR",
-        help="spool directory of the collection (the one given to serve)",
-    )
-    work_parser.add_argument(
-        "--max-tasks", type=int, default=None, metavar="N",
-        help="exit after completing N shards (default: unbounded)",
-    )
-    work_parser.add_argument(
-        "--idle-exit", type=float, default=60.0, metavar="SECONDS",
-        help="exit after this long without claimable work (default: 60)",
-    )
-    work_parser.add_argument(
-        "--auth-key-env", default=None, metavar="ENV_VAR",
-        help="environment variable holding the shared HMAC secret "
-             "(must match the collector's)",
-    )
-    _add_backend_option(work_parser)
-    _add_obs_options(work_parser)
 
     status_parser = subparsers.add_parser(
         "status",
-        help="render a fleet/sweep progress dashboard (shards pending/"
-             "leased/done, throughput, ETA) from a process's --metrics-port "
-             "endpoint, or from the spool/checkpoint files when no port "
-             "is up",
-    )
-    status_source = status_parser.add_mutually_exclusive_group(required=True)
-    status_source.add_argument(
-        "--metrics", default=None, metavar="HOST:PORT",
-        help="scrape a --metrics-port endpoint (e.g. 127.0.0.1:9400)",
-    )
-    status_source.add_argument(
-        "--queue-dir", default=None, metavar="DIR",
-        help="inspect a file-transport spool directory instead",
+        help="render a sweep progress dashboard (points done, skipped on "
+             "resume, throughput) from a process's --metrics-port endpoint",
     )
     status_parser.add_argument(
-        "--checkpoint", default=None, metavar="PATH.npz",
-        help="coordinator checkpoint providing the absorbed-shard progress "
-             "summary (only with --queue-dir)",
+        "--metrics", required=True, metavar="HOST:PORT",
+        help="scrape a --metrics-port endpoint (e.g. 127.0.0.1:9400)",
     )
     status_parser.add_argument(
         "--watch", action="store_true",
@@ -746,154 +623,24 @@ def _parse_host_port(address: str, option: str) -> Tuple[str, int]:
         raise ReproError(f"invalid port in {option}={address!r}") from None
 
 
-def run_serve(args: argparse.Namespace) -> int:
-    """Coordinate one distributed sharded collection end to end."""
-    from contextlib import nullcontext
-
-    import numpy as np
-
-    from .distributed import (
-        Coordinator,
-        DatasetRef,
-        FileQueueTransport,
-        authenticator_from_env,
-        local_worker_threads,
-    )
-    from .simulation.runner import make_shard_tasks, result_from_summaries
-
-    _apply_backend_option(args)
-    spec = load_collection_spec(args.spec)
-    _apply_obs_options(args, component="coordinator", run_id=spec.name)
-    auth_key_env = args.auth_key_env or spec.auth_key_env
-    auth = authenticator_from_env(auth_key_env)
-    dataset = make_dataset(spec.dataset, scale=spec.dataset_scale, rng=spec.seed)
-    tasks = make_shard_tasks(
-        spec.protocol, dataset, spec.n_shards, spec.seed,
-        weights=spec.shard_weights,
-    )
-    dataset_ref = DatasetRef(
-        name=spec.dataset, scale=spec.dataset_scale, seed=spec.seed
-    )
-    authenticated = f", HMAC-authenticated via ${auth_key_env}" if auth else ""
-    transport = FileQueueTransport(args.queue_dir, auth=auth)
-    print(
-        f"{spec.name}: spooling {len(tasks)} shard tasks to "
-        f"{args.queue_dir}{authenticated}"
-    )
-    try:
-        coordinator = Coordinator(
-            tasks,
-            transport,
-            dataset_ref=dataset_ref,
-            lease_timeout=args.lease_timeout,
-            checkpoint_path=args.checkpoint,
-        )
-        if args.checkpoint:
-            restored = coordinator.load_checkpoint()
-            if restored:
-                print(
-                    f"{spec.name}: restored {restored} shard summaries from "
-                    f"{args.checkpoint}"
-                )
-        workers = (
-            local_worker_threads(transport, args.local_workers, dataset=dataset)
-            if args.local_workers > 0
-            else nullcontext()
-        )
-        with workers:
-            coordinator.run(timeout=args.timeout)
-    finally:
-        transport.close()
-    result = result_from_summaries(
-        spec.protocol,
-        dataset,
-        coordinator.ordered_summaries(),
-        extra={"transport": type(transport).__name__},
-    )
-    rejected = transport.rejected
-    print(
-        f"{spec.name}: collected {coordinator.n_shards} shards "
-        f"({coordinator.requeued} requeued, {coordinator.republished} "
-        f"republished, {coordinator.duplicates} duplicate, "
-        f"{coordinator.foreign} foreign and {rejected} unverified "
-        f"summaries dropped)"
-    )
-    print(
-        f"{spec.name}: protocol={result.protocol_name} dataset={result.dataset_name} "
-        f"mse_avg={result.mse_avg:.6e} eps_avg={result.eps_avg:.4f}"
-    )
-    if args.save_estimates:
-        from pathlib import Path
-
-        target = Path(args.save_estimates)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        np.savez_compressed(
-            target,
-            estimates=result.estimates,
-            true_frequencies=result.true_frequencies,
-            distinct_memoized_per_user=result.distinct_memoized_per_user,
-            mse_avg=np.float64(result.mse_avg),
-            eps_avg=np.float64(result.eps_avg),
-        )
-        print(f"{spec.name}: estimates saved to {target}")
-    return 0
-
-
-def run_work(args: argparse.Namespace) -> int:
-    """Run one worker process against a queue directory."""
-    from .distributed import FileQueueWorker, authenticator_from_env, run_worker
-
-    _apply_backend_option(args)
-    _apply_obs_options(args, component="worker")
-    auth = authenticator_from_env(args.auth_key_env)
-    endpoint = FileQueueWorker(args.queue_dir, auth=auth)
-    print(f"worker attached to {args.queue_dir}")
-    try:
-        completed = run_worker(
-            endpoint,
-            max_tasks=args.max_tasks,
-            idle_timeout=args.idle_exit,
-        )
-    finally:
-        endpoint.close()
-    rejected = endpoint.rejected
-    suffix = f" ({rejected} unverified task payloads rejected)" if rejected else ""
-    print(f"worker done: {completed} shards completed{suffix}")
-    return 0
-
-
 def run_status(args: argparse.Namespace) -> int:
-    """Render the fleet/sweep dashboard once, or repeatedly with --watch."""
+    """Render the sweep dashboard once, or repeatedly with --watch."""
     import time as time_module
+    import urllib.error
+    import urllib.request
 
-    from .obs.status import (
-        render_status,
-        snapshot_from_metrics_text,
-        snapshot_from_spool,
-    )
+    from .obs.status import render_status, snapshot_from_metrics_text
 
-    if args.checkpoint and not args.queue_dir:
-        raise ReproError("--checkpoint only applies with --queue-dir")
+    host, port = _parse_host_port(args.metrics, "--metrics")
+    url = f"http://{host}:{port}/metrics"
 
-    if args.metrics is not None:
-        host, port = _parse_host_port(args.metrics, "--metrics")
-        url = f"http://{host}:{port}/metrics"
-
-        def take_snapshot():
-            import urllib.error
-            import urllib.request
-
-            try:
-                with urllib.request.urlopen(url, timeout=10.0) as response:
-                    text = response.read().decode("utf-8")
-            except (urllib.error.URLError, OSError) as error:
-                raise ReproError(f"cannot scrape {url}: {error}") from None
-            return snapshot_from_metrics_text(text, source=f"{host}:{port}")
-
-    else:
-
-        def take_snapshot():
-            return snapshot_from_spool(args.queue_dir, checkpoint=args.checkpoint)
+    def take_snapshot():
+        try:
+            with urllib.request.urlopen(url, timeout=10.0) as response:
+                text = response.read().decode("utf-8")
+        except (urllib.error.URLError, OSError) as error:
+            raise ReproError(f"cannot scrape {url}: {error}") from None
+        return snapshot_from_metrics_text(text, source=f"{host}:{port}")
 
     if not args.watch:
         print(render_status(take_snapshot()))
@@ -971,7 +718,7 @@ def run_loadgen(args: argparse.Namespace) -> int:
     """Drive a live ingestion service with seeded synthetic traffic."""
     import asyncio
 
-    from .distributed.auth import PayloadAuthenticator
+    from .service.auth import PayloadAuthenticator
     from .service.loadgen import run_loadgen as run_loadgen_async
     from .specs import load_ingest_spec
 
@@ -1038,7 +785,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "sweep":
         _apply_backend_option(args)
         spec = load_sweep_spec(args.spec)
-        _apply_obs_options(args, component="sweep", run_id=spec.name)
+        _apply_obs_options(args, run_id=spec.name)
         return run_spec_sweep(
             spec,
             args.output_dir,
@@ -1053,8 +800,6 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     runners = {
         "query": run_query,
-        "serve": run_serve,
-        "work": run_work,
         "status": run_status,
         "ingest": run_ingest,
         "loadgen": run_loadgen,

@@ -7,13 +7,13 @@ Three primitives shared by every layer of the reproduction stack:
   Prometheus text exposition and a process-global default registry;
 * :mod:`repro.obs.events` — an append-only, schema-versioned JSONL event
   log with crash-safe appends (:class:`EventLog`, :func:`emit_event`);
-* :mod:`repro.obs.spans` — ``with span("shard.run", shard_id=…)`` timing
+* :mod:`repro.obs.spans` — ``with span("sweep.task", task_index=…)`` timing
   blocks recording wall/CPU histograms, near-zero cost when disabled.
 
 :class:`MetricsExporter` (:mod:`repro.obs.http`) serves ``/metrics`` and
 ``/healthz`` from a background thread for synchronous processes, and
-:mod:`repro.obs.status` turns either a scrape or the on-disk spool and
-checkpoint files into the ``repro-ldp status`` dashboard.
+:mod:`repro.obs.status` turns a scrape into the ``repro-ldp status``
+dashboard.
 """
 
 from .events import (

@@ -9,16 +9,16 @@ fixed envelope —
 ``ts``
     Unix wall-clock seconds (float),
 ``component``
-    the emitting subsystem (``"coordinator"``, ``"worker"``, ``"sweep"`` …),
+    the emitting subsystem (``"sweep"``, ``"simulation"`` …),
 ``event``
-    the event name (``"lease_requeue"``, ``"task_error"`` …),
+    the event name (``"sweep_started"``, ``"span"`` …),
 ``run_id``
     an operator-chosen correlation id shared by every process of one run —
 
 plus free-form event-specific fields.  Records are appended through
 :func:`repro._atomicio.atomic_append_line`, a single fsynced ``O_APPEND``
-write per record, so coordinator and worker processes can share one file
-and a crash never leaves a torn line.
+write per record, so several processes can share one file and a crash
+never leaves a torn line.
 
 The module keeps one process-global default log (:func:`set_default_event_log`,
 installed by the CLI ``--events`` flag); :func:`emit_event` is a no-op until

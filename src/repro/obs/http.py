@@ -1,7 +1,7 @@
 """A threaded ``/metrics`` + ``/healthz`` exporter for synchronous processes.
 
 The ingestion service is already an asyncio program and serves its registry
-on its own front door; the coordinator, workers and sweeps are synchronous.
+on its own front door; sweeps are synchronous.
 :class:`MetricsExporter` gives them the same scrape surface by running an
 :class:`~repro.service.http.AsyncHttpServer` on a private event loop inside
 a daemon thread:

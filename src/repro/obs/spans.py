@@ -1,9 +1,9 @@
 """Lightweight span tracing: timed ``with`` blocks feeding histograms.
 
-``with span("shard.run", shard_id=3): ...`` measures the block's wall and
+``with span("sweep.task", task_index=3): ...`` measures the block's wall and
 CPU time and records them into two histograms of the default registry —
-``repro_span_seconds{span="shard.run"}`` and
-``repro_span_cpu_seconds{span="shard.run"}`` — plus a ``repro_spans_total``
+``repro_span_seconds{span="sweep.task"}`` and
+``repro_span_cpu_seconds{span="sweep.task"}`` — plus a ``repro_spans_total``
 counter.  When span events are enabled, each completed span additionally
 appends a ``span`` record (name, wall/CPU seconds, the call's keyword
 fields) to the default event log.

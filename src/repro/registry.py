@@ -5,7 +5,7 @@ Every longitudinal protocol of the paper registers a *builder* — a function
 aliases).  :func:`build_protocol` is the single construction entry point of
 the public API and replaces the old protocol factory closures: because a
 :class:`~repro.specs.ProtocolSpec` is plain data, sweep tasks and shard work
-units can be pickled and shipped across processes or hosts.
+units can be pickled and shipped across processes.
 
 Registered names (see :func:`registered_protocols`):
 

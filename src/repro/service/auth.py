@@ -1,26 +1,22 @@
-"""Shared-secret payload authentication for untrusted transports.
+"""Shared-secret payload authentication for the live ingestion service.
 
-The file-spool and TCP transports move task and summary payloads through
-media an attacker may be able to write to (a shared filesystem, a network
-segment).  :class:`PayloadAuthenticator` wraps every payload in an
-HMAC-SHA256 envelope::
+Report submissions may cross a network an attacker can write to.
+:class:`PayloadAuthenticator` wraps every payload in an HMAC-SHA256
+envelope::
 
     b"RHM1" + 32-byte HMAC-SHA256(key, payload) + payload
 
-Both endpoints of an authenticated transport hold the same secret: the
-coordinator signs task payloads and verifies summary payloads, the worker
-verifies task payloads and signs summary payloads.  A payload whose tag does
-not verify — tampered bytes, a signature stripped off, a frame signed with a
-different key — raises :class:`AuthenticationError`, which the transports
-translate into "reject, count, continue" rather than a crash: summaries are
-re-requested through the normal lease-expiry requeue and tampered task files
-are republished from the coordinator's authentic copies.
+The ingest server and its clients (e.g. :mod:`repro.service.loadgen`) hold
+the same secret: clients sign each submission body, the server verifies it.
+A payload whose tag does not verify — tampered bytes, a signature stripped
+off, a body signed with a different key — raises
+:class:`AuthenticationError`, which the server answers with ``401``
+instead of folding the batch.
 
-The secret itself never travels through spec files or the queue: it is
-resolved from an environment variable named by
-:attr:`repro.specs.CollectionSpec.auth_key_env` / ``--auth-key-env`` (see
-:func:`authenticator_from_env`), so a ``collection.json`` can be committed
-or shipped without leaking the key.
+The secret itself never travels through spec files: it is resolved from an
+environment variable named by :attr:`repro.specs.IngestSpec.auth_key_env` /
+``--auth-key-env`` (see :func:`authenticator_from_env`), so an
+``ingest.json`` can be committed or shipped without leaking the key.
 """
 
 from __future__ import annotations
@@ -30,7 +26,7 @@ import hmac
 import os
 from typing import Optional
 
-from .codec import TransportError
+from ..exceptions import ExperimentError
 
 __all__ = [
     "AuthenticationError",
@@ -43,16 +39,16 @@ _TAG_BYTES = hashlib.sha256().digest_size
 _HEADER_BYTES = len(_MAGIC) + _TAG_BYTES
 
 
-class AuthenticationError(TransportError):
+class AuthenticationError(ExperimentError):
     """A payload failed HMAC verification (tampered, unsigned or wrong key)."""
 
 
 class PayloadAuthenticator:
-    """Signs and verifies transport payloads with one shared secret."""
+    """Signs and verifies payloads with one shared secret."""
 
     def __init__(self, key: bytes) -> None:
         if not isinstance(key, (bytes, bytearray)) or not key:
-            raise TransportError("the authentication key must be non-empty bytes")
+            raise ExperimentError("the authentication key must be non-empty bytes")
         self._key = bytes(key)
 
     def sign(self, payload: bytes) -> bytes:
@@ -87,15 +83,15 @@ def authenticator_from_env(env_name: Optional[str]) -> Optional[PayloadAuthentic
 
     ``None`` (authentication off) passes through as ``None``.  Naming a
     variable that is unset or empty is a configuration error, not a silent
-    downgrade to unauthenticated transport.
+    downgrade to an unauthenticated service.
     """
     if env_name is None:
         return None
     value = os.environ.get(env_name)
     if not value:
-        raise TransportError(
+        raise ExperimentError(
             f"authentication key environment variable {env_name!r} is not set "
-            f"(export a shared secret in it on both the collector and every "
-            f"worker)"
+            f"(export a shared secret in it on both the server and every "
+            f"client)"
         )
     return PayloadAuthenticator(value.encode("utf-8"))

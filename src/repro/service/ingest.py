@@ -17,9 +17,9 @@ of from a dataset file:
 
 * a :class:`~repro.service.clock.RoundClock` that owns round windowing
   (timeout / quorum / explicit sealing, late-report policy),
-* optional HMAC-SHA256 submission authentication reusing the
-  :mod:`repro.distributed.auth` envelope (same ``--auth-key-env``
-  convention as the distributed transports),
+* optional HMAC-SHA256 submission authentication with the
+  :mod:`repro.service.auth` envelope (the secret is named by
+  ``--auth-key-env``),
 * periodic atomic checkpointing of the session and its clock into one
   ``.npz`` file, and a graceful stop-and-checkpoint on SIGTERM.
 
@@ -61,13 +61,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..distributed.auth import AuthenticationError, authenticator_from_env
 from ..exceptions import AggregationError, ParameterError
 from ..longitudinal.base import LongitudinalProtocol
 from ..longitudinal.dbitflip import DBitFlipPM, DBitFlipReport
 from ..longitudinal.l_grr import LGRR
 from ..longitudinal.l_ue import LongitudinalUnaryEncoding
 from ..specs import IngestSpec
+from .auth import AuthenticationError, authenticator_from_env
 from .clock import RoundClock, SealEvent
 from .http import AsyncHttpServer, HttpError, HttpRequest, HttpResponse
 from ..obs.metrics import MetricsRegistry

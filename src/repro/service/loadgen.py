@@ -25,12 +25,12 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..distributed.auth import PayloadAuthenticator, authenticator_from_env
 from ..exceptions import ParameterError
 from ..longitudinal.base import LongitudinalProtocol
 from ..registry import build_protocol
 from ..specs import ProtocolSpec
 from .._validation import require_int_at_least
+from .auth import PayloadAuthenticator, authenticator_from_env
 from .http import HttpClient
 from .ingest import encode_reports, wire_reports_supported
 

@@ -11,9 +11,7 @@ every round observed so far.
 
 The session builds on the sink layer: support counts are folded exactly like
 :class:`~repro.simulation.sinks.SupportCountSink` does (debiasing is linear
-per round, so late debiasing is bit-identical), whole-run shard partials are
-merged through the associative :class:`~repro.simulation.sinks.ShardedSink`
-contract via :meth:`CollectorSession.absorb_summary`, and estimates come
+per round, so late debiasing is bit-identical), and estimates come
 from :func:`repro.simulation.sinks.estimate_support_counts`.  Unlike the
 sinks, the per-round sample size is the number of reports *actually
 received* for that round, so estimates are unbiased even while a round is
@@ -43,7 +41,7 @@ from .._validation import require_int_at_least
 from ..exceptions import AggregationError, EncodingError, ParameterError
 from ..longitudinal.base import LongitudinalProtocol, RoundEstimate
 from ..registry import build_protocol
-from ..simulation.sinks import ShardSummary, estimate_support_counts
+from ..simulation.sinks import estimate_support_counts
 from ..specs import ProtocolSpec
 from .clock import RoundClock
 
@@ -213,23 +211,6 @@ class CollectorSession:
         self._counts[target] += counts
         self._n_reports[target] += n_reports
         return self.estimate(target)
-
-    def absorb_summary(self, summary: ShardSummary) -> None:
-        """Merge a whole-run shard partial (``ShardedSink`` contract).
-
-        The summary's ``(n_rounds, m)`` counts are added round by round and
-        its users are credited to every round — the same associative, exact
-        integer-float summation as :meth:`repro.simulation.sinks.ShardedSink.absorb`,
-        so shards may be absorbed in any grouping.
-        """
-        counts = np.asarray(summary.support_counts, dtype=np.float64)
-        if counts.shape != self._counts.shape:
-            raise AggregationError(
-                f"shard count shape {counts.shape} does not match "
-                f"{self._counts.shape}"
-            )
-        self._counts += counts
-        self._n_reports += summary.n_users
 
     # ------------------------------------------------------------------ #
     # Running estimates

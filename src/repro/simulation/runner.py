@@ -15,20 +15,16 @@ engines).
 
 ``simulate_protocol_sharded`` accepts either a protocol object or a
 declarative :class:`~repro.specs.ProtocolSpec`; with a spec, every shard
-becomes a picklable :class:`ShardTask` and ``n_workers > 1`` distributes the
-shards across a process pool.  Passing ``transport=`` (see
-:mod:`repro.distributed`) instead routes the same tasks through a pluggable
-transport — in-memory or a crash-safe file spool — with a
-fault-tolerant :class:`~repro.distributed.coordinator.Coordinator` that
-requeues crashed workers' shards and deduplicates double deliveries; the
-estimates stay bit-identical to the serial path in every case.
+becomes a picklable :class:`ShardTask` and ``n_workers > 1`` runs the
+shards on a local process pool.  The estimates are bit-identical to the
+serial path for every worker count.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -242,9 +238,9 @@ def simulate_protocol(
 class ShardTask:
     """One picklable shard work unit of a sharded simulation.
 
-    Carries everything a worker needs — a declarative protocol spec, the
-    shard's user slice and its derived seed — so shards can be shipped
-    across processes (or serialized for remote hosts) and their
+    Carries everything a pool worker needs — a declarative protocol spec,
+    the shard's user slice and its derived seed — so shards can be shipped
+    to worker processes and their
     :class:`~repro.simulation.sinks.ShardSummary` results merged in any
     grouping.
     """
@@ -257,9 +253,8 @@ class ShardTask:
 
 
 # ``fork``-safe per-worker shard context (see sweep.py for the same pattern).
-# ``ShardTask`` itself stays minimal for codec compatibility, so the dataset a
-# co-located worker shares travels through the pool initializer instead of
-# the task.
+# The dataset travels through the pool initializer once per worker instead
+# of once per task.
 _SHARD_DATASET: Optional[LongitudinalDataset] = None
 
 
@@ -283,8 +278,8 @@ def run_shard_task(
             "or run the task on a pool initialized with one"
         )
     if task.dataset_name and dataset.name != task.dataset_name:
-        # Tasks are shippable; a worker holding a different workload must
-        # fail loudly instead of producing mislabelled partial counts.
+        # A worker holding a different workload must fail loudly instead of
+        # producing mislabelled partial counts.
         raise ExperimentError(
             f"shard task for dataset {task.dataset_name!r} reached a worker "
             f"holding dataset {dataset.name!r}"
@@ -314,49 +309,18 @@ def _resolve_protocol(
     return protocol_or_spec
 
 
-def shard_boundaries(
-    n_users: int, n_shards: int, weights: Optional[Sequence[float]] = None
-) -> np.ndarray:
-    """Population split points for ``n_shards`` contiguous user shards.
+def shard_boundaries(n_users: int, n_shards: int) -> np.ndarray:
+    """Population split points for ``n_shards`` even, contiguous user shards.
 
-    With ``weights`` (one positive number per shard — e.g. relative host
-    speeds) shard ``i`` covers a population slice proportional to
-    ``weights[i]``; ``None`` splits evenly.  The result is a pure function
-    of ``(n_users, n_shards, weights)``: every shard is guaranteed at least
-    one user (rounding never collapses a tiny weight to an empty slice,
-    which no engine could run), and equal inputs yield identical boundaries
-    on every host.
+    A pure function of ``(n_users, n_shards)``, so equal inputs yield
+    identical boundaries in every process.
     """
     n_shards = require_int_at_least(n_shards, 1, "n_shards")
     if n_shards > n_users:
         raise ExperimentError(
             f"cannot split {n_users} users into {n_shards} shards"
         )
-    if weights is None:
-        return np.linspace(0, n_users, n_shards + 1).astype(np.int64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (n_shards,):
-        raise ExperimentError(
-            f"expected one weight per shard (shape ({n_shards},)), "
-            f"got shape {weights.shape}"
-        )
-    if not np.all(np.isfinite(weights)) or np.any(weights <= 0.0):
-        raise ExperimentError("shard weights must be positive and finite")
-    cumulative = np.concatenate([[0.0], np.cumsum(weights)]) / weights.sum()
-    boundaries = np.rint(cumulative * n_users).astype(np.int64)
-    boundaries[0] = 0
-    boundaries[-1] = n_users
-    # Restore strict monotonicity after rounding: push collapsed boundaries
-    # right, then pull any overshoot back from the right edge.  Equivalent to
-    # clamping boundary i into [i, n_users - (n_shards - i)].
-    for i in range(1, n_shards + 1):
-        if boundaries[i] <= boundaries[i - 1]:
-            boundaries[i] = boundaries[i - 1] + 1
-    boundaries[-1] = n_users  # the forward pass may have pushed past the end
-    for i in range(n_shards - 1, 0, -1):
-        if boundaries[i] >= boundaries[i + 1]:
-            boundaries[i] = boundaries[i + 1] - 1
-    return boundaries
+    return np.linspace(0, n_users, n_shards + 1).astype(np.int64)
 
 
 def make_shard_tasks(
@@ -364,23 +328,15 @@ def make_shard_tasks(
     dataset: LongitudinalDataset,
     n_shards: int,
     rng: RngLike = None,
-    weights: Optional[Sequence[float]] = None,
 ) -> List[ShardTask]:
     """Split ``dataset`` into ``n_shards`` contiguous shard work units.
 
     Shard ``i`` covers users ``[boundaries[i], boundaries[i+1])`` and is
     seeded by the ``i``-th child of the root seed — a pure function of
-    ``(rng, n_shards, i)``, so any executor (process pool, file-queue
-    worker, a retry after a crash) reproduces the identical summary.
-
-    ``weights`` sizes the shards proportionally (see :func:`shard_boundaries`)
-    for heterogeneous fleets.  Seed derivation is *full-grid*: the ``i``-th
-    shard always takes the ``i``-th child seed regardless of the weighting,
-    so for a fixed ``(rng, n_shards, weights)`` the resulting estimates are
-    bit-identical whether the tasks run serially, on a process pool or on
-    any distributed worker fleet.
+    ``(rng, n_shards, i)``, so the tasks reproduce the identical summaries
+    whether they run serially or on a process pool.
     """
-    boundaries = shard_boundaries(dataset.n_users, n_shards, weights)
+    boundaries = shard_boundaries(dataset.n_users, n_shards)
     shard_seeds = derive_seed_sequences(rng, len(boundaries) - 1)
     return [
         ShardTask(
@@ -398,22 +354,18 @@ def result_from_summaries(
     protocol: Union[LongitudinalProtocol, ProtocolSpec],
     dataset: LongitudinalDataset,
     summaries: List[ShardSummary],
-    extra: Optional[Dict[str, object]] = None,
 ) -> SimulationResult:
     """Merge shard summaries (in the given order) into a final result."""
     resolved = _resolve_protocol(protocol, dataset.k)
     merged = ShardedSink()
     for summary in summaries:
         merged.absorb(summary)
-    packaged_extra = {"engine": "sharded", "n_shards": len(summaries)}
-    if extra:
-        packaged_extra.update(extra)
     return _package_result(
         resolved,
         dataset,
         estimates=merged.estimates(resolved),
         distinct=merged.distinct_memoized_per_user,
-        extra=packaged_extra,
+        extra={"engine": "sharded", "n_shards": len(summaries)},
     )
 
 
@@ -423,9 +375,6 @@ def simulate_protocol_sharded(
     n_shards: int,
     rng: RngLike = None,
     n_workers: int = 1,
-    transport=None,
-    lease_timeout: float = 30.0,
-    weights: Optional[Sequence[float]] = None,
 ) -> SimulationResult:
     """Simulate ``protocol`` by splitting the population into user shards.
 
@@ -440,59 +389,26 @@ def simulate_protocol_sharded(
     ``protocol`` may be a protocol object or a
     :class:`~repro.specs.ProtocolSpec`.  With a spec, the shards become
     picklable :class:`ShardTask` work units and ``n_workers > 1`` executes
-    them on a process pool; results are bit-identical for every worker count
-    because each shard's stream is derived from the root seed alone.
-
-    With ``transport=`` (a :class:`repro.distributed.Transport`), the tasks
-    are instead serialized as JSON payloads and executed through the
-    fault-tolerant :class:`~repro.distributed.coordinator.Coordinator`:
-    ``n_workers`` local worker threads are attached to the transport
-    (``n_workers=0`` relies entirely on external workers, e.g. ``repro-ldp
-    work`` processes), crashed workers' shards are requeued after
-    ``lease_timeout`` seconds, and the estimates remain bit-identical to the
-    serial path.
-
-    ``weights`` sizes the shards proportionally for heterogeneous fleets
-    (see :func:`shard_boundaries`); for a fixed weighting the estimates stay
-    bit-identical across every execution mode, because seed derivation is
-    full-grid (shard ``i`` owns child seed ``i`` no matter how large its
-    slice is).
+    them on a local process pool; results are bit-identical for every worker
+    count because each shard's stream is derived from the root seed alone.
     """
     resolved = _resolve_protocol(protocol, dataset.k)
     _check_domains(resolved, dataset)
     n_shards = require_int_at_least(n_shards, 1, "n_shards")
-    n_workers = require_int_at_least(n_workers, 0 if transport is not None else 1, "n_workers")
+    n_workers = require_int_at_least(n_workers, 1, "n_workers")
     if n_shards > dataset.n_users:
         raise ExperimentError(
             f"cannot split {dataset.n_users} users into {n_shards} shards"
         )
-    if (n_workers > 1 or transport is not None) and not isinstance(protocol, ProtocolSpec):
+    if n_workers > 1 and not isinstance(protocol, ProtocolSpec):
         raise ExperimentError(
             "distributing shards requires a ProtocolSpec (protocol objects "
             "are not shipped as work units); pass a spec from repro.specs"
         )
 
-    if transport is not None:
-        # runtime import: repro.distributed builds on this module
-        from ..distributed import Coordinator, local_worker_threads
-
-        tasks = make_shard_tasks(protocol, dataset, n_shards, rng, weights=weights)
-        coordinator = Coordinator(tasks, transport, lease_timeout=lease_timeout)
-        with local_worker_threads(transport, n_workers, dataset=dataset) as pool:
-            # Abort (instead of polling forever) if every local worker died;
-            # with n_workers=0 external workers are expected and the pool
-            # reports nothing.
-            coordinator.run(abort=pool.failure_reason)
-        return result_from_summaries(
-            protocol,
-            dataset,
-            coordinator.ordered_summaries(),
-            extra={"transport": type(transport).__name__},
-        )
-
     summaries: List[ShardSummary]
     if isinstance(protocol, ProtocolSpec):
-        tasks = make_shard_tasks(protocol, dataset, n_shards, rng, weights=weights)
+        tasks = make_shard_tasks(protocol, dataset, n_shards, rng)
         if n_workers == 1:
             summaries = [run_shard_task(task, dataset) for task in tasks]
         else:
@@ -506,7 +422,7 @@ def simulate_protocol_sharded(
                 summaries = list(pool.map(run_shard_task, tasks))
     else:
         shard_seeds = derive_seed_sequences(rng, n_shards)
-        boundaries = shard_boundaries(dataset.n_users, n_shards, weights)
+        boundaries = shard_boundaries(dataset.n_users, n_shards)
         summaries = []
         for shard, seed in enumerate(shard_seeds):
             generator = np.random.default_rng(seed)

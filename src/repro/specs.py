@@ -4,7 +4,7 @@ The construction API of the library is *data first*: a
 :class:`ProtocolSpec` is a frozen, validated description of one protocol
 configuration (registry name, domain size, budgets and protocol-specific
 parameters) that can be pickled, JSON round-tripped and shipped across
-processes or hosts.  :func:`repro.registry.build_protocol` turns a concrete
+processes.  :func:`repro.registry.build_protocol` turns a concrete
 spec into a live :class:`~repro.longitudinal.base.LongitudinalProtocol`.
 
 Specs replace the old protocol factory closures (``lambda k, eps_inf,
@@ -45,11 +45,9 @@ from ._validation import require_int_at_least, require_positive
 from .exceptions import ParameterError
 
 __all__ = [
-    "CollectionSpec",
     "IngestSpec",
     "ProtocolSpec",
     "SweepSpec",
-    "load_collection_spec",
     "load_ingest_spec",
     "load_sweep_spec",
 ]
@@ -431,150 +429,13 @@ def load_sweep_spec(path: Union[str, Path]) -> SweepSpec:
 
 
 @dataclass(frozen=True)
-class CollectionSpec:
-    """Declarative description of one distributed sharded collection —
-    the payload of ``repro-ldp serve --spec collection.json`` files.
-
-    Attributes
-    ----------
-    protocol:
-        The protocol template; ``k`` is filled in from the dataset, so the
-        template needs concrete budgets (``eps_inf`` plus ``alpha`` or
-        ``eps_1``) only.
-    dataset:
-        Dataset registry name (see :func:`repro.datasets.make_dataset`).
-    dataset_scale:
-        Fraction of the paper-sized population / horizon to collect.
-    n_shards:
-        Number of contiguous user shards distributed to workers.
-    seed:
-        Root seed: seeds the dataset build *and* the per-shard randomness
-        (derived per shard index), so any worker fleet — and any crash /
-        requeue / duplicate history — reproduces the serial estimates
-        bit for bit.
-    name:
-        Collection id used in logs and output file names.
-    shard_weights:
-        Optional per-shard sizing weights (one positive number per shard,
-        e.g. relative host speeds) for heterogeneous fleets; ``None``
-        splits the population evenly.  See
-        :func:`repro.simulation.runner.shard_boundaries`.
-    auth_key_env:
-        Name of the environment variable holding the shared HMAC secret for
-        payload authentication (see :mod:`repro.distributed.auth`).  Only
-        the *name* is serialized — the key itself is resolved from the
-        environment on each endpoint and never stored in the spec JSON.
-        ``None`` runs unauthenticated.
-    """
-
-    protocol: ProtocolSpec
-    dataset: str = "syn"
-    dataset_scale: float = 1.0
-    n_shards: int = 1
-    seed: int = 20230328
-    name: str = "collection"
-    shard_weights: Optional[Tuple[float, ...]] = None
-    auth_key_env: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.protocol, ProtocolSpec):
-            raise ParameterError(
-                f"protocol must be a ProtocolSpec, got {type(self.protocol).__name__}"
-            )
-        if self.protocol.eps_inf is None:
-            raise ParameterError(
-                "the collection's protocol template needs a concrete eps_inf"
-            )
-        if not isinstance(self.dataset, str) or not self.dataset:
-            raise ParameterError("dataset must be a non-empty registry name")
-        require_positive(self.dataset_scale, "dataset_scale")
-        require_int_at_least(self.n_shards, 1, "n_shards")
-        if not isinstance(self.name, str) or not self.name:
-            raise ParameterError("collection name must be a non-empty string")
-        if self.shard_weights is not None:
-            weights = tuple(float(w) for w in self.shard_weights)
-            if len(weights) != self.n_shards:
-                raise ParameterError(
-                    f"shard_weights needs one weight per shard "
-                    f"({self.n_shards}), got {len(weights)}"
-                )
-            for weight in weights:
-                require_positive(weight, "shard weight")
-            object.__setattr__(self, "shard_weights", weights)
-        if self.auth_key_env is not None and (
-            not isinstance(self.auth_key_env, str) or not self.auth_key_env
-        ):
-            raise ParameterError(
-                "auth_key_env must be a non-empty environment variable name "
-                "or None"
-            )
-
-    def to_dict(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "name": self.name,
-            "protocol": self.protocol.to_dict(),
-            "dataset": self.dataset,
-            "dataset_scale": self.dataset_scale,
-            "n_shards": self.n_shards,
-            "seed": self.seed,
-        }
-        if self.shard_weights is not None:
-            payload["shard_weights"] = list(self.shard_weights)
-        if self.auth_key_env is not None:
-            payload["auth_key_env"] = self.auth_key_env
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "CollectionSpec":
-        if not isinstance(payload, Mapping):
-            raise ParameterError(
-                f"a collection spec must be a mapping, got {type(payload).__name__}"
-            )
-        known = {
-            "name", "protocol", "dataset", "dataset_scale", "n_shards", "seed",
-            "shard_weights", "auth_key_env",
-        }
-        unknown = set(payload) - known
-        if unknown:
-            raise ParameterError(
-                f"unknown collection spec fields: {sorted(unknown)}; "
-                f"known: {sorted(known)}"
-            )
-        if "protocol" not in payload:
-            raise ParameterError("a collection spec requires a 'protocol' field")
-        kwargs: Dict[str, object] = {
-            "protocol": ProtocolSpec.from_dict(payload["protocol"])
-        }
-        for optional in ("name", "dataset", "dataset_scale", "n_shards", "seed", "auth_key_env"):
-            if optional in payload:
-                kwargs[optional] = payload[optional]
-        if "shard_weights" in payload and payload["shard_weights"] is not None:
-            kwargs["shard_weights"] = tuple(payload["shard_weights"])
-        return cls(**kwargs)
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CollectionSpec":
-        return cls.from_dict(json.loads(text))
-
-    def save(self, path: Union[str, Path]) -> Path:
-        """Write the spec as a JSON file and return the path."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(path, self.to_json() + "\n")
-        return path
-
-
-@dataclass(frozen=True)
 class IngestSpec:
     """Declarative description of one live ingestion service — the payload
     of ``repro-ldp ingest --spec ingest.json`` files.
 
-    Unlike a :class:`CollectionSpec` there is no dataset: the population is
-    *whatever reports over the wire*, so the protocol template must be fully
-    concrete (``k`` included — nothing fills it in).
+    There is no dataset: the population is *whatever reports over the
+    wire*, so the protocol template must be fully concrete (``k`` included
+    — nothing fills it in).
 
     Attributes
     ----------
@@ -601,7 +462,7 @@ class IngestSpec:
         active when the service is given a checkpoint path).
     auth_key_env:
         Name of the environment variable holding the shared HMAC secret
-        (see :mod:`repro.distributed.auth`); submissions must then be
+        (see :mod:`repro.service.auth`); submissions must then be
         signed envelopes and unauthenticated bodies are rejected with
         ``401``.  ``None`` runs unauthenticated.
     """
@@ -725,17 +586,3 @@ def load_ingest_spec(path: Union[str, Path]) -> IngestSpec:
             f"invalid JSON in ingest spec {path}: {error}"
         ) from None
     return IngestSpec.from_dict(payload)
-
-
-def load_collection_spec(path: Union[str, Path]) -> CollectionSpec:
-    """Load a :class:`CollectionSpec` from a JSON file."""
-    path = Path(path)
-    if not path.exists():
-        raise ParameterError(f"collection spec file not found: {path}")
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as error:
-        raise ParameterError(
-            f"invalid JSON in collection spec {path}: {error}"
-        ) from None
-    return CollectionSpec.from_dict(payload)

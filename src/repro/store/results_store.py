@@ -277,8 +277,25 @@ class ResultsStore:
         return self._path(experiment_id, "csv").exists()
 
     def fingerprint(self, experiment_id: str) -> Optional[str]:
-        """The spec fingerprint of one experiment, when recorded."""
-        return fingerprint_from_comment(self.read_header_comment(experiment_id))
+        """The spec fingerprint of one experiment; ``None`` when its CSV
+        carries no header comment (written before fingerprinting).
+
+        A comment that is present but is no fingerprint record raises
+        :class:`~repro.exceptions.ExperimentError` naming the file: a
+        damaged key must not pass for a CSV without a fingerprint, or
+        ``sweep --resume`` would keep rows of a different spec.
+        """
+        comment = self.read_header_comment(experiment_id)
+        if comment is None:
+            return None
+        fingerprint = fingerprint_from_comment(comment)
+        if fingerprint is None:
+            raise ExperimentError(
+                f"unknown header comment {comment!r} in "
+                f"{self.location(experiment_id)}: expected "
+                f"{FINGERPRINT_KEY}=<fingerprint>"
+            )
+        return fingerprint
 
     # ------------------------------------------------------------------ #
     # Reading

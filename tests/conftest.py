@@ -16,7 +16,7 @@ from repro.longitudinal import (
     LSUE,
     OLOLOHA,
 )
-from repro.specs import CollectionSpec, ProtocolSpec, SweepSpec
+from repro.specs import ProtocolSpec, SweepSpec
 
 
 @pytest.fixture
@@ -53,36 +53,6 @@ def oneshot_dataset():
     return make_uniform_changing(
         k=16, n_users=200, n_rounds=1, change_probability=0.5, name="oneshot", rng=3
     )
-
-
-@pytest.fixture
-def queue_dir(tmp_path):
-    """A per-test spool directory for file-queue transports."""
-    return tmp_path / "queue"
-
-
-@pytest.fixture
-def write_collection_spec(tmp_path):
-    """Factory: build a small CollectionSpec and save it as JSON.
-
-    Returns ``(spec, path)``; keyword overrides replace the defaults (a
-    3-shard L-OSUE collection over the scaled-down ``syn`` dataset).
-    """
-
-    def _write(**overrides):
-        fields = dict(
-            protocol=ProtocolSpec(name="L-OSUE", eps_inf=2.0, alpha=0.5),
-            dataset="syn",
-            dataset_scale=0.02,
-            n_shards=3,
-            seed=20230328,
-            name="test-collection",
-        )
-        fields.update(overrides)
-        spec = CollectionSpec(**fields)
-        return spec, spec.save(tmp_path / f"{spec.name}.json")
-
-    return _write
 
 
 @pytest.fixture

@@ -31,60 +31,32 @@ class TestParser:
         assert args.eps == [0.5, 2.0, 5.0]
         assert args.alpha == [0.5]
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["sweep", "--spec", "s.json", "--output-dir", "o", "--shared-dataset"],
-            ["serve", "--spec", "s.json", "--queue-dir", "q", "--publish-dataset"],
-            ["work", "--queue-dir", "q", "--attach-dataset"],
-        ],
-        ids=["sweep", "serve", "work"],
-    )
-    def test_shared_memory_flags_are_gone(self, capsys, argv):
+    def test_shared_memory_flags_are_gone(self, capsys):
+        argv = ["sweep", "--spec", "s.json", "--output-dir", "o", "--shared-dataset"]
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(argv)
         assert excinfo.value.code == 2
         assert f"unrecognized arguments: {argv[-1]}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "command, removed",
+        "argv",
         [
-            ("serve", "--transport tcp"),
-            ("serve", "--bind h:1"),
-            ("work", "--connect h:1"),
-            ("work", "--capacity 4"),
-            ("work", "--poll"),
+            ["serve", "--spec", "s.json", "--queue-dir", "q"],
+            ["work", "--queue-dir", "q"],
+            ["status", "--queue-dir", "q"],
+            ["status", "--metrics", "127.0.0.1:9", "--checkpoint", "x.npz"],
         ],
-        ids=["serve-transport", "serve-bind", "work-connect", "work-capacity",
-             "work-poll"],
+        ids=["serve", "work", "status-queue-dir", "status-checkpoint"],
     )
-    def test_tcp_transport_flags_are_gone(self, capsys, command, removed):
-        """The file queue is the one cross-process transport: the TCP
-        broker's flags are unknown options, not silently ignored ones."""
-        argv = [command, "--queue-dir", "q"] + removed.split()
-        if command == "serve":
-            argv += ["--spec", "s.json"]
-        with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(argv)
-        assert excinfo.value.code == 2
-        assert f"unrecognized arguments: {removed}" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "removed", ["--checkpoint-store x", "--checkpoint-store-kind sqlite"]
-    )
-    def test_checkpoint_store_flags_are_gone(self, capsys, removed):
-        """serve --checkpoint PATH.npz is the one coordinator restart path."""
-        argv = ["serve", "--spec", "s.json", "--queue-dir", "q"] + removed.split()
+    def test_file_queue_commands_are_gone(self, capsys, argv):
+        """Shards run on a local pool only: the file-queue commands and the
+        spool half of ``status`` are argparse errors, not tracebacks."""
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
-        assert f"unrecognized arguments: {removed}" in capsys.readouterr().err
-
-    def test_work_requires_queue_dir(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(["work", "--idle-exit", "1"])
-        assert excinfo.value.code == 2
-        assert "--queue-dir" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "repro-ldp" in err and "error:" in err
+        assert "Traceback" not in err
 
 
 class TestCommands:

@@ -59,9 +59,3 @@ class TestExamples:
         stdout = _run_example("quickstart.py")
         assert "MSE averaged" in stdout
         assert "realized longitudinal budget" in stdout
-
-    def test_distributed_quickstart_runs_end_to_end(self):
-        stdout = _run_example("distributed_quickstart.py")
-        assert "wrong-key worker rejected 3 task payload(s)" in stdout
-        assert "bit-identical to the serially-run weighted plan" in stdout
-        assert stdout.rstrip().endswith("distributed quickstart OK")

@@ -17,7 +17,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.distributed.auth import PayloadAuthenticator
+from repro.service.auth import PayloadAuthenticator
 from repro.exceptions import ParameterError
 from repro.service import CollectorSession, MetricsRegistry, RoundClock
 from repro.service.clock import SealEvent
@@ -279,7 +279,7 @@ class TestSessionWithClock:
         assert clock.early_reports == len(rounds[1]) + len(rounds[2])
         session.submit_reports(0, rounds[0])
         # A duplicate delivery of an on-time batch is folded again: the
-        # session is an absorber, dedup is the transport's job (and the
+        # session is an absorber, dedup is the sender's job (and the
         # report count doubles with it, keeping the estimate unbiased).
         session.submit_reports(0, rounds[0])
         assert session.estimate(0).n_reports == 2 * len(rounds[0])

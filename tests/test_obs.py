@@ -6,9 +6,8 @@ escaping, non-finite observations, empty registries, scrape-while-mutating),
 the structured JSONL event log (envelope validation, crash-safe appends,
 strict readers), span tracing (near-zero disabled path, histogram recording,
 span events, error propagation), the threaded :class:`MetricsExporter`, the
-``repro-ldp status`` snapshot/render layer over both a scrape and the spool,
-the coordinator/worker instrumentation of a live fleet, and the bit-identity
-of estimates with instrumentation on versus off.
+``repro-ldp status`` snapshot/render layer over a scrape, and the
+bit-identity of estimates with instrumentation on versus off.
 """
 
 import json
@@ -21,14 +20,6 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.distributed import (
-    Coordinator,
-    FileQueueTransport,
-    InProcessTransport,
-    TaskEnvelope,
-    local_worker_threads,
-    run_worker,
-)
 from repro.exceptions import ParameterError, ReproError
 from repro.obs import (
     EventLog,
@@ -50,17 +41,8 @@ from repro.obs.status import (
     parse_exposition,
     render_status,
     snapshot_from_metrics_text,
-    snapshot_from_spool,
 )
-from repro.simulation.runner import (
-    make_shard_tasks,
-    result_from_summaries,
-    simulate_protocol,
-    simulate_protocol_sharded,
-)
-from repro.specs import ProtocolSpec
-
-SPEC = ProtocolSpec(name="L-OSUE", eps_inf=2.0, alpha=0.5)
+from repro.simulation.runner import simulate_protocol
 
 
 @pytest.fixture(autouse=True)
@@ -413,139 +395,31 @@ class TestStatusParsing:
 
     def test_snapshot_from_metrics_text(self):
         registry = MetricsRegistry()
-        registry.gauge("repro_coord_shards_total").set(8)
-        registry.gauge("repro_coord_shards_done").set(3)
-        registry.gauge("repro_coord_shards_pending").set(5)
-        registry.counter("repro_coord_tasks_requeued_total").inc(2)
-        registry.counter("repro_worker_tasks_claimed_total").inc(5)
         sweep = registry.counter("repro_sweep_points_total")
         sweep.labels(status="done").inc(4)
         sweep.labels(status="skipped").inc(1)
         snapshot = snapshot_from_metrics_text(registry.render(), source="t")
         assert snapshot.source == "t"
-        assert (snapshot.shards_total, snapshot.shards_done) == (8, 3)
-        assert snapshot.shards_pending == 5
-        assert snapshot.counters["requeued"] == 2.0
-        assert snapshot.counters["worker_claims"] == 5.0
         assert (snapshot.sweep_done, snapshot.sweep_skipped) == (4, 1)
 
-    def test_render_with_previous_shows_throughput_and_eta(self):
-        previous = StatusSnapshot(
-            source="t", captured_at=100.0, shards_total=10, shards_done=2
-        )
+    def test_render_with_previous_shows_sweep_throughput(self):
+        previous = StatusSnapshot(source="t", captured_at=100.0, sweep_done=2)
         current = StatusSnapshot(
-            source="t",
-            captured_at=102.0,
-            shards_total=10,
-            shards_done=6,
-            shards_pending=4,
+            source="t", captured_at=102.0, sweep_done=6, sweep_skipped=1
         )
         text = render_status(current, previous)
-        assert "shards: 10 total | 6 done | 4 pending" in text
-        assert "throughput: 2.00 shards/s (ETA 2s)" in text
+        assert "sweep: 6 points done, 1 skipped (resume)" in text
+        assert "sweep throughput: 2.00 points/s" in text
 
     def test_render_empty_snapshot_says_so(self):
         text = render_status(StatusSnapshot(source="t", captured_at=0.0))
-        assert "no fleet or sweep series found" in text
-
-
-class TestStatusFromSpool:
-    def test_missing_queue_dir_raises(self, tmp_path):
-        with pytest.raises(ReproError, match="does not exist"):
-            snapshot_from_spool(tmp_path / "nope")
-
-    def test_spool_counts_without_checkpoint(self, tmp_path):
-        for sub in ("tasks", "claims", "summaries"):
-            (tmp_path / sub).mkdir()
-        (tmp_path / "tasks" / "task-000001.json").write_text("{}")
-        (tmp_path / "tasks" / "task-000002.json").write_text("{}")
-        (tmp_path / "claims" / "task-000003.json").write_text("{}")
-        (tmp_path / "summaries" / "summary-000000.npz").write_bytes(b"x")
-        snapshot = snapshot_from_spool(tmp_path)
-        assert snapshot.shards_total == 4
-        assert snapshot.shards_done == 1
-        assert snapshot.shards_pending == 3
-        assert snapshot.shards_leased == 1
-        assert snapshot.counters["spool_unclaimed"] == 2.0
-        assert snapshot.counters["spool_delivered"] == 1.0
-
-    def test_checkpoint_progress_meta_wins(self, tmp_path, tiny_dataset):
-        queue = tmp_path / "queue"
-        checkpoint = tmp_path / "coordinator.npz"
-        tasks = make_shard_tasks(SPEC, tiny_dataset, 3, rng=5)
-        transport = FileQueueTransport(queue)
-        coordinator = Coordinator(
-            tasks, transport, poll_interval=0.02, checkpoint_path=checkpoint
-        )
-        coordinator.publish_pending()
-        with local_worker_threads(transport, 2, dataset=tiny_dataset) as pool:
-            coordinator.run(timeout=60.0, abort=pool.failure_reason)
-        snapshot = snapshot_from_spool(queue, checkpoint=checkpoint)
-        assert snapshot.shards_total == 3
-        assert snapshot.shards_done == 3
-        assert snapshot.shards_pending == 0
-        assert snapshot.counters["requeued"] == 0.0
+        assert "no sweep series found" in text
 
 
 # --------------------------------------------------------------------- #
-# Fleet instrumentation end to end
+# Instrumentation end to end
 # --------------------------------------------------------------------- #
-class TestFleetInstrumentation:
-    def test_coordinator_and_worker_metrics_after_collection(
-        self, tmp_path, tiny_dataset
-    ):
-        serial = simulate_protocol_sharded(SPEC, tiny_dataset, n_shards=3, rng=9)
-        events_path = tmp_path / "events.jsonl"
-        set_default_event_log(
-            EventLog(events_path, component="test", run_id="fleet")
-        )
-        transport = FileQueueTransport(tmp_path / "queue")
-        tasks = make_shard_tasks(SPEC, tiny_dataset, 3, rng=9)
-        coordinator = Coordinator(tasks, transport, poll_interval=0.02)
-        coordinator.publish_pending()
-        with local_worker_threads(transport, 2, dataset=tiny_dataset) as pool:
-            coordinator.run(timeout=60.0, abort=pool.failure_reason)
-
-        registry = default_registry()
-        assert registry.get("repro_coord_tasks_published_total").value() == 3.0
-        assert registry.get("repro_coord_summaries_total").value() == 3.0
-        assert registry.get("repro_coord_shards_done").value() == 3.0
-        assert registry.get("repro_coord_shards_pending").value() == 0.0
-        assert registry.get("repro_worker_tasks_claimed_total").value() == 3.0
-        assert registry.get("repro_worker_summaries_total").value() == 3.0
-        assert registry.get("repro_worker_task_seconds").count() == 3
-
-        kinds = [record["event"] for record in read_events(events_path)]
-        assert "tasks_published" in kinds
-        assert "collection_complete" in kinds
-        assert kinds.count("task_done") == 3
-        assert all(r["run_id"] == "fleet" for r in read_events(events_path))
-
-        result = result_from_summaries(
-            SPEC, tiny_dataset, coordinator.ordered_summaries()
-        )
-        assert np.array_equal(result.estimates, serial.estimates)
-
-    def test_worker_failure_event_metric_and_stderr(self, tmp_path, capsys):
-        events_path = tmp_path / "events.jsonl"
-        set_default_event_log(EventLog(events_path, run_id="crash"))
-        transport = InProcessTransport()
-        transport.publish(TaskEnvelope(shard_id=0, payload=b"not a task"))
-        with pytest.raises(Exception):
-            run_worker(transport.worker(), idle_timeout=0.5)
-
-        assert default_registry().get("repro_worker_errors_total").value(
-            stage="task_decode"
-        ) == 1.0
-        record, = read_events(events_path)
-        assert record["event"] == "error"
-        assert record["component"] == "worker"
-        assert record["stage"] == "task_decode"
-        assert "Traceback" in record["traceback"]
-        stderr_record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert stderr_record["event"] == "error"
-        assert stderr_record["stage"] == "task_decode"
-
+class TestInstrumentation:
     def test_instrumentation_never_perturbs_estimates(self, tiny_dataset, tmp_path):
         from repro.longitudinal import LOSUE
 
@@ -564,71 +438,39 @@ class TestFleetInstrumentation:
 # CLI status command
 # --------------------------------------------------------------------- #
 class TestStatusCli:
-    def test_status_from_spool_and_checkpoint(self, tmp_path, tiny_dataset, capsys):
-        from repro.cli import main
-
-        queue = tmp_path / "queue"
-        checkpoint = tmp_path / "coordinator.npz"
-        transport = FileQueueTransport(queue)
-        tasks = make_shard_tasks(SPEC, tiny_dataset, 2, rng=5)
-        coordinator = Coordinator(
-            tasks, transport, poll_interval=0.02, checkpoint_path=checkpoint
-        )
-        coordinator.publish_pending()
-        with local_worker_threads(transport, 1, dataset=tiny_dataset) as pool:
-            coordinator.run(timeout=60.0, abort=pool.failure_reason)
-
-        code = main(
-            [
-                "status",
-                "--queue-dir", str(queue),
-                "--checkpoint", str(checkpoint),
-            ]
-        )
-        assert code == 0
-        output = capsys.readouterr().out
-        assert "repro-ldp status" in output
-        assert "shards: 2 total | 2 done" in output
-
     def test_status_from_metrics_endpoint(self, capsys):
         from repro.cli import main
 
         registry = default_registry()
-        registry.gauge("repro_coord_shards_total").set(4)
-        registry.gauge("repro_coord_shards_done").set(1)
-        registry.gauge("repro_coord_shards_pending").set(3)
+        sweep = registry.counter("repro_sweep_points_total")
+        sweep.labels(status="done").inc(3)
+        sweep.labels(status="skipped").inc(1)
         with MetricsExporter(registry=registry) as exporter:
             host, port = exporter.address
             assert main(["status", "--metrics", f"{host}:{port}"]) == 0
         output = capsys.readouterr().out
-        assert "shards: 4 total | 1 done | 3 pending" in output
+        assert "sweep: 3 points done, 1 skipped (resume)" in output
 
-    def test_watch_iterations_prints_repeated_dashboards(
-        self, tmp_path, capsys
-    ):
+    def test_watch_iterations_prints_repeated_dashboards(self, capsys):
         from repro.cli import main
 
-        for sub in ("tasks", "claims", "summaries"):
-            (tmp_path / "queue" / sub).mkdir(parents=True)
-        (tmp_path / "queue" / "summaries" / "summary-000000.npz").write_bytes(b"x")
-        code = main(
-            [
-                "status",
-                "--queue-dir", str(tmp_path / "queue"),
-                "--watch",
-                "--interval", "0.01",
-                "--iterations", "2",
-            ]
-        )
+        registry = default_registry()
+        registry.counter("repro_sweep_points_total").labels(status="done").inc(2)
+        with MetricsExporter(registry=registry) as exporter:
+            host, port = exporter.address
+            code = main(
+                [
+                    "status",
+                    "--metrics", f"{host}:{port}",
+                    "--watch",
+                    "--interval", "0.01",
+                    "--iterations", "2",
+                ]
+            )
         assert code == 0
-        assert capsys.readouterr().out.count("repro-ldp status") == 2
-
-    def test_checkpoint_without_queue_dir_is_an_error(self, tmp_path, capsys):
-        from repro.cli import main
-
-        code = main(["status", "--metrics", "127.0.0.1:9", "--checkpoint", "x.npz"])
-        assert code == 2
-        assert "--checkpoint only applies" in capsys.readouterr().err
+        output = capsys.readouterr().out
+        assert output.count("repro-ldp status") == 2
+        assert "sweep throughput: 0.00 points/s" in output
 
     def test_unreachable_endpoint_is_an_error(self, capsys):
         from repro.cli import main

@@ -2,8 +2,9 @@
 
 Every truncation prefix and every single-bit flip of a sweep results CSV
 and of a sweep event log either loads or raises a typed ``repro`` error
-naming the file.  A checkpoint ``.npz`` that is refused leaves no file
-handle open.
+naming the file, and no single-bit flip of a sweep CSV's fingerprint
+comment lets ``sweep --resume`` keep rows of another spec.  A checkpoint
+``.npz`` that is refused leaves no file handle open.
 """
 
 import gc
@@ -12,18 +13,12 @@ import warnings
 import pytest
 
 from repro.cli import main
-from repro.distributed import Coordinator, InProcessTransport
 from repro.exceptions import ExperimentError, ReproError
 from repro.obs.events import iter_events
-from repro.obs.status import snapshot_from_spool
 from repro.service import CollectorSession
-from repro.simulation.runner import make_shard_tasks, run_shard_task
 from repro.specs import ProtocolSpec, SweepSpec
 from repro.store import ResultsStore
 from repro.store.results_store import _read_header_fields
-
-SPEC = ProtocolSpec(name="L-OSUE", eps_inf=2.0, alpha=0.5)
-
 
 #: Kinds of damage: every proper prefix, or every single flip of one bit.
 DAMAGES = ["truncation"] + [f"bit-{bit}" for bit in range(8)]
@@ -113,6 +108,62 @@ def test_query_on_an_undecodable_csv_answers_error_and_exit_2(
     assert "not UTF-8" in err and "Traceback" not in err
 
 
+@pytest.fixture(scope="module")
+def one_point_sweep(tmp_path_factory):
+    """``(spec, csv bytes)`` of a 1-point, 1-run sweep whose CSV starts
+    with its fingerprint comment (the id ``fp_syn`` needs no record)."""
+    root = tmp_path_factory.mktemp("one_point")
+    spec = SweepSpec(
+        name="fp",
+        protocols=(ProtocolSpec(name="L-OSUE"),),
+        eps_inf_values=(2.0,),
+        alpha_values=(0.5,),
+        datasets=("syn",),
+        n_runs=1,
+        dataset_scale=0.02,
+        seed=11,
+    )
+    grid = spec.save(root / "grid.json")
+    out = root / "out"
+    assert main(["sweep", "--spec", str(grid), "--output-dir", str(out)]) == 0
+    blob = (out / "fp_syn.csv").read_bytes()
+    assert blob.startswith(b"# sweep_spec_fingerprint=")
+    return spec, blob
+
+
+@pytest.mark.parametrize("bit", range(8))
+def test_no_flip_of_the_fingerprint_comment_keeps_rows_of_another_spec(
+    tmp_path, one_point_sweep, capsys, bit
+):
+    """Resuming under a changed ``n_runs`` must refuse the damaged CSV or
+    recompute its point: no flipped bit of the comment line may let the
+    ``n_runs=1`` row count as complete."""
+    spec, blob = one_point_sweep
+    grid = SweepSpec.from_dict({**spec.to_dict(), "n_runs": 2}).save(
+        tmp_path / "grid.json"
+    )
+    out = tmp_path / "out"
+    out.mkdir()
+    path = out / "fp_syn.csv"
+    comment_length = blob.index(b"\n") + 1
+    for position in range(comment_length):
+        flipped = bytearray(blob)
+        flipped[position] ^= 1 << bit
+        path.write_bytes(bytes(flipped))
+        code = main(
+            ["sweep", "--spec", str(grid), "--output-dir", str(out), "--resume"]
+        )
+        captured = capsys.readouterr()
+        label = f"bit {bit} of byte {position}"
+        assert "Traceback" not in captured.err, label
+        if code == 2:
+            assert captured.err.startswith("error: "), label
+            assert path.read_bytes() == bytes(flipped), label
+        else:
+            assert code == 0, label
+            assert "(0 already complete, 1 to run" in captured.out, label
+
+
 @pytest.mark.parametrize("damage", DAMAGES)
 def test_every_damaged_event_log_loads_or_raises_repro_error(
     tmp_path, sweep_files, damage
@@ -140,24 +191,6 @@ def _session_checkpoint(path, dataset):
     session = CollectorSession(spec, n_rounds=dataset.n_rounds)
     session.checkpoint(path)
     return lambda damaged: CollectorSession.restore(damaged)
-
-
-def _coordinator_checkpoint(path, dataset):
-    tasks = make_shard_tasks(SPEC, dataset, 2, rng=9)
-    transport = InProcessTransport()
-    coordinator = Coordinator(tasks, transport, checkpoint_path=path)
-    coordinator.absorb(0, run_shard_task(tasks[0], dataset))
-    transport.close()
-    return lambda damaged: Coordinator(tasks, InProcessTransport()).load_checkpoint(
-        damaged
-    )
-
-
-def _status_checkpoint(path, dataset):
-    _coordinator_checkpoint(path, dataset)
-    queue = path.parent / "queue"
-    queue.mkdir()
-    return lambda damaged: snapshot_from_spool(queue, checkpoint=damaged)
 
 
 def _npz_damages(blob, damage):
@@ -190,8 +223,8 @@ def _npz_damages(blob, damage):
 )
 @pytest.mark.parametrize(
     "make_checkpoint",
-    [_session_checkpoint, _coordinator_checkpoint, _status_checkpoint],
-    ids=["session-restore", "coordinator-load", "status-spool"],
+    [_session_checkpoint],
+    ids=["session-restore"],
 )
 def test_refused_npz_loads_leave_no_file_open(
     tmp_path, tiny_dataset, make_checkpoint, damage

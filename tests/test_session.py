@@ -8,8 +8,7 @@ import pytest
 from repro.exceptions import AggregationError, ParameterError
 from repro.longitudinal import LOSUE
 from repro.service import CollectorSession, RoundClock
-from repro.simulation import simulate_protocol_sharded, simulate_with_clients
-from repro.simulation.runner import run_shard_task, ShardTask
+from repro.simulation import simulate_with_clients
 from repro.specs import ProtocolSpec
 
 
@@ -81,28 +80,6 @@ class TestIncrementalCollection:
         counts = by_reports.protocol.support_counts(rounds[0])
         by_counts.submit_counts(0, counts, n_reports=len(rounds[0]))
         np.testing.assert_allclose(by_counts.estimates(), by_reports.estimates())
-
-    def test_absorb_shard_summaries_matches_sharded_runner(self, tiny_dataset):
-        spec = _spec(tiny_dataset.k)
-        reference = simulate_protocol_sharded(spec, tiny_dataset, n_shards=3, rng=5)
-        from repro.rng import derive_seed_sequences
-
-        session = CollectorSession(spec, n_rounds=tiny_dataset.n_rounds)
-        seeds = derive_seed_sequences(5, 3)
-        boundaries = np.linspace(0, tiny_dataset.n_users, 4).astype(int)
-        for shard, seed in enumerate(seeds):
-            summary = run_shard_task(
-                ShardTask(
-                    spec=spec,
-                    dataset_name=tiny_dataset.name,
-                    start=int(boundaries[shard]),
-                    stop=int(boundaries[shard + 1]),
-                    seed=seed,
-                ),
-                tiny_dataset,
-            )
-            session.absorb_summary(summary)
-        np.testing.assert_allclose(session.estimates(), reference.estimates)
 
 
 class TestSessionValidation:

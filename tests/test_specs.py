@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ParameterError
+from repro.experiments.empirical import EMPIRICAL_PROTOCOLS, paper_protocol_specs
 from repro.longitudinal import (
     BiLOLOHA,
     DBitFlipPM,
@@ -238,16 +239,24 @@ class TestShardedSpecSimulation:
         from_spec = simulate_protocol_sharded(spec, tiny_dataset, n_shards=3, rng=5)
         assert np.array_equal(from_protocol.estimates, from_spec.estimates)
 
-    def test_distributed_shards_bit_identical(self, tiny_dataset):
-        spec = ProtocolSpec(name="OLOLOHA", k=tiny_dataset.k, eps_inf=2.0, alpha=0.5)
-        serial = simulate_protocol_sharded(spec, tiny_dataset, n_shards=4, rng=9)
-        distributed = simulate_protocol_sharded(
-            spec, tiny_dataset, n_shards=4, rng=9, n_workers=2
+    @pytest.mark.parametrize("label", EMPIRICAL_PROTOCOLS + ("L-GRR-oneshot",))
+    def test_pooled_shards_bit_identical(self, label, tiny_dataset, oneshot_dataset):
+        if label == "L-GRR-oneshot":
+            spec = ProtocolSpec(name="L-GRR", eps_inf=1.0, alpha=0.5)
+            dataset = oneshot_dataset
+        else:
+            spec = paper_protocol_specs()[label].at(eps_inf=2.0, alpha=0.5)
+            dataset = tiny_dataset
+        serial = simulate_protocol_sharded(spec, dataset, n_shards=4, rng=9)
+        pooled = simulate_protocol_sharded(
+            spec, dataset, n_shards=4, rng=9, n_workers=2
         )
-        assert np.array_equal(serial.estimates, distributed.estimates)
+        assert np.array_equal(serial.estimates, pooled.estimates)
         assert np.array_equal(
-            serial.distinct_memoized_per_user, distributed.distinct_memoized_per_user
+            serial.distinct_memoized_per_user, pooled.distinct_memoized_per_user
         )
+        assert serial.mse_avg == pooled.mse_avg
+        assert serial.eps_avg == pooled.eps_avg
 
     def test_distributing_protocol_objects_rejected(self, tiny_dataset):
         from repro.exceptions import ExperimentError

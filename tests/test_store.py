@@ -108,6 +108,15 @@ class TestHeaderCommentAndAtomicity:
         store.append_rows("plain", [{"a": 1}])
         assert store.read_header_comment("plain") is None
 
+    def test_fingerprint_of_an_unknown_comment_raises_naming_the_file(self, tmp_path):
+        store = ResultsStore(tmp_path)
+        store.append_rows("plain", [{"a": 1}])
+        assert store.fingerprint("plain") is None
+        store.append_rows("other", [{"a": 1}], header_comment="sweep_spec_fingerprinu=ab")
+        with pytest.raises(ExperimentError, match="unknown header comment") as excinfo:
+            store.fingerprint("other")
+        assert store.location("other") in str(excinfo.value)
+
     def test_multiline_header_comment_rejected(self, tmp_path):
         store = ResultsStore(tmp_path)
         with pytest.raises(ExperimentError, match="single line"):
