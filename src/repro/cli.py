@@ -502,24 +502,26 @@ def run_spec_sweep(
         completed = set()
         if resume and store.has_rows(experiment_id):
             on_disk_fingerprint = store.fingerprint(experiment_id)
-            if on_disk_fingerprint is not None:
-                if on_disk_fingerprint != fingerprint:
-                    raise ReproError(
-                        f"refusing to resume {experiment_id} in "
-                        f"{store.location(experiment_id)}: it was "
-                        f"written by a sweep spec with fingerprint "
-                        f"{on_disk_fingerprint}, but the current spec's "
-                        f"fingerprint is {fingerprint} (grid, runs, scale or "
-                        f"seed changed); move the old results aside or rerun "
-                        f"with the original spec"
-                    )
-            else:
-                print(
-                    f"{dataset_name}: warning: {experiment_id} carries no "
-                    f"spec fingerprint (written before fingerprinting); "
-                    f"resuming on row keys only"
+            if on_disk_fingerprint is None:
+                raise ReproError(
+                    f"refusing to resume {experiment_id} in "
+                    f"{store.location(experiment_id)}: it carries no sweep "
+                    f"spec fingerprint record, so nothing shows which spec "
+                    f"wrote its rows; move the old results aside and rerun"
                 )
-            on_disk = completed_points_from_rows(store.load_rows(experiment_id))
+            if on_disk_fingerprint != fingerprint:
+                raise ReproError(
+                    f"refusing to resume {experiment_id} in "
+                    f"{store.location(experiment_id)}: it was "
+                    f"written by a sweep spec with fingerprint "
+                    f"{on_disk_fingerprint}, but the current spec's "
+                    f"fingerprint is {fingerprint} (grid, runs, scale or "
+                    f"seed changed); move the old results aside or rerun "
+                    f"with the original spec"
+                )
+            on_disk = completed_points_from_rows(
+                store.load_rows(experiment_id), source=store.location(experiment_id)
+            )
             # Only rows that belong to THIS grid count as done; rows left
             # by a different spec (other eps/alpha/protocols under the
             # same name) must not silently satisfy the sweep.

@@ -39,11 +39,11 @@ Every engine exposes the same protocol:
     Per-user count of permanently randomized keys so far (the input of the
     ``eps_avg`` metric).
 
-The deterministic hot folds (packed column sums, the LOLOHA support fold,
-the GRR symbol bincount) are routed through a
-:class:`~repro.simulation.kernels_backend.KernelBackend`; the optional
-compiled backend changes wall-clock time only, never results, and the
-randomness-consuming kernels always stay on the numpy ``Generator``.
+The deterministic hot folds (packed column sums of the UE and dBitFlipPM
+memo rows, the LOLOHA support fold, the GRR symbol bincount) are routed
+through a :class:`~repro.simulation.kernels_backend.KernelBackend`; the
+optional compiled backend changes wall-clock time only, never results, and
+the randomness-consuming kernels always stay on the numpy ``Generator``.
 """
 
 from __future__ import annotations
@@ -91,6 +91,10 @@ __all__ = [
 #: compare-based fold.
 _SUPPORT_PLANES_MAX_BYTES = 1024**3
 
+#: Rows per chunk of the flat index that scatters fresh dBitFlipPM bits
+#: into bucket coordinates (see :func:`_bucket_rows`).
+_SCATTER_CHUNK_ROWS = 4096
+
 
 # Cached (registry, delta counter, full counter) triple for the fold cache —
 # re-resolved when a test swaps the default registry, otherwise one identity
@@ -126,9 +130,9 @@ class _DeltaFoldCache:
 
     * ``fold_delta(users, new_keys, old_keys)``, when given, computes the
       ``+ new − old`` adjustment in **one fused pass** instead of two folds
-      (the packed engines fold ``[new_rows, ~old_rows]`` together and
-      subtract the row count, using ``colsum(~r) = 1 − colsum(r)``
-      per column; dBitFlipPM bincounts the per-bit differences);
+      (the packed engines — UE, dBitFlipPM and LOLOHA's support planes —
+      fold ``[new_rows, ~old_rows]`` together and subtract the row count,
+      using ``colsum(~r) = 1 − colsum(r)`` per column);
     * the full-refold cutover has *hysteresis*: the cache enters the delta
       path when at most half the population moved (the naive break-even for
       the two-fold delta) but, once in it, tolerates up to 5/8 before
@@ -403,24 +407,20 @@ def _compare_fold(backend, hashed_domain, users, symbols):
     return backend.support_fold(hashed_domain[users], symbols)
 
 
-def _bucket_fold(packed_rows, sampled_buckets, d, b, users, keys):
-    """Per-bucket sums of the memoized dBitFlipPM bits ``packed_rows(users, keys)``.
+def _bucket_rows(sampled_buckets, b, users, bits):
+    """Scatter sample-order dBitFlipPM bits into ``b``-bit rows in bucket order.
 
-    The sums are integer-valued floats, so the fold cache's delta updates
-    are exact.  A full refold reads ``sampled_buckets`` in place rather than
-    through a fancy-indexed copy of every row.
+    Row ``i`` gets ``bits[i, l]`` at column ``sampled_buckets[users[i], l]``
+    and zeros outside the user's sample.  The scatter runs through a flat
+    1-D index built per chunk of rows, which bounds the index's memory.
     """
-    bits = np.unpackbits(packed_rows(users, keys), axis=1, count=d)
-    buckets = sampled_buckets if users.size == sampled_buckets.shape[0] else sampled_buckets[users]
-    return np.bincount(buckets.ravel(), weights=bits.ravel(), minlength=b)
-
-
-def _bucket_fold_delta(packed_rows, sampled_buckets, d, b, users, new_keys, old_keys):
-    # One bincount of the per-bit differences (-1, 0 or +1) replaces the
-    # two-fold add/subtract and gathers the changed users' buckets once.
-    delta = np.unpackbits(packed_rows(users, new_keys), axis=1, count=d).view(np.int8)
-    delta -= np.unpackbits(packed_rows(users, old_keys), axis=1, count=d).view(np.int8)
-    return np.bincount(sampled_buckets[users].ravel(), weights=delta.ravel(), minlength=b)
+    rows = np.zeros((users.size, b), dtype=np.uint8)
+    flat = rows.reshape(-1)
+    for start in range(0, users.size, _SCATTER_CHUNK_ROWS):
+        stop = min(start + _SCATTER_CHUNK_ROWS, users.size)
+        index = sampled_buckets[users[start:stop]] + np.arange(start * b, stop * b, b)[:, None]
+        flat[index.ravel()] = bits[start:stop].ravel()
+    return rows
 
 
 class UnaryChainEngine(PopulationEngine):
@@ -512,6 +512,12 @@ class UnaryChainEngine(PopulationEngine):
 class DBitFlipEngine(PopulationEngine):
     """Vectorized population for :class:`repro.longitudinal.DBitFlipPM`.
 
+    A memo row is one user's permanent response for one indicator key, held
+    as ``b`` bits in bucket coordinates (zero outside the user's sample), so
+    the round folds packed rows into bucket sums as the UE engine does.  A
+    user's key, the position of its bucket among its ``d`` sampled buckets
+    or ``d`` when none matches, is one gather from an ``(n_users, b)`` table.
+
     With ``record_key_history=True`` the engine additionally records, per
     round, the memoization key used by each user — which is what the
     data-change detection attack of Table 2 observes.  Recording is opt-in
@@ -535,88 +541,61 @@ class DBitFlipEngine(PopulationEngine):
         #: Sampled buckets, fixed per user (without replacement) — one batched
         #: draw for the whole population.
         self.sampled_buckets = sample_buckets_kernel(n_users, b, d, self._rng)
-        # Memoized bits per (user, indicator key); key d means "no sampled
-        # bucket matches".
-        if memo is not None:
-            self._state = _validated_memo(
-                memo,
-                _PackedBitMemoBase,
-                {"n_users": n_users, "n_keys": d + 1, "n_bits": d},
-                "DBitFlipEngine",
-            )
-        else:
-            self._state = make_packed_bit_memo(n_users, d + 1, d)
+        # Memoized b-bit rows per (user, indicator key); key d means "no
+        # sampled bucket matches".
+        if memo is None:
+            memo = make_packed_bit_memo(n_users, d + 1, b)
+        elif isinstance(memo, _PackedBitMemoBase) and memo.n_bits == d < b:
+            # perfbench's tracing still injects tables sized for d-bit rows;
+            # an unused one is widened to b bits.
+            memo.widen_rows(b)
+        self._state = _validated_memo(
+            memo,
+            _PackedBitMemoBase,
+            {"n_users": n_users, "n_keys": d + 1, "n_bits": b},
+            "DBitFlipEngine",
+        )
+        # key_of[u, bucket]: position of the bucket in u's sample, or d.
+        self._key_of = np.full((n_users, b), d, dtype=np.min_scalar_type(d))
+        self._key_of[np.arange(n_users)[:, None], self.sampled_buckets] = np.arange(d)
         #: Per-round memoization keys used by each user, recorded only when
         #: ``record_key_history=True`` (``None`` otherwise); consumed by the
         #: change-detection attack.
         self.key_history: Optional[List[np.ndarray]] = [] if record_key_history else None
-        # Last round's buckets (-1 before the first round, so every user is
-        # looked up) and the keys they map to.
-        self._last_buckets = np.full(n_users, -1, dtype=np.int64)
-        self._keys = np.full(n_users, d, dtype=np.int64)
-        # Each (user, key) row's contribution to the bucket sums is fixed, so
-        # the fold is delta-cached on the keys like the other engines'.
-        fold_args = (self._state.packed_rows, self.sampled_buckets, d, b)
+        fold_args = (self._backend, self._state.packed_rows, b)
         self._bucket_sums = _DeltaFoldCache(
-            n_users, partial(_bucket_fold, *fold_args), partial(_bucket_fold_delta, *fold_args)
+            n_users, partial(_packed_fold, *fold_args), partial(_packed_fold_delta, *fold_args)
         )
 
-    def _indicator_keys(self, buckets: np.ndarray) -> np.ndarray:
-        """Position of each user's current bucket among its sampled buckets, or d.
-
-        A key depends only on the user's bucket (the samples are fixed), so
-        only users whose bucket changed since the last round are looked up:
-        ``O(n + changed * d)`` per round instead of an ``(n, d)`` compare.
-        """
-        changed = np.flatnonzero(buckets != self._last_buckets)
-        if changed.size:
-            matches = self.sampled_buckets[changed] == buckets[changed, None]
-            positions = matches.argmax(axis=1)
-            self._keys[changed] = np.where(
-                matches[np.arange(changed.size), positions], positions, self.protocol.d
-            )
-            self._last_buckets = buckets
-        return self._keys
+    def _fresh_rows(self, users, keys, generator):
+        # The d bits are drawn in sample order, then scattered to buckets.
+        p, q = self.protocol.bit_probabilities
+        bits = dbitflip_fresh_bits_kernel(keys, self.protocol.d, p, q, generator)
+        return _bucket_rows(self.sampled_buckets, self.protocol.b, users, bits)
 
     def run_round(self, values_t: np.ndarray, rng: Optional[np.random.Generator] = None) -> np.ndarray:
         values_t = self._validate_round(values_t)
         generator = self._round_rng(rng)
-        p, q = self.protocol.bit_probabilities
-        d = self.protocol.d
-
-        keys = self._indicator_keys(self.protocol.bucket_of(values_t))
+        buckets = self.protocol.bucket_of(values_t)
+        keys = self._key_of[np.arange(self.n_users), buckets].astype(np.int64)
         if self.key_history is not None:
-            self.key_history.append(keys.copy())
-
+            self.key_history.append(keys)
         self._state.ensure_rows(
-            keys, lambda users, kk: dbitflip_fresh_bits_kernel(kk, d, p, q, generator)
+            keys, lambda users, kk: self._fresh_rows(users, kk, generator)
         )
-        # The cache updates its sums in place and no draw follows the fold,
-        # so the caller gets its own copy.
-        return self._bucket_sums.update(keys).copy()
-
-    def run_rounds(
-        self,
-        values_t: np.ndarray,
-        n_rounds: int,
-        rng: Optional[np.random.Generator] = None,
-    ) -> np.ndarray:
-        n_rounds = require_int_at_least(n_rounds, 1, "n_rounds")
-        # dBitFlipPM has no instantaneous randomization: with unchanged
-        # values, rounds after the first replay the identical memoized
-        # counts and consume no randomness — one round computed, R emitted.
-        counts = self.run_round(values_t, rng)
-        if self.key_history is not None:
-            for _ in range(n_rounds - 1):
-                self.key_history.append(self.key_history[-1].copy())
-        return np.repeat(counts[None, :], n_rounds, axis=0)
+        # astype copies: the cache updates its sums in place.
+        return self._bucket_sums.update(keys).astype(np.float64)
 
     def distinct_memoized_per_user(self) -> np.ndarray:
         return self._state.distinct_per_user()
 
     def memoized_bits(self, user: int, key: int) -> Optional[np.ndarray]:
-        """The memoized response of ``user`` for indicator ``key`` (or ``None``)."""
-        return self._state.get_row(user, key)
+        """The memoized response of ``user`` for indicator ``key`` (or ``None``).
+
+        The ``d`` bits come in the order of the user's sampled buckets.
+        """
+        row = self._state.get_row(user, key)
+        return None if row is None else row[self.sampled_buckets[user]]
 
 
 class LOLOHAEngine(PopulationEngine):

@@ -52,6 +52,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .._validation import require_int_at_least
+from ..exceptions import ParameterError
 from .kernels import packed_column_sums_kernel
 
 __all__ = [
@@ -137,6 +138,13 @@ class _PackedBitMemoBase(ABC):
     @abstractmethod
     def nbytes_allocated(self) -> int:
         """Bytes currently held by the backing arrays (0 before first use)."""
+
+    def widen_rows(self, n_bits: int) -> None:
+        """Widen the rows to ``n_bits`` bits; only before the first row exists."""
+        if self.nbytes_allocated:
+            raise ParameterError("cannot widen the rows of a memo table in use")
+        self.n_bits = require_int_at_least(n_bits, self.n_bits, "n_bits")
+        self._n_bytes = -(-self.n_bits // 8)
 
     @abstractmethod
     def ensure_rows(self, keys: np.ndarray, fresh: FreshRows) -> None:

@@ -148,12 +148,15 @@ class SweepPoint:
         }
 
 
-def completed_points_from_rows(rows: Iterable[Mapping[str, object]]) -> Set[GridKey]:
+def completed_points_from_rows(
+    rows: Iterable[Mapping[str, object]], source: str = "the given rows"
+) -> Set[GridKey]:
     """Grid keys already present in previously flushed CSV rows.
 
     Accepts the string-valued dictionaries of
     :meth:`repro.store.ResultsStore.load_rows`; used by ``repro-ldp sweep
-    --resume`` to skip finished points.
+    --resume`` to skip finished points.  ``source`` names where the rows
+    were read (the CSV path) in the error a malformed row raises.
     """
     completed: Set[GridKey] = set()
     for row in rows:
@@ -163,7 +166,7 @@ def completed_points_from_rows(rows: Iterable[Mapping[str, object]]) -> Set[Grid
             )
         except (KeyError, TypeError, ValueError) as error:
             raise ExperimentError(
-                f"cannot resume from row {dict(row)!r}: {error}"
+                f"cannot resume from row {dict(row)!r} of {source}: {error}"
             ) from None
     return completed
 

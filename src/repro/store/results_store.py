@@ -253,8 +253,8 @@ class ResultsStore:
         :func:`_read_header_fields` do — the three readers must agree on
         what counts as the comment block, or a stray blank line above the
         fingerprint comment would make the rows load fine while the
-        fingerprint silently "disappears" (downgrading the ``sweep
-        --resume`` spec check to the legacy-CSV warning path).
+        fingerprint silently "disappears" (and ``sweep --resume`` refuses
+        the file as one without a fingerprint record).
         """
         path = self._path(experiment_id, "csv")
         if not path.exists():
@@ -278,7 +278,7 @@ class ResultsStore:
 
     def fingerprint(self, experiment_id: str) -> Optional[str]:
         """The spec fingerprint of one experiment; ``None`` when its CSV
-        carries no header comment (written before fingerprinting).
+        carries no header comment (``sweep --resume`` refuses such a file).
 
         A comment that is present but is no fingerprint record raises
         :class:`~repro.exceptions.ExperimentError` naming the file: a

@@ -230,25 +230,58 @@ class TestSweepCommand:
         # The refusal must leave the old CSV untouched.
         assert (out / "cli_syn.csv").read_text() == before
 
-    def test_sweep_resume_warns_on_legacy_csv_without_fingerprint(
-        self, capsys, tmp_path, write_sweep_grid
+    @pytest.mark.parametrize("damage", ["stripped", "hash-flipped"])
+    def test_sweep_resume_refuses_csv_without_fingerprint(
+        self, capsys, tmp_path, write_sweep_grid, damage
     ):
-        """Pre-fingerprint CSVs still resume (per-row key intersection only)."""
+        """A CSV without a fingerprint record is refused before any point runs.
+
+        ``stripped`` drops the comment line (and a row); ``hash-flipped``
+        turns the comment's leading ``#`` into ``"``, which makes the line
+        read as a header row rather than a comment.
+        """
         grid = write_sweep_grid()
         out = tmp_path / "out"
         main(["sweep", "--spec", str(grid), "--output-dir", str(out)])
         capsys.readouterr()
         csv_path = out / "cli_syn.csv"
-        lines = csv_path.read_text().strip().splitlines()
-        assert lines[0].startswith("#")
-        # Strip the comment (a CSV from before fingerprinting) and a row.
-        csv_path.write_text("\n".join(lines[1:4]) + "\n", encoding="utf-8")
+        lines = csv_path.read_bytes().splitlines(keepends=True)
+        assert lines[0].startswith(b"#")
+        if damage == "stripped":
+            csv_path.write_bytes(b"".join(lines[1:4]))
+        else:
+            csv_path.write_bytes(b'"' + b"".join(lines)[1:])
+        before = csv_path.read_bytes()
 
         code = main(["sweep", "--spec", str(grid), "--output-dir", str(out), "--resume"])
-        assert code == 0
-        output = capsys.readouterr().out
-        assert "no spec fingerprint" in output
-        assert "2 already complete" in output and "2 to run" in output
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "no sweep spec fingerprint" in captured.err
+        assert str(csv_path) in captured.err
+        assert "to run" not in captured.out
+        assert csv_path.read_bytes() == before
+
+    def test_sweep_resume_names_the_csv_of_a_malformed_row(
+        self, capsys, tmp_path, write_sweep_grid
+    ):
+        """A damaged header row under a valid fingerprint is refused, naming the file."""
+        grid = write_sweep_grid()
+        out = tmp_path / "out"
+        main(["sweep", "--spec", str(grid), "--output-dir", str(out)])
+        capsys.readouterr()
+        csv_path = out / "cli_syn.csv"
+        data = bytearray(csv_path.read_bytes())
+        header_start = data.index(b"\n") + 1
+        column = data.index(b"protocol", header_start)
+        data[column] ^= 0x01  # "protocol" -> "qrotocol"
+        csv_path.write_bytes(bytes(data))
+
+        code = main(["sweep", "--spec", str(grid), "--output-dir", str(out), "--resume"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "cannot resume from row" in captured.err
+        assert str(csv_path) in captured.err
+        assert csv_path.read_bytes() == bytes(data)
 
     def test_sweep_resume_noop_when_complete(self, capsys, tmp_path, write_sweep_grid):
         grid = write_sweep_grid()

@@ -1,10 +1,10 @@
 """dBitFlipPM engine: bit-identity anchors and the incremental round path.
 
-The engine recomputes memoization keys only for users whose bucket changed
-and folds only users whose key changed.  Both shortcuts must leave the
-output bit-identical to the straightforward round: every user's key from an
-``(n_users, d)`` compare against its sampled buckets, and a ``bincount`` of
-every user's memoized bits into its sampled buckets.  The anchors below are
+The engine reads keys from a per-user bucket table, stores memo rows in
+bucket coordinates and folds only users whose key changed.  That must leave
+the output bit-identical to the straightforward round: every user's key from
+an ``(n_users, d)`` compare against its sampled buckets, and a ``bincount``
+of every user's memoized bits into its sampled buckets.  The anchors below are
 sha256 digests of ``simulate_protocol(...).estimates`` computed with that
 straightforward round; the structural test replays it user by user.
 """
@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 from repro.datasets.base import LongitudinalDataset
+from repro.exceptions import ParameterError
 from repro.longitudinal import DBitFlipPM
-from repro.simulation import DBitFlipEngine, simulate_protocol
+from repro.simulation import DBitFlipEngine, engines, simulate_protocol
 from repro.simulation.state import PackedBitMemo, SparsePackedBitMemo
 
 K, B, N_USERS, N_ROUNDS = 32, 16, 300, 12
@@ -82,7 +83,7 @@ def estimates_digest(d, churn, memo_class):
         DBitFlipPM(K, 2.0, b=B, d=d),
         churn_dataset(CHURN_SCHEDULES[churn]),
         rng=7,
-        engine_options={"memo": memo_class(N_USERS, d + 1, d)},
+        engine_options={"memo": memo_class(N_USERS, d + 1, B)},
     )
     return hashlib.sha256(np.ascontiguousarray(result.estimates).tobytes()).hexdigest()
 
@@ -126,3 +127,57 @@ def test_returned_counts_not_changed_by_later_rounds(d):
         returned.append((counts, counts.copy()))
     for counts, snapshot in returned:
         assert np.array_equal(counts, snapshot)
+
+
+@pytest.mark.parametrize(
+    "memo_class", [PackedBitMemo, SparsePackedBitMemo], ids=["dense", "sparse"]
+)
+@pytest.mark.parametrize("d", [1, 3, B])
+def test_memo_rows_live_in_bucket_coordinates(d, memo_class, monkeypatch):
+    """Rows are zero outside the sample; ``memoized_bits`` is the drawn d bits."""
+    drawn = []
+
+    def recording_kernel(keys, *args):
+        bits = fresh_bits_kernel(keys, *args)
+        drawn.append(bits.copy())
+        return bits
+
+    fresh_bits_kernel = engines.dbitflip_fresh_bits_kernel
+    monkeypatch.setattr(engines, "dbitflip_fresh_bits_kernel", recording_kernel)
+    protocol = DBitFlipPM(K, 2.0, b=B, d=d)
+    memo = memo_class(N_USERS, d + 1, B)
+    engine = DBitFlipEngine(protocol, N_USERS, rng=6, memo=memo)
+    generator = np.random.default_rng(8)
+    expected = {}
+    for values_t in churn_dataset(CHURN_SCHEDULES["25"]).iter_rounds():
+        keys = compare_keys(engine.sampled_buckets, protocol.bucket_of(values_t), d)
+        fresh_users = [u for u in range(N_USERS) if (u, keys[u]) not in expected]
+        n_draws = len(drawn)
+        engine.run_round(values_t, generator)
+        assert len(drawn) == n_draws + bool(fresh_users)
+        for user, bits in zip(fresh_users, drawn[-1] if fresh_users else ()):
+            expected[(user, int(keys[user]))] = bits
+
+    outside = np.ones((N_USERS, B), dtype=bool)
+    outside[np.arange(N_USERS)[:, None], engine.sampled_buckets] = False
+    for user in range(N_USERS):
+        for key in range(d + 1):
+            row = memo.get_row(user, key)
+            assert (row is None) == ((user, key) not in expected)
+            if row is not None:
+                assert not row[outside[user]].any()
+                assert np.array_equal(engine.memoized_bits(user, key), expected[(user, key)])
+
+
+def test_memo_sized_for_sample_order_rows_is_widened():
+    """A fresh ``(d + 1, d)`` table is widened to ``b`` bits; a used one is refused."""
+    dataset = churn_dataset(CHURN_SCHEDULES["25"])
+    protocol = DBitFlipPM(K, 2.0, b=B, d=1)
+    memo = PackedBitMemo(N_USERS, 2, 1)
+    result = simulate_protocol(protocol, dataset, rng=7, engine_options={"memo": memo})
+    assert memo.n_bits == B
+    assert hashlib.sha256(result.estimates.tobytes()).hexdigest() == ESTIMATE_SHA256[(1, "25")]
+    used = PackedBitMemo(N_USERS, 2, 1)
+    used.ensure_rows(np.zeros(N_USERS, dtype=np.int64), lambda users, keys: np.ones((users.size, 1)))
+    with pytest.raises(ParameterError):
+        DBitFlipEngine(protocol, N_USERS, rng=0, memo=used)

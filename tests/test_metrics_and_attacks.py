@@ -94,6 +94,20 @@ class TestChangeDetectionAttack:
             result.n_fully_detected / result.n_users
         )
 
+    @pytest.mark.parametrize(
+        "d, n_with_changes, n_fully_detected", [(1, 330, 36), (4, 330, 190), (10, 330, 330)]
+    )
+    def test_exact_counts_at_a_fixed_seed(self, d, n_with_changes, n_fully_detected):
+        """Pinned counts: any change to the keys, the memo or the stream shows."""
+        dataset = make_uniform_changing(
+            k=30, n_users=600, n_rounds=12, change_probability=0.08, name="attack", rng=0
+        )
+        result = change_detection_rate(dataset, eps_inf=2.0, d=d, b=10, rng=11)
+        assert (result.n_users_with_changes, result.n_fully_detected) == (
+            n_with_changes,
+            n_fully_detected,
+        )
+
     def test_bucketized_attack_runs(self, changing_dataset):
         result = change_detection_rate(changing_dataset, eps_inf=2.0, d=2, b=10, rng=3)
         assert result.b == 10
