@@ -30,11 +30,12 @@ Run as a script to emit a machine-readable timing report::
     PYTHONPATH=src python benchmarks/bench_large_domain.py --json report.json
 
 Script mode also times an ``obs_overhead`` leg — the added cost of the
-fully-enabled observability core (span tracing + a live metrics exporter)
-per steady window, relative to the tracing-off default — asserts the
-window counts stay bit-identical either way, and exits nonzero if the
-overhead fraction exceeds ``--obs-overhead-max`` (default 2%).  The
-committed baseline lives in ``BENCH_obs_overhead.json``.
+fully-enabled observability core (span tracing) per steady window,
+relative to the tracing-off default — asserts the window counts stay
+bit-identical either way, and exits nonzero if the overhead fraction
+exceeds ``--obs-overhead-max`` (default 2%).  The committed baseline lives
+in ``BENCH_obs_overhead.json`` (recorded while a metrics exporter thread,
+since removed, also ran).
 """
 
 import argparse
@@ -222,8 +223,7 @@ def collect_obs_overhead(repeats=5, window_rounds=64, span_iterations=10_000):
     """Cost of the fully-enabled observability core on steady windows.
 
     The instrumented configuration differs from the shipped default by one
-    ``sim.window`` span per batched window (tracing enabled, a live
-    :class:`~repro.obs.MetricsExporter` serving the registry).  Rather than
+    ``sim.window`` span per batched window (tracing enabled).  Rather than
     differencing two large wall-clock numbers — on shared CI hosts the
     noise floor of back-to-back window timings exceeds the effect by an
     order of magnitude — the leg measures the added cost directly: the
@@ -232,12 +232,10 @@ def collect_obs_overhead(repeats=5, window_rounds=64, span_iterations=10_000):
     streams; the leg asserts the window counts are bit-identical with
     tracing on and off before reporting.
     """
-    from repro.obs import MetricsExporter, configure_tracing, span
+    from repro.obs import configure_tracing, span
 
     engines, rounds = _warm_state()
     values = rounds[0]
-    exporter = MetricsExporter(port=0)
-    exporter.start()
     results = {}
     try:
         for name, engine in engines.items():
@@ -278,7 +276,6 @@ def collect_obs_overhead(repeats=5, window_rounds=64, span_iterations=10_000):
             }
     finally:
         configure_tracing(False)
-        exporter.close()
     return results
 
 

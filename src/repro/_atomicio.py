@@ -41,15 +41,14 @@ def atomic_write_text(path: Union[str, Path], content: str) -> Path:
     return atomic_write_bytes(path, lambda handle: handle.write(content.encode("utf-8")))
 
 
-def atomic_append_line(path: Union[str, Path], line: str, fsync: bool = True) -> Path:
+def atomic_append_line(path: Union[str, Path], line: str) -> Path:
     """Append one line to ``path`` as a single ``O_APPEND`` write.
 
     POSIX serializes the offset update and the write of an ``O_APPEND``
     ``write(2)``, so concurrent appenders (processes sharing one event log)
     interleave whole lines, never torn fragments.  A trailing newline is
-    added when missing; ``fsync`` makes the record durable before
-    returning (the event-log default — events exist to survive the crash
-    they describe).
+    added when missing, and the record is fsynced before returning: events
+    exist to survive the crash they describe.
     """
     path = Path(path)
     if not line.endswith("\n"):
@@ -57,8 +56,7 @@ def atomic_append_line(path: Union[str, Path], line: str, fsync: bool = True) ->
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
     try:
         os.write(fd, line.encode("utf-8"))
-        if fsync:
-            os.fsync(fd)
+        os.fsync(fd)
     finally:
         os.close(fd)
     return path

@@ -20,6 +20,7 @@ __all__ = [
     "require_non_negative",
     "require_probability",
     "require_int_at_least",
+    "require_distinct",
     "require_in_range",
     "require_epsilon",
     "require_epsilon_pair",
@@ -64,6 +65,15 @@ def require_int_at_least(value: int, minimum: int, name: str) -> int:
     if value < minimum:
         raise ParameterError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
+
+
+def require_distinct(values: Sequence[object], name: str) -> None:
+    """Refuse a sequence in which some value appears more than once."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ParameterError(f"{name} repeats the value {value!r}")
+        seen.add(value)
 
 
 def require_in_range(value: float, low: float, high: float, name: str) -> float:

@@ -3,9 +3,10 @@
 Specs are the repo's public construction API: frozen, hashable,
 JSON-round-trippable values whose fingerprints gate CSV resume and
 checkpoint restore — a mutable spec would silently break both.  Metric
-names are the scrape contract of ``repro-ldp status`` and the CI smokes;
-the PR 8 catalog fixed ``repro_`` + snake_case with ``_total`` counters
-and ``_seconds``/``_bytes`` histograms, and this rule pins it.
+names are the scrape contract of the ingest ``GET /metrics`` surface,
+perfbench and the CI smokes; the metric catalog fixed ``repro_`` +
+snake_case with ``_total`` counters and ``_seconds``/``_bytes``
+histograms, and this rule pins it.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ class MetricNameRule(Rule):
         "_total, or histogram without _seconds/_bytes"
     )
     invariant = (
-        "scrape-surface stability: repro-ldp status, the CI smokes and any "
+        "scrape-surface stability: perfbench, the CI smokes and any "
         "operator dashboards parse these names; one off-convention series "
         "is invisible to all of them"
     )

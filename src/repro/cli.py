@@ -53,12 +53,9 @@ files whose fingerprint does not match::
 
     repro-ldp query --dir results/ --fingerprint 0123abcd... --protocol L-OSUE
 
-``sweep`` accepts ``--metrics-port PORT`` (serve this process's metric
-registry on ``/metrics`` + ``/healthz``) and ``--events PATH.jsonl`` (append
-a structured, schema-versioned event log; see :mod:`repro.obs`).
-``repro-ldp status --metrics HOST:PORT`` renders a one-shot or ``--watch``
-sweep progress dashboard — points done, skipped on resume, throughput —
-from such a metrics endpoint.
+``sweep`` accepts ``--events PATH.jsonl`` (append a structured,
+schema-versioned event log with one ``span`` record per grid-point run; see
+:mod:`repro.obs`); ``tail -f PATH.jsonl`` follows a running sweep.
 
 The ``ingest`` / ``loadgen`` pair runs a *live* collection (see
 :mod:`repro.service.ingest`): ``ingest`` starts the async HTTP front door
@@ -122,40 +119,26 @@ __all__ = [
     "build_parser",
     "main",
     "run_spec_sweep",
-    "run_status",
     "run_ingest",
     "run_loadgen",
     "run_query",
 ]
 
 
-def _apply_obs_options(args: argparse.Namespace, run_id: str):
-    """Install ``sweep --metrics-port`` / ``--events`` for this process.
+def _apply_events_option(args: argparse.Namespace, run_id: str) -> None:
+    """Install ``sweep --events`` for this process.
 
-    Returns the started :class:`~repro.obs.MetricsExporter` (or ``None``)
-    so callers can close it; either flag also enables span tracing, which
-    never touches the RNG streams — estimates stay bit-identical.
+    The flag also enables span tracing with span events, which never
+    touches the RNG streams — estimates stay bit-identical.
     """
-    metrics_port, events = args.metrics_port, args.events
-    if metrics_port is None and events is None:
-        return None
-    from .obs import (
-        EventLog,
-        MetricsExporter,
-        configure_tracing,
-        set_default_event_log,
-    )
+    events = args.events
+    if events is None:
+        return
+    from .obs import EventLog, configure_tracing, set_default_event_log
 
-    if events is not None:
-        set_default_event_log(EventLog(events, component="sweep", run_id=run_id))
-        print(f"events: appending to {events}", flush=True)
-    exporter = None
-    if metrics_port is not None:
-        exporter = MetricsExporter(port=metrics_port)
-        host, port = exporter.start()
-        print(f"metrics: http://{host}:{port}/metrics", flush=True)
-    configure_tracing(True, span_events=events is not None)
-    return exporter
+    set_default_event_log(EventLog(events, component="sweep", run_id=run_id))
+    print(f"events: appending to {events}", flush=True)
+    configure_tracing(True, span_events=True)
 
 
 def _apply_backend_option(args: argparse.Namespace) -> None:
@@ -277,39 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
              "back to numpy; applies to this process and its worker pool",
     )
     sweep_parser.add_argument(
-        "--metrics-port", type=int, default=None, metavar="PORT",
-        help="serve this process's metrics registry over HTTP on "
-             "127.0.0.1:PORT (GET /metrics + /healthz; port 0 = ephemeral, "
-             "the bound address is printed) — the surface that "
-             "'repro-ldp status' reads",
-    )
-    sweep_parser.add_argument(
         "--events", default=None, metavar="PATH.jsonl",
         help="append structured events (schema-versioned JSONL, one record "
              "per line) to this file; span records are mirrored there too",
-    )
-
-    status_parser = subparsers.add_parser(
-        "status",
-        help="render a sweep progress dashboard (points done, skipped on "
-             "resume, throughput) from a process's --metrics-port endpoint",
-    )
-    status_parser.add_argument(
-        "--metrics", required=True, metavar="HOST:PORT",
-        help="scrape a --metrics-port endpoint (e.g. 127.0.0.1:9400)",
-    )
-    status_parser.add_argument(
-        "--watch", action="store_true",
-        help="refresh continuously instead of printing one snapshot",
-    )
-    status_parser.add_argument(
-        "--interval", type=float, default=2.0, metavar="SECONDS",
-        help="refresh cadence of --watch (default: 2)",
-    )
-    status_parser.add_argument(
-        "--iterations", type=int, default=None, metavar="N",
-        help="with --watch, stop after N refreshes instead of running "
-             "until interrupted",
     )
 
     ingest_parser = subparsers.add_parser(
@@ -625,47 +578,6 @@ def _parse_host_port(address: str, option: str) -> Tuple[str, int]:
         raise ReproError(f"invalid port in {option}={address!r}") from None
 
 
-def run_status(args: argparse.Namespace) -> int:
-    """Render the sweep dashboard once, or repeatedly with --watch."""
-    import time as time_module
-    import urllib.error
-    import urllib.request
-
-    from .obs.status import render_status, snapshot_from_metrics_text
-
-    host, port = _parse_host_port(args.metrics, "--metrics")
-    url = f"http://{host}:{port}/metrics"
-
-    def take_snapshot():
-        try:
-            with urllib.request.urlopen(url, timeout=10.0) as response:
-                text = response.read().decode("utf-8")
-        except (urllib.error.URLError, OSError) as error:
-            raise ReproError(f"cannot scrape {url}: {error}") from None
-        return snapshot_from_metrics_text(text, source=f"{host}:{port}")
-
-    if not args.watch:
-        print(render_status(take_snapshot()))
-        return 0
-
-    previous = None
-    remaining = args.iterations
-    try:
-        while remaining is None or remaining > 0:
-            snapshot = take_snapshot()
-            print(render_status(snapshot, previous), flush=True)
-            print(flush=True)
-            previous = snapshot
-            if remaining is not None:
-                remaining -= 1
-                if remaining == 0:
-                    break
-            time_module.sleep(args.interval)
-    except KeyboardInterrupt:
-        pass
-    return 0
-
-
 def run_ingest(args: argparse.Namespace) -> int:
     """Run the live ingestion service until SIGTERM (or ``--run-seconds``)."""
     import asyncio
@@ -787,7 +699,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "sweep":
         _apply_backend_option(args)
         spec = load_sweep_spec(args.spec)
-        _apply_obs_options(args, run_id=spec.name)
+        _apply_events_option(args, run_id=spec.name)
         return run_spec_sweep(
             spec,
             args.output_dir,
@@ -802,7 +714,6 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     runners = {
         "query": run_query,
-        "status": run_status,
         "ingest": run_ingest,
         "loadgen": run_loadgen,
     }

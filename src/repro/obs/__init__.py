@@ -10,10 +10,8 @@ Three primitives shared by every layer of the reproduction stack:
 * :mod:`repro.obs.spans` — ``with span("sweep.task", task_index=…)`` timing
   blocks recording wall/CPU histograms, near-zero cost when disabled.
 
-:class:`MetricsExporter` (:mod:`repro.obs.http`) serves ``/metrics`` and
-``/healthz`` from a background thread for synchronous processes, and
-:mod:`repro.obs.status` turns a scrape into the ``repro-ldp status``
-dashboard.
+The ingestion service serves the registry on ``GET /metrics``; a sweep
+reports progress through its ``--events`` log.
 """
 
 from .events import (
@@ -25,7 +23,6 @@ from .events import (
     read_events,
     set_default_event_log,
 )
-from .http import MetricsExporter
 from .metrics import (
     DEFAULT_BUCKETS,
     Counter,
@@ -52,7 +49,6 @@ __all__ = [
     "set_default_event_log",
     "iter_events",
     "read_events",
-    "MetricsExporter",
     "span",
     "configure_tracing",
     "tracing_enabled",

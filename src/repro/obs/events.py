@@ -29,6 +29,7 @@ event logging is off.
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 from pathlib import Path
@@ -76,11 +77,12 @@ class EventLog:
         :meth:`emit` call may override it per record).
     run_id:
         Correlation id stamped into every record.
-    fsync:
-        Whether each append is fsynced (default ``True``); turn off only
-        for high-rate soft telemetry.
     clock:
         Wall-clock source, a test seam.
+
+    A path that cannot take appends (a directory, say) is refused here,
+    with a :class:`~repro.exceptions.ReproError` naming it, rather than at
+    the first record.
     """
 
     def __init__(
@@ -88,14 +90,17 @@ class EventLog:
         path: Union[str, Path],
         component: str = "",
         run_id: str = "",
-        fsync: bool = True,
         clock: Callable[[], float] = time.time,
     ) -> None:
         self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            if self.path.exists():  # otherwise the first record creates it
+                os.close(os.open(self.path, os.O_WRONLY | os.O_APPEND))
+        except OSError as error:
+            raise ReproError(f"cannot append events to {self.path}: {error}") from None
         self.component = str(component)
         self.run_id = str(run_id)
-        self._fsync = bool(fsync)
         self._clock = clock
         self._lock = threading.Lock()
         self.emitted = 0
@@ -124,7 +129,7 @@ class EventLog:
             record[key] = _jsonable(value)
         line = json.dumps(record, separators=(",", ":"))
         with self._lock:
-            atomic_append_line(self.path, line, fsync=self._fsync)
+            atomic_append_line(self.path, line)
             self.emitted += 1
         return record
 

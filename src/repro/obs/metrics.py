@@ -3,11 +3,11 @@
 This is the metrics core of the repo-wide observability layer
 (:mod:`repro.obs`).  Every long-running surface threads a
 :class:`MetricsRegistry` through its components — the live ingestion
-service renders one on ``GET /metrics``, and the sweep executor and
-simulation engines record into the **process-global default registry**
-(:func:`default_registry`) that ``--metrics-port`` exposes over HTTP — all
-in the Prometheus text format (version 0.0.4), the same surface every
-scrape-based monitoring stack understands, with zero new dependencies.
+service renders one on ``GET /metrics``, and the simulation engines and
+spans record into the **process-global default registry**
+(:func:`default_registry`) — all in the Prometheus text format (version
+0.0.4), the same surface every scrape-based monitoring stack understands,
+with zero new dependencies.
 
 The model is deliberately small:
 
@@ -347,11 +347,10 @@ class MetricsRegistry:
 # --------------------------------------------------------------------- #
 # Process-global default registry
 # --------------------------------------------------------------------- #
-# Instrumented components (sweep executor, simulation engines) record into
-# this registry unless handed one explicitly, so a ``--metrics-port``
-# exporter started anywhere in the process sees every series.  Worker
-# subprocesses get their own module state (and therefore their own
-# registry); only the parent's registry is scraped.
+# Instrumented components (simulation engines, spans) record into this
+# registry unless handed one explicitly, so an in-process reader sees every
+# series.  Worker subprocesses get their own module state (and therefore
+# their own registry).
 _default_registry = MetricsRegistry()
 _default_lock = threading.Lock()
 

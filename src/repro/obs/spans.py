@@ -11,8 +11,7 @@ fields) to the default event log.
 Tracing is **off by default** and the disabled path is near-zero cost: one
 module-global bool check and a shared no-op context manager, no allocation,
 no clock reads.  That keeps hot simulation loops unaffected until an
-operator opts in (the CLI enables tracing whenever ``--metrics-port`` or
-``--events`` is given, or via ``REPRO_OBS_TRACE=1``).
+operator opts in (``sweep --events`` enables tracing with span events).
 
 Spans never touch any randomness stream, so estimates are bit-identical
 with tracing on or off.
@@ -20,7 +19,6 @@ with tracing on or off.
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Dict, Optional
 
@@ -32,9 +30,6 @@ __all__ = [
     "configure_tracing",
     "tracing_enabled",
 ]
-
-#: Environment switch: set to ``1``/``true`` to enable tracing at import.
-TRACE_ENV_VAR = "REPRO_OBS_TRACE"
 
 _enabled = False
 _span_events = False
@@ -128,7 +123,3 @@ def configure_tracing(
 
 def tracing_enabled() -> bool:
     return _enabled
-
-
-if os.environ.get(TRACE_ENV_VAR, "").strip().lower() in ("1", "true", "yes", "on"):
-    configure_tracing(True)

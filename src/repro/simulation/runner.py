@@ -33,7 +33,6 @@ from ..datasets.base import LongitudinalDataset
 from ..exceptions import ExperimentError
 from ..longitudinal.base import LongitudinalProtocol
 from ..longitudinal.dbitflip import DBitFlipPM
-from ..obs.metrics import default_registry
 from ..obs.spans import span
 from ..rng import RngLike, derive_seed_sequences
 from ..specs import ProtocolSpec
@@ -145,11 +144,6 @@ def _package_result(
     )
 
 
-#: Window-length buckets for ``repro_sim_window_rounds`` — window sizes are
-#: round counts, so the default sub-second latency bounds make no sense here.
-_WINDOW_BUCKETS = (1, 2, 5, 10, 25, 50, 100, 250, 1000)
-
-
 def round_windows(values: np.ndarray) -> List[Tuple[int, int]]:
     """Maximal round windows ``[t0, t1)`` in which no user's value changes.
 
@@ -176,33 +170,14 @@ def _drive_windows(engine, values: np.ndarray, sink, generator) -> None:
 
     Rounds reach ``sink.add_round`` once each, in order.
     """
-    registry = default_registry()
-    m_rounds = registry.counter(
-        "repro_sim_rounds_total", "Simulation rounds stepped through engines."
-    )
-    m_window_rounds = registry.histogram(
-        "repro_sim_window_rounds",  # repro: allow[METRIC-NAME] unitless rounds-per-window distribution
-        "Rounds per batched unchanged-value window.",
-        buckets=_WINDOW_BUCKETS,
-    )
     engine_name = type(engine).__name__
     for start_t, stop_t in round_windows(values):
         n_window = stop_t - start_t
         with span("sim.window", component="simulation", engine=engine_name,
                   rounds=n_window, start_round=start_t):
             counts = engine.run_rounds(values[:, start_t], n_window, generator)
-        m_rounds.inc(n_window)
-        m_window_rounds.observe(n_window)
         for offset in range(n_window):
             sink.add_round(start_t + offset, counts[offset])
-    memo_nbytes = getattr(engine, "memo_nbytes", None)
-    if callable(memo_nbytes):
-        nbytes = memo_nbytes()
-        if nbytes is not None:
-            registry.gauge(
-                "repro_sim_memo_bytes",
-                "Bytes held by the most recently driven engine's memo table.",
-            ).labels(engine=engine_name).set(nbytes)
 
 
 def simulate_protocol(

@@ -14,9 +14,9 @@ processes:
 * every task is seeded by its own :class:`numpy.random.SeedSequence` child
   derived from the root seed, so a parallel sweep (``n_workers > 1``) is
   **bit-identical** to the serial one — only wall-clock time changes;
-* completed grid points can be flushed incrementally to a
-  :class:`repro.store.ResultsStore` CSV, so an interrupted sweep keeps every
-  finished point on disk;
+* completed grid points are flushed to a :class:`repro.store.ResultsStore`
+  CSV as soon as every earlier point is done, so an interrupted sweep keeps
+  every finished point on disk;
 * an interrupted sweep can be *resumed*: pass the already-present grid keys
   as ``completed`` (see :func:`completed_points_from_rows`) and only the
   missing points are computed — with unchanged derived seeds, so a resumed
@@ -28,7 +28,6 @@ harnesses.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import (
@@ -45,12 +44,11 @@ from typing import (
 
 import numpy as np
 
-from .._validation import require_int_at_least
+from .._validation import require_distinct, require_int_at_least
 from ..datasets.base import LongitudinalDataset
 from ..exceptions import ExperimentError
 from ..longitudinal.base import LongitudinalProtocol
 from ..obs.events import emit_event
-from ..obs.metrics import default_registry
 from ..obs.spans import span
 from ..registry import build_protocol
 from ..rng import derive_seed_sequences
@@ -197,20 +195,13 @@ def _execute_task(
     keep_full: bool,
     dataset: Optional[LongitudinalDataset] = None,
 ):
-    """Run one task; returns ``(task_index, payload, wall_seconds)``.
-
-    The duration is measured in the executing process and shipped back with
-    the payload so the parent's registry sees per-task timings even when
-    the task ran in a pool worker (whose own registry is invisible here).
-    """
-    started = time.perf_counter()
+    """Run one task; returns ``(task_index, payload)``."""
     if dataset is None:
         dataset = _WORKER_DATASET
     protocol = task.build(task.check_dataset(dataset).k)
     result = simulate_protocol(protocol, dataset, np.random.default_rng(seed))
-    seconds = time.perf_counter() - started
     if keep_full:
-        return task_index, result, seconds
+        return task_index, result
     return (
         task_index,
         _RunStats(
@@ -218,7 +209,6 @@ def _execute_task(
             eps_avg=result.eps_avg,
             worst_case_budget=result.worst_case_budget,
         ),
-        seconds,
     )
 
 
@@ -235,8 +225,9 @@ class SweepExecutor:
     dataset:
         The longitudinal workload to simulate (shipped to each worker once).
     eps_inf_values, alpha_values:
-        The privacy grid; ``eps_1 = alpha * eps_inf``.  Validated up front,
-        before any randomness streams are derived.
+        The privacy grid; ``eps_1 = alpha * eps_inf``.  Validated up front
+        (no repeated value, alpha in ``(0, 1)``), before any randomness
+        streams are derived.
     n_runs:
         Independent repetitions per grid point (the paper uses 20).
     rng:
@@ -248,12 +239,13 @@ class SweepExecutor:
         scalar statistics are always retained.
     n_workers:
         Number of worker processes; ``1`` (default) runs in-process.
-    store, experiment_id, flush_every:
+    store, experiment_id:
         When ``store`` is given (a :class:`repro.store.ResultsStore`, or any
         object with its ``has_rows`` / ``append_rows`` methods), completed
-        grid points are appended under ``experiment_id`` in grid order,
-        ``flush_every`` points at a time, while the sweep is still running.
-        The store is only touched from the parent process.
+        grid points are appended under ``experiment_id`` in grid order
+        while the sweep is still running: each completed grid-order prefix
+        goes out in one append.  The store is only touched from the parent
+        process.
     completed, resume:
         Resume support: grid keys in ``completed`` (``(protocol_name,
         alpha, eps_inf)``, see :func:`completed_points_from_rows`) are
@@ -281,14 +273,12 @@ class SweepExecutor:
         n_workers: int = 1,
         store: Optional[ResultsStore] = None,
         experiment_id: str = "sweep",
-        flush_every: int = 1,
         completed: Optional[Collection[GridKey]] = None,
         resume: bool = False,
         header_comment: Optional[str] = None,
     ) -> None:
         self.n_runs = require_int_at_least(n_runs, 1, "n_runs")
         self.n_workers = require_int_at_least(n_workers, 1, "n_workers")
-        self.flush_every = require_int_at_least(flush_every, 1, "flush_every")
         eps_inf_values = list(eps_inf_values)
         alpha_values = list(alpha_values)
         if not protocols:
@@ -298,7 +288,10 @@ class SweepExecutor:
         if not eps_inf_values or not alpha_values:
             raise ExperimentError("the privacy grid must be non-empty")
         # Fail fast on an invalid grid, before any generator table is derived
-        # or any simulation starts.
+        # or any simulation starts.  A repeated value would run one grid key
+        # twice and write two rows for it.
+        require_distinct(eps_inf_values, "eps_inf_values")
+        require_distinct(alpha_values, "alpha_values")
         for alpha in alpha_values:
             if not 0.0 < alpha < 1.0:
                 raise ExperimentError(f"alpha must lie in (0, 1), got {alpha}")
@@ -361,22 +354,7 @@ class SweepExecutor:
         skip = [key in self.completed for key in self.grid]
         tasks = self._tasks(skip)
 
-        registry = default_registry()
-        m_points = registry.counter(
-            "repro_sweep_points_total",
-            "Grid points finished, by status (done / skipped on resume).",
-        )
-        m_task_seconds = registry.histogram(
-            "repro_sweep_task_seconds",
-            "Wall-clock duration of single sweep tasks (one grid-point run).",
-        )
-        m_point_seconds = registry.histogram(
-            "repro_sweep_point_seconds",
-            "Summed task time of completed grid points.",
-        )
         n_skipped = sum(skip)
-        if n_skipped:
-            m_points.labels(status="skipped").inc(n_skipped)
         emit_event(
             "sweep_started",
             component="sweep",
@@ -390,38 +368,32 @@ class SweepExecutor:
         results: List[object] = [None] * n_tasks
         points: List[Optional[SweepPoint]] = [None] * n_points
         completed_runs = [0] * n_points
-        point_seconds = [0.0] * n_points
-        flush_state = {"cursor": 0, "pending": []}
+        # Every point before the cursor is on disk (or was skipped).
+        flush_cursor = 0
 
-        def on_task_done(task_index: int, payload: object, seconds: float) -> None:
+        def on_task_done(task_index: int, payload: object) -> None:
+            nonlocal flush_cursor
             results[task_index] = payload
-            m_task_seconds.observe(seconds)
             point_index = task_index // self.n_runs
             completed_runs[point_index] += 1
-            point_seconds[point_index] += seconds
             if completed_runs[point_index] == self.n_runs:
                 points[point_index] = self._build_point(point_index, results)
-                m_points.labels(status="done").inc()
-                m_point_seconds.observe(point_seconds[point_index])
-                self._flush_ready(points, skip, flush_state)
+                # Flushing at once keeps finished points on disk even when a
+                # later task fails or the sweep is interrupted.
+                flush_cursor = self._flush_ready(points, skip, flush_cursor)
 
-        try:
-            if self.n_workers == 1:
-                for task_index, task in enumerate(tasks):
-                    if task is None:
-                        continue
-                    with span("sweep.task", component="sweep", task_index=task_index):
-                        _, payload, seconds = _execute_task(
-                            task_index, task, seeds[task_index],
-                            self.keep_runs, self.dataset,
-                        )
-                    on_task_done(task_index, payload, seconds)
-            else:
-                self._run_pool(tasks, seeds, on_task_done)
-        finally:
-            # Flush the completed grid-order prefix even when a task failed
-            # or the sweep was interrupted — finished points stay on disk.
-            self._flush_ready(points, skip, flush_state, final=True)
+        if self.n_workers == 1:
+            for task_index, task in enumerate(tasks):
+                if task is None:
+                    continue
+                with span("sweep.task", component="sweep", task_index=task_index):
+                    _, payload = _execute_task(
+                        task_index, task, seeds[task_index],
+                        self.keep_runs, self.dataset,
+                    )
+                on_task_done(task_index, payload)
+        else:
+            self._run_pool(tasks, seeds, on_task_done)
         emit_event(
             "sweep_finished",
             component="sweep",
@@ -469,8 +441,7 @@ class SweepExecutor:
                 while pending:
                     done, pending = wait(pending, return_when=FIRST_COMPLETED)
                     for future in done:
-                        task_index, payload, seconds = future.result()
-                        on_task_done(task_index, payload, seconds)
+                        on_task_done(*future.result())
             except BaseException:
                 # Surface a failed task immediately instead of waiting for
                 # the whole remaining grid to finish.
@@ -504,34 +475,26 @@ class SweepExecutor:
         self,
         points: Sequence[Optional[SweepPoint]],
         skip: Sequence[bool],
-        flush_state: dict,
-        final: bool = False,
-    ) -> None:
-        """Append finished points to the store, in grid order, batched.
+        cursor: int,
+    ) -> int:
+        """Append the finished grid-order prefix from ``cursor`` on to the
+        store in one write; returns the new cursor.
 
         Skipped (already-persisted) points advance the cursor without being
         re-appended.
         """
         if self.store is None:
-            return
-        while flush_state["cursor"] < len(points) and (
-            skip[flush_state["cursor"]] or points[flush_state["cursor"]] is not None
-        ):
-            if not skip[flush_state["cursor"]]:
-                flush_state["pending"].append(points[flush_state["cursor"]].as_row())
-            flush_state["cursor"] += 1
-        if flush_state["pending"] and (final or len(flush_state["pending"]) >= self.flush_every):
-            flush_started = time.perf_counter()
+            return cursor
+        rows = []
+        while cursor < len(points) and (skip[cursor] or points[cursor] is not None):
+            if not skip[cursor]:
+                rows.append(points[cursor].as_row())
+            cursor += 1
+        if rows:
             self.store.append_rows(
-                self.experiment_id,
-                flush_state["pending"],
-                header_comment=self.header_comment,
+                self.experiment_id, rows, header_comment=self.header_comment
             )
-            default_registry().histogram(
-                "repro_sweep_flush_seconds",
-                "Wall-clock latency of incremental CSV flushes.",
-            ).observe(time.perf_counter() - flush_started)
-            flush_state["pending"] = []
+        return cursor
 
 
 def run_sweep(
@@ -545,7 +508,6 @@ def run_sweep(
     n_workers: int = 1,
     store: Optional[ResultsStore] = None,
     experiment_id: str = "sweep",
-    flush_every: int = 1,
     completed: Optional[Collection[GridKey]] = None,
     resume: bool = False,
     header_comment: Optional[str] = None,
@@ -568,7 +530,6 @@ def run_sweep(
         n_workers=n_workers,
         store=store,
         experiment_id=experiment_id,
-        flush_every=flush_every,
         completed=completed,
         resume=resume,
         header_comment=header_comment,

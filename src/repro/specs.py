@@ -41,7 +41,7 @@ from pathlib import Path
 from typing import Dict, Mapping, Optional, Tuple, Union
 
 from ._atomicio import atomic_write_text
-from ._validation import require_int_at_least, require_positive
+from ._validation import require_distinct, require_int_at_least, require_positive
 from .exceptions import ParameterError
 
 __all__ = [
@@ -257,9 +257,9 @@ class SweepSpec:
         Protocol templates in grid order.  Display names
         (:attr:`ProtocolSpec.display_name`) must be unique.
     eps_inf_values, alpha_values:
-        The privacy grid; ``eps_1 = alpha * eps_inf``.
+        The privacy grid; ``eps_1 = alpha * eps_inf``.  No value may repeat.
     datasets:
-        Dataset registry names to sweep (one CSV per dataset).
+        Dataset registry names to sweep (one CSV per dataset), each once.
     n_runs:
         Independent repetitions per grid point.
     dataset_scale:
@@ -307,6 +307,8 @@ class SweepSpec:
             raise ParameterError("the privacy grid must be non-empty")
         for eps in eps_values:
             require_positive(eps, "eps_inf")
+        require_distinct(eps_values, "eps_inf_values")
+        require_distinct(alpha_values, "alpha_values")
         for alpha in alpha_values:
             if not 0.0 < alpha < 1.0:
                 raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
@@ -315,6 +317,7 @@ class SweepSpec:
         datasets = tuple(str(d) for d in self.datasets)
         if not datasets:
             raise ParameterError("a sweep spec requires at least one dataset")
+        require_distinct(datasets, "datasets")
         object.__setattr__(self, "datasets", datasets)
         require_int_at_least(self.n_runs, 1, "n_runs")
         require_positive(self.dataset_scale, "dataset_scale")

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -45,12 +46,18 @@ class TestParser:
             ["work", "--queue-dir", "q"],
             ["status", "--queue-dir", "q"],
             ["status", "--metrics", "127.0.0.1:9", "--checkpoint", "x.npz"],
+            ["status", "--metrics", "127.0.0.1:9"],
+            ["sweep", "--spec", "s.json", "--output-dir", "o", "--metrics-port", "0"],
         ],
-        ids=["serve", "work", "status-queue-dir", "status-checkpoint"],
+        ids=[
+            "serve", "work", "status-queue-dir", "status-checkpoint",
+            "status", "sweep-metrics-port",
+        ],
     )
     def test_file_queue_commands_are_gone(self, capsys, argv):
-        """Shards run on a local pool only: the file-queue commands and the
-        spool half of ``status`` are argparse errors, not tracebacks."""
+        """Shards run on a local pool only, and a sweep reports progress
+        through ``--events`` alone: the file-queue commands, ``status`` and
+        ``sweep --metrics-port`` are argparse errors, not tracebacks."""
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
@@ -126,6 +133,13 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.err.strip() == f"error: {message}"
         assert "Traceback" not in captured.err
+
+    def test_repeated_eps_answers_error_line_and_exit_2(self, capsys):
+        code = main(["figure3", "--eps", "2", "2", "--alpha", "0.5", "--scale", "0.02"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == "error: eps_inf_values repeats the value 2.0"
+        assert "MSE_avg" not in captured.out
 
     def test_table2_command_small(self, capsys):
         code = main(
@@ -381,6 +395,49 @@ class TestQueryCli:
             build_parser().parse_args(argv)
         assert excinfo.value.code == 2
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, values",
+    [
+        ("eps_inf_values", (2.0, 2.0)),
+        ("alpha_values", (0.5, 0.4, 0.5)),
+        ("datasets", ("syn", "syn")),
+    ],
+    ids=["eps", "alpha", "datasets"],
+)
+def test_sweep_spec_repeating_a_grid_value_is_refused(
+    capsys, tmp_path, write_sweep_grid, field, values
+):
+    """A repeated grid value would run one grid key twice; the API and
+    `repro-ldp sweep` (exit 2, before any point runs) refuse it, naming the
+    field and the value."""
+    message = f"{field} repeats the value {values[-1]!r}"
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        write_sweep_grid(**{field: values})
+    grid = write_sweep_grid()
+    payload = json.loads(grid.read_text())
+    payload[field] = list(values)
+    grid.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    assert main(["sweep", "--spec", str(grid), "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_sweep_events_naming_a_directory_is_refused(capsys, tmp_path, write_sweep_grid):
+    """An event log that cannot take appends is refused before any grid
+    point runs, as an error line naming it, not a traceback."""
+    grid = write_sweep_grid()
+    out = tmp_path / "out"
+    argv = ["sweep", "--spec", str(grid), "--output-dir", str(out), "--events", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"cannot append events to {tmp_path}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_sweep_spec_naming_store_is_refused(capsys, tmp_path, write_sweep_grid):

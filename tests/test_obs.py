@@ -5,16 +5,14 @@ process-global default registry), Prometheus exposition edge cases (label
 escaping, non-finite observations, empty registries, scrape-while-mutating),
 the structured JSONL event log (envelope validation, crash-safe appends,
 strict readers), span tracing (near-zero disabled path, histogram recording,
-span events, error propagation), the threaded :class:`MetricsExporter`, the
-``repro-ldp status`` snapshot/render layer over a scrape, and the
-bit-identity of estimates with instrumentation on versus off.
+span events, error propagation), and the bit-identity of estimates with
+instrumentation on versus off.
 """
 
 import json
 import math
+import re
 import threading
-import urllib.error
-import urllib.request
 import warnings
 
 import numpy as np
@@ -23,7 +21,6 @@ import pytest
 from repro.exceptions import ParameterError, ReproError
 from repro.obs import (
     EventLog,
-    MetricsExporter,
     MetricsRegistry,
     SCHEMA_VERSION,
     configure_tracing,
@@ -36,13 +33,33 @@ from repro.obs import (
     span,
     tracing_enabled,
 )
-from repro.obs.status import (
-    StatusSnapshot,
-    parse_exposition,
-    render_status,
-    snapshot_from_metrics_text,
-)
 from repro.simulation.runner import simulate_protocol
+
+#: ``name{labels} value`` | ``name value`` — the slice of the exposition
+#: format the registry renders.
+_SAMPLE_RE = re.compile(
+    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
+    r"(?:\{(?P<labels>.*)\})?\s+(?P<value>\S+)$"
+)
+_LABEL_PAIR_RE = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
+
+
+def parse_exposition(text):
+    """Parse Prometheus text exposition into ``name -> [(labels, value)]``."""
+    samples = {}
+    for line in text.splitlines():
+        if not line or line.startswith("#"):
+            continue
+        match = _SAMPLE_RE.match(line)
+        assert match is not None, f"unparseable exposition line: {line!r}"
+        labels = {
+            name: value.replace("\\n", "\n").replace('\\"', '"').replace("\\\\", "\\")
+            for name, value in _LABEL_PAIR_RE.findall(match.group("labels") or "")
+        }
+        raw = match.group("value")
+        value = math.inf if raw == "+Inf" else float(raw)
+        samples.setdefault(match.group("name"), []).append((labels, value))
+    return samples
 
 
 @pytest.fixture(autouse=True)
@@ -253,6 +270,26 @@ class TestEventLog:
         EventLog(path, clock=lambda: 2.0).emit("two")
         assert [r["event"] for r in read_events(path)] == ["one", "two"]
 
+    def test_every_record_is_fsynced(self, tmp_path, monkeypatch):
+        import os
+
+        synced = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            synced.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        log = EventLog(tmp_path / "e.jsonl")
+        log.emit("one")
+        log.emit("two")
+        assert len(synced) == 2
+
+    def test_unappendable_path_refused_at_construction(self, tmp_path):
+        with pytest.raises(ReproError, match=re.escape(f"cannot append events to {tmp_path}")):
+            EventLog(tmp_path)
+
     def test_default_log_install_and_noop(self, tmp_path):
         assert emit_event("dropped") is None
         log = EventLog(tmp_path / "e.jsonl", component="base", run_id="rid")
@@ -323,100 +360,6 @@ class TestSpans:
 
 
 # --------------------------------------------------------------------- #
-# Metrics exporter
-# --------------------------------------------------------------------- #
-def _http(url, method="GET"):
-    request = urllib.request.Request(url, method=method)
-    with urllib.request.urlopen(request, timeout=10.0) as response:
-        return response.status, response.read().decode("utf-8")
-
-
-class TestMetricsExporter:
-    def test_serves_metrics_and_healthz(self):
-        registry = MetricsRegistry()
-        registry.counter("repro_demo_total").inc(5)
-        with MetricsExporter(registry=registry) as exporter:
-            host, port = exporter.address
-            status, text = _http(f"http://{host}:{port}/metrics")
-            assert status == 200
-            assert "repro_demo_total 5" in text
-            # The scrape itself is counted; the next scrape sees it.
-            _, text = _http(f"http://{host}:{port}/metrics")
-            samples = parse_exposition(text)
-            assert samples["repro_metrics_scrapes_total"][0][1] >= 1.0
-            status, body = _http(f"http://{host}:{port}/healthz")
-            payload = json.loads(body)
-            assert status == 200 and payload["status"] == "ok"
-            assert payload["uptime_seconds"] >= 0.0
-
-    def test_unknown_path_and_non_get_rejected(self):
-        with MetricsExporter(registry=MetricsRegistry()) as exporter:
-            host, port = exporter.address
-            with pytest.raises(urllib.error.HTTPError) as info:
-                _http(f"http://{host}:{port}/nope")
-            assert info.value.code == 404
-            with pytest.raises(urllib.error.HTTPError) as info:
-                _http(f"http://{host}:{port}/metrics", method="POST")
-            assert info.value.code == 405
-
-    def test_address_requires_start_and_close_is_idempotent(self):
-        exporter = MetricsExporter(registry=MetricsRegistry())
-        with pytest.raises(ReproError, match="not started"):
-            exporter.address
-        exporter.start()
-        exporter.close()
-        exporter.close()
-
-    def test_bind_conflict_raises_repro_error(self):
-        with MetricsExporter(registry=MetricsRegistry()) as exporter:
-            _, port = exporter.address
-            rival = MetricsExporter(registry=MetricsRegistry(), port=port)
-            with pytest.raises(ReproError, match="cannot serve metrics"):
-                rival.start()
-
-
-# --------------------------------------------------------------------- #
-# Status: parsing, snapshots, rendering
-# --------------------------------------------------------------------- #
-class TestStatusParsing:
-    def test_parse_skips_comments_and_reads_inf(self):
-        text = (
-            "# HELP x help\n# TYPE x counter\n"
-            'x_bucket{le="+Inf"} 3\nceiling +Inf\nplain 2\n'
-        )
-        samples = parse_exposition(text)
-        assert samples["x_bucket"][0] == ({"le": "+Inf"}, 3.0)
-        assert samples["ceiling"][0] == ({}, math.inf)
-        assert samples["plain"][0] == ({}, 2.0)
-
-    def test_unparseable_line_raises(self):
-        with pytest.raises(ReproError, match="unparseable"):
-            parse_exposition("not a sample line at all!\n")
-
-    def test_snapshot_from_metrics_text(self):
-        registry = MetricsRegistry()
-        sweep = registry.counter("repro_sweep_points_total")
-        sweep.labels(status="done").inc(4)
-        sweep.labels(status="skipped").inc(1)
-        snapshot = snapshot_from_metrics_text(registry.render(), source="t")
-        assert snapshot.source == "t"
-        assert (snapshot.sweep_done, snapshot.sweep_skipped) == (4, 1)
-
-    def test_render_with_previous_shows_sweep_throughput(self):
-        previous = StatusSnapshot(source="t", captured_at=100.0, sweep_done=2)
-        current = StatusSnapshot(
-            source="t", captured_at=102.0, sweep_done=6, sweep_skipped=1
-        )
-        text = render_status(current, previous)
-        assert "sweep: 6 points done, 1 skipped (resume)" in text
-        assert "sweep throughput: 2.00 points/s" in text
-
-    def test_render_empty_snapshot_says_so(self):
-        text = render_status(StatusSnapshot(source="t", captured_at=0.0))
-        assert "no sweep series found" in text
-
-
-# --------------------------------------------------------------------- #
 # Instrumentation end to end
 # --------------------------------------------------------------------- #
 class TestInstrumentation:
@@ -433,50 +376,3 @@ class TestInstrumentation:
         traced = simulate_protocol(protocol, tiny_dataset, rng=11)
         assert np.array_equal(baseline.estimates, traced.estimates)
 
-
-# --------------------------------------------------------------------- #
-# CLI status command
-# --------------------------------------------------------------------- #
-class TestStatusCli:
-    def test_status_from_metrics_endpoint(self, capsys):
-        from repro.cli import main
-
-        registry = default_registry()
-        sweep = registry.counter("repro_sweep_points_total")
-        sweep.labels(status="done").inc(3)
-        sweep.labels(status="skipped").inc(1)
-        with MetricsExporter(registry=registry) as exporter:
-            host, port = exporter.address
-            assert main(["status", "--metrics", f"{host}:{port}"]) == 0
-        output = capsys.readouterr().out
-        assert "sweep: 3 points done, 1 skipped (resume)" in output
-
-    def test_watch_iterations_prints_repeated_dashboards(self, capsys):
-        from repro.cli import main
-
-        registry = default_registry()
-        registry.counter("repro_sweep_points_total").labels(status="done").inc(2)
-        with MetricsExporter(registry=registry) as exporter:
-            host, port = exporter.address
-            code = main(
-                [
-                    "status",
-                    "--metrics", f"{host}:{port}",
-                    "--watch",
-                    "--interval", "0.01",
-                    "--iterations", "2",
-                ]
-            )
-        assert code == 0
-        output = capsys.readouterr().out
-        assert output.count("repro-ldp status") == 2
-        assert "sweep throughput: 0.00 points/s" in output
-
-    def test_unreachable_endpoint_is_an_error(self, capsys):
-        from repro.cli import main
-
-        # Port 9 (discard) is almost certainly closed; the scrape must fail
-        # as a clean CLI error, not a traceback.
-        code = main(["status", "--metrics", "127.0.0.1:9"])
-        assert code == 2
-        assert "cannot scrape" in capsys.readouterr().err

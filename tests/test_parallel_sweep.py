@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.exceptions import ExperimentError
+from repro.exceptions import ExperimentError, ParameterError
 from repro.simulation import sweep as sweep_module
 from repro.simulation.runner import simulate_protocol
 from repro.simulation.sweep import (
@@ -146,6 +146,24 @@ class TestFailFastValidation:
                 n_runs=1_000_000_000,
             )
 
+    @pytest.mark.parametrize(
+        "field, values",
+        [("eps_inf_values", [1.0, 2.0, 1.0]), ("alpha_values", [0.5, 0.5])],
+        ids=["eps", "alpha"],
+    )
+    def test_repeated_grid_value_rejected_before_any_simulation(
+        self, tiny_dataset, tmp_path, monkeypatch, field, values
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("a grid point ran")
+
+        monkeypatch.setattr(sweep_module, "simulate_protocol", never)
+        store = ResultsStore(tmp_path)
+        grid = {"eps_inf_values": [1.0], "alpha_values": [0.5], field: values}
+        with pytest.raises(ParameterError, match=f"{field} repeats the value {values[0]!r}"):
+            run_sweep(_specs(), tiny_dataset, store=store, experiment_id="dup", **grid)
+        assert not store.has_rows("dup")
+
     def test_missing_dataset_rejected(self):
         with pytest.raises(ExperimentError, match="no dataset"):
             run_sweep(_specs(), None, eps_inf_values=[1.0], alpha_values=[0.5])
@@ -247,11 +265,41 @@ class TestIncrementalFlushing:
             n_workers=2,
             store=store,
             experiment_id="sweep_par",
-            flush_every=2,
         )
         rows = store.load_rows("sweep_par")
         assert [row["protocol"] for row in rows] == [p.protocol_name for p in points]
         assert [float(row["eps_inf"]) for row in rows] == [p.eps_inf for p in points]
+
+    def test_serial_sweep_appends_each_point_before_the_next_runs(
+        self, tiny_dataset, tmp_path, monkeypatch
+    ):
+        """Every completed point is on disk before the next one starts."""
+        timeline = []
+
+        class RecordingStore(ResultsStore):
+            def append_rows(self, experiment_id, rows, header_comment=None):
+                timeline.append(("append", len(rows)))
+                return super().append_rows(experiment_id, rows, header_comment=header_comment)
+
+        def recorded(protocol, dataset, rng):
+            timeline.append(("simulate", protocol.eps_inf))
+            return simulate_protocol(protocol, dataset, rng)
+
+        monkeypatch.setattr(sweep_module, "simulate_protocol", recorded)
+        run_sweep(
+            {"RAPPOR": ProtocolSpec(name="L-SUE", label="RAPPOR")},
+            tiny_dataset,
+            eps_inf_values=[1.0, 2.0, 3.0],
+            alpha_values=[0.5],
+            keep_runs=False,
+            store=RecordingStore(tmp_path),
+            experiment_id="stepwise",
+        )
+        assert timeline == [
+            ("simulate", 1.0), ("append", 1),
+            ("simulate", 2.0), ("append", 1),
+            ("simulate", 3.0), ("append", 1),
+        ]
 
     def test_rerun_with_same_experiment_id_rejected(self, tiny_dataset, tmp_path):
         """A second sweep must not silently append duplicate grid points."""
@@ -291,7 +339,6 @@ class TestIncrementalFlushing:
                 keep_runs=False,
                 store=store,
                 experiment_id="latefail",
-                flush_every=10,
             )
         rows = store.load_rows("latefail")
         assert [float(row["eps_inf"]) for row in rows] == [1.0, 2.0]
