@@ -63,8 +63,9 @@ described by an :class:`repro.specs.IngestSpec` — batched report submission
 on ``POST /v1/reports`` (each batch folded before its ``202``), live
 debiased estimates on ``GET /v1/estimate/<t>``, a Prometheus text surface
 on ``GET /metrics``, round windowing owned by a
-:class:`repro.service.clock.RoundClock` (wall-clock timeout, report quorum
-or explicit advance), and a graceful stop + atomic checkpoint on SIGTERM.
+:class:`repro.service.clock.RoundClock` (a round seals on report quorum or
+explicit advance; reports for a sealed round are dropped and counted), and
+a graceful stop + atomic checkpoint on SIGTERM.
 ``loadgen`` drives it with a seeded synthetic client fleet whose reports
 are bit-identical to what a local batch session would be fed::
 
@@ -90,6 +91,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import ExitStack
 from typing import List, Optional, Sequence, Tuple
 
 from .datasets import dataset_summaries, make_dataset
@@ -125,8 +127,10 @@ __all__ = [
 ]
 
 
-def _apply_events_option(args: argparse.Namespace, run_id: str) -> None:
-    """Install ``sweep --events`` for this process.
+def _apply_events_option(
+    args: argparse.Namespace, run_id: str, restore: ExitStack
+) -> None:
+    """Install ``sweep --events`` until ``restore`` closes.
 
     The flag also enables span tracing with span events, which never
     touches the RNG streams — estimates stay bit-identical.
@@ -136,13 +140,15 @@ def _apply_events_option(args: argparse.Namespace, run_id: str) -> None:
         return
     from .obs import EventLog, configure_tracing, set_default_event_log
 
-    set_default_event_log(EventLog(events, component="sweep", run_id=run_id))
+    log = EventLog(events, component="sweep", run_id=run_id)
+    restore.callback(set_default_event_log, set_default_event_log(log))
     print(f"events: appending to {events}", flush=True)
-    configure_tracing(True, span_events=True)
+    restore.callback(configure_tracing, *configure_tracing(True, span_events=True))
 
 
-def _apply_backend_option(args: argparse.Namespace) -> None:
-    """Install ``--kernel-backend`` as the process-wide backend default.
+def _apply_backend_option(args: argparse.Namespace, restore: ExitStack) -> None:
+    """Install ``--kernel-backend`` as the process-wide backend default
+    until ``restore`` closes.
 
     Resolving eagerly fails fast (with a build-failure reason) when
     ``native`` was requested on a host that cannot compile it, instead of
@@ -155,6 +161,11 @@ def _apply_backend_option(args: argparse.Namespace) -> None:
 
     from .simulation.kernels_backend import BACKEND_ENV_VAR, resolve_backend
 
+    previous = os.environ.get(BACKEND_ENV_VAR)
+    if previous is None:
+        restore.callback(os.environ.pop, BACKEND_ENV_VAR, None)
+    else:
+        restore.callback(os.environ.__setitem__, BACKEND_ENV_VAR, previous)
     os.environ[BACKEND_ENV_VAR] = choice
     backend = resolve_backend(choice)
     print(f"kernel backend: {backend.name}")
@@ -268,8 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     ingest_parser = subparsers.add_parser(
         "ingest",
         help="run the live ingestion service: an async HTTP front door that "
-             "accepts report batches, seals round windows on a clock and "
-             "serves live estimates and Prometheus metrics",
+             "accepts report batches, seals round windows on quorum or "
+             "explicit advance and serves live estimates and Prometheus metrics",
     )
     ingest_parser.add_argument(
         "--spec", required=True, metavar="PATH",
@@ -622,8 +633,8 @@ def run_ingest(args: argparse.Namespace) -> int:
     print(
         f"{spec.name}: drained at round {clock.current_round}/{spec.n_rounds} "
         f"({server.session.total_reports} reports folded, "
-        f"{len(clock.seals)} windows sealed, {clock.late_dropped} late "
-        f"dropped, {clock.late_absorbed} late absorbed)"
+        f"{len(clock.seals)} windows sealed, "
+        f"{clock.late_dropped} late dropped)"
     )
     return 0
 
@@ -697,15 +708,18 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "sweep":
-        _apply_backend_option(args)
-        spec = load_sweep_spec(args.spec)
-        _apply_events_option(args, run_id=spec.name)
-        return run_spec_sweep(
-            spec,
-            args.output_dir,
-            resume=args.resume,
-            n_workers=args.workers,
-        )
+        # --kernel-backend and --events set process-wide state; an
+        # in-process caller gets its previous state back when the sweep ends.
+        with ExitStack() as restore:
+            _apply_backend_option(args, restore)
+            spec = load_sweep_spec(args.spec)
+            _apply_events_option(args, spec.name, restore)
+            return run_spec_sweep(
+                spec,
+                args.output_dir,
+                resume=args.resume,
+                n_workers=args.workers,
+            )
 
     if args.command == "check":
         from .checks.cli import run_check

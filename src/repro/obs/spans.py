@@ -20,7 +20,7 @@ with tracing on or off.
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from .events import emit_event
 from .metrics import MetricsRegistry, default_registry
@@ -107,18 +107,21 @@ def configure_tracing(
     enabled: bool = True,
     registry: Optional[MetricsRegistry] = None,
     span_events: bool = False,
-) -> None:
+) -> Tuple[bool, Optional[MetricsRegistry], bool]:
     """Turn span tracing on or off for this process.
 
     ``registry=None`` records into the process default registry (resolved
     at span exit, so a later :func:`~repro.obs.metrics.set_default_registry`
     is honored).  ``span_events=True`` additionally mirrors every completed
-    span into the default event log.
+    span into the default event log.  Returns the previous
+    ``(enabled, registry, span_events)``; passing it back restores them.
     """
     global _enabled, _registry, _span_events
+    previous = (_enabled, _registry, _span_events)
     _registry = registry
     _span_events = bool(span_events)
     _enabled = bool(enabled)
+    return previous
 
 
 def tracing_enabled() -> bool:

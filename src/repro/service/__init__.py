@@ -12,8 +12,8 @@ On top of the session sits the *live ingestion service*
 (:mod:`repro.service.http`) with batched report submission, each batch
 folded before its ``202``, and HMAC authentication; a
 :class:`~repro.service.clock.RoundClock` that owns round windowing (seal on
-wall-clock timeout, quorum or explicit advance, with a configurable
-late-report policy); a Prometheus-text
+quorum or explicit advance; reports for a sealed round are dropped and
+counted); a Prometheus-text
 :class:`~repro.obs.metrics.MetricsRegistry` (from the repo-wide
 observability core, :mod:`repro.obs`); and the seeded async load generator
 of :mod:`repro.service.loadgen`.

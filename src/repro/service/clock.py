@@ -3,28 +3,19 @@
 The batch drivers know which round is open from their loop index.  A live
 ingestion service cannot work that way — reports arrive whenever clients
 send them — so its round progression is owned by an explicit
-:class:`RoundClock`, which seals the open window on **wall-clock timeout**
-(``window_seconds``), **report quorum** (``quorum``) or an **explicit
-advance** (operator request), whichever fires first.
+:class:`RoundClock`, which seals the open window on **report quorum**
+(``quorum``) or an **explicit advance** (operator request).
 
-A batch arriving for an already-sealed round is *late*.  The late policy is
-configurable:
+A batch arriving for an already-sealed round is *late*: its reports are
+counted in ``late_dropped`` and discarded, so a sealed estimate stays frozen
+(a round is a published artifact).  Reports for a not-yet-open (future)
+round are accepted unchanged — the downstream
+:class:`~repro.service.session.CollectorSession` is an out-of-order
+absorber — and only tracked as ``early_reports``.
 
-``"drop"``
-    count the late reports and discard them — the sealed estimate stays
-    frozen (the default, matching "a round is a published artifact");
-``"absorb"``
-    fold the late reports into the currently open window, so no data is
-    lost at the cost of attributing it to a later round.
-
-Reports for a not-yet-open (future) round are accepted unchanged — the
-downstream :class:`~repro.service.session.CollectorSession` is an
-out-of-order absorber — and only tracked as ``early_reports``.
-
-The clock is deliberately free of I/O and asyncio: time comes from an
-injectable ``time_source`` (tests pass a fake), sealing is reported through
-an optional ``on_seal`` callback plus the :attr:`seals` history, and the
-whole state round-trips through :meth:`state_dict` /
+The clock is deliberately free of I/O and asyncio: sealing is reported
+through an optional ``on_seal`` callback plus the :attr:`seals` history,
+and the whole state round-trips through :meth:`state_dict` /
 :meth:`from_state` so the ingestion service checkpoints it inside the
 session's ``.npz``.
 """
@@ -35,14 +26,16 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from .._validation import require_int_at_least, require_positive
+from .._validation import require_int_at_least
 from ..exceptions import ParameterError
 
-__all__ = ["RoundClock", "SealEvent", "LATE_POLICIES"]
-
-LATE_POLICIES = ("drop", "absorb")
+__all__ = ["RoundClock", "SealEvent"]
 
 _STATE_FORMAT = 1
+
+#: Settings of earlier format-1 states that no longer exist, with the one
+#: value this clock still honours: no timeout, late reports dropped.
+_RETIRED_SETTINGS = {"window_seconds": None, "late_policy": "drop"}
 
 
 @dataclass(frozen=True)
@@ -54,11 +47,10 @@ class SealEvent:
     round_index:
         The round that was sealed.
     reason:
-        What closed the window: ``"quorum"``, ``"timeout"`` or the reason
-        given to :meth:`RoundClock.advance` (``"explicit"`` by default).
+        What closed the window: ``"quorum"`` or the reason given to
+        :meth:`RoundClock.advance` (``"explicit"`` by default).
     n_reports:
-        Reports routed into the window while it was open (late-absorbed
-        reports included).
+        Reports routed into the window while it was open.
     duration:
         Wall-clock seconds the window was open (the *seal latency*).
     """
@@ -76,16 +68,9 @@ class RoundClock:
     ----------
     n_rounds:
         Length of the collection horizon.
-    window_seconds:
-        Seal the open window once it has been open this long (checked by
-        :meth:`tick`); ``None`` disables the timeout trigger.
     quorum:
         Seal the open window as soon as it has received this many reports;
-        ``None`` disables the quorum trigger.
-    late_policy:
-        ``"drop"`` or ``"absorb"`` (see module docstring).
-    time_source:
-        Monotonic clock used for window ages; injectable for tests.
+        ``None`` seals only on :meth:`advance`.
     on_seal:
         Optional callback invoked with each :class:`SealEvent` as it happens
         (the ingestion service wires this to its metrics).
@@ -98,32 +83,19 @@ class RoundClock:
         self,
         n_rounds: int,
         *,
-        window_seconds: Optional[float] = None,
         quorum: Optional[int] = None,
-        late_policy: str = "drop",
-        time_source: Callable[[], float] = time.monotonic,
         on_seal: Optional[Callable[[SealEvent], None]] = None,
     ) -> None:
         self.n_rounds = require_int_at_least(n_rounds, 1, "n_rounds")
-        if window_seconds is not None:
-            window_seconds = require_positive(window_seconds, "window_seconds")
-        self.window_seconds = window_seconds
         if quorum is not None:
             quorum = require_int_at_least(quorum, 1, "quorum")
         self.quorum = quorum
-        if late_policy not in LATE_POLICIES:
-            raise ParameterError(
-                f"late_policy must be one of {LATE_POLICIES}, got {late_policy!r}"
-            )
-        self.late_policy = late_policy
-        self._time = time_source
         self.on_seal = on_seal
 
         self._current = 0
         self._window_reports = 0
-        self._window_started = self._time()
+        self._window_started = time.monotonic()
         self.late_dropped = 0
-        self.late_absorbed = 0
         self.early_reports = 0
         self.seals: List[SealEvent] = []
 
@@ -145,10 +117,6 @@ class RoundClock:
         """Reports routed into the currently open window so far."""
         return self._window_reports
 
-    def window_age(self) -> float:
-        """Seconds the current window has been open."""
-        return self._time() - self._window_started
-
     def is_sealed(self, round_index: int) -> bool:
         return self._check_round(round_index) < self._current
 
@@ -166,57 +134,22 @@ class RoundClock:
     def route(self, round_index: int, n_reports: int = 1) -> Optional[int]:
         """Map an arriving batch to the round it must be folded into.
 
-        Returns the target round index, or ``None`` when the batch is late
-        and the policy drops it.  On-time batches may seal their window
-        (quorum); the batch itself still belongs to the window it arrived
-        in.
+        Returns ``round_index``, or ``None`` when the batch is late and
+        dropped.  An on-time batch may seal its window (quorum); the batch
+        itself still belongs to the window it arrived in.
         """
         round_index = self._check_round(round_index)
         n_reports = require_int_at_least(n_reports, 1, "n_reports")
-        if round_index < self._current or self.finished:
-            if self.late_policy == "absorb" and not self.finished:
-                self.late_absorbed += n_reports
-                target = self._current
-                self._window_reports += n_reports
-                self._maybe_quorum_seal()
-                return target
+        if round_index < self._current:
             self.late_dropped += n_reports
             return None
         if round_index > self._current:
             self.early_reports += n_reports
             return round_index
-        target = self._current
         self._window_reports += n_reports
-        self._maybe_quorum_seal()
-        return target
-
-    def _maybe_quorum_seal(self) -> None:
         if self.quorum is not None and self._window_reports >= self.quorum:
             self._seal("quorum")
-
-    def tick(self) -> List[SealEvent]:
-        """Seal windows whose wall-clock deadline has passed.
-
-        Call periodically (the ingestion service runs a ticker task).  A
-        stalled process catches up: one window seals per *elapsed* deadline,
-        each successor window opening exactly where its predecessor's
-        deadline fell, so a 10-second stall over 1-second windows seals ten
-        rounds, not one.  Returns the seal events produced (usually zero or
-        one).
-        """
-        events: List[SealEvent] = []
-        if self.window_seconds is None:
-            return events
-        while (
-            not self.finished
-            and self._time() - self._window_started >= self.window_seconds
-        ):
-            events.append(
-                self._seal(
-                    "timeout", now=self._window_started + self.window_seconds
-                )
-            )
-        return events
+        return round_index
 
     def advance(self, reason: str = "explicit") -> SealEvent:
         """Seal the open window now (operator request)."""
@@ -226,9 +159,8 @@ class RoundClock:
             )
         return self._seal(reason)
 
-    def _seal(self, reason: str, now: Optional[float] = None) -> SealEvent:
-        if now is None:
-            now = self._time()
+    def _seal(self, reason: str) -> SealEvent:
+        now = time.monotonic()
         event = SealEvent(
             round_index=self._current,
             reason=reason,
@@ -251,13 +183,10 @@ class RoundClock:
         return {
             "format": _STATE_FORMAT,
             "n_rounds": self.n_rounds,
-            "window_seconds": self.window_seconds,
             "quorum": self.quorum,
-            "late_policy": self.late_policy,
             "current_round": self._current,
             "window_reports": self._window_reports,
             "late_dropped": self.late_dropped,
-            "late_absorbed": self.late_absorbed,
             "early_reports": self.early_reports,
             "seals": [
                 {
@@ -275,14 +204,14 @@ class RoundClock:
         cls,
         state: Dict[str, object],
         *,
-        time_source: Callable[[], float] = time.monotonic,
         on_seal: Optional[Callable[[SealEvent], None]] = None,
     ) -> "RoundClock":
         """Rebuild a clock from :meth:`state_dict`.
 
         The restored window opens *now* (monotonic clocks do not survive a
         process restart), everything else — sealed rounds, late/early
-        counters, seal history — is carried over exactly.
+        counters, seal history — is carried over exactly.  A state naming a
+        timeout window or a late policy other than dropping is refused.
         """
         if not isinstance(state, dict) or state.get("format") != _STATE_FORMAT:
             raise ParameterError(
@@ -290,14 +219,16 @@ class RoundClock:
                 f"{state.get('format') if isinstance(state, dict) else state!r} "
                 f"(expected {_STATE_FORMAT})"
             )
+        for field, supported in _RETIRED_SETTINGS.items():
+            if state.get(field, supported) != supported:
+                raise ParameterError(
+                    f"round-clock state sets {field}={state[field]!r}, which "
+                    f"this version cannot honour (only {supported!r} is "
+                    f"supported)"
+                )
         try:
             clock = cls(
-                int(state["n_rounds"]),
-                window_seconds=state.get("window_seconds"),
-                quorum=state.get("quorum"),
-                late_policy=str(state.get("late_policy", "drop")),
-                time_source=time_source,
-                on_seal=on_seal,
+                int(state["n_rounds"]), quorum=state.get("quorum"), on_seal=on_seal
             )
             current = int(state["current_round"])
             if not 0 <= current <= clock.n_rounds:
@@ -308,7 +239,6 @@ class RoundClock:
             clock._current = current
             clock._window_reports = int(state.get("window_reports", 0))
             clock.late_dropped = int(state.get("late_dropped", 0))
-            clock.late_absorbed = int(state.get("late_absorbed", 0))
             clock.early_reports = int(state.get("early_reports", 0))
             clock.seals = [
                 SealEvent(
@@ -326,5 +256,5 @@ class RoundClock:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"RoundClock(n_rounds={self.n_rounds}, current={self._current}, "
-            f"late_policy={self.late_policy!r})"
+            f"quorum={self.quorum!r})"
         )

@@ -6,9 +6,10 @@ HTTP/1.1 the service actually uses on top of ``asyncio`` streams:
 
 * request line + headers + ``Content-Length`` bodies (no chunked encoding,
   no pipelining beyond sequential keep-alive),
-* keep-alive connections with an idle timeout,
-* bounded header and body sizes (oversized bodies answer ``413`` before the
-  payload is read into memory),
+* keep-alive connections with a 30-second idle timeout,
+* bounded request sizes: 16 KiB per request or header line and 64 headers
+  (``400`` beyond), 8 MiB per body (``413`` before the payload is read into
+  memory),
 * a handler contract of ``async (HttpRequest) -> HttpResponse`` — routing
   and semantics live in :mod:`repro.service.ingest`, transport mechanics
   live here.
@@ -22,13 +23,11 @@ from __future__ import annotations
 
 import asyncio
 import json
-import time
 from dataclasses import dataclass
 from typing import Awaitable, Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qsl, unquote, urlsplit
 
 from ..exceptions import ReproError
-from ..obs.metrics import MetricsRegistry
 
 __all__ = ["HttpError", "HttpRequest", "HttpResponse", "AsyncHttpServer", "HttpClient"]
 
@@ -48,6 +47,9 @@ _REASONS = {
 
 _MAX_LINE_BYTES = 16 * 1024
 _MAX_HEADERS = 64
+_MAX_BODY_BYTES = 8 * 1024 * 1024
+#: Seconds a kept-alive connection may sit idle (or stall mid-request).
+_KEEPALIVE_TIMEOUT = 30.0
 
 
 class HttpError(ReproError):
@@ -124,8 +126,11 @@ def _render_response(response: HttpResponse, keep_alive: bool) -> bytes:
     return head + response.body
 
 
-async def _read_limited_line(reader: asyncio.StreamReader, timeout: float) -> bytes:
-    line = await asyncio.wait_for(reader.readline(), timeout)
+async def _read_limited_line(reader: asyncio.StreamReader) -> bytes:
+    try:
+        line = await asyncio.wait_for(reader.readline(), _KEEPALIVE_TIMEOUT)
+    except ValueError:  # longer than the stream's 64 KiB buffer limit
+        raise HttpError(400, "header line too long") from None
     if len(line) > _MAX_LINE_BYTES:
         raise HttpError(400, "header line too long")
     return line
@@ -144,31 +149,12 @@ class AsyncHttpServer:
         handler: Callable[[HttpRequest], Awaitable[HttpResponse]],
         host: str = "127.0.0.1",
         port: int = 0,
-        *,
-        max_body_bytes: int = 8 * 1024 * 1024,
-        keepalive_timeout: float = 30.0,
-        metrics: Optional["MetricsRegistry"] = None,
     ) -> None:
         self._handler = handler
         self._host = host
         self._port = port
-        self._max_body_bytes = int(max_body_bytes)
-        self._keepalive_timeout = float(keepalive_timeout)
         self._server: Optional[asyncio.AbstractServer] = None
         self._address: Optional[Tuple[str, int]] = None
-        # Optional transport-level instrumentation: per-status request totals
-        # and handler latency.  Routing-aware metrics stay in the handlers
-        # (see repro.service.ingest); this layer only knows status codes.
-        self._requests_total = self._request_seconds = None
-        if metrics is not None:
-            self._requests_total = metrics.counter(
-                "repro_http_server_requests_total",
-                "HTTP requests answered, by method and status.",
-            )
-            self._request_seconds = metrics.histogram(
-                "repro_http_server_request_seconds",
-                "Handler latency of answered HTTP requests.",
-            )
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -213,7 +199,6 @@ class AsyncHttpServer:
                     break
                 if request is None:
                     break  # clean EOF between requests
-                handler_started = time.perf_counter()
                 try:
                     response = await self._handler(request)
                 except HttpError as error:
@@ -221,13 +206,6 @@ class AsyncHttpServer:
                 except Exception as error:  # noqa: BLE001 - keep the server up
                     response = HttpResponse.error(
                         500, f"internal error: {type(error).__name__}: {error}"
-                    )
-                if self._requests_total is not None:
-                    self._requests_total.labels(
-                        method=request.method, status=str(response.status)
-                    ).inc()
-                    self._request_seconds.observe(
-                        time.perf_counter() - handler_started
                     )
                 keep_alive = (
                     request.headers.get("connection", "keep-alive").lower()
@@ -249,7 +227,7 @@ class AsyncHttpServer:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> Optional[HttpRequest]:
-        line = await _read_limited_line(reader, self._keepalive_timeout)
+        line = await _read_limited_line(reader)
         if not line:
             return None
         parts = line.decode("latin-1").rstrip("\r\n").split(" ")
@@ -262,7 +240,7 @@ class AsyncHttpServer:
 
         headers: Dict[str, str] = {}
         for _ in range(_MAX_HEADERS + 1):
-            header_line = await _read_limited_line(reader, self._keepalive_timeout)
+            header_line = await _read_limited_line(reader)
             if header_line in (b"\r\n", b"\n", b""):
                 break
             name, separator, value = header_line.decode("latin-1").partition(":")
@@ -280,15 +258,15 @@ class AsyncHttpServer:
                 raise HttpError(400, "invalid Content-Length header") from None
             if length < 0:
                 raise HttpError(400, "invalid Content-Length header")
-            if length > self._max_body_bytes:
+            if length > _MAX_BODY_BYTES:
                 raise HttpError(
                     413,
                     f"request body of {length} bytes exceeds the "
-                    f"{self._max_body_bytes}-byte limit",
+                    f"{_MAX_BODY_BYTES}-byte limit",
                 )
             if length:
                 body = await asyncio.wait_for(
-                    reader.readexactly(length), self._keepalive_timeout
+                    reader.readexactly(length), _KEEPALIVE_TIMEOUT
                 )
         return HttpRequest(
             method=method.upper(), path=path, query=query, headers=headers, body=body
@@ -347,6 +325,12 @@ class HttpClient:
             await self.close()
             return await self._request_once(method, path, body, headers, content_type)
 
+    async def _read_line(self, reader: asyncio.StreamReader) -> bytes:
+        try:
+            return await asyncio.wait_for(reader.readline(), self.timeout)
+        except ValueError:  # longer than the stream's 64 KiB buffer limit
+            raise HttpError(502, "response line too long") from None
+
     async def _request_once(
         self,
         method: str,
@@ -368,13 +352,15 @@ class HttpClient:
         )
         await connection.writer.drain()
 
-        status_line = await asyncio.wait_for(
-            connection.reader.readline(), self.timeout
-        )
+        status_line = await self._read_line(connection.reader)
         if not status_line:
             raise ConnectionError("server closed the connection")
         parts = status_line.decode("latin-1").split(" ", 2)
-        if len(parts) < 2 or not parts[0].startswith("HTTP/1."):
+        if (
+            len(parts) < 2
+            or not parts[0].startswith("HTTP/1.")
+            or not parts[1].isdecimal()
+        ):
             raise HttpError(502, f"malformed status line: {status_line!r}")
         status = int(parts[1])
 
@@ -383,9 +369,7 @@ class HttpClient:
         keep_alive = True
         response_type = "application/octet-stream"
         while True:
-            header_line = await asyncio.wait_for(
-                connection.reader.readline(), self.timeout
-            )
+            header_line = await self._read_line(connection.reader)
             if header_line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = header_line.decode("latin-1").partition(":")
@@ -393,7 +377,12 @@ class HttpClient:
             response_headers.append((name, value))
             lowered = name.lower()
             if lowered == "content-length":
-                content_length = int(value)
+                try:
+                    content_length = int(value)
+                except ValueError:
+                    raise HttpError(
+                        502, f"invalid Content-Length header: {value!r}"
+                    ) from None
             elif lowered == "connection" and value.lower() == "close":
                 keep_alive = False
             elif lowered == "content-type":

@@ -16,12 +16,15 @@ of from a dataset file:
   ========================  ======  =========================================
 
 * a :class:`~repro.service.clock.RoundClock` that owns round windowing
-  (timeout / quorum / explicit sealing, late-report policy),
+  (a round seals on quorum or explicit advance; reports for a sealed round
+  are dropped and counted),
 * optional HMAC-SHA256 submission authentication with the
   :mod:`repro.service.auth` envelope (the secret is named by
   ``--auth-key-env``),
-* periodic atomic checkpointing of the session and its clock into one
-  ``.npz`` file, and a graceful stop-and-checkpoint on SIGTERM.
+* with a checkpoint path, a background task that writes the session and
+  its clock into one atomic ``.npz`` every
+  ``checkpoint_interval_seconds`` when they changed, and a graceful
+  stop-and-checkpoint on SIGTERM.
 
 Each submission is validated, folded to support counts, routed through the
 clock and added to the session *in its HTTP handler*: malformed batches
@@ -243,22 +246,17 @@ class IngestServer:
     Parameters
     ----------
     spec:
-        Declarative service configuration (protocol, horizon, windowing,
+        Declarative service configuration (protocol, horizon, quorum,
         authentication).
     checkpoint_path:
         Optional checkpoint path: one ``.npz`` holding the session and its
         round clock.  When it exists the server *restores* both from it and
         continues the horizon in the same round window; while running it
         checkpoints atomically every ``spec.checkpoint_interval_seconds``
-        and once more on shutdown.
+        if anything changed, and once more on shutdown.
     metrics:
         Registry to expose on ``/metrics``; a private one is created when
         omitted (pass one to share series with an embedding process).
-    tick_interval:
-        Cadence of the background ticker that fires timeout seals and
-        triggers periodic checkpoints.
-    time_source:
-        Monotonic clock, injectable for tests.
     """
 
     def __init__(
@@ -267,18 +265,12 @@ class IngestServer:
         *,
         checkpoint_path: Optional[Union[str, Path]] = None,
         metrics: Optional[MetricsRegistry] = None,
-        tick_interval: float = 0.25,
-        time_source: Callable[[], float] = time.monotonic,
     ) -> None:
         if not isinstance(spec, IngestSpec):
             raise ParameterError(
                 f"spec must be an IngestSpec, got {type(spec).__name__}"
             )
         self.spec = spec
-        self._time = time_source
-        if not tick_interval > 0:
-            raise ParameterError(f"tick_interval must be > 0, got {tick_interval}")
-        self._tick_interval = float(tick_interval)
         self._authenticator = authenticator_from_env(spec.auth_key_env)
         self._checkpoint_path = (
             Path(checkpoint_path) if checkpoint_path is not None else None
@@ -299,7 +291,7 @@ class IngestServer:
         )
         self._m_late = m.counter(
             "repro_ingest_reports_late_total",
-            "Reports that arrived after their round sealed, by policy outcome",
+            "Reports dropped because their round had sealed",
         )
         self._m_sealed = m.counter(
             "repro_ingest_rounds_sealed_total", "Round windows sealed, by reason"
@@ -327,10 +319,9 @@ class IngestServer:
         self._m_current_round.set(self.clock.current_round)
 
         self._http: Optional[AsyncHttpServer] = None
-        self._ticker_task: Optional[asyncio.Task] = None
+        self._checkpoint_task: Optional[asyncio.Task] = None
         self._fold_times: Dict[int, float] = {}
         self._dirty = False
-        self._last_checkpoint = self._time()
         self._stopped = False
 
     # ------------------------------------------------------------------ #
@@ -343,7 +334,7 @@ class IngestServer:
                 CollectorSession(self.spec.protocol, self.spec.n_rounds),
                 self._fresh_clock(),
             )
-        session = CollectorSession.restore(path, time_source=self._time)
+        session = CollectorSession.restore(path)
         if session.spec.to_dict() != self.spec.protocol.to_dict():
             raise ParameterError(
                 f"checkpoint {path} was recorded for protocol spec "
@@ -362,28 +353,19 @@ class IngestServer:
                 f"checkpoint {path} carries no round-clock state; an ingest "
                 f"server cannot resume from a clock-less session checkpoint"
             )
-        changed = [
-            f"{field} {getattr(session.clock, field)!r} (checkpoint) != "
-            f"{getattr(self.spec, field)!r} (spec)"
-            for field in ("window_seconds", "quorum", "late_policy")
-            if getattr(session.clock, field) != getattr(self.spec, field)
-        ]
-        if changed:
+        if session.clock.quorum != self.spec.quorum:
             raise ParameterError(
-                f"checkpoint {path} was recorded with other round-clock "
-                f"settings than this service's spec: {'; '.join(changed)}"
+                f"checkpoint {path} was recorded with another round-clock "
+                f"quorum than this service's spec: quorum "
+                f"{session.clock.quorum!r} (checkpoint) != "
+                f"{self.spec.quorum!r} (spec)"
             )
         session.clock.on_seal = self._on_seal
         return session, session.clock
 
     def _fresh_clock(self) -> RoundClock:
         return RoundClock(
-            self.spec.n_rounds,
-            window_seconds=self.spec.window_seconds,
-            quorum=self.spec.quorum,
-            late_policy=self.spec.late_policy,
-            time_source=self._time,
-            on_seal=self._on_seal,
+            self.spec.n_rounds, quorum=self.spec.quorum, on_seal=self._on_seal
         )
 
     def _on_seal(self, event: SealEvent) -> None:
@@ -396,12 +378,14 @@ class IngestServer:
     # Lifecycle
     # ------------------------------------------------------------------ #
     async def start(self) -> Tuple[str, int]:
-        """Bind the front door and start the ticker task."""
+        """Bind the front door and, with a checkpoint path, start the
+        periodic checkpoint task."""
         self._http = AsyncHttpServer(
             self._handle, host=self.spec.host, port=self.spec.port
         )
         address = await self._http.start()
-        self._ticker_task = asyncio.ensure_future(self._tick_loop())
+        if self._checkpoint_path is not None:
+            self._checkpoint_task = asyncio.ensure_future(self._checkpoint_loop())
         return address
 
     @property
@@ -424,10 +408,10 @@ class IngestServer:
         self._stopped = True
         if self._http is not None:
             await self._http.close()
-        if self._ticker_task is not None:
-            self._ticker_task.cancel()
+        if self._checkpoint_task is not None:
+            self._checkpoint_task.cancel()
             try:
-                await self._ticker_task
+                await self._checkpoint_task
             except asyncio.CancelledError:
                 pass
         self.checkpoint(force=True)
@@ -473,34 +457,25 @@ class IngestServer:
         return address
 
     # ------------------------------------------------------------------ #
-    # Ticker
+    # Checkpoints
     # ------------------------------------------------------------------ #
-    async def _tick_loop(self) -> None:
+    async def _checkpoint_loop(self) -> None:
         while True:
-            await asyncio.sleep(self._tick_interval)
-            self.clock.tick()
+            await asyncio.sleep(self.spec.checkpoint_interval_seconds)
             self.checkpoint()
 
     def checkpoint(self, force: bool = False) -> bool:
-        """Write the session + clock checkpoint if due (one atomic ``.npz``).
+        """Write the session + clock checkpoint (one atomic ``.npz``).
 
-        Periodic calls are rate-limited by
-        ``spec.checkpoint_interval_seconds`` and skipped while nothing
-        changed; ``force=True`` (shutdown) writes unconditionally when a
-        checkpoint path is configured.
+        Does nothing without a checkpoint path; unless ``force`` is set
+        (shutdown), also nothing while the state is unchanged since the
+        last write.
         """
-        if self._checkpoint_path is None:
+        if self._checkpoint_path is None or not (force or self._dirty):
             return False
-        now = self._time()
-        if not force:
-            if not self._dirty:
-                return False
-            if now - self._last_checkpoint < self.spec.checkpoint_interval_seconds:
-                return False
         self.session.checkpoint(self._checkpoint_path)
         self._m_checkpoints.inc()
         self._dirty = False
-        self._last_checkpoint = now
         return True
 
     # ------------------------------------------------------------------ #
@@ -550,7 +525,6 @@ class IngestServer:
                 event = self.clock.advance("explicit")
             except ParameterError as error:
                 raise HttpError(400, str(error)) from None
-            self._dirty = True
             return HttpResponse.json(
                 {
                     "sealed_round": event.round_index,
@@ -588,7 +562,6 @@ class IngestServer:
             "window_reports": self.clock.window_reports,
             "reports_per_round": self.session.reports_per_round.tolist(),
             "late_dropped": self.clock.late_dropped,
-            "late_absorbed": self.clock.late_absorbed,
             "early_reports": self.clock.early_reports,
             "seals": [
                 {
@@ -615,7 +588,7 @@ class IngestServer:
         age: Optional[float] = None
         folded_at = self._fold_times.get(round_index)
         if folded_at is not None:
-            age = max(self._time() - folded_at, 0.0)
+            age = max(time.monotonic() - folded_at, 0.0)
             self._m_estimate_age.labels(round=str(round_index)).set(age)
         return HttpResponse.json(
             {
@@ -658,20 +631,13 @@ class IngestServer:
         except ParameterError as error:
             raise self._reject("malformed", 400, str(error))
 
-        dropped_before = self.clock.late_dropped
-        absorbed_before = self.clock.late_absorbed
-        estimate = self.session.submit_counts(round_index, counts, n_reports)
-        dropped = self.clock.late_dropped - dropped_before
-        absorbed = self.clock.late_absorbed - absorbed_before
-        if dropped:
-            self._m_late.labels(policy="drop").inc(dropped)
-        if absorbed:
-            self._m_late.labels(policy="absorb").inc(absorbed)
-        if estimate is not None:
+        if self.session.submit_counts(round_index, counts, n_reports) is None:
+            self._m_late.labels(policy="drop").inc(n_reports)
+        else:
             self._m_accepted.inc(n_reports)
             self._m_batches.inc()
-            self._fold_times[estimate.round_index] = self._time()
-            self._dirty = True
+            self._fold_times[round_index] = time.monotonic()
+        self._dirty = True
         return HttpResponse.json(
             {"status": "folded", "round": round_index, "n_reports": n_reports},
             status=202,

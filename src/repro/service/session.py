@@ -29,10 +29,9 @@ carries the spec, so the restoring process rebuilds the protocol through
 from __future__ import annotations
 
 import json
-import time
 import zipfile
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -103,8 +102,7 @@ class CollectorSession:
 
         With a clock attached, every submission is routed through
         :meth:`RoundClock.route` first: reports for an already-sealed round
-        follow the clock's late policy (dropped — ``submit_*`` returns
-        ``None`` — or absorbed into the open window), and on-time batches
+        are dropped (``submit_*`` returns ``None``), and on-time batches
         may seal their window by quorum.  Without a clock the session keeps
         its historical behavior: any round accepts reports at any time.
         """
@@ -132,12 +130,6 @@ class CollectorSession:
                 f"round index must lie in [0, {self.n_rounds}), got {round_index}"
             )
         return round_index
-
-    def _route(self, round_index: int, n_reports: int) -> Optional[int]:
-        round_index = self._check_round(round_index)
-        if self.clock is None:
-            return round_index
-        return self.clock.route(round_index, n_reports)
 
     def _fold_reports(self, reports: Sequence) -> np.ndarray:
         """Support counts of one batch, failing fast on malformed reports.
@@ -170,23 +162,17 @@ class CollectorSession:
         """Fold a batch of client reports for ``round_index``.
 
         Batches may arrive in any order and a round may receive any number
-        of batches.  Returns the running estimate of the round the batch
-        was folded into — which is a *later* round than ``round_index`` when
-        an attached clock absorbs a late batch, or ``None`` when the clock's
-        ``drop`` policy discarded it.
+        of batches.  Returns the running estimate of ``round_index``, or
+        ``None`` when an attached clock dropped the batch as late.
         """
         reports = list(reports)
         if not reports:
             raise ParameterError(
                 f"cannot submit an empty report batch (round {round_index})"
             )
-        counts = self._fold_reports(reports)
-        target = self._route(round_index, len(reports))
-        if target is None:
-            return None
-        self._counts[target] += counts
-        self._n_reports[target] += len(reports)
-        return self.estimate(target)
+        return self.submit_counts(
+            round_index, self._fold_reports(reports), len(reports)
+        )
 
     def submit_counts(
         self, round_index: int, counts: np.ndarray, n_reports: int
@@ -196,7 +182,7 @@ class CollectorSession:
         This is the fast ingestion path for producers that already hold
         population-level counts — a vectorized engine round or a remote
         pre-aggregation tier.  Like :meth:`submit_reports`, an attached
-        clock may redirect the batch (late-absorb) or drop it (``None``).
+        clock may drop a late batch (``None``).
         """
         n_reports = require_int_at_least(n_reports, 1, "n_reports")
         counts = np.asarray(counts, dtype=np.float64)
@@ -205,12 +191,12 @@ class CollectorSession:
             raise ParameterError(
                 f"expected counts of shape ({m},), got {counts.shape}"
             )
-        target = self._route(round_index, n_reports)
-        if target is None:
+        round_index = self._check_round(round_index)
+        if self.clock is not None and self.clock.route(round_index, n_reports) is None:
             return None
-        self._counts[target] += counts
-        self._n_reports[target] += n_reports
-        return self.estimate(target)
+        self._counts[round_index] += counts
+        self._n_reports[round_index] += n_reports
+        return self.estimate(round_index)
 
     # ------------------------------------------------------------------ #
     # Running estimates
@@ -307,19 +293,14 @@ class CollectorSession:
         )
 
     @classmethod
-    def restore(
-        cls,
-        path: Union[str, Path],
-        *,
-        time_source: Callable[[], float] = time.monotonic,
-    ) -> "CollectorSession":
+    def restore(cls, path: Union[str, Path]) -> "CollectorSession":
         """Rebuild a session from a :meth:`checkpoint` file.
 
         A checkpointed clock is rebuilt with :meth:`RoundClock.from_state`
-        (its window reopens now, on ``time_source``) and attached.  Any file
-        that cannot be decoded — truncated, bit-flipped, not an archive, or
-        state that does not fit its spec — raises
-        :class:`~repro.exceptions.ParameterError` naming the path.
+        (its window reopens now) and attached.  Any file that cannot be
+        decoded — truncated, bit-flipped, not an archive, or state that does
+        not fit its spec — raises :class:`~repro.exceptions.ParameterError`
+        naming the path.
         """
         path = Path(path)
         if not path.exists():
@@ -359,9 +340,7 @@ class CollectorSession:
             session._counts = counts
             session._n_reports = n_reports
             if clock_state is not None:
-                session.attach_clock(
-                    RoundClock.from_state(clock_state, time_source=time_source)
-                )
+                session.attach_clock(RoundClock.from_state(clock_state))
         except Exception as error:  # zipfile/zlib/EOF/KeyError/ValueError: corrupt
             raise ParameterError(
                 f"invalid session checkpoint {path}: "

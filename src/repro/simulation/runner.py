@@ -259,18 +259,24 @@ def run_shard_task(
             f"shard task for dataset {task.dataset_name!r} reached a worker "
             f"holding dataset {dataset.name!r}"
         )
-    from ..registry import build_protocol  # runtime import: registry builds on this layer
+    protocol = _resolve_protocol(task.spec, dataset.k)
+    return _run_shard(protocol, dataset, task.start, task.stop, task.seed)
 
-    protocol = build_protocol(task.spec.at(k=dataset.k))
-    generator = np.random.default_rng(task.seed)
-    n_shard_users = task.stop - task.start
-    engine = engine_for(protocol, n_shard_users, generator)
+
+def _run_shard(
+    protocol: LongitudinalProtocol,
+    dataset: LongitudinalDataset,
+    start: int,
+    stop: int,
+    seed: np.random.SeedSequence,
+) -> ShardSummary:
+    """Run users ``[start, stop)`` of ``dataset`` on the stream ``seed``."""
+    generator = np.random.default_rng(seed)
+    engine = engine_for(protocol, stop - start, generator)
     sink = SupportCountSink(
-        dataset.n_rounds, protocol.estimation_domain_size, n_shard_users
+        dataset.n_rounds, protocol.estimation_domain_size, stop - start
     )
-    _drive_windows(
-        engine, dataset.values[task.start : task.stop], sink, generator
-    )
+    _drive_windows(engine, dataset.values[start:stop], sink, generator)
     return sink.to_summary(engine.distinct_memoized_per_user())
 
 
@@ -311,16 +317,20 @@ def make_shard_tasks(
     ``(rng, n_shards, i)``, so the tasks reproduce the identical summaries
     whether they run serially or on a process pool.
     """
-    boundaries = shard_boundaries(dataset.n_users, n_shards)
-    shard_seeds = derive_seed_sequences(rng, len(boundaries) - 1)
     return [
-        ShardTask(
-            spec=spec,
-            dataset_name=dataset.name,
-            start=int(boundaries[shard]),
-            stop=int(boundaries[shard + 1]),
-            seed=seed,
-        )
+        ShardTask(spec, dataset.name, start, stop, seed)
+        for start, stop, seed in _shard_slices(dataset.n_users, n_shards, rng)
+    ]
+
+
+def _shard_slices(
+    n_users: int, n_shards: int, rng: RngLike
+) -> List[Tuple[int, int, np.random.SeedSequence]]:
+    """``(start, stop, seed)`` of each shard, in shard order."""
+    boundaries = shard_boundaries(n_users, n_shards)
+    shard_seeds = derive_seed_sequences(rng, n_shards)
+    return [
+        (int(boundaries[shard]), int(boundaries[shard + 1]), seed)
         for shard, seed in enumerate(shard_seeds)
     ]
 
@@ -382,32 +392,21 @@ def simulate_protocol_sharded(
         )
 
     summaries: List[ShardSummary]
-    if isinstance(protocol, ProtocolSpec):
-        tasks = make_shard_tasks(protocol, dataset, n_shards, rng)
-        if n_workers == 1:
-            summaries = [run_shard_task(task, dataset) for task in tasks]
-        else:
-            with ProcessPoolExecutor(
-                max_workers=min(n_workers, n_shards),
-                initializer=_init_shard_worker,
-                initargs=(dataset,),
-            ) as pool:
-                # ``map`` preserves task order, so the merge below absorbs
-                # shards in shard order — bit-identical to the serial path.
-                summaries = list(pool.map(run_shard_task, tasks))
+    if n_workers == 1:
+        summaries = [
+            _run_shard(resolved, dataset, start, stop, seed)
+            for start, stop, seed in _shard_slices(dataset.n_users, n_shards, rng)
+        ]
     else:
-        shard_seeds = derive_seed_sequences(rng, n_shards)
-        boundaries = shard_boundaries(dataset.n_users, n_shards)
-        summaries = []
-        for shard, seed in enumerate(shard_seeds):
-            generator = np.random.default_rng(seed)
-            start, stop = int(boundaries[shard]), int(boundaries[shard + 1])
-            engine = engine_for(resolved, stop - start, generator)
-            sink = SupportCountSink(
-                dataset.n_rounds, resolved.estimation_domain_size, stop - start
-            )
-            _drive_windows(engine, dataset.values[start:stop], sink, generator)
-            summaries.append(sink.to_summary(engine.distinct_memoized_per_user()))
+        with ProcessPoolExecutor(
+            max_workers=min(n_workers, n_shards),
+            initializer=_init_shard_worker,
+            initargs=(dataset,),
+        ) as pool:
+            # ``map`` preserves task order, so the merge below absorbs
+            # shards in shard order — bit-identical to the serial path.
+            tasks = make_shard_tasks(protocol, dataset, n_shards, rng)
+            summaries = list(pool.map(run_shard_task, tasks))
 
     return result_from_summaries(resolved, dataset, summaries)
 

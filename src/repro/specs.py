@@ -450,19 +450,15 @@ class IngestSpec:
         Service id used in logs and metric output.
     host, port:
         Bind address of the HTTP front door (``port 0`` = ephemeral).
-    window_seconds:
-        Seal the open round window after this many wall-clock seconds
-        (``None`` disables the timeout trigger; see
-        :class:`repro.service.clock.RoundClock`).
     quorum:
-        Seal the open window once it has received this many reports
-        (``None`` disables the quorum trigger).
-    late_policy:
-        What happens to reports for an already-sealed round: ``"drop"``
-        (count and discard) or ``"absorb"`` (fold into the open window).
+        Seal the open round window once it has received this many reports
+        (``None``: windows seal only on ``POST /v1/rounds/advance``; see
+        :class:`repro.service.clock.RoundClock`).  Reports for a sealed
+        round are dropped and counted.
     checkpoint_interval_seconds:
-        Minimum seconds between periodic session/clock checkpoints (only
-        active when the service is given a checkpoint path).
+        Seconds between periodic session/clock checkpoints, each written
+        only if the state changed (only active when the service is given a
+        checkpoint path).
     auth_key_env:
         Name of the environment variable holding the shared HMAC secret
         (see :mod:`repro.service.auth`); submissions must then be
@@ -475,9 +471,7 @@ class IngestSpec:
     name: str = "ingest"
     host: str = "127.0.0.1"
     port: int = 0
-    window_seconds: Optional[float] = None
     quorum: Optional[int] = None
-    late_policy: str = "drop"
     checkpoint_interval_seconds: float = 30.0
     auth_key_env: Optional[str] = None
 
@@ -499,16 +493,9 @@ class IngestSpec:
         port = require_int_at_least(self.port, 0, "port")
         if port > 65535:
             raise ParameterError(f"port must be <= 65535, got {port}")
-        if self.window_seconds is not None:
-            require_positive(self.window_seconds, "window_seconds")
-            object.__setattr__(self, "window_seconds", float(self.window_seconds))
         if self.quorum is not None:
             object.__setattr__(
                 self, "quorum", require_int_at_least(self.quorum, 1, "quorum")
-            )
-        if self.late_policy not in ("drop", "absorb"):
-            raise ParameterError(
-                f"late_policy must be 'drop' or 'absorb', got {self.late_policy!r}"
             )
         require_positive(
             self.checkpoint_interval_seconds, "checkpoint_interval_seconds"
@@ -522,8 +509,8 @@ class IngestSpec:
             )
 
     _OPTIONAL_FIELDS = (
-        "name", "host", "port", "window_seconds", "quorum", "late_policy",
-        "checkpoint_interval_seconds", "auth_key_env",
+        "name", "host", "port", "quorum", "checkpoint_interval_seconds",
+        "auth_key_env",
     )
 
     def to_dict(self) -> Dict[str, object]:

@@ -191,7 +191,8 @@ class TestSweepCommand:
             == 0
         )
         assert "kernel backend: numpy" in capsys.readouterr().out
-        assert os.environ[BACKEND_ENV_VAR] == "numpy"
+        # The flag holds for its own sweep only.
+        assert os.environ[BACKEND_ENV_VAR] == "auto"
         assert (plain_out / "cli_syn.csv").read_text().splitlines()[1:] == (
             pooled_out / "cli_syn.csv"
         ).read_text().splitlines()[1:]
@@ -438,6 +439,40 @@ def test_sweep_events_naming_a_directory_is_refused(capsys, tmp_path, write_swee
     assert err.startswith("error: ") and f"cannot append events to {tmp_path}" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("backend_before", [None, "auto"], ids=["unset", "auto"])
+def test_sweep_flags_do_not_outlive_their_sweep(
+    tmp_path, write_sweep_grid, monkeypatch, backend_before
+):
+    """Two in-process sweeps: ``--events`` and ``--kernel-backend`` of the
+    first leave no event log, tracing or backend variable to the second."""
+    import os
+
+    from repro.obs import get_default_event_log, read_events, tracing_enabled
+    from repro.simulation.kernels_backend import BACKEND_ENV_VAR
+
+    if backend_before is None:
+        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+    else:
+        monkeypatch.setenv(BACKEND_ENV_VAR, backend_before)
+    grid = write_sweep_grid()
+    events = tmp_path / "events.jsonl"
+    before = (get_default_event_log(), tracing_enabled())
+    first = [
+        "sweep", "--spec", str(grid), "--output-dir", str(tmp_path / "first"),
+        "--events", str(events), "--kernel-backend", "numpy",
+    ]
+    assert main(first) == 0
+    n_records = len(read_events(events))
+    assert n_records > 0
+    assert (get_default_event_log(), tracing_enabled()) == before
+    assert os.environ.get(BACKEND_ENV_VAR) == backend_before
+
+    assert main(["sweep", "--spec", str(grid), "--output-dir", str(tmp_path / "second")]) == 0
+    assert len(read_events(events)) == n_records
+    assert (get_default_event_log(), tracing_enabled()) == before
+    assert os.environ.get(BACKEND_ENV_VAR) == backend_before
 
 
 def test_sweep_spec_naming_store_is_refused(capsys, tmp_path, write_sweep_grid):

@@ -1,10 +1,11 @@
 """Tests for the live ingestion service layer.
 
 Covers the metrics registry and its Prometheus rendering, the RoundClock
-sealing state machine (quorum / timeout / explicit, both late policies,
-state round-trip), the clock-attached session semantics (late, out-of-order,
-duplicate batches), and the HTTP service end to end: bit-identity against a
-batch session, authentication, fold-before-202, stop, checkpoint/kill/restore.
+sealing state machine (quorum / explicit, late drop, state round-trip), the
+clock-attached session semantics (late, out-of-order, duplicate batches),
+and the HTTP service end to end: bit-identity against a batch session,
+authentication, fold-before-202, stop, checkpoint/kill/restore, periodic
+checkpoints and the transport's input limits.
 
 HTTP tests run real asyncio servers on ephemeral localhost ports via
 ``asyncio.run`` wrappers — no event-loop plugins needed.
@@ -117,14 +118,6 @@ class TestMetrics:
 # ---------------------------------------------------------------------- #
 # RoundClock
 # ---------------------------------------------------------------------- #
-class FakeTime:
-    def __init__(self):
-        self.now = 100.0
-
-    def __call__(self):
-        return self.now
-
-
 class TestRoundClock:
     def test_quorum_seals_window(self):
         clock = RoundClock(3, quorum=5)
@@ -136,24 +129,6 @@ class TestRoundClock:
         assert clock.seals[0].reason == "quorum"
         assert clock.seals[0].n_reports == 5
 
-    def test_timeout_seals_on_tick(self):
-        fake = FakeTime()
-        clock = RoundClock(3, window_seconds=10.0, time_source=fake)
-        assert clock.tick() == []
-        fake.now += 9.9
-        assert clock.tick() == []
-        fake.now += 0.2
-        events = clock.tick()
-        assert [e.reason for e in events] == ["timeout"]
-        assert clock.current_round == 1
-
-    def test_tick_seals_every_elapsed_deadline(self):
-        fake = FakeTime()
-        clock = RoundClock(3, window_seconds=1.0, time_source=fake)
-        fake.now += 10.0
-        events = clock.tick()
-        assert clock.finished and len(events) == 3
-
     def test_explicit_advance_and_finished_guard(self):
         clock = RoundClock(2)
         clock.advance()
@@ -164,24 +139,15 @@ class TestRoundClock:
             clock.advance()
 
     def test_late_drop_policy(self):
-        clock = RoundClock(3, late_policy="drop")
+        clock = RoundClock(3)
         clock.advance()
         assert clock.route(0, n_reports=7) is None
         assert clock.late_dropped == 7
         assert clock.window_reports == 0
-
-    def test_late_absorb_policy_redirects_to_open_window(self):
-        clock = RoundClock(3, late_policy="absorb")
         clock.advance()
-        assert clock.route(0, n_reports=7) == 1
-        assert clock.late_absorbed == 7
-        assert clock.window_reports == 7
-
-    def test_absorb_after_horizon_still_drops(self):
-        clock = RoundClock(1, late_policy="absorb")
-        clock.advance()
-        assert clock.route(0, n_reports=2) is None
-        assert clock.late_dropped == 2
+        clock.advance()  # past the horizon every round is late
+        assert clock.route(2, n_reports=2) is None
+        assert clock.late_dropped == 9
 
     def test_early_reports_pass_through(self):
         clock = RoundClock(3)
@@ -196,33 +162,35 @@ class TestRoundClock:
         assert len(events) == 1 and isinstance(events[0], SealEvent)
 
     def test_state_round_trip(self):
-        fake = FakeTime()
-        clock = RoundClock(
-            4, window_seconds=5.0, quorum=10, late_policy="absorb",
-            time_source=fake,
-        )
+        clock = RoundClock(4, quorum=10)
         for _ in range(10):
             clock.route(0)
         clock.route(1, n_reports=3)
         clock.advance()
-        clock.route(0, n_reports=2)  # late, absorbed into round 2
+        clock.route(0, n_reports=2)  # late, dropped
+        clock.route(2, n_reports=4)
+        clock.route(3, n_reports=5)  # early
         state = json.loads(json.dumps(clock.state_dict()))  # wire round trip
-        restored = RoundClock.from_state(state, time_source=fake)
+        restored = RoundClock.from_state(state)
         assert restored.current_round == clock.current_round == 2
-        assert restored.window_reports == 2
-        assert restored.late_absorbed == 2
-        assert restored.quorum == 10 and restored.window_seconds == 5.0
-        assert restored.late_policy == "absorb"
+        assert restored.window_reports == 4
+        assert restored.late_dropped == 2 and restored.early_reports == 5
+        assert restored.quorum == 10
+        assert restored.seals == clock.seals
         assert [e.reason for e in restored.seals] == ["quorum", "explicit"]
 
-    def test_restored_window_reopens_now(self):
-        fake = FakeTime()
-        clock = RoundClock(2, window_seconds=10.0, time_source=fake)
-        fake.now += 8.0
-        state = clock.state_dict()
-        fake.now += 100.0  # process restart much later
-        restored = RoundClock.from_state(state, time_source=fake)
-        assert restored.tick() == []  # the window age did not leak across
+    def test_state_of_the_retired_clock_settings(self):
+        """Format-1 states of earlier versions carry ``window_seconds`` and
+        ``late_policy``: their defaults restore, anything else is refused
+        naming the field."""
+        state = dict(RoundClock(3, quorum=5).state_dict())
+        legacy = dict(
+            state, window_seconds=None, late_policy="drop", late_absorbed=0
+        )
+        assert RoundClock.from_state(legacy).state_dict() == state
+        for field, value in (("window_seconds", 5.0), ("late_policy", "absorb")):
+            with pytest.raises(ParameterError, match=field):
+                RoundClock.from_state(dict(legacy, **{field: value}))
 
     def test_invalid_state_rejected(self):
         with pytest.raises(ParameterError, match="state format"):
@@ -231,8 +199,8 @@ class TestRoundClock:
             RoundClock.from_state({"format": 1, "n_rounds": 2})
 
     def test_bad_parameters_rejected(self):
-        with pytest.raises(ParameterError, match="late_policy"):
-            RoundClock(2, late_policy="queue")
+        with pytest.raises(ParameterError, match="quorum"):
+            RoundClock(2, quorum=0)
         with pytest.raises(ParameterError, match="round index"):
             RoundClock(2).route(2)
 
@@ -257,17 +225,6 @@ class TestSessionWithClock:
         assert session.submit_reports(0, rounds[1]) is None
         np.testing.assert_array_equal(session.estimate(0).frequencies, frozen)
         assert session.clock.late_dropped == len(rounds[1])
-
-    def test_late_absorb_folds_into_open_window(self):
-        rounds = _reports()
-        clock = RoundClock(3, late_policy="absorb")
-        session = CollectorSession(PROTO, n_rounds=3, clock=clock)
-        session.submit_reports(0, rounds[0])
-        clock.advance()
-        estimate = session.submit_reports(0, rounds[1])  # late -> round 1
-        assert estimate.round_index == 1
-        assert estimate.n_reports == len(rounds[1])
-        assert clock.late_absorbed == len(rounds[1])
 
     def test_out_of_order_and_duplicate_batches(self):
         rounds = _reports()
@@ -370,7 +327,7 @@ class TestIngestHttp:
         reference = _batch_session(rounds)
 
         async def scenario():
-            server = IngestServer(spec, tick_interval=0.02)
+            server = IngestServer(spec)
             host, port = await server.start()
             result = await run_loadgen(
                 PROTO, host, port, n_rounds=3, n_users=30, seed=11,
@@ -404,7 +361,7 @@ class TestIngestHttp:
         reference = _batch_session(rounds)
 
         async def scenario():
-            server = IngestServer(spec, tick_interval=0.02)
+            server = IngestServer(spec)
             host, port = await server.start()
             result = await run_loadgen(
                 PROTO, host, port, n_rounds=3, n_users=30, seed=11,
@@ -427,7 +384,7 @@ class TestIngestHttp:
         spec = _spec(auth_key_env="INGEST_TEST_KEY")
 
         async def scenario():
-            server = IngestServer(spec, tick_interval=0.02)
+            server = IngestServer(spec)
             host, port = await server.start()
             wrong = await run_loadgen(
                 PROTO, host, port, n_rounds=1, n_users=10, seed=1,
@@ -484,7 +441,7 @@ class TestIngestHttp:
             return seen
 
         async def scenario():
-            server = IngestServer(spec, tick_interval=0.02)
+            server = IngestServer(spec)
             host, port = await server.start()
             seen = await asyncio.gather(
                 *(one_client(host, port, t) for t in range(n_clients))
@@ -509,7 +466,7 @@ class TestIngestHttp:
         ).encode()
 
         async def scenario():
-            server = IngestServer(spec, checkpoint_path=checkpoint, tick_interval=0.02)
+            server = IngestServer(spec, checkpoint_path=checkpoint)
             client = HttpClient(*await server.start())
             statuses = [
                 (await client.request("POST", "/v1/reports", body=body)).status
@@ -545,11 +502,32 @@ class TestIngestHttp:
         err = capsys.readouterr().err
         assert "error: " in err and "queue_capacity" in err
 
+    @pytest.mark.parametrize(
+        "field, value", [("window_seconds", 5.0), ("late_policy", "drop")]
+    )
+    def test_spec_naming_a_retired_clock_setting_is_refused(
+        self, tmp_path, capsys, field, value
+    ):
+        """Rounds seal on quorum or advance only: a spec naming a timeout
+        window or a late policy (even the old default) is an unknown field."""
+        from repro.cli import main
+        from repro.specs import load_ingest_spec
+
+        path = tmp_path / "ingest.json"
+        payload = dict(_spec(quorum=30).to_dict(), **{field: value})
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ParameterError, match="unknown ingest spec fields"):
+            load_ingest_spec(path)
+        assert main(["ingest", "--spec", str(path), "--run-seconds", "0.1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert "Traceback" not in err
+
     def test_malformed_submissions_answer_400(self):
         spec = _spec()
 
         async def scenario():
-            server = IngestServer(spec, tick_interval=0.02)
+            server = IngestServer(spec)
             host, port = await server.start()
             client = HttpClient(host, port)
             cases = [
@@ -576,7 +554,7 @@ class TestIngestHttp:
         spec = _spec(n_rounds=2)
 
         async def scenario():
-            server = IngestServer(spec, tick_interval=0.02)
+            server = IngestServer(spec)
             host, port = await server.start()
             client = HttpClient(host, port)
             health = (await client.request("GET", "/healthz")).parsed_json()
@@ -612,7 +590,7 @@ class TestIngestHttp:
         reference = _batch_session(rounds)
 
         async def first_generation():
-            server = IngestServer(spec, checkpoint_path=checkpoint, tick_interval=0.02)
+            server = IngestServer(spec, checkpoint_path=checkpoint)
             host, port = await server.start()
             # Rounds 0 and 1 arrive, then the process "dies" (stop stands
             # in for the SIGTERM path, which calls exactly stop()).
@@ -624,7 +602,7 @@ class TestIngestHttp:
             return server.clock.current_round
 
         async def second_generation():
-            server = IngestServer(spec, checkpoint_path=checkpoint, tick_interval=0.02)
+            server = IngestServer(spec, checkpoint_path=checkpoint)
             host, port = await server.start()
             await run_loadgen(
                 PROTO, host, port, n_rounds=3, n_users=30, seed=11,
@@ -663,28 +641,6 @@ class TestIngestHttp:
         with pytest.raises(ParameterError, match="horizon"):
             IngestServer(_spec(n_rounds=5), checkpoint_path=checkpoint)
 
-    def test_timeout_sealing_over_http(self):
-        spec = _spec(window_seconds=0.05)
-
-        async def scenario():
-            server = IngestServer(spec, tick_interval=0.01)
-            host, port = await server.start()
-            client = HttpClient(host, port)
-            for _ in range(60):
-                await asyncio.sleep(0.01)
-                payload = (await client.request("GET", "/v1/rounds")).parsed_json()
-                if payload["finished"]:
-                    break
-            metrics = (await client.request("GET", "/metrics")).body.decode()
-            await client.close()
-            await server.stop()
-            return payload, metrics
-
-        payload, metrics = asyncio.run(scenario())
-        assert payload["finished"] is True
-        assert [s["reason"] for s in payload["seals"]] == ["timeout"] * 3
-        assert 'repro_ingest_rounds_sealed_total{reason="timeout"} 3' in metrics
-        assert "repro_ingest_seal_latency_seconds_count 3" in metrics
 
 
 # ---------------------------------------------------------------------- #
@@ -696,7 +652,6 @@ def _clock_state(clock: RoundClock):
         clock.window_reports,
         clock.seals,
         clock.late_dropped,
-        clock.late_absorbed,
         clock.early_reports,
     )
 
@@ -739,18 +694,11 @@ class TestIngestCheckpoint:
         )
         assert _clock_state(session.clock) == _clock_state(server.clock)
 
-    @pytest.mark.parametrize(
-        "late_policy, per_round",
-        [("drop", [60, 0, 0, 0]), ("absorb", [60, 60, 0, 0])],
-        ids=["drop", "absorb"],
-    )
-    def test_resent_sealed_round_is_not_counted_twice(
-        self, tmp_path, late_policy, per_round
-    ):
+    def test_resent_sealed_round_is_not_counted_twice(self, tmp_path):
         """Seal round 0, checkpoint, restart, resend round 0: the resent
-        batch follows the late policy instead of re-entering round 0."""
+        batch is dropped as late instead of re-entering round 0."""
         checkpoint = tmp_path / "live.npz"
-        spec = _spec(quorum=60, n_rounds=4, late_policy=late_policy)
+        spec = _spec(quorum=60, n_rounds=4)
         rounds = _reports(n_rounds=4, n_users=60)
         server = IngestServer(spec, checkpoint_path=checkpoint)
         server.session.submit_reports(0, rounds[0])
@@ -760,9 +708,8 @@ class TestIngestCheckpoint:
         restarted = IngestServer(spec, checkpoint_path=checkpoint)
         assert restarted.clock.current_round == 1
         restarted.session.submit_reports(0, rounds[0])
-        assert restarted.session.reports_per_round.tolist() == per_round
-        late = restarted.clock.late_dropped + restarted.clock.late_absorbed
-        assert late == 60
+        assert restarted.session.reports_per_round.tolist() == [60, 0, 0, 0]
+        assert restarted.clock.late_dropped == 60
 
     def test_clockless_session_checkpoint_is_refused(self, tmp_path):
         checkpoint = tmp_path / "session.npz"
@@ -774,19 +721,17 @@ class TestIngestCheckpoint:
         assert str(checkpoint) in str(info.value)
 
     def test_changed_clock_settings_are_refused(self, tmp_path, capsys):
-        """A checkpoint made with quorum 30 / drop is not resumed under
-        quorum 60 / absorb / 5 s windows: each differing field is named."""
+        """A checkpoint made with quorum 30 is not resumed under quorum 60:
+        the field and both values are named."""
         from repro.cli import main
 
         checkpoint, _ = self._live_checkpoint(tmp_path)
-        changed = _spec(quorum=60, late_policy="absorb", window_seconds=5.0)
+        changed = _spec(quorum=60)
         with pytest.raises(ParameterError) as info:
             IngestServer(changed, checkpoint_path=checkpoint)
         message = str(info.value)
         assert str(checkpoint) in message
-        assert "window_seconds None (checkpoint) != 5.0 (spec)" in message
         assert "quorum 30 (checkpoint) != 60 (spec)" in message
-        assert "late_policy 'drop' (checkpoint) != 'absorb' (spec)" in message
 
         spec_path = changed.save(tmp_path / "ingest.json")
         code = main(
@@ -800,6 +745,60 @@ class TestIngestCheckpoint:
         assert code == 2
         err = capsys.readouterr().err
         assert "error: " in err and "quorum 30 (checkpoint) != 60 (spec)" in err
+        assert "Traceback" not in err
+
+    @staticmethod
+    def _rewrite_clock_state(path, **fields):
+        """Rewrite the checkpoint's clock entry with ``fields`` added."""
+        with np.load(path) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        state = dict(json.loads(str(arrays["clock"][()])), **fields)
+        arrays["clock"] = np.array(json.dumps(state))
+        with open(path, "wb") as handle:
+            np.savez_compressed(handle, **arrays)
+
+    def test_checkpoint_of_the_earlier_clock_format_restores(self, tmp_path):
+        """Earlier versions wrote the same format-1 clock state plus
+        ``window_seconds``, ``late_policy`` and ``late_absorbed``; with their
+        defaults it restores the same session, clock and estimates."""
+        checkpoint, server = self._live_checkpoint(tmp_path)
+        self._rewrite_clock_state(
+            checkpoint, window_seconds=None, late_policy="drop", late_absorbed=0
+        )
+        restored = IngestServer(_spec(quorum=30), checkpoint_path=checkpoint)
+        assert _clock_state(restored.clock) == _clock_state(server.clock)
+        np.testing.assert_array_equal(
+            restored.session.estimates(), server.session.estimates()
+        )
+        np.testing.assert_array_equal(
+            restored.session.reports_per_round, server.session.reports_per_round
+        )
+
+    @pytest.mark.parametrize(
+        "field, value", [("window_seconds", 5.0), ("late_policy", "absorb")]
+    )
+    def test_checkpoint_with_a_retired_clock_setting_is_refused(
+        self, tmp_path, capsys, field, value
+    ):
+        from repro.cli import main
+
+        checkpoint, _ = self._live_checkpoint(tmp_path)
+        legacy = dict(window_seconds=None, late_policy="drop", late_absorbed=0)
+        self._rewrite_clock_state(checkpoint, **dict(legacy, **{field: value}))
+        with pytest.raises(ParameterError, match=field) as info:
+            IngestServer(_spec(quorum=30), checkpoint_path=checkpoint)
+        assert str(checkpoint) in str(info.value)
+        with pytest.raises(ParameterError, match=field):
+            CollectorSession.restore(checkpoint)
+
+        spec_path = _spec(quorum=30).save(tmp_path / "ingest.json")
+        argv = [
+            "ingest", "--spec", str(spec_path), "--checkpoint", str(checkpoint),
+            "--run-seconds", "0.1",
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error: " in err and field in err
         assert "Traceback" not in err
 
     def _assert_refused_or_identical(self, path, server):
@@ -912,7 +911,7 @@ class TestWireContract:
             servers, clients = {}, {}
             for family, spec in WIRE_SPECS.items():
                 servers[family] = IngestServer(
-                    _spec(protocol=spec), tick_interval=0.02
+                    _spec(protocol=spec)
                 )
                 clients[family] = HttpClient(*await servers[family].start())
             statuses = []
@@ -972,7 +971,7 @@ class TestWireContract:
         reference = _batch_session(rounds, proto=spec)
 
         async def scenario():
-            live = IngestServer(_spec(protocol=spec), tick_interval=0.02)
+            live = IngestServer(_spec(protocol=spec))
             client = HttpClient(*await live.start())
             statuses = [
                 (await client.request("POST", "/v1/reports", body=body)).status
@@ -992,6 +991,177 @@ class TestWireContract:
             expected = reference.estimate(t)
             assert payload["n_reports"] == expected.n_reports
             assert payload["frequencies"] == expected.frequencies.tolist()
+
+
+# ---------------------------------------------------------------------- #
+# HTTP transport limits and periodic checkpoints
+# ---------------------------------------------------------------------- #
+def _raw_exchange(host, port, data):
+    """Send raw bytes on a fresh connection; return what comes back."""
+    import socket
+
+    chunks = []
+    with socket.create_connection((host, port), timeout=10) as sock:
+        try:
+            sock.sendall(data)
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the server may answer and close before reading it all
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:
+                break
+            if not chunk:
+                break
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _raw_post(body, *, target="/v1/reports", headers=(), length=None):
+    lines = [
+        f"POST {target} HTTP/1.1",
+        "Host: test",
+        f"Content-Length: {len(body) if length is None else length}",
+        *headers,
+    ]
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
+
+
+class TestHttpLimits:
+    """Refused requests answer before touching the session, then close."""
+
+    BODY = json.dumps({"round": 0, "counts": [0] * 8, "n_reports": 1}).encode()
+
+    CASES = {
+        # Declared only: no body bytes are sent, so a 413 proves the server
+        # answered before reading the body.
+        "body-over-8MiB": (_raw_post(b"", length=8 * 1024 * 1024 + 1), 413),
+        "negative-length": (_raw_post(BODY, length=-1), 400),
+        "non-integer-length": (_raw_post(BODY, length="x"), 400),
+        "65-headers": (
+            _raw_post(BODY, headers=[f"X-Pad-{i}: {i}" for i in range(65)]), 400
+        ),
+        "20KiB-header-line": (
+            _raw_post(BODY, headers=["X-Pad: " + "a" * 20_000]), 400
+        ),
+        "70KB-header-line": (
+            _raw_post(BODY, headers=["X-Pad: " + "a" * 70_000]), 400
+        ),
+        "70KB-request-target": (
+            _raw_post(BODY, target="/v1/reports?" + "a" * 70_000), 400
+        ),
+        "malformed-request-line": (b"POST /v1/reports\r\n\r\n" + BODY, 400),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_refusal_closes_and_folds_nothing(self, case):
+        request, status = self.CASES[case]
+
+        async def scenario():
+            server = IngestServer(_spec())
+            host, port = await server.start()
+            reply = await asyncio.to_thread(_raw_exchange, host, port, request)
+            total = server.session.total_reports
+            # The server is still up and takes a well-formed batch.
+            accepted = await asyncio.to_thread(
+                _raw_exchange, host, port,
+                _raw_post(self.BODY, headers=["Connection: close"]),
+            )
+            await server.stop()
+            return reply, accepted, total
+
+        reply, accepted, total = asyncio.run(scenario())
+        head = reply.split(b"\r\n\r\n", 1)[0].decode("latin-1").split("\r\n")
+        assert head[0].startswith(f"HTTP/1.1 {status} "), reply[:200]
+        assert "Connection: close" in head[1:]
+        assert total == 0
+        assert accepted.startswith(b"HTTP/1.1 202 ")
+
+
+class TestHttpClientErrors:
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            b"HTTP/1.1 abc OK\r\nContent-Length: 0\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nContent-Length: x\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nX-Pad: " + b"a" * 70_000 + b"\r\n\r\n",
+        ],
+        ids=["status-code", "content-length", "70KB-header-line"],
+    )
+    def test_malformed_response_raises_http_error_502(self, reply):
+        from repro.service.http import HttpError
+
+        async def canned(reader, writer):
+            await reader.readuntil(b"\r\n\r\n")
+            writer.write(reply)
+            await writer.drain()
+            writer.close()
+
+        async def scenario():
+            server = await asyncio.start_server(canned, "127.0.0.1", 0)
+            client = HttpClient(*server.sockets[0].getsockname()[:2])
+            try:
+                await client.request("GET", "/healthz")
+            finally:
+                await client.close()
+                server.close()
+                await server.wait_closed()
+
+        with pytest.raises(HttpError) as info:
+            asyncio.run(scenario())
+        assert info.value.status == 502
+
+
+class TestPeriodicCheckpoint:
+    def test_checkpoint_task_writes_changes_only(self, tmp_path):
+        """A fold reaches the ``.npz`` while the server still serves; an
+        unchanged session is not rewritten; each write is counted."""
+        checkpoint = tmp_path / "live.npz"
+        spec = _spec(checkpoint_interval_seconds=0.05)
+        body = json.dumps({"round": 0, "counts": [1] * 8, "n_reports": 3}).encode()
+
+        def written():
+            return server.metrics.counter("repro_ingest_checkpoints_total").value()
+
+        async def until(condition):
+            for _ in range(500):
+                if condition():
+                    return
+                await asyncio.sleep(0.01)
+            raise AssertionError("the checkpoint task did not write in 5 s")
+
+        async def scenario():
+            host, port = await server.start()
+            client = HttpClient(host, port)
+            assert (await client.request("POST", "/v1/reports", body=body)).status == 202
+            await until(lambda: written() == 1)
+            assert CollectorSession.restore(checkpoint).total_reports == 3
+            stat = checkpoint.stat()
+            await asyncio.sleep(0.3)  # six intervals with nothing new
+            unchanged = (written(), checkpoint.stat().st_mtime_ns, checkpoint.stat().st_ino)
+            assert (await client.request("POST", "/v1/reports", body=body)).status == 202
+            await until(lambda: written() == 2)
+            assert CollectorSession.restore(checkpoint).total_reports == 6
+            metrics = (await client.request("GET", "/metrics")).body.decode()
+            await client.close()
+            await server.stop()
+            return stat, unchanged, metrics
+
+        server = IngestServer(spec, checkpoint_path=checkpoint)
+        stat, unchanged, metrics = asyncio.run(scenario())
+        assert unchanged == (1, stat.st_mtime_ns, stat.st_ino)
+        assert "repro_ingest_checkpoints_total 2" in metrics
+        assert written() == 3  # stop() forces the final write
+
+    def test_no_task_without_a_checkpoint_path(self):
+        async def scenario():
+            server = IngestServer(_spec(checkpoint_interval_seconds=0.01))
+            await server.start()
+            task = server._checkpoint_task
+            await server.stop()
+            return task
+
+        assert asyncio.run(scenario()) is None
 
 
 # ---------------------------------------------------------------------- #

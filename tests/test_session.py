@@ -282,44 +282,30 @@ class TestClockCheckpoint:
     )
     def test_clock_round_trip_and_resume(self, spec, tmp_path):
         session = CollectorSession(
-            spec, n_rounds=4, clock=RoundClock(4, quorum=10, late_policy="absorb")
+            spec, n_rounds=4, clock=RoundClock(4, quorum=10)
         )
         m = session.protocol.estimation_domain_size
         counts = np.arange(m, dtype=np.float64) % 3
         session.submit_counts(0, counts, n_reports=10)  # quorum seals round 0
         session.submit_counts(3, counts, n_reports=4)  # early
-        session.submit_counts(0, counts, n_reports=2)  # late, absorbed into 1
+        session.submit_counts(0, counts, n_reports=2)  # late, dropped
+        session.submit_counts(1, counts, n_reports=3)
         path = session.checkpoint(tmp_path / "live.npz")
 
         restored = CollectorSession.restore(path)
         clock = restored.clock
         assert clock is not None and clock.quorum == 10
-        assert clock.late_policy == "absorb"
-        assert clock.current_round == 1 and clock.window_reports == 2
-        assert (clock.late_absorbed, clock.early_reports) == (2, 4)
+        assert clock.current_round == 1 and clock.window_reports == 3
+        assert (clock.late_dropped, clock.early_reports) == (2, 4)
         assert clock.seals == session.clock.seals
         np.testing.assert_array_equal(
             restored.reports_per_round, session.reports_per_round
         )
-        # Both continue identically: the late batch reaches the open window.
+        # Both continue identically: a late batch is dropped, and the open
+        # window seals on its quorum.
         for target in (session, restored):
-            assert target.submit_counts(0, counts, n_reports=8).round_index == 1
+            assert target.submit_counts(0, counts, n_reports=8) is None
+            assert target.submit_counts(1, counts, n_reports=7).round_index == 1
         np.testing.assert_array_equal(restored.estimates(), session.estimates())
         assert restored.clock.current_round == session.clock.current_round == 2
-
-    def test_restored_window_reopens_on_the_time_source(self, tmp_path):
-        now = [100.0]
-        session = CollectorSession(
-            _spec(8), n_rounds=3,
-            clock=RoundClock(3, window_seconds=5.0, time_source=lambda: now[0]),
-        )
-        now[0] = 104.0  # 4 s into round 0's window
-        path = session.checkpoint(tmp_path / "live.npz")
-
-        later = [1000.0]
-        restored = CollectorSession.restore(path, time_source=lambda: later[0])
-        later[0] = 1004.0
-        assert restored.clock.tick() == []  # the window age did not carry over
-        later[0] = 1005.0
-        assert [event.round_index for event in restored.clock.tick()] == [0]
 

@@ -323,9 +323,7 @@ class TestIngestSpec:
         spec = self._spec(
             name="edge",
             port=8471,
-            window_seconds=2.5,
             quorum=100,
-            late_policy="absorb",
             auth_key_env="INGEST_KEY",
         )
         path = spec.save(tmp_path / "ingest.json")
@@ -336,8 +334,7 @@ class TestIngestSpec:
     def test_defaults_round_trip_without_optional_noise(self):
         spec = self._spec()
         payload = spec.to_dict()
-        # None-valued optionals (window, quorum, auth) stay out of the JSON.
-        assert "window_seconds" not in payload
+        # None-valued optionals (quorum, auth) stay out of the JSON.
         assert "quorum" not in payload
         assert "auth_key_env" not in payload
 
@@ -346,16 +343,12 @@ class TestIngestSpec:
             self._spec(protocol=ProtocolSpec(name="L-OSUE", alpha=0.5))
 
     def test_validation_catches_bad_fields(self):
-        with pytest.raises(ParameterError, match="late_policy"):
-            self._spec(late_policy="retry")
         with pytest.raises(ParameterError, match="port"):
             self._spec(port=70000)
         with pytest.raises(ParameterError, match="n_rounds"):
             self._spec(n_rounds=0)
         with pytest.raises(ParameterError, match="quorum"):
             self._spec(quorum=0)
-        with pytest.raises(ParameterError, match="window_seconds"):
-            self._spec(window_seconds=-1.0)
         with pytest.raises(ParameterError, match="auth_key_env"):
             self._spec(auth_key_env="")
 
