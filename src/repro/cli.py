@@ -75,16 +75,6 @@ are bit-identical to what a local batch session would be fed::
 Both sides honor ``--auth-key-env SECRET_VAR`` (HMAC-signed submissions,
 see :mod:`repro.service.auth`); an ``ingest`` without it serves
 unauthenticated and says so loudly.
-
-``check`` runs the AST-based invariant checker (see :mod:`repro.checks`)
-over the source tree — RNG/wall-clock determinism, atomic-IO, exception
-and lock discipline, frozen specs, metric naming — and is the blocking CI
-gate::
-
-    repro-ldp check                      # src/repro, text findings
-    repro-ldp check --json               # machine-readable report
-    repro-ldp check --list-rules         # what is enforced, and why
-    repro-ldp check --write-baseline     # accept current findings
 """
 
 from __future__ import annotations
@@ -408,10 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     datasets_parser.add_argument("--scale", type=float, default=0.02)
     datasets_parser.add_argument("--seed", type=int, default=0)
-
-    from .checks.cli import add_check_parser
-
-    add_check_parser(subparsers)
     return parser
 
 
@@ -720,11 +706,6 @@ def _dispatch(args: argparse.Namespace) -> int:
                 resume=args.resume,
                 n_workers=args.workers,
             )
-
-    if args.command == "check":
-        from .checks.cli import run_check
-
-        return run_check(args)
 
     runners = {
         "query": run_query,

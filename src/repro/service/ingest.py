@@ -64,7 +64,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..exceptions import AggregationError, ParameterError
+from ..exceptions import AggregationError, ParameterError, ReproError
 from ..longitudinal.base import LongitudinalProtocol
 from ..longitudinal.dbitflip import DBitFlipPM, DBitFlipReport
 from ..longitudinal.l_grr import LGRR
@@ -240,6 +240,10 @@ def decode_reports(protocol: LongitudinalProtocol, payload: object) -> List:
     return list(arrays[0])
 
 
+class CheckpointError(ReproError):
+    """The final checkpoint of a stopping ingest server could not be written."""
+
+
 class IngestServer:
     """The live collection endpoint described by an :class:`IngestSpec`.
 
@@ -312,6 +316,10 @@ class IngestServer:
         )
         self._m_checkpoints = m.counter(
             "repro_ingest_checkpoints_total", "Session+clock checkpoints written"
+        )
+        self._m_checkpoint_failures = m.counter(
+            "repro_ingest_checkpoint_failures_total",
+            "Session+clock checkpoint writes that raised an OSError",
         )
 
         self.session, self.clock = self._build_state()
@@ -401,20 +409,29 @@ class IngestServer:
         answer ``503`` (also on kept-alive connections), so every batch
         answered ``202`` is in the final session + clock checkpoint.  The
         open window is *not* sealed: a restarted server resumes exactly
-        where this one stopped.
+        where this one stopped.  A final checkpoint that cannot be written
+        raises :class:`CheckpointError` naming the path.
         """
         if self._stopped:
             return
         self._stopped = True
-        if self._http is not None:
-            await self._http.close()
-        if self._checkpoint_task is not None:
-            self._checkpoint_task.cancel()
+        try:
+            if self._http is not None:
+                await self._http.close()
+            if self._checkpoint_task is not None:
+                self._checkpoint_task.cancel()
+                try:
+                    await self._checkpoint_task
+                except asyncio.CancelledError:
+                    pass
+        finally:
             try:
-                await self._checkpoint_task
-            except asyncio.CancelledError:
-                pass
-        self.checkpoint(force=True)
+                self.checkpoint(force=True)
+            except OSError as error:
+                self._m_checkpoint_failures.inc()
+                raise CheckpointError(
+                    f"cannot write the final checkpoint {self._checkpoint_path}: {error}"
+                ) from error
 
     async def run(
         self,
@@ -462,7 +479,12 @@ class IngestServer:
     async def _checkpoint_loop(self) -> None:
         while True:
             await asyncio.sleep(self.spec.checkpoint_interval_seconds)
-            self.checkpoint()
+            try:
+                self.checkpoint()
+            except OSError:
+                # The state stays dirty, so the next tick (and stop())
+                # retries the write; the server keeps serving meanwhile.
+                self._m_checkpoint_failures.inc()
 
     def checkpoint(self, force: bool = False) -> bool:
         """Write the session + clock checkpoint (one atomic ``.npz``).

@@ -42,6 +42,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .._atomicio import atomic_write_text
+
 __all__ = ["NativeKernels", "load", "unavailable_reason"]
 
 _C_SOURCE = r"""
@@ -161,9 +163,9 @@ def _compile() -> str:
     if os.path.exists(library):
         return library
     source = os.path.join(directory, f"repro_native_{_source_digest()}.c")
-    # repro: allow[IO-ATOMIC] digest-keyed scratch source; the .so is staged + renamed
-    with open(source, "w") as handle:
-        handle.write(_C_SOURCE)
+    # Staged + renamed, so a process compiling at the same time never hands
+    # the compiler a source this one has just truncated.
+    atomic_write_text(source, _C_SOURCE)
     compiler = os.environ.get("CC", "cc")
     # Build into a temp name then rename, so a concurrent process never loads
     # a half-written library.

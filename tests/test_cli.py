@@ -48,16 +48,18 @@ class TestParser:
             ["status", "--metrics", "127.0.0.1:9", "--checkpoint", "x.npz"],
             ["status", "--metrics", "127.0.0.1:9"],
             ["sweep", "--spec", "s.json", "--output-dir", "o", "--metrics-port", "0"],
+            ["check", "src/repro"],
         ],
         ids=[
             "serve", "work", "status-queue-dir", "status-checkpoint",
-            "status", "sweep-metrics-port",
+            "status", "sweep-metrics-port", "check",
         ],
     )
     def test_file_queue_commands_are_gone(self, capsys, argv):
         """Shards run on a local pool only, and a sweep reports progress
-        through ``--events`` alone: the file-queue commands, ``status`` and
-        ``sweep --metrics-port`` are argparse errors, not tracebacks."""
+        through ``--events`` alone, and the invariant rules run as a test:
+        the file-queue commands, ``status``, ``sweep --metrics-port`` and
+        ``check`` are argparse errors, not tracebacks."""
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
@@ -567,6 +569,27 @@ class TestIngestLoadgenCli:
         assert code == 2
         err = capsys.readouterr().err
         assert "error: " in err and str(checkpoint) in err
+        assert "Traceback" not in err
+
+    def test_ingest_unwritable_final_checkpoint_is_an_error_line(
+        self, capsys, tmp_path, ingest_spec_path
+    ):
+        """A checkpoint whose parent is a regular file fails at drain time
+        with one error line naming it and exit 2, not a traceback."""
+        blocker = tmp_path / "blocker"
+        blocker.write_bytes(b"")
+        checkpoint = blocker / "live.npz"
+        code = main(
+            [
+                "ingest",
+                "--spec", str(ingest_spec_path),
+                "--checkpoint", str(checkpoint),
+                "--run-seconds", "0.1",
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: cannot write the final checkpoint " + str(checkpoint) in err
         assert "Traceback" not in err
 
     def test_ingest_parser_accepts_service_flags(self):

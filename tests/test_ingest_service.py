@@ -14,6 +14,7 @@ HTTP tests run real asyncio servers on ephemeral localhost ports via
 import asyncio
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from repro.service import CollectorSession, MetricsRegistry, RoundClock
 from repro.service.clock import SealEvent
 from repro.service.http import HttpClient
 from repro.service.ingest import (
+    CheckpointError,
     IngestServer,
     decode_reports,
     encode_reports,
@@ -1152,6 +1154,83 @@ class TestPeriodicCheckpoint:
         assert unchanged == (1, stat.st_mtime_ns, stat.st_ino)
         assert "repro_ingest_checkpoints_total 2" in metrics
         assert written() == 3  # stop() forces the final write
+
+    def test_failing_checkpoint_is_counted_retried_and_typed_at_stop(self, tmp_path):
+        """A checkpoint whose parent is a regular file cannot be written:
+        the server keeps serving, each tick retries and counts the failure,
+        and stop() still tries the final write, then raises a typed error."""
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_bytes(b"")
+        checkpoint = blocker / "live.npz"
+        spec = _spec(checkpoint_interval_seconds=0.05)
+        body = json.dumps({"round": 0, "counts": [1] * 8, "n_reports": 3}).encode()
+
+        def failures():
+            return server.metrics.counter("repro_ingest_checkpoint_failures_total").value()
+
+        async def scenario():
+            host, port = await server.start()
+            client = HttpClient(host, port)
+            assert (await client.request("POST", "/v1/reports", body=body)).status == 202
+            for _ in range(500):
+                if failures() >= 3:
+                    break
+                await asyncio.sleep(0.01)
+            running = not server._checkpoint_task.done()
+            status = (await client.request("POST", "/v1/reports", body=body)).status
+            await client.close()
+            failed_ticks = failures()
+            with pytest.raises(CheckpointError, match=re.escape(str(checkpoint))):
+                await server.stop()
+            return running, status, failed_ticks
+
+        server = IngestServer(spec, checkpoint_path=checkpoint)
+        running, status, failed_ticks = asyncio.run(scenario())
+        assert running and status == 202
+        assert failed_ticks >= 3  # three intervals, each one retried
+        assert failures() > failed_ticks  # stop() tried once more
+        assert server.metrics.counter("repro_ingest_checkpoints_total").value() == 0
+        assert server.session.total_reports == 6
+
+    def test_failed_checkpoint_is_written_once_the_path_is_usable(self, tmp_path):
+        """A write that failed stays due: once the blocker is gone the next
+        tick writes the folded state, and /metrics shows the failures."""
+        blocker = tmp_path / "state"
+        blocker.write_bytes(b"")
+        checkpoint = blocker / "live.npz"
+        spec = _spec(checkpoint_interval_seconds=0.05)
+        body = json.dumps({"round": 0, "counts": [1] * 8, "n_reports": 3}).encode()
+
+        def value(name):
+            return server.metrics.counter(name).value()
+
+        async def until(condition):
+            for _ in range(500):
+                if condition():
+                    return
+                await asyncio.sleep(0.01)
+            raise AssertionError("the checkpoint task did not get there in 5 s")
+
+        async def scenario():
+            host, port = await server.start()
+            client = HttpClient(host, port)
+            assert (await client.request("POST", "/v1/reports", body=body)).status == 202
+            await until(lambda: value("repro_ingest_checkpoint_failures_total") >= 1)
+            blocker.unlink()
+            blocker.mkdir()
+            await until(lambda: value("repro_ingest_checkpoints_total") == 1)
+            restored = CollectorSession.restore(checkpoint).total_reports
+            metrics = (await client.request("GET", "/metrics")).body.decode()
+            await client.close()
+            await server.stop()
+            return restored, metrics
+
+        server = IngestServer(spec, checkpoint_path=checkpoint)
+        restored, metrics = asyncio.run(scenario())
+        assert restored == 3
+        failed = re.search(r"^repro_ingest_checkpoint_failures_total (\d+)", metrics, re.M)
+        assert failed is not None and int(failed.group(1)) >= 1
+        assert value("repro_ingest_checkpoints_total") == 2  # stop() forces the final write
 
     def test_no_task_without_a_checkpoint_path(self):
         async def scenario():
