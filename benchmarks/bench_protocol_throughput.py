@@ -11,8 +11,9 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.datasets import LongitudinalDataset
 from repro.longitudinal import BiLOLOHA, DBitFlipPM, LGRR, LOSUE, LSUE, OLOLOHA
-from repro.simulation import engine_for
+from repro.simulation import engine_for, simulate_protocol
 
 N_USERS = 2_000
 N_USERS_LARGE = 10_000
@@ -104,6 +105,25 @@ def test_changing_collection_round_10k_users(benchmark, name, churn):
     assert estimate.shape[0] in (K, protocol.estimation_domain_size)
     benchmark.extra_info["n_users"] = N_USERS_LARGE
     benchmark.extra_info["churn"] = churn
+
+
+@pytest.mark.benchmark(group="simulation-10k-changing")
+def test_full_churn_simulation_10k_users(benchmark):
+    """A whole L-OSUE simulation in which every user holds a new value every
+    round: each (user, value) pair is visited once, so ``simulate_protocol``
+    draws every round's memoized ones in aggregate and memoizes no row."""
+    n_rounds = 8
+    start = np.random.default_rng(1).integers(0, K, size=(N_USERS_LARGE, 1))
+    dataset = LongitudinalDataset(
+        name="full-churn", values=(start + np.arange(n_rounds)) % K, k=K
+    )
+    assert dataset.once_visited_mask().all()
+    protocol = _protocols()["L-OSUE"]
+
+    result = benchmark(lambda: simulate_protocol(protocol, dataset, rng=3))
+    assert (result.distinct_memoized_per_user == n_rounds).all()
+    benchmark.extra_info["n_users"] = N_USERS_LARGE
+    benchmark.extra_info["n_rounds"] = n_rounds
 
 
 @pytest.mark.benchmark(group="engine-construction")

@@ -40,6 +40,9 @@ class LongitudinalDataset:
     values: np.ndarray
     k: int
     metadata: Dict[str, object] = field(default_factory=dict)
+    _once_visited: Optional[np.ndarray] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values)
@@ -104,6 +107,29 @@ class LongitudinalDataset:
     def distinct_values_per_user(self) -> np.ndarray:
         """Per-user number of distinct values across the whole horizon."""
         return np.asarray([np.unique(row).size for row in self.values], dtype=np.int64)
+
+    def once_visited_mask(self) -> np.ndarray:
+        """``(n, tau)`` mask, True where ``values[u, t]`` occurs in no other
+        round of user ``u``.
+
+        Computed on first use and cached on this object.  Each row is sorted
+        as one narrow key ``value * tau + round``, so equal values sit side by
+        side and the round of each entry rides along in the low digits.
+        """
+        if self._once_visited is None:
+            n, tau = self.values.shape
+            dtype = np.min_scalar_type(self.k * tau - 1)
+            rounds = np.arange(tau, dtype=dtype)
+            ordered = np.sort(self.values.astype(dtype) * dtype.type(tau) + rounds, axis=1)
+            ordered_values = ordered // dtype.type(tau)
+            repeated = ordered_values[:, 1:] == ordered_values[:, :-1]
+            once = np.ones((n, tau), dtype=bool)
+            once[:, 1:] &= ~repeated
+            once[:, :-1] &= ~repeated
+            mask = np.empty((n, tau), dtype=bool)
+            mask[np.arange(n)[:, None], ordered % dtype.type(tau)] = once
+            self._once_visited = mask
+        return self._once_visited
 
     # ------------------------------------------------------------------ #
     # Transformations

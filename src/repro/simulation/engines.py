@@ -17,14 +17,20 @@ and — since the aggregated-sampling pass — the *instantaneous* randomization
 of every engine is sampled in aggregate: the per-round randomness cost is a
 function of the (hashed) domain size alone, never of ``n_users``
 (``docs/architecture.md`` tabulates the per-engine round complexity).  The
-only per-round outputs are the support counts, which the aggregation sinks
-of :mod:`repro.simulation.sinks` fold incrementally.
+UE engine also draws the *permanent* randomization of once-visited (user,
+value) pairs in aggregate: given a round's ``once`` mask (from
+:meth:`~repro.datasets.LongitudinalDataset.once_visited_mask`, which the
+offline drivers pass), only pairs that recur get a memo row.  The only
+per-round outputs are the support counts, which the aggregation sinks of
+:mod:`repro.simulation.sinks` fold incrementally.
 
 Every engine exposes the same protocol:
 
 ``run_round(values_t, rng) -> support_counts``
     Process one collection round for all users and return the support counts
-    the server aggregates for that round.
+    the server aggregates for that round.  :class:`UnaryChainEngine` (and its
+    ``run_rounds``) also takes ``once=``, one boolean per user; without it
+    every pair is treated as reused.
 
 ``run_rounds(values_t, n_rounds, rng) -> (n_rounds, m) support counts``
     Process ``n_rounds`` consecutive rounds in which every user holds the
@@ -384,18 +390,30 @@ class GRRChainEngine(PopulationEngine):
         return self._state.distinct_per_user()
 
 
+#: Fold key of a user whose current (user, value) pair is visited once: its
+#: row never enters the memo, so it adds nothing to the folded column sums.
+_ONCE_KEY = -1
+
+
+def _memo_rows(rows, users, keys):
+    """``rows(users, keys)`` of the users whose key is not :data:`_ONCE_KEY`."""
+    held = keys != _ONCE_KEY
+    return rows(users[held], keys[held])
+
+
 def _packed_fold(backend, rows, n_bits, users, keys):
     """Column sums of the packed rows ``rows(users, keys)``."""
-    return backend.packed_column_sums(rows(users, keys), n_bits)
+    return backend.packed_column_sums(_memo_rows(rows, users, keys), n_bits)
 
 
 def _packed_fold_delta(backend, rows, n_bits, users, new_keys, old_keys):
-    # colsum(new) − colsum(old) == colsum([new, ~old]) − n_changed per
-    # column: inverting the packed bytes turns each old row into its
-    # complement (the byte tail pad lands in truncated columns >= n_bits), so
-    # one fused fold replaces the two-pass add/subtract.
-    fused = np.concatenate([rows(users, new_keys), np.invert(rows(users, old_keys))])
-    return backend.packed_column_sums(fused, n_bits) - users.size
+    # colsum(new) − colsum(old) == colsum([new, ~old]) − n_old per column:
+    # inverting the packed bytes turns each old row into its complement (the
+    # byte tail pad lands in truncated columns >= n_bits), so one fused fold
+    # replaces the two-pass add/subtract.
+    old_rows = _memo_rows(rows, users, old_keys)
+    fused = np.concatenate([_memo_rows(rows, users, new_keys), np.invert(old_rows)])
+    return backend.packed_column_sums(fused, n_bits) - old_rows.shape[0]
 
 
 def _plane_rows(planes, users, symbols):
@@ -426,15 +444,25 @@ def _bucket_rows(sampled_buckets, b, users, bits):
 class UnaryChainEngine(PopulationEngine):
     """Vectorized population for the longitudinal UE protocols.
 
-    The permanently randomized ``k``-bit vectors are held in a bit-packed
-    memo table indexed by (user, value), materialized lazily in batches; the
-    layout (dense up to a 512 MiB projection, row-sparse above) is picked by
+    The permanently randomized ``k``-bit vectors of reused (user, value)
+    pairs are held in a bit-packed memo table indexed by (user, value),
+    materialized lazily in batches; the layout (dense up to a 512 MiB
+    projection, row-sparse above) is picked by
     :func:`repro.simulation.state.make_packed_bit_memo`, or the table itself
-    injected with ``memo=`` (which also forces a layout).
-    The round path folds the
-    packed rows straight into per-column sums — the full ``(n_users, k)``
-    bit matrix is never unpacked — and samples the instantaneous flips in
-    aggregate (two binomials per column).
+    injected with ``memo=`` (which also forces a layout).  The round path
+    folds the packed rows straight into per-column sums — the full
+    ``(n_users, k)`` bit matrix is never unpacked — and samples the
+    instantaneous flips in aggregate (two binomials per column).
+
+    ``once`` (a boolean mask over users, passed per round by the offline
+    drivers from :meth:`~repro.datasets.LongitudinalDataset
+    .once_visited_mask`) marks users whose current pair occurs in this round
+    only.  Such a row would add to one round's column sums and never be
+    read again, so it is never drawn: with ``s`` once-visited users, ``s_j``
+    of them at value ``j``, their memoized ones in column ``j`` are
+    ``Binomial(s_j, p1) + Binomial(s - s_j, q1)`` — exact in joint
+    distribution, since the bits of a UE row are independent.  Without a
+    mask every pair is treated as reused.
     """
 
     def __init__(
@@ -457,32 +485,60 @@ class UnaryChainEngine(PopulationEngine):
             )
         else:
             self._state = make_packed_bit_memo(n_users, protocol.k, protocol.k)
+        #: Per-user count of once-visited pairs, which the memo never holds.
+        self._once_per_user = np.zeros(n_users, dtype=np.int64)
         fold_args = (self._backend, self._state.packed_rows, protocol.k)
         self._column_sums = _DeltaFoldCache(
             n_users, partial(_packed_fold, *fold_args), partial(_packed_fold_delta, *fold_args)
         )
 
     def _memoized_column_sums(
-        self, values_t: np.ndarray, generator: np.random.Generator
+        self,
+        values_t: np.ndarray,
+        generator: np.random.Generator,
+        once: Optional[np.ndarray],
     ) -> np.ndarray:
         params = self.protocol.chained_parameters
         k = self.protocol.k
+        if once is None:
+            once = np.zeros(self.n_users, dtype=bool)
+        once = np.asarray(once, dtype=bool)
+        if once.shape != (self.n_users,):
+            raise ExperimentError(
+                f"expected one once-visited flag per user (shape ({self.n_users},)), "
+                f"got {once.shape}"
+            )
+        reused = np.flatnonzero(~once)
         self._state.ensure_rows(
-            values_t,
+            values_t[reused],
             lambda users, keys: ue_fresh_rows_kernel(
                 keys, k, params.p1, params.q1, generator
             ),
+            users=reused,
         )
         # Column sums of the memoized rows, folded on the packed bytes (the
         # full (n_users, k) bit matrix is never unpacked) and updated
         # incrementally across rounds.
-        return self._column_sums.update(values_t)
+        memo_ones = self._column_sums.update(np.where(once, _ONCE_KEY, values_t))
+        once_values = values_t[once]
+        if not once_values.size:
+            return memo_ones
+        self._once_per_user += once
+        return memo_ones + ue_binomial_counts_kernel(
+            np.bincount(once_values, minlength=k), once_values.size,
+            params.p1, params.q1, generator,
+        )
 
-    def run_round(self, values_t: np.ndarray, rng: Optional[np.random.Generator] = None) -> np.ndarray:
+    def run_round(
+        self,
+        values_t: np.ndarray,
+        rng: Optional[np.random.Generator] = None,
+        once: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
         values_t = self._validate_round(values_t)
         generator = self._round_rng(rng)
         params = self.protocol.chained_parameters
-        memo_ones = self._memoized_column_sums(values_t, generator)
+        memo_ones = self._memoized_column_sums(values_t, generator, once)
         # The instantaneous bit flips are independent across users, so the
         # column support counts can be sampled in aggregate (two binomials
         # per column) instead of flipping the full (n_users, k) matrix.
@@ -495,18 +551,19 @@ class UnaryChainEngine(PopulationEngine):
         values_t: np.ndarray,
         n_rounds: int,
         rng: Optional[np.random.Generator] = None,
+        once: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         n_rounds = require_int_at_least(n_rounds, 1, "n_rounds")
         values_t = self._validate_round(values_t)
         generator = self._round_rng(rng)
         params = self.protocol.chained_parameters
-        memo_ones = self._memoized_column_sums(values_t, generator)
+        memo_ones = self._memoized_column_sums(values_t, generator, once)
         return ue_binomial_counts_batch_kernel(
             memo_ones, self.n_users, params.p2, params.q2, n_rounds, generator
         )
 
     def distinct_memoized_per_user(self) -> np.ndarray:
-        return self._state.distinct_per_user()
+        return self._state.distinct_per_user() + self._once_per_user
 
 
 class DBitFlipEngine(PopulationEngine):

@@ -4,7 +4,9 @@
 drives a vectorized :mod:`~repro.simulation.engines` population round by
 round, folds the per-round support counts into a
 :class:`~repro.simulation.sinks.SupportCountSink` and scores the debiased
-estimates with the paper's metrics.  ``simulate_protocol_sharded`` splits the
+estimates with the paper's metrics; the UE engine also gets each round's
+column of the dataset's once-visited mask, so pairs that occur once are
+drawn in aggregate and never memoized.  ``simulate_protocol_sharded`` splits the
 population into independent user shards whose partial counts are merged with
 a :class:`~repro.simulation.sinks.ShardedSink` — the building block for
 populations larger than one engine (or one process) should hold.
@@ -36,7 +38,7 @@ from ..longitudinal.dbitflip import DBitFlipPM
 from ..obs.spans import span
 from ..rng import RngLike, derive_seed_sequences
 from ..specs import ProtocolSpec
-from .engines import engine_for
+from .engines import UnaryChainEngine, engine_for
 from .metrics import averaged_longitudinal_privacy_loss, averaged_mse, mse_per_round
 from .sinks import ShardedSink, ShardSummary, SupportCountSink
 
@@ -164,18 +166,30 @@ def round_windows(values: np.ndarray) -> List[Tuple[int, int]]:
     return list(zip(starts.tolist(), stops.tolist()))
 
 
-def _drive_windows(engine, values: np.ndarray, sink, generator) -> None:
+def _once_mask(engine, dataset: LongitudinalDataset) -> Optional[np.ndarray]:
+    """The dataset's once-visited mask if ``engine`` draws such pairs in
+    aggregate (the UE engine), else ``None`` — so other protocols never pay
+    for computing it."""
+    return dataset.once_visited_mask() if isinstance(engine, UnaryChainEngine) else None
+
+
+def _drive_windows(
+    engine, values: np.ndarray, sink, generator, once: Optional[np.ndarray] = None
+) -> None:
     """Run every round of ``values`` (one column per round) into ``sink``,
     batching maximal unchanged windows through ``engine.run_rounds``.
 
-    Rounds reach ``sink.add_round`` once each, in order.
+    ``once`` is the matching once-visited mask, handed to the engine one
+    round column at a time.  Rounds reach ``sink.add_round`` once each, in
+    order.
     """
     engine_name = type(engine).__name__
     for start_t, stop_t in round_windows(values):
         n_window = stop_t - start_t
+        options = {} if once is None else {"once": once[:, start_t]}
         with span("sim.window", component="simulation", engine=engine_name,
                   rounds=n_window, start_round=start_t):
-            counts = engine.run_rounds(values[:, start_t], n_window, generator)
+            counts = engine.run_rounds(values[:, start_t], n_window, generator, **options)
         for offset in range(n_window):
             sink.add_round(start_t + offset, counts[offset])
 
@@ -198,7 +212,7 @@ def simulate_protocol(
     sink = SupportCountSink(
         dataset.n_rounds, protocol.estimation_domain_size, dataset.n_users
     )
-    _drive_windows(engine, dataset.values, sink, generator)
+    _drive_windows(engine, dataset.values, sink, generator, _once_mask(engine, dataset))
 
     return _package_result(
         protocol,
@@ -276,7 +290,11 @@ def _run_shard(
     sink = SupportCountSink(
         dataset.n_rounds, protocol.estimation_domain_size, stop - start
     )
-    _drive_windows(engine, dataset.values[start:stop], sink, generator)
+    once = _once_mask(engine, dataset)
+    _drive_windows(
+        engine, dataset.values[start:stop], sink, generator,
+        None if once is None else once[start:stop],
+    )
     return sink.to_summary(engine.distinct_memoized_per_user())
 
 

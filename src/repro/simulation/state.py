@@ -120,6 +120,17 @@ class DenseSymbolMemo:
         return (self._table >= 0).sum(axis=1, dtype=np.int64)
 
 
+def _require_present(present: np.ndarray, users: np.ndarray, keys: np.ndarray) -> None:
+    """Refuse to read rows of (user, key) pairs that were never memoized."""
+    if not present.all():
+        first = int(np.flatnonzero(~present)[0])
+        raise ParameterError(
+            f"{int((~present).sum())} requested memo row(s) were never memoized "
+            f"(first: user {int(users[first])}, key {int(keys[first])}); "
+            f"call ensure_rows for them first"
+        )
+
+
 class _PackedBitMemoBase(ABC):
     """Shared contract of the packed memoization tables.
 
@@ -147,18 +158,22 @@ class _PackedBitMemoBase(ABC):
         self._n_bytes = -(-self.n_bits // 8)
 
     @abstractmethod
-    def ensure_rows(self, keys: np.ndarray, fresh: FreshRows) -> None:
-        """Create every missing (user, ``keys[user]``) row through ``fresh``.
+    def ensure_rows(
+        self, keys: np.ndarray, fresh: FreshRows, users: Optional[np.ndarray] = None
+    ) -> None:
+        """Create every missing (``users[i]``, ``keys[i]``) row through ``fresh``.
 
+        ``users`` defaults to every user, in order (one key per user).
         Misses are batched exactly as in :meth:`resolve` (one ``fresh`` call
-        in user order), so the randomness consumption is identical whichever
-        entry point triggers creation.
+        in the order of ``users``), so the randomness consumption is
+        identical whichever entry point triggers creation.
         """
 
     @abstractmethod
     def packed_rows(self, users: np.ndarray, keys: np.ndarray) -> np.ndarray:
         """Packed rows of the given (user, key) pairs, which must all have
-        been memoized already (see :meth:`ensure_rows`)."""
+        been memoized already (see :meth:`ensure_rows`); an absent pair
+        raises :class:`~repro.exceptions.ParameterError`."""
 
     def _resolve_packed(self, keys: np.ndarray, fresh: FreshRows) -> np.ndarray:
         self.ensure_rows(keys, fresh)
@@ -241,9 +256,12 @@ class PackedBitMemo(_PackedBitMemoBase):
             )
             self._present = np.zeros((self.n_users, self.n_keys), dtype=bool)
 
-    def ensure_rows(self, keys: np.ndarray, fresh: FreshRows) -> None:
+    def ensure_rows(
+        self, keys: np.ndarray, fresh: FreshRows, users: Optional[np.ndarray] = None
+    ) -> None:
         self._ensure_allocated()
-        users = np.arange(self.n_users)
+        if users is None:
+            users = np.arange(self.n_users)
         missing = ~self._present[users, keys]
         if missing.any():
             missing_users = users[missing]
@@ -253,7 +271,11 @@ class PackedBitMemo(_PackedBitMemoBase):
             self._present[missing_users, missing_keys] = True
 
     def packed_rows(self, users: np.ndarray, keys: np.ndarray) -> np.ndarray:
-        return self._packed[users, keys]
+        self._ensure_allocated()
+        # One flat take per gather: cheaper than the 2-D fancy index.
+        flat = np.asarray(users, dtype=np.int64) * self.n_keys + keys
+        _require_present(self._present.reshape(-1).take(flat), users, keys)
+        return self._packed.reshape(-1, self._n_bytes).take(flat, axis=0)
 
     def distinct_per_user(self) -> np.ndarray:
         if self._present is None:
@@ -417,9 +439,12 @@ class SparsePackedBitMemo(_PackedBitMemoBase):
         self._n_rows = needed
         return indices
 
-    def ensure_rows(self, keys: np.ndarray, fresh: FreshRows) -> None:
+    def ensure_rows(
+        self, keys: np.ndarray, fresh: FreshRows, users: Optional[np.ndarray] = None
+    ) -> None:
         self._ensure_allocated()
-        users = np.arange(self.n_users)
+        if users is None:
+            users = np.arange(self.n_users)
         missing = self._index.lookup(self._pair_ids(users, keys)) < 0
         if missing.any():
             missing_users = users[missing]
@@ -431,7 +456,10 @@ class SparsePackedBitMemo(_PackedBitMemoBase):
             self._per_user[missing_users] += 1
 
     def packed_rows(self, users: np.ndarray, keys: np.ndarray) -> np.ndarray:
-        return self._pool[self._index.lookup(self._pair_ids(users, keys))]
+        self._ensure_allocated()
+        slots = self._index.lookup(self._pair_ids(users, keys))
+        _require_present(slots >= 0, users, keys)
+        return self._pool[slots]
 
     def distinct_per_user(self) -> np.ndarray:
         if self._per_user is None:

@@ -45,12 +45,20 @@ from ._validation import require_distinct, require_int_at_least, require_positiv
 from .exceptions import ParameterError
 
 __all__ = [
+    "STREAM_CONTRACT",
     "IngestSpec",
     "ProtocolSpec",
     "SweepSpec",
     "load_ingest_spec",
     "load_sweep_spec",
 ]
+
+#: Version of the simulation random streams: bumped by every change that makes
+#: a seeded simulation draw different numbers, and folded into
+#: :meth:`SweepSpec.fingerprint` so ``sweep --resume`` never appends rows of
+#: one stream to a CSV written on another.  Contract 2: the UE engine draws
+#: once-visited (user, value) pairs in aggregate instead of memoizing them.
+STREAM_CONTRACT = 2
 
 #: JSON-scalar types allowed as protocol-specific parameter values.
 _SCALAR_TYPES = (bool, int, float, str, type(None))
@@ -410,11 +418,13 @@ class SweepSpec:
         are bit-identical for any worker count), ``datasets`` (each
         dataset's CSV depends only on its own grid — adding a dataset to
         the spec must not invalidate the finished ones) and ``name`` (it is
-        already the CSV filename).
+        already the CSV filename).  The :data:`STREAM_CONTRACT` is
+        included: the same grid on another stream gives other rows.
         """
         payload = self.to_dict()
         for non_determining in ("n_workers", "datasets", "name"):
             payload.pop(non_determining, None)
+        payload["stream_contract"] = STREAM_CONTRACT
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 

@@ -247,6 +247,27 @@ class TestSweepCommand:
         # The refusal must leave the old CSV untouched.
         assert (out / "cli_syn.csv").read_text() == before
 
+    def test_sweep_resume_refuses_csv_of_an_older_stream_contract(
+        self, capsys, monkeypatch, tmp_path, write_sweep_grid
+    ):
+        """Rows drawn on stream contract 1 must not be completed with rows
+        of the current contract, even under an unchanged spec file."""
+        grid = write_sweep_grid()
+        out = tmp_path / "out"
+        with monkeypatch.context() as patched:
+            patched.setattr("repro.specs.STREAM_CONTRACT", 1)
+            old_fingerprint = load_sweep_spec(grid).fingerprint()
+            assert main(["sweep", "--spec", str(grid), "--output-dir", str(out)]) == 0
+        capsys.readouterr()
+        assert load_sweep_spec(grid).fingerprint() != old_fingerprint
+        before = (out / "cli_syn.csv").read_text()
+        assert f"sweep_spec_fingerprint={old_fingerprint}" in before
+
+        code = main(["sweep", "--spec", str(grid), "--output-dir", str(out), "--resume"])
+        assert code == 2
+        assert "refusing to resume" in capsys.readouterr().err
+        assert (out / "cli_syn.csv").read_text() == before
+
     @pytest.mark.parametrize("damage", ["stripped", "hash-flipped"])
     def test_sweep_resume_refuses_csv_without_fingerprint(
         self, capsys, tmp_path, write_sweep_grid, damage

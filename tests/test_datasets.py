@@ -59,6 +59,17 @@ class TestContainer:
         assert dataset.change_counts().sum() == 0
         assert np.all(dataset.distinct_values_per_user() == 1)
 
+    @pytest.mark.parametrize("k,n_rounds", [(5, 1), (7, 9), (300, 240)])
+    def test_once_visited_mask_marks_values_held_in_one_round(self, k, n_rounds):
+        values = np.random.default_rng(k).integers(0, k, size=(40, n_rounds))
+        dataset = LongitudinalDataset(name="mask", values=values, k=k)
+        expected = np.array([
+            [np.count_nonzero(row == value) == 1 for value in row] for row in values
+        ])
+        mask = dataset.once_visited_mask()
+        assert np.array_equal(mask, expected)
+        assert dataset.once_visited_mask() is mask  # cached on the object
+
     def test_subsample_shapes(self):
         dataset = make_syn(n_users=100, n_rounds=10, k=20, rng=0)
         small = dataset.subsample(n_users=30, n_rounds=4)

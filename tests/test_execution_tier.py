@@ -21,6 +21,7 @@ import pytest
 from repro.exceptions import ParameterError
 from repro.longitudinal import DBitFlipPM, LGRR, LOSUE, OLOLOHA
 from repro.simulation import (
+    UnaryChainEngine,
     engine_for,
     round_windows,
     simulate_protocol,
@@ -190,7 +191,8 @@ class TestRoundWindows:
         result = simulate_protocol(protocol, tiny_dataset, rng=123)
 
         # Mirror simulate_protocol's stream exactly, but step one round at a
-        # time instead of through the window driver.
+        # time instead of through the window driver.  The UE engine gets the
+        # driver's once-visited mask, one round column at a time.
         generator = as_rng(123)
         engine = engine_for(protocol, tiny_dataset.n_users, generator)
         sink = SupportCountSink(
@@ -198,8 +200,10 @@ class TestRoundWindows:
             engine.protocol.estimation_domain_size,
             tiny_dataset.n_users,
         )
+        once = tiny_dataset.once_visited_mask()
         for t, values_t in enumerate(tiny_dataset.iter_rounds()):
-            sink.add_round(t, engine.run_round(values_t, generator))
+            options = {"once": once[:, t]} if isinstance(engine, UnaryChainEngine) else {}
+            sink.add_round(t, engine.run_round(values_t, generator, **options))
         assert np.array_equal(result.estimates, sink.estimates(engine.protocol))
 
     def test_window_driver_adds_each_round_once_in_order(self, tiny_dataset):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import AggregationError
+from repro.exceptions import AggregationError, ParameterError
 from repro.longitudinal import DBitFlipPM, LGRR, LSUE, OLOLOHA
 from repro.simulation import simulate_protocol, simulate_protocol_sharded
 from repro.simulation.sinks import (
@@ -140,6 +140,39 @@ class TestSparsePackedBitMemo:
         sums = memo.column_sums(keys, _random_fresh(11))
         unpacked = shadow.resolve(keys, _random_fresh(11))
         assert np.array_equal(sums, unpacked.sum(axis=0, dtype=np.int64))
+
+    @pytest.mark.parametrize(
+        "memo_class", [PackedBitMemo, SparsePackedBitMemo], ids=["dense", "sparse"]
+    )
+    def test_reading_a_never_memoized_pair_raises(self, memo_class):
+        """Regression: the sparse layout read the last pool row (its lookup
+        slot is -1) and the dense one zeros for a pair never memoized."""
+        memo = memo_class(4, 3, 8)
+        with pytest.raises(ParameterError, match="never memoized"):
+            memo.packed_rows(np.array([0]), np.array([2]))
+        memo.ensure_rows(np.array([0, 1, 2, 0]), lambda users, keys: np.ones((users.size, 8)))
+        assert memo.packed_rows(np.array([2]), np.array([2])).tolist() == [[255]]
+        with pytest.raises(ParameterError, match="user 0, key 2"):
+            memo.packed_rows(np.array([2, 0]), np.array([2, 2]))
+
+    @pytest.mark.parametrize(
+        "memo_class", [PackedBitMemo, SparsePackedBitMemo], ids=["dense", "sparse"]
+    )
+    def test_ensure_rows_over_a_user_subset(self, memo_class):
+        memo = memo_class(5, 4, 13)
+        calls = []
+
+        def fresh(users, keys):
+            calls.append((users.tolist(), keys.tolist()))
+            return _random_fresh(12)(users, keys)
+
+        users = np.array([1, 3, 4])
+        memo.ensure_rows(np.array([2, 0, 2]), fresh, users=users)
+        memo.ensure_rows(np.array([2, 1, 2]), fresh, users=users)
+        assert calls == [([1, 3, 4], [2, 0, 2]), ([3], [1])]
+        assert memo.distinct_per_user().tolist() == [0, 1, 0, 2, 1]
+        with pytest.raises(ParameterError):
+            memo.packed_rows(np.array([0]), np.array([2]))
 
     def test_dense_and_sparse_are_bit_identical(self):
         """Same fresh sequence => identical rows, sums and accounting."""
