@@ -1,8 +1,10 @@
 """Benchmark / reproduction of Figure 3: empirical MSE_avg per protocol.
 
-Runs the full protocol line-up (RAPPOR, L-OSUE, L-GRR, 1BitFlipPM,
-bBitFlipPM, BiLOLOHA, OLOLOHA) over scaled-down versions of the four paper
-datasets and records the MSE_avg series.  Shapes to verify against Figure 3:
+Runs the Section 5 grid of the full protocol line-up (RAPPOR, L-OSUE, L-GRR,
+1BitFlipPM, bBitFlipPM, BiLOLOHA, OLOLOHA) over scaled-down versions of the
+four paper datasets and renders its sweep rows as Figure 3, recording the
+MSE_avg series (dBitFlipPM only where k <= 360).  Shapes to verify against
+Figure 3:
 
 * OLOLOHA ~ L-OSUE at every grid point;
 * bBitFlipPM has the lowest MSE, 1BitFlipPM and L-GRR the highest;
@@ -15,12 +17,15 @@ paper-scale experiment.
 import pytest
 
 from repro.datasets import make_dataset
-from repro.experiments import run_figure3
+from repro.experiments import FIGURE3, empirical_rows, render_figure
 
 
 def _run(config, dataset_name):
-    dataset = make_dataset(dataset_name, scale=config.dataset_scale, rng=config.seed)
-    return run_figure3(config.scaled(datasets=(dataset_name,)), datasets={dataset_name: dataset})
+    datasets = {
+        dataset_name: make_dataset(dataset_name, scale=config.dataset_scale, rng=config.seed)
+    }
+    config = config.scaled(datasets=(dataset_name,))
+    return render_figure(FIGURE3, config, empirical_rows(config, datasets), datasets)
 
 
 @pytest.mark.benchmark(group="figure3")

@@ -1,7 +1,8 @@
 """Benchmark / reproduction of Figure 4: averaged longitudinal privacy loss.
 
-Runs the same sweeps as the Figure 3 benchmark and records the eps_avg
-series.  Shapes to verify against Figure 4:
+Runs the same Section 5 grid as the Figure 3 benchmark and renders its sweep
+rows as Figure 4, recording the eps_avg series of every protocol.  Shapes to
+verify against Figure 4:
 
 * RAPPOR / L-OSUE / L-GRR / bBitFlipPM grow with the number of data changes
   (linear in eps_inf and much larger than the LOLOHA protocols);
@@ -12,12 +13,15 @@ series.  Shapes to verify against Figure 4:
 import pytest
 
 from repro.datasets import make_dataset
-from repro.experiments import run_figure4
+from repro.experiments import FIGURE4, empirical_rows, render_figure
 
 
 def _run(config, dataset_name):
-    dataset = make_dataset(dataset_name, scale=config.dataset_scale, rng=config.seed)
-    return run_figure4(config.scaled(datasets=(dataset_name,)), datasets={dataset_name: dataset})
+    datasets = {
+        dataset_name: make_dataset(dataset_name, scale=config.dataset_scale, rng=config.seed)
+    }
+    config = config.scaled(datasets=(dataset_name,))
+    return render_figure(FIGURE4, config, empirical_rows(config, datasets), datasets)
 
 
 @pytest.mark.benchmark(group="figure4")

@@ -5,7 +5,7 @@ Usage (after installation as ``repro-ldp``, or via ``python -m repro.cli``)::
     python -m repro.cli figure1
     python -m repro.cli figure2 --alpha 0.5
     python -m repro.cli figure3 --dataset syn --scale 0.05 --eps 0.5 2 5
-    python -m repro.cli figure4 --dataset adult --scale 0.05
+    python -m repro.cli figure4 --dataset adult --scale 0.05 --output-dir results/
     python -m repro.cli table1 --k 360 --eps-inf 2.0
     python -m repro.cli table2 --dataset syn --scale 0.05
     python -m repro.cli datasets
@@ -40,8 +40,17 @@ without recomputing the points already on disk::
     # ... interrupted ...
     repro-ldp sweep --spec grid.json --output-dir results/ --resume
 
-The figure/table subcommands can emit their grids in the same format with
-``--emit-spec grid.json`` instead of running them.
+``figure3`` and ``figure4`` render two columns of one grid (see
+:mod:`repro.experiments.empirical`), the spec named ``empirical``; they
+emit it with ``--emit-spec grid.json`` instead of running it.  With
+``--output-dir DIR`` they run it as ``sweep --spec ... --output-dir DIR
+--resume`` does, into ``DIR/empirical_<dataset>.csv``, so rendering the
+second figure (or rendering after a parallel sweep) simulates nothing::
+
+    repro-ldp figure3 --emit-spec grid.json --dataset syn adult
+    repro-ldp sweep --spec grid.json --workers 2 --output-dir results/
+    repro-ldp figure3 --dataset syn adult --output-dir results/
+    repro-ldp figure4 --dataset syn adult --output-dir results/
 
 Each dataset's results go to one append-only CSV, which carries the spec's
 fingerprint in a ``#`` comment line above its header; ``--resume`` refuses
@@ -87,19 +96,20 @@ from typing import List, Optional, Sequence, Tuple
 from .datasets import dataset_summaries, make_dataset
 from .exceptions import ReproError
 from .experiments import (
+    FIGURE3,
+    FIGURE4,
     ExperimentConfig,
+    empirical_rows,
+    format_figure,
     format_figure1,
     format_figure2,
-    format_figure3,
-    format_figure4,
     format_table,
     format_table1,
     format_table2,
     paper_sweep_spec,
+    render_figure,
     run_figure1,
     run_figure2,
-    run_figure3,
-    run_figure4,
     run_table1,
     run_table2,
 )
@@ -171,7 +181,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         dataset_scale=args.scale,
         datasets=datasets,
         seed=args.seed,
-        n_workers=getattr(args, "workers", 1),
     )
 
 
@@ -220,9 +229,10 @@ def build_parser() -> argparse.ArgumentParser:
                 choices=["syn", "adult", "db_mt", "db_de"],
                 help="datasets to simulate",
             )
+        if name in ("figure3", "figure4"):
             sub.add_argument(
                 "--emit-spec", default=None, metavar="PATH",
-                help="write this command's grid as a sweep spec JSON file "
+                help="write the Figure 3/4 grid as a sweep spec JSON file "
                      "(consumable by 'sweep --spec') instead of running it",
             )
         if name == "table1":
@@ -408,19 +418,32 @@ def _maybe_save(args: argparse.Namespace, experiment_id: str, rows: List[dict]) 
         print(f"\nsaved {len(rows)} rows to {path}")
 
 
-def _maybe_emit_spec(args: argparse.Namespace, spec_name: str) -> bool:
-    """Write the subcommand's grid as a sweep spec when ``--emit-spec`` is set."""
-    target = getattr(args, "emit_spec", None)
-    if not target:
-        return False
-    config = _config_from_args(args)
-    spec = paper_sweep_spec(config, name=spec_name)
-    path = spec.save(target)
-    print(
-        f"wrote sweep spec for {spec.n_grid_points} grid points x "
-        f"{len(spec.datasets)} datasets to {path}"
-    )
-    return True
+def _run_empirical_figure(args: argparse.Namespace, config: ExperimentConfig) -> None:
+    """``figure3``/``figure4``: emit, run or reuse the shared grid, then render."""
+    spec = paper_sweep_spec(config)
+    if args.emit_spec:
+        path = spec.save(args.emit_spec)
+        print(
+            f"wrote sweep spec for {spec.n_grid_points} grid points x "
+            f"{len(spec.datasets)} datasets to {path}"
+        )
+        return
+    datasets = {
+        name: make_dataset(name, scale=config.dataset_scale, rng=config.seed)
+        for name in config.datasets
+    }
+    if args.output_dir:
+        run_spec_sweep(spec, args.output_dir, resume=True)
+        store = ResultsStore(args.output_dir)
+        rows = {name: store.load_rows(spec.experiment_id(name)) for name in datasets}
+    else:
+        rows = empirical_rows(config, datasets)
+    figure = FIGURE3 if args.command == "figure3" else FIGURE4
+    result = render_figure(figure, config, rows, datasets)
+    for name in config.datasets:
+        print(format_figure(result, name, args.alpha[0]))
+        print()
+    _maybe_save(args, args.command, result.rows())
 
 
 def run_spec_sweep(
@@ -723,11 +746,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         _maybe_save(args, "table1", result.rows())
         return 0
 
-    if args.command in ("figure3", "figure4", "table2") and _maybe_emit_spec(
-        args, args.command
-    ):
-        return 0
-
     config = _config_from_args(args)
 
     if args.command == "figure1":
@@ -738,27 +756,12 @@ def _dispatch(args: argparse.Namespace) -> int:
         result = run_figure2(config, alpha_values=tuple(args.alpha))
         print(format_figure2(result, alpha=args.alpha[0]))
         _maybe_save(args, "figure2", result.rows())
-    elif args.command in ("figure3", "figure4", "table2"):
-        datasets = {
-            name: make_dataset(name, scale=config.dataset_scale, rng=config.seed)
-            for name in config.datasets
-        }
-        if args.command == "figure3":
-            result = run_figure3(config, datasets=datasets)
-            for name in config.datasets:
-                print(format_figure3(result, name, args.alpha[0]))
-                print()
-            _maybe_save(args, "figure3", result.rows())
-        elif args.command == "figure4":
-            result = run_figure4(config, datasets=datasets)
-            for name in config.datasets:
-                print(format_figure4(result, name, args.alpha[0]))
-                print()
-            _maybe_save(args, "figure4", result.rows())
-        else:
-            result = run_table2(config, datasets=datasets)
-            print(format_table2(result))
-            _maybe_save(args, "table2", result.rows())
+    elif args.command == "table2":
+        result = run_table2(config)
+        print(format_table2(result))
+        _maybe_save(args, "table2", result.rows())
+    else:
+        _run_empirical_figure(args, config)
     return 0
 
 

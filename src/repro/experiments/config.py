@@ -14,10 +14,10 @@ Two presets are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Tuple
 
-from .._validation import require_int_at_least, require_positive
+from .._validation import require_distinct, require_int_at_least, require_positive
 from ..exceptions import ExperimentError
 
 __all__ = ["ExperimentConfig", "PAPER_CONFIG", "QUICK_CONFIG"]
@@ -44,10 +44,6 @@ class ExperimentConfig:
         Root seed from which all randomness is derived.
     variance_n:
         The ``n`` used for numerical variance comparisons (Figure 2).
-    n_workers:
-        Worker processes for the empirical sweeps (``1`` = serial).  Results
-        are bit-identical for every value; see
-        :class:`repro.simulation.SweepExecutor`.
     """
 
     eps_inf_values: Tuple[float, ...] = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0)
@@ -57,7 +53,6 @@ class ExperimentConfig:
     datasets: Tuple[str, ...] = ("syn", "adult", "db_mt", "db_de")
     seed: int = 20230328
     variance_n: int = 10_000
-    n_workers: int = 1
 
     def __post_init__(self) -> None:
         if not self.eps_inf_values:
@@ -72,9 +67,9 @@ class ExperimentConfig:
         require_int_at_least(self.n_runs, 1, "n_runs")
         require_positive(self.dataset_scale, "dataset_scale")
         require_int_at_least(self.variance_n, 1, "variance_n")
-        require_int_at_least(self.n_workers, 1, "n_workers")
         if not self.datasets:
             raise ExperimentError("at least one dataset is required")
+        require_distinct(self.datasets, "datasets")
 
     def scaled(self, **overrides) -> "ExperimentConfig":
         """Return a copy with the given fields replaced."""

@@ -16,9 +16,9 @@ from typing import Dict, List, Optional, Tuple
 from ..attacks.change_detection import ChangeDetectionResult, change_detection_rate
 from ..datasets import make_dataset
 from ..datasets.base import LongitudinalDataset
+from ..registry import dbitflip_bucket_count
 from ..rng import derive_generators
 from .config import ExperimentConfig, PAPER_CONFIG
-from .empirical import dbitflip_bucket_count
 from .report import format_table
 
 __all__ = ["Table2Result", "run_table2", "format_table2"]

@@ -1,13 +1,26 @@
 """Tests for the command-line interface."""
 
+import contextlib
+import hashlib
+import io
 import json
 import re
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.datasets import make_dataset
 from repro.exceptions import ParameterError
+from repro.experiments import (
+    FIGURE3,
+    FIGURE4,
+    ExperimentConfig,
+    empirical_rows,
+    format_figure,
+    render_figure,
+)
 from repro.specs import SweepSpec, load_sweep_spec
+from repro.store import ResultsStore
 
 
 class TestParser:
@@ -142,6 +155,12 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.err.strip() == "error: eps_inf_values repeats the value 2.0"
         assert "MSE_avg" not in captured.out
+
+    @pytest.mark.parametrize("command", ["figure3", "table2"])
+    def test_repeated_dataset_answers_error_line_and_exit_2(self, capsys, command):
+        code = main([command, "--dataset", "syn", "syn", "--eps", "1", "--scale", "0.02"])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == "error: datasets repeats the value 'syn'"
 
     def test_table2_command_small(self, capsys):
         code = main(
@@ -536,6 +555,156 @@ class TestEmitSpec:
         assert {"RAPPOR", "OLOLOHA", "1BitFlipPM"} <= set(spec.grid_protocols())
         # And it round-trips through JSON on disk.
         assert SweepSpec.from_dict(json.loads(target.read_text())) == spec
+
+    def test_figure3_and_figure4_emit_one_grid(self, capsys, tmp_path):
+        """Both figures read the same simulations, so they emit the same
+        spec, named ``empirical``, bytewise."""
+        argv = ["--dataset", "syn", "db_mt", "--eps", "1.0", "--scale", "0.02"]
+        targets = [tmp_path / "figure3.json", tmp_path / "figure4.json"]
+        for command, target in zip(("figure3", "figure4"), targets):
+            assert main([command, *argv, "--emit-spec", str(target)]) == 0
+        assert targets[0].read_bytes() == targets[1].read_bytes()
+        spec = load_sweep_spec(targets[0])
+        assert spec.name == "empirical" and spec.n_workers == 1
+        assert len(spec.protocols) == 7
+
+    def test_table2_has_no_emit_spec(self, capsys, tmp_path):
+        """The Table 2 attack never runs the Figure 3/4 grid, so it has no
+        grid to emit: the flag is an argparse error and writes nothing."""
+        target = tmp_path / "table2.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["table2", "--scale", "0.02", "--emit-spec", str(target)])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --emit-spec" in capsys.readouterr().err
+        assert not target.exists()
+
+
+#: Figures 3/4 at reduced scale; the anchors below are the sha256 of the
+#: figure CSVs and of every rendered (dataset, alpha) subplot, computed with
+#: the separate per-figure simulations of the harness these renderers
+#: replaced.  Rendering from one grid must not move a byte.
+FIGURE_ARGV = [
+    "--dataset", "syn", "db_mt", "--eps", "0.5", "2.0", "--alpha", "0.4", "0.6",
+    "--scale", "0.1",
+]
+FIGURE_CONFIG = ExperimentConfig(
+    eps_inf_values=(0.5, 2.0),
+    alpha_values=(0.4, 0.6),
+    n_runs=1,
+    dataset_scale=0.1,
+    datasets=("syn", "db_mt"),
+)
+FIGURE_ANCHORS = {
+    "figure3": {
+        "csv": "90b22800143686319bd77e1fd442edce1cebf36db17cbedb2edd8805c9fe1b55",
+        "subplots": "4480ca9b58a3fcd80bb55a60701746d19780d0c26b265196e2a7f0dc8e386c2e",
+    },
+    "figure4": {
+        "csv": "0d86913777af6d8c1a4029f614319feb505d14172ad1830fe5b1533fbc946b8c",
+        "subplots": "6c9ea90f59764d4e524a6497c83d6773d916b677e7c023f581d172ff83231828",
+    },
+}
+
+
+def _run_cli(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestEmpiricalFigures:
+    """``figure3``/``figure4`` render two columns of one Section 5 grid."""
+
+    @pytest.fixture(scope="class")
+    def one_dir(self, tmp_path_factory):
+        """``figure3 --output-dir D`` then ``figure4 --output-dir D``: the
+        stdout of each and the sweep CSV bytes after each."""
+        out = tmp_path_factory.mktemp("figures")
+        runs = {}
+        for command in ("figure3", "figure4"):
+            code, stdout = _run_cli([command, *FIGURE_ARGV, "--output-dir", str(out)])
+            assert code == 0
+            sweep_csvs = {
+                name: (out / f"empirical_{name}.csv").read_bytes()
+                for name in FIGURE_CONFIG.datasets
+            }
+            runs[command] = (stdout, sweep_csvs)
+        return out, runs
+
+    @pytest.fixture(scope="class")
+    def datasets(self):
+        return {
+            name: make_dataset(name, scale=FIGURE_CONFIG.dataset_scale, rng=FIGURE_CONFIG.seed)
+            for name in FIGURE_CONFIG.datasets
+        }
+
+    @staticmethod
+    def _subplots(figure, rows, datasets):
+        result = render_figure(figure, FIGURE_CONFIG, rows, datasets)
+        return [
+            format_figure(result, name, alpha)
+            for name in FIGURE_CONFIG.datasets
+            for alpha in FIGURE_CONFIG.alpha_values
+        ]
+
+    @pytest.mark.parametrize(
+        "command, figure", [("figure3", FIGURE3), ("figure4", FIGURE4)], ids=["figure3", "figure4"]
+    )
+    def test_outputs_match_separate_simulation_anchors(
+        self, one_dir, datasets, command, figure
+    ):
+        out, runs = one_dir
+        anchors = FIGURE_ANCHORS[command]
+        assert _sha256((out / f"{command}.csv").read_bytes()) == anchors["csv"]
+        store = ResultsStore(out)
+        on_disk = {name: store.load_rows(f"empirical_{name}") for name in datasets}
+        in_memory = empirical_rows(FIGURE_CONFIG, datasets)
+        for rows in (on_disk, in_memory):
+            subplots = self._subplots(figure, rows, datasets)
+            assert _sha256("\n".join(subplots).encode()) == anchors["subplots"]
+        # The command prints each dataset's first-alpha subplot.
+        stdout = runs[command][0]
+        assert subplots[0] in stdout and subplots[2] in stdout
+
+    def test_second_figure_simulates_nothing(self, one_dir):
+        _, runs = one_dir
+        stdout, sweep_csvs = runs["figure4"]
+        for name in FIGURE_CONFIG.datasets:
+            assert f"{name}: all 28 grid points already complete, nothing to do" in stdout
+        assert "to run" not in stdout
+        assert sweep_csvs == runs["figure3"][1]
+
+    def test_figure_after_parallel_sweep_simulates_nothing(self, tmp_path):
+        argv = ["--dataset", "syn", "--eps", "1.0", "--scale", "0.02"]
+        grid, out = tmp_path / "grid.json", tmp_path / "out"
+        assert _run_cli(["figure3", *argv, "--emit-spec", str(grid)])[0] == 0
+        sweep = ["sweep", "--spec", str(grid), "--workers", "2", "--output-dir", str(out)]
+        assert _run_cli(sweep)[0] == 0
+        before = (out / "empirical_syn.csv").read_bytes()
+        code, stdout = _run_cli(["figure3", *argv, "--output-dir", str(out)])
+        assert code == 0
+        assert "syn: all 7 grid points already complete, nothing to do" in stdout
+        assert (out / "empirical_syn.csv").read_bytes() == before
+        assert (out / "figure3.csv").exists()
+
+    def test_other_grid_in_output_dir_is_refused(self, capsys, tmp_path):
+        """A ``D/empirical_syn.csv`` written under another grid is never
+        rendered as this one's, nor overwritten: exit 2, nothing written."""
+        argv = ["--dataset", "syn", "--scale", "0.02", "--output-dir", str(tmp_path)]
+        assert main(["figure3", "--eps", "1.0", *argv]) == 0
+        before = (tmp_path / "empirical_syn.csv").read_bytes()
+        capsys.readouterr()
+        assert main(["figure4", "--eps", "2.0", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: refusing to resume empirical_syn in ")
+        assert "fingerprint" in captured.err and "Traceback" not in captured.err
+        assert (tmp_path / "empirical_syn.csv").read_bytes() == before
+        assert not (tmp_path / "figure4.csv").exists()
 
 
 class TestIngestLoadgenCli:

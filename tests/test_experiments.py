@@ -6,23 +6,24 @@ import pytest
 from repro.datasets import make_dataset, make_uniform_changing
 from repro.exceptions import ExperimentError
 from repro.experiments import (
+    FIGURE3,
+    FIGURE4,
     ExperimentConfig,
     QUICK_CONFIG,
+    empirical_rows,
+    format_figure,
     format_figure1,
     format_figure2,
-    format_figure3,
-    format_figure4,
     format_table1,
     format_table2,
+    render_figure,
     run_figure1,
     run_figure2,
-    run_figure3,
-    run_figure4,
     run_table1,
     run_table2,
 )
-from repro.experiments.empirical import dbitflip_bucket_count
 from repro.experiments.report import ascii_curve, format_table
+from repro.registry import dbitflip_bucket_count
 
 
 @pytest.fixture(scope="module")
@@ -100,8 +101,13 @@ class TestFigure2:
 
 
 class TestFigure3And4:
-    def test_figure3_structure_and_shape(self, tiny_config, tiny_named_datasets):
-        result = run_figure3(tiny_config, datasets=tiny_named_datasets)
+    @pytest.fixture(scope="class")
+    def tiny_rows(self, tiny_config, tiny_named_datasets):
+        """One run of the grid, which both figures render."""
+        return empirical_rows(tiny_config, tiny_named_datasets)
+
+    def test_figure3_structure_and_shape(self, tiny_config, tiny_named_datasets, tiny_rows):
+        result = render_figure(FIGURE3, tiny_config, tiny_rows, tiny_named_datasets)
         series = result.series("syn", 0.5)
         assert "OLOLOHA" in series and "RAPPOR" in series
         assert len(series["OLOLOHA"]) == len(tiny_config.eps_inf_values)
@@ -111,37 +117,53 @@ class TestFigure3And4:
 
     def test_figure3_by_name_drops_dbitflip_on_large_domains(self, tiny_config):
         """The k > 360 rule holds for datasets built by name, not only for
-        prebuilt ones: db_mt at scale 0.1 has k = 509."""
+        prebuilt ones: db_mt at scale 0.1 has k = 578.  It only filters
+        what Figure 3 renders: Figure 4 plots both dBitFlipPM series from
+        the same rows."""
         config = tiny_config.scaled(
             eps_inf_values=(2.0,), dataset_scale=0.1, datasets=("db_mt", "syn")
         )
-        assert make_dataset("db_mt", scale=0.1, rng=config.seed).k > 360
-        result = run_figure3(config)
-        assert not any("BitFlipPM" in name for name in result.mse["db_mt"])
-        assert "OLOLOHA" in result.mse["db_mt"]
-        assert {"1BitFlipPM", "bBitFlipPM"} <= set(result.mse["syn"])
+        datasets = {
+            name: make_dataset(name, scale=config.dataset_scale, rng=config.seed)
+            for name in config.datasets
+        }
+        assert datasets["db_mt"].k > 360
+        rows = empirical_rows(config, datasets)
+        figure3 = render_figure(FIGURE3, config, rows, datasets)
+        assert not any("BitFlipPM" in name for name in figure3.values["db_mt"])
+        assert "OLOLOHA" in figure3.values["db_mt"]
+        assert {"1BitFlipPM", "bBitFlipPM"} <= set(figure3.values["syn"])
+        figure4 = render_figure(FIGURE4, config, rows, datasets)
+        assert {"1BitFlipPM", "bBitFlipPM"} <= set(figure4.values["db_mt"])
+        assert {row["protocol"] for row in rows["db_mt"]} == set(figure4.values["db_mt"])
 
-    def test_figure3_rows_and_formatting(self, tiny_config, tiny_named_datasets):
-        result = run_figure3(tiny_config, datasets=tiny_named_datasets)
+    def test_figure3_rows_and_formatting(self, tiny_config, tiny_named_datasets, tiny_rows):
+        result = render_figure(FIGURE3, tiny_config, tiny_rows, tiny_named_datasets)
         assert len(result.rows()) > 0
-        assert "MSE_avg" in format_figure3(result, "syn", 0.5)
+        assert "mse_avg" in result.rows()[0] and "worst_case" not in result.rows()[0]
+        assert "MSE_avg" in format_figure(result, "syn", 0.5)
 
-    def test_figure4_loloha_bounded_rappor_linear(self, tiny_config, tiny_named_datasets):
-        result = run_figure4(tiny_config, datasets=tiny_named_datasets)
+    def test_figure4_loloha_bounded_rappor_linear(
+        self, tiny_config, tiny_named_datasets, tiny_rows
+    ):
+        result = render_figure(FIGURE4, tiny_config, tiny_rows, tiny_named_datasets)
         series = result.series("syn", 0.5)
         eps_values = tiny_config.eps_inf_values
         for i, eps_inf in enumerate(eps_values):
             assert series["BiLOLOHA"][i] <= 2 * eps_inf + 1e-9
             assert series["RAPPOR"][i] >= series["BiLOLOHA"][i] - 1e-9
 
-    def test_figure4_formatting(self, tiny_config, tiny_named_datasets):
-        result = run_figure4(tiny_config, datasets=tiny_named_datasets)
-        assert "eps_avg" in format_figure4(result, "syn", 0.5)
+    def test_figure4_formatting(self, tiny_config, tiny_named_datasets, tiny_rows):
+        result = render_figure(FIGURE4, tiny_config, tiny_rows, tiny_named_datasets)
+        assert "eps_avg" in format_figure(result, "syn", 0.5)
+        assert result.rows()[0]["worst_case"] == result.worst_case["syn"]["RAPPOR"]
 
-    def test_unknown_dataset_in_formatting_raises(self, tiny_config, tiny_named_datasets):
-        result = run_figure3(tiny_config, datasets=tiny_named_datasets)
+    def test_unknown_dataset_in_formatting_raises(
+        self, tiny_config, tiny_named_datasets, tiny_rows
+    ):
+        result = render_figure(FIGURE3, tiny_config, tiny_rows, tiny_named_datasets)
         with pytest.raises(ExperimentError):
-            format_figure3(result, "adult", 0.5)
+            format_figure(result, "adult", 0.5)
 
 
 class TestTables:
