@@ -8,14 +8,14 @@ double digits only for large ``eps_inf`` combined with large ``alpha``.
 
 import pytest
 
-from repro.experiments import PAPER_CONFIG, run_figure1
+from repro.experiments import run_figure1
 from repro.experiments.figure1 import FIGURE1_ALPHAS
 
 
 @pytest.mark.benchmark(group="figure1")
 def test_figure1_optimal_g(benchmark):
     result = benchmark(
-        lambda: run_figure1(PAPER_CONFIG, alpha_values=FIGURE1_ALPHAS, include_numeric=False)
+        lambda: run_figure1(alpha_values=FIGURE1_ALPHAS, include_numeric=False)
     )
     series = {str(alpha): result.closed_form[alpha] for alpha in result.alpha_values}
     benchmark.extra_info["eps_inf_values"] = list(result.eps_inf_values)

@@ -8,14 +8,14 @@ as eps_inf and alpha grow.
 
 import pytest
 
-from repro.experiments import PAPER_CONFIG, run_figure2
+from repro.experiments import run_figure2
 from repro.experiments.figure2 import FIGURE2_ALPHAS, FIGURE2_PROTOCOLS
 
 
 @pytest.mark.benchmark(group="figure2")
 def test_figure2_variances(benchmark):
     result = benchmark(
-        lambda: run_figure2(PAPER_CONFIG, protocols=FIGURE2_PROTOCOLS, alpha_values=FIGURE2_ALPHAS)
+        lambda: run_figure2(protocols=FIGURE2_PROTOCOLS, alpha_values=FIGURE2_ALPHAS)
     )
     benchmark.extra_info["eps_inf_values"] = list(result.eps_inf_values)
     benchmark.extra_info["variances"] = {

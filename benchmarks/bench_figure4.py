@@ -13,24 +13,25 @@ verify against Figure 4:
 import pytest
 
 from repro.datasets import make_dataset
-from repro.experiments import FIGURE4, empirical_rows, render_figure
+from repro.experiments import FIGURE4, render_figure
+from repro.simulation import run_sweep_spec
 
 
-def _run(config, dataset_name):
+def _run(spec, dataset_name):
     datasets = {
-        dataset_name: make_dataset(dataset_name, scale=config.dataset_scale, rng=config.seed)
+        dataset_name: make_dataset(dataset_name, scale=spec.dataset_scale, rng=spec.seed)
     }
-    config = config.scaled(datasets=(dataset_name,))
-    return render_figure(FIGURE4, config, empirical_rows(config, datasets), datasets)
+    rows = run_sweep_spec(spec, datasets)
+    return render_figure(FIGURE4, rows, datasets, spec.eps_inf_values, spec.alpha_values)
 
 
 @pytest.mark.benchmark(group="figure4")
 @pytest.mark.parametrize("dataset_name", ["syn", "adult", "db_mt", "db_de"])
-def test_figure4_privacy_loss(benchmark, bench_config, dataset_name):
+def test_figure4_privacy_loss(benchmark, bench_spec, dataset_name):
     result = benchmark.pedantic(
-        _run, args=(bench_config, dataset_name), iterations=1, rounds=1
+        _run, args=(bench_spec, dataset_name), iterations=1, rounds=1
     )
-    alpha = bench_config.alpha_values[0]
+    alpha = bench_spec.alpha_values[0]
     series = result.series(dataset_name, alpha)
     benchmark.extra_info["eps_inf_values"] = list(result.eps_inf_values)
     benchmark.extra_info["eps_avg"] = series

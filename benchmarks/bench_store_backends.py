@@ -1,7 +1,7 @@
 """Append / load / query throughput of the CSV results store.
 
 * ``test_append_rows`` — many small batches into one experiment, the
-  sweep-flush pattern (``SweepExecutor`` appends completed grid points as
+  sweep-flush pattern (``run_sweep`` appends completed grid points as
   they finish);
 * ``test_load_rows`` — full ordered read-back of one experiment, the
   resume pattern (``completed_points_from_rows`` scans every row);

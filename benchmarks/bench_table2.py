@@ -6,22 +6,24 @@ d = 1 yields a near-zero fraction of fully attacked users, d = b yields a
 fraction close to 100% of the users that changed at least once.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.datasets import make_dataset
 from repro.experiments import run_table2
 
 
-def _run(config, dataset_name):
-    dataset = make_dataset(dataset_name, scale=config.dataset_scale, rng=config.seed)
-    return run_table2(config.scaled(datasets=(dataset_name,)), datasets={dataset_name: dataset})
+def _run(spec, dataset_name):
+    dataset = make_dataset(dataset_name, scale=spec.dataset_scale, rng=spec.seed)
+    return run_table2({dataset_name: dataset}, spec.seed, spec.eps_inf_values)
 
 
 @pytest.mark.benchmark(group="table2")
 @pytest.mark.parametrize("dataset_name", ["syn", "adult"])
-def test_table2_change_detection(benchmark, bench_config, dataset_name):
-    config = bench_config.scaled(eps_inf_values=(0.5, 2.0, 5.0))
-    result = benchmark.pedantic(_run, args=(config, dataset_name), iterations=1, rounds=1)
+def test_table2_change_detection(benchmark, bench_spec, dataset_name):
+    spec = dataclasses.replace(bench_spec, eps_inf_values=(0.5, 2.0, 5.0))
+    result = benchmark.pedantic(_run, args=(spec, dataset_name), iterations=1, rounds=1)
     benchmark.extra_info["detection"] = result.detection[dataset_name]
 
     detection = result.detection[dataset_name]

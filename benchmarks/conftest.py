@@ -17,31 +17,20 @@ import os
 
 import pytest
 
-from repro.experiments import ExperimentConfig
+from repro.experiments import paper_sweep_spec
+from repro.specs import SweepSpec
 
 
-def _bench_config() -> ExperimentConfig:
+def _bench_spec() -> SweepSpec:
     scale = float(os.environ.get("REPRO_BENCH_SCALE", "0.04"))
     if os.environ.get("REPRO_BENCH_FULL_GRID", "0") == "1":
-        eps_grid = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0)
-        alphas = (0.4, 0.5, 0.6)
-        n_runs = 20
-    else:
-        eps_grid = (0.5, 2.0, 5.0)
-        alphas = (0.5,)
-        n_runs = 1
-    return ExperimentConfig(
-        eps_inf_values=eps_grid,
-        alpha_values=alphas,
-        n_runs=n_runs,
-        dataset_scale=scale,
-        datasets=("syn", "adult", "db_mt", "db_de"),
-        seed=20230328,
-        variance_n=10_000,
+        return paper_sweep_spec(dataset_scale=scale)
+    return paper_sweep_spec(
+        eps_inf_values=(0.5, 2.0, 5.0), alpha_values=(0.5,), n_runs=1, dataset_scale=scale
     )
 
 
 @pytest.fixture(scope="session")
-def bench_config() -> ExperimentConfig:
-    """The grid / scale configuration shared by every benchmark."""
-    return _bench_config()
+def bench_spec() -> SweepSpec:
+    """The Section 5 grid / scale shared by every benchmark."""
+    return _bench_spec()

@@ -13,6 +13,12 @@ Usage (after installation as ``repro-ldp``, or via ``python -m repro.cli``)::
 
 Each figure/table subcommand prints the regenerated rows/series of one paper
 artifact as a text table (and optionally saves them with ``--output-dir``).
+It takes only the options its harness reads: ``figure1 --eps``, ``figure2
+--eps --alpha``, ``table1 --k --n --eps-inf --alpha --d``, ``table2 --eps
+--scale --seed --dataset``, and for ``figure3``/``figure4`` the whole grid
+(``--eps --alpha --runs --scale --seed --dataset``); any other is an argparse
+error.  A reader that closes stdout early (``| head``) ends the command with
+exit code 1 and no traceback.
 
 The ``sweep`` subcommand is the spec-driven workhorse: it consumes a
 declarative grid file (see :class:`repro.specs.SweepSpec`), streams every
@@ -42,8 +48,9 @@ without recomputing the points already on disk::
 
 ``figure3`` and ``figure4`` render two columns of one grid (see
 :mod:`repro.experiments.empirical`), the spec named ``empirical``; they
-emit it with ``--emit-spec grid.json`` instead of running it.  With
-``--output-dir DIR`` they run it as ``sweep --spec ... --output-dir DIR
+emit it with ``--emit-spec grid.json`` instead of running it.  Both run it
+through :func:`repro.simulation.run_sweep_spec`, as ``sweep`` does: in
+memory, or with ``--output-dir DIR`` as ``sweep --spec ... --output-dir DIR
 --resume`` does, into ``DIR/empirical_<dataset>.csv``, so rendering the
 second figure (or rendering after a parallel sweep) simulates nothing::
 
@@ -89,17 +96,18 @@ unauthenticated and says so loudly.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import ExitStack
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from ._validation import require_distinct
 from .datasets import dataset_summaries, make_dataset
+from .datasets.base import LongitudinalDataset
 from .exceptions import ReproError
 from .experiments import (
     FIGURE3,
     FIGURE4,
-    ExperimentConfig,
-    empirical_rows,
     format_figure,
     format_figure1,
     format_figure2,
@@ -113,14 +121,13 @@ from .experiments import (
     run_table1,
     run_table2,
 )
-from .simulation.sweep import completed_points_from_rows, run_sweep
-from .specs import SweepSpec, load_sweep_spec
-from .store import FINGERPRINT_KEY, ResultsStore
+from .simulation.sweep import run_sweep_spec
+from .specs import load_sweep_spec
+from .store import ResultsStore
 
 __all__ = [
     "build_parser",
     "main",
-    "run_spec_sweep",
     "run_ingest",
     "run_loadgen",
     "run_query",
@@ -171,38 +178,38 @@ def _apply_backend_option(args: argparse.Namespace, restore: ExitStack) -> None:
     print(f"kernel backend: {backend.name}")
 
 
-def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    """Translate CLI options into an :class:`ExperimentConfig`."""
-    datasets = tuple(args.dataset) if getattr(args, "dataset", None) else ("syn",)
-    return ExperimentConfig(
-        eps_inf_values=tuple(args.eps),
-        alpha_values=tuple(args.alpha),
-        n_runs=args.runs,
-        dataset_scale=args.scale,
-        datasets=datasets,
-        seed=args.seed,
-    )
-
-
-def _add_grid_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--eps", type=float, nargs="+", default=[0.5, 2.0, 5.0],
+#: The options of the figure/table subcommands: flag and argparse keywords.
+_ARTIFACT_OPTIONS = {
+    "eps": ("--eps", dict(
+        type=float, nargs="+", default=[0.5, 2.0, 5.0],
         help="longitudinal privacy budgets eps_inf to sweep",
-    )
-    parser.add_argument(
-        "--alpha", type=float, nargs="+", default=[0.5],
-        help="ratios eps_1 / eps_inf to sweep",
-    )
-    parser.add_argument("--runs", type=int, default=1, help="repetitions per grid point")
-    parser.add_argument(
-        "--scale", type=float, default=0.05,
+    )),
+    "alpha": ("--alpha", dict(
+        type=float, nargs="+", default=[0.5], help="ratios eps_1 / eps_inf to sweep",
+    )),
+    "runs": ("--runs", dict(type=int, default=1, help="repetitions per grid point")),
+    "scale": ("--scale", dict(
+        type=float, default=0.05,
         help="fraction of the paper-sized population / horizon to simulate",
-    )
-    parser.add_argument("--seed", type=int, default=20230328, help="root random seed")
-    parser.add_argument(
-        "--output-dir", default=None,
-        help="directory in which to persist the regenerated rows as CSV",
-    )
+    )),
+    "seed": ("--seed", dict(type=int, default=20230328, help="root random seed")),
+    "dataset": ("--dataset", dict(
+        nargs="+", default=["syn"], choices=["syn", "adult", "db_mt", "db_de"],
+        help="datasets to simulate",
+    )),
+}
+
+_SWEEP_GRID = ("eps", "alpha", "runs", "scale", "seed", "dataset")
+
+#: Each figure/table subcommand, its help and the options its harness reads.
+_ARTIFACTS = (
+    ("figure1", "optimal g selection (Eq. 6)", ("eps",)),
+    ("figure2", "approximate variance comparison", ("eps", "alpha")),
+    ("figure3", "empirical MSE_avg per protocol and dataset", _SWEEP_GRID),
+    ("figure4", "averaged longitudinal privacy loss", _SWEEP_GRID),
+    ("table1", "theoretical protocol comparison", ()),
+    ("table2", "dBitFlipPM change-detection percentages", ("eps", "scale", "seed", "dataset")),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -213,22 +220,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    for name, helptext in (
-        ("figure1", "optimal g selection (Eq. 6)"),
-        ("figure2", "approximate variance comparison"),
-        ("figure3", "empirical MSE_avg per protocol and dataset"),
-        ("figure4", "averaged longitudinal privacy loss"),
-        ("table1", "theoretical protocol comparison"),
-        ("table2", "dBitFlipPM change-detection percentages"),
-    ):
-        sub = subparsers.add_parser(name, help=helptext)
-        _add_grid_options(sub)
-        if name in ("figure3", "figure4", "table2"):
-            sub.add_argument(
-                "--dataset", nargs="+", default=["syn"],
-                choices=["syn", "adult", "db_mt", "db_de"],
-                help="datasets to simulate",
-            )
+    for name, helptext, options in _ARTIFACTS:
+        # No abbreviations for table1, where ``--eps`` would silently
+        # stand for ``--eps-inf``.
+        sub = subparsers.add_parser(name, help=helptext, allow_abbrev=name != "table1")
+        for option in options:
+            flag, kwargs = _ARTIFACT_OPTIONS[option]
+            sub.add_argument(flag, **kwargs)
+        sub.add_argument(
+            "--output-dir", default=None,
+            help="directory in which to persist the regenerated rows as CSV",
+        )
         if name in ("figure3", "figure4"):
             sub.add_argument(
                 "--emit-spec", default=None, metavar="PATH",
@@ -239,6 +241,10 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--k", type=int, default=360, help="domain size")
             sub.add_argument("--n", type=int, default=10_000, help="number of users")
             sub.add_argument("--eps-inf", type=float, default=2.0, help="longitudinal budget")
+            sub.add_argument(
+                "--alpha", type=float, default=0.5,
+                help="ratio eps_1 / eps_inf that sets OLOLOHA's g",
+            )
             sub.add_argument("--d", type=int, default=1, help="dBitFlipPM sampled bits")
 
     sweep_parser = subparsers.add_parser(
@@ -418,9 +424,19 @@ def _maybe_save(args: argparse.Namespace, experiment_id: str, rows: List[dict]) 
         print(f"\nsaved {len(rows)} rows to {path}")
 
 
-def _run_empirical_figure(args: argparse.Namespace, config: ExperimentConfig) -> None:
+def _build_datasets(
+    names: Sequence[str], scale: float, seed: int
+) -> Dict[str, LongitudinalDataset]:
+    require_distinct(names, "datasets")
+    return {name: make_dataset(name, scale=scale, rng=seed) for name in names}
+
+
+def _run_empirical_figure(args: argparse.Namespace) -> None:
     """``figure3``/``figure4``: emit, run or reuse the shared grid, then render."""
-    spec = paper_sweep_spec(config)
+    spec = paper_sweep_spec(
+        eps_inf_values=args.eps, alpha_values=args.alpha, datasets=args.dataset,
+        n_runs=args.runs, dataset_scale=args.scale, seed=args.seed,
+    )
     if args.emit_spec:
         path = spec.save(args.emit_spec)
         print(
@@ -428,118 +444,15 @@ def _run_empirical_figure(args: argparse.Namespace, config: ExperimentConfig) ->
             f"{len(spec.datasets)} datasets to {path}"
         )
         return
-    datasets = {
-        name: make_dataset(name, scale=config.dataset_scale, rng=config.seed)
-        for name in config.datasets
-    }
-    if args.output_dir:
-        run_spec_sweep(spec, args.output_dir, resume=True)
-        store = ResultsStore(args.output_dir)
-        rows = {name: store.load_rows(spec.experiment_id(name)) for name in datasets}
-    else:
-        rows = empirical_rows(config, datasets)
+    datasets = _build_datasets(spec.datasets, spec.dataset_scale, spec.seed)
+    # With --output-dir, the grid runs as ``sweep --spec --resume`` does.
+    rows = run_sweep_spec(spec, datasets, args.output_dir, resume=True)
     figure = FIGURE3 if args.command == "figure3" else FIGURE4
-    result = render_figure(figure, config, rows, datasets)
-    for name in config.datasets:
+    result = render_figure(figure, rows, datasets, spec.eps_inf_values, spec.alpha_values)
+    for name in spec.datasets:
         print(format_figure(result, name, args.alpha[0]))
         print()
     _maybe_save(args, args.command, result.rows())
-
-
-def run_spec_sweep(
-    spec: SweepSpec,
-    output_dir: str,
-    resume: bool = False,
-    n_workers: Optional[int] = None,
-) -> int:
-    """Execute a :class:`~repro.specs.SweepSpec`, one experiment per dataset.
-
-    Completed grid points stream into one CSV per dataset under
-    ``output_dir`` while the sweep runs; with ``resume=True``, points
-    already present in a partial CSV are skipped and only the missing
-    remainder is computed (with unchanged derived seeds, so the final rows
-    are bit-identical to an uninterrupted run).
-    """
-    workers = n_workers if n_workers is not None else spec.n_workers
-    protocols = spec.grid_protocols()
-    fingerprint = spec.fingerprint()
-    grid_keys = {
-        (name, float(alpha), float(eps_inf))
-        for name in protocols
-        for alpha in spec.alpha_values
-        for eps_inf in spec.eps_inf_values
-    }
-    store = ResultsStore(output_dir)
-    for dataset_name in spec.datasets:
-        experiment_id = spec.experiment_id(dataset_name)
-        completed = set()
-        if resume and store.has_rows(experiment_id):
-            on_disk_fingerprint = store.fingerprint(experiment_id)
-            if on_disk_fingerprint is None:
-                raise ReproError(
-                    f"refusing to resume {experiment_id} in "
-                    f"{store.location(experiment_id)}: it carries no sweep "
-                    f"spec fingerprint record, so nothing shows which spec "
-                    f"wrote its rows; move the old results aside and rerun"
-                )
-            if on_disk_fingerprint != fingerprint:
-                raise ReproError(
-                    f"refusing to resume {experiment_id} in "
-                    f"{store.location(experiment_id)}: it was "
-                    f"written by a sweep spec with fingerprint "
-                    f"{on_disk_fingerprint}, but the current spec's "
-                    f"fingerprint is {fingerprint} (grid, runs, scale or "
-                    f"seed changed); move the old results aside or rerun "
-                    f"with the original spec"
-                )
-            on_disk = completed_points_from_rows(
-                store.load_rows(experiment_id), source=store.location(experiment_id)
-            )
-            # Only rows that belong to THIS grid count as done; rows left
-            # by a different spec (other eps/alpha/protocols under the
-            # same name) must not silently satisfy the sweep.
-            completed = on_disk & grid_keys
-            if on_disk - grid_keys:
-                print(
-                    f"{dataset_name}: warning: {len(on_disk - grid_keys)} rows "
-                    f"in {experiment_id} are not part of this grid (stale "
-                    f"spec?); they are kept but do not count as completed"
-                )
-        n_total = spec.n_grid_points
-        n_done = len(completed)
-        if n_done >= n_total:
-            print(
-                f"{dataset_name}: all {n_total} grid points already complete, "
-                f"nothing to do"
-            )
-            continue
-        print(
-            f"{dataset_name}: {n_total} grid points "
-            f"({n_done} already complete, {n_total - n_done} to run, "
-            f"{workers} worker{'s' if workers != 1 else ''})"
-        )
-        dataset = make_dataset(dataset_name, scale=spec.dataset_scale, rng=spec.seed)
-        run_sweep(
-            protocols=protocols,
-            dataset=dataset,
-            eps_inf_values=spec.eps_inf_values,
-            alpha_values=spec.alpha_values,
-            n_runs=spec.n_runs,
-            rng=spec.seed,
-            keep_runs=False,
-            n_workers=workers,
-            store=store,
-            experiment_id=experiment_id,
-            completed=completed,
-            resume=resume,
-            header_comment=f"{FINGERPRINT_KEY}={fingerprint}",
-        )
-        rows = store.load_rows(experiment_id)
-        print(
-            f"{dataset_name}: {len(rows)} rows in "
-            f"{store.location(experiment_id)}"
-        )
-    return 0
 
 
 def run_query(args: argparse.Namespace) -> int:
@@ -704,10 +617,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        code = _dispatch(args)
+        sys.stdout.flush()
+        return code
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader of stdout went away (``repro-ldp figure1 | head``).
+        # Point stdout at devnull so the flush at exit cannot raise again,
+        # and exit 1, as the ``signal`` module docs advise for SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 def _dispatch(args: argparse.Namespace) -> int:
@@ -723,12 +644,14 @@ def _dispatch(args: argparse.Namespace) -> int:
             _apply_backend_option(args, restore)
             spec = load_sweep_spec(args.spec)
             _apply_events_option(args, spec.name, restore)
-            return run_spec_sweep(
-                spec,
-                args.output_dir,
-                resume=args.resume,
-                n_workers=args.workers,
-            )
+            # One dataset in memory at a time.
+            for name in spec.datasets:
+                datasets = _build_datasets([name], spec.dataset_scale, spec.seed)
+                run_sweep_spec(
+                    spec, datasets, args.output_dir,
+                    resume=args.resume, n_workers=args.workers,
+                )
+            return 0
 
     runners = {
         "query": run_query,
@@ -738,30 +661,26 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command in runners:
         return runners[args.command](args)
 
-    if args.command == "table1":
-        result = run_table1(
-            k=args.k, n=args.n, eps_inf=args.eps_inf, alpha=args.alpha[0], d=args.d
-        )
-        print(format_table1(result))
-        _maybe_save(args, "table1", result.rows())
-        return 0
-
-    config = _config_from_args(args)
-
     if args.command == "figure1":
-        result = run_figure1(config, include_numeric=False)
-        print(format_figure1(result))
-        _maybe_save(args, "figure1", result.rows())
+        result = run_figure1(args.eps, include_numeric=False)
+        text = format_figure1(result)
     elif args.command == "figure2":
-        result = run_figure2(config, alpha_values=tuple(args.alpha))
-        print(format_figure2(result, alpha=args.alpha[0]))
-        _maybe_save(args, "figure2", result.rows())
+        result = run_figure2(args.eps, alpha_values=args.alpha)
+        text = format_figure2(result, alpha=args.alpha[0])
+    elif args.command == "table1":
+        result = run_table1(
+            k=args.k, n=args.n, eps_inf=args.eps_inf, alpha=args.alpha, d=args.d
+        )
+        text = format_table1(result)
     elif args.command == "table2":
-        result = run_table2(config)
-        print(format_table2(result))
-        _maybe_save(args, "table2", result.rows())
+        datasets = _build_datasets(args.dataset, args.scale, args.seed)
+        result = run_table2(datasets, seed=args.seed, eps_inf_values=args.eps)
+        text = format_table2(result)
     else:
-        _run_empirical_figure(args, config)
+        _run_empirical_figure(args)
+        return 0
+    print(text)
+    _maybe_save(args, args.command, result.rows())
     return 0
 
 

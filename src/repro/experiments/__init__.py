@@ -2,8 +2,9 @@
 
 Each module exposes a ``run_*`` function that returns a structured result
 (rows / series matching the paper's artifact) plus a ``format_*`` helper that
-renders it as text.  All harnesses accept an :class:`ExperimentConfig` so the
-same code can run the paper-scale grids or the scaled-down CI defaults.
+renders it as text.  Each harness takes only the grid fields it reads, with
+the paper's values as defaults, so the same code runs the paper-scale grids
+or scaled-down ones.
 
 ==================  ===========================================  =======================
 Paper artifact      Harness                                      What it reports
@@ -16,16 +17,15 @@ Table 1             :func:`repro.experiments.table1.run_table1`    communication
 Table 2             :func:`repro.experiments.table2.run_table2`    dBitFlipPM change-detection percentage
 ==================  ===========================================  =======================
 
-Figures 3 and 4 are two renderings of one simulated grid: run it once with
-:func:`~repro.experiments.empirical.empirical_rows` (or ``repro-ldp sweep
---spec``) and render both figures from its sweep rows.
+Figures 3 and 4 are two renderings of one simulated grid,
+:func:`~repro.experiments.empirical.paper_sweep_spec`: run it once with
+:func:`~repro.simulation.run_sweep_spec` (or ``repro-ldp sweep --spec``) and
+render both figures from its sweep rows.
 """
 
-from .config import ExperimentConfig, PAPER_CONFIG, QUICK_CONFIG
 from .empirical import (
     FIGURE3,
     FIGURE4,
-    empirical_rows,
     format_figure,
     paper_protocol_specs,
     paper_sweep_spec,
@@ -38,12 +38,8 @@ from .table2 import run_table2, format_table2
 from .report import ascii_curve, format_table
 
 __all__ = [
-    "ExperimentConfig",
-    "PAPER_CONFIG",
-    "QUICK_CONFIG",
     "paper_protocol_specs",
     "paper_sweep_spec",
-    "empirical_rows",
     "FIGURE3",
     "FIGURE4",
     "render_figure",

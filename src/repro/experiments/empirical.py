@@ -7,11 +7,12 @@ point's :meth:`~repro.simulation.SweepPoint.as_row` row carries its
 and its Table 1 ``worst_case_budget``.  :func:`paper_sweep_spec` is that
 grid as one :class:`~repro.specs.SweepSpec` named ``"empirical"``: the
 protocol line-up of Section 5.1, including the two dBitFlipPM
-configurations and the paper's bucket-count rule.  :func:`empirical_rows`
-runs it in memory; ``repro-ldp figure3/figure4 --output-dir D`` run it
-through ``sweep --spec``'s resumable CSVs ``D/empirical_<dataset>.csv``, so
-the second figure rendered into ``D`` simulates nothing.
-:func:`render_figure` turns the rows into either figure.
+configurations and the paper's bucket-count rule, over the paper's grid by
+default.  :func:`~repro.simulation.run_sweep_spec` runs it, in memory or, as
+``repro-ldp figure3/figure4 --output-dir D`` do, into ``sweep --spec``'s
+resumable CSVs ``D/empirical_<dataset>.csv``, so the second figure rendered
+into ``D`` simulates nothing.  :func:`render_figure` turns the rows into
+either figure.
 
 Figure 3 — ``MSE_avg``, the paper's headline utility result:
 
@@ -43,15 +44,13 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..datasets.base import LongitudinalDataset
 from ..exceptions import ExperimentError
-from ..simulation.sweep import run_sweep
 from ..specs import ProtocolSpec, SweepSpec
-from .config import ExperimentConfig
 from .report import ascii_curve, format_table
 
 __all__ = [
     "paper_protocol_specs",
     "paper_sweep_spec",
-    "empirical_rows",
+    "PAPER_EPS_INF_VALUES",
     "EmpiricalFigure",
     "FIGURE3",
     "FIGURE4",
@@ -71,6 +70,9 @@ EMPIRICAL_PROTOCOLS = (
     "1BitFlipPM",
     "L-GRR",
 )
+
+#: The ``eps_inf`` axis of every figure and table of the paper.
+PAPER_EPS_INF_VALUES: Tuple[float, ...] = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0)
 
 
 def paper_protocol_specs() -> Dict[str, ProtocolSpec]:
@@ -92,44 +94,31 @@ def paper_protocol_specs() -> Dict[str, ProtocolSpec]:
     }
 
 
-def paper_sweep_spec(config: ExperimentConfig) -> SweepSpec:
-    """The Figure 3/4 grid of ``config`` as a serializable sweep spec.
+def paper_sweep_spec(
+    eps_inf_values: Sequence[float] = PAPER_EPS_INF_VALUES,
+    alpha_values: Sequence[float] = (0.4, 0.5, 0.6),
+    datasets: Sequence[str] = ("syn", "adult", "db_mt", "db_de"),
+    n_runs: int = 20,
+    dataset_scale: float = 1.0,
+    seed: int = 20230328,
+) -> SweepSpec:
+    """The Figure 3/4 grid as a serializable sweep spec.
 
-    This is what ``figure3``/``figure4`` run, emit with ``--emit-spec`` and
-    what ``repro-ldp sweep --spec`` consumes.
+    The defaults are the paper's: 10 ``eps_inf`` × 3 ``alpha`` × 20 runs on
+    the four datasets at full size.  This is what ``figure3``/``figure4``
+    run, emit with ``--emit-spec`` and what ``repro-ldp sweep --spec``
+    consumes.
     """
     return SweepSpec(
         protocols=tuple(paper_protocol_specs().values()),
-        eps_inf_values=tuple(config.eps_inf_values),
-        alpha_values=tuple(config.alpha_values),
-        datasets=tuple(config.datasets),
-        n_runs=config.n_runs,
-        dataset_scale=config.dataset_scale,
-        seed=config.seed,
+        eps_inf_values=eps_inf_values,
+        alpha_values=alpha_values,
+        datasets=datasets,
+        n_runs=n_runs,
+        dataset_scale=dataset_scale,
+        seed=seed,
         name="empirical",
     )
-
-
-def empirical_rows(
-    config: ExperimentConfig, datasets: Mapping[str, LongitudinalDataset]
-) -> Dict[str, List[Dict[str, object]]]:
-    """Run the grid of ``config`` in memory; its sweep rows per dataset."""
-    spec = paper_sweep_spec(config)
-    return {
-        name: [
-            point.as_row()
-            for point in run_sweep(
-                protocols=spec.grid_protocols(),
-                dataset=dataset,
-                eps_inf_values=spec.eps_inf_values,
-                alpha_values=spec.alpha_values,
-                n_runs=spec.n_runs,
-                rng=spec.seed,
-                keep_runs=False,
-            )
-        ]
-        for name, dataset in datasets.items()
-    }
 
 
 @dataclass(frozen=True)
@@ -199,14 +188,17 @@ class FigureResult:
 
 def render_figure(
     figure: EmpiricalFigure,
-    config: ExperimentConfig,
     rows: Mapping[str, Sequence[Mapping[str, object]]],
     datasets: Mapping[str, LongitudinalDataset],
+    eps_inf_values: Sequence[float],
+    alpha_values: Sequence[float],
 ) -> FigureResult:
-    """Read ``figure`` off the grid's sweep rows.
+    """Read ``figure`` off the sweep rows of an ``eps_inf_values`` ×
+    ``alpha_values`` grid.
 
-    ``rows`` maps each dataset name to its rows: the dictionaries of
-    :func:`empirical_rows` or the string-valued ones a
+    ``rows`` maps each dataset name to its rows, as
+    :func:`~repro.simulation.run_sweep_spec` returns them: ``as_row()``
+    dictionaries, or the string-valued ones a
     :class:`~repro.store.ResultsStore` loads back, which parse to the same
     floats.  ``datasets`` are the workloads the rows were simulated on;
     Figure 3 reads their domain sizes.
@@ -227,24 +219,24 @@ def render_figure(
             protocol: {
                 alpha: [
                     float(points[protocol, alpha, eps_inf][figure.column])
-                    for eps_inf in config.eps_inf_values
+                    for eps_inf in eps_inf_values
                 ]
-                for alpha in config.alpha_values
+                for alpha in alpha_values
             }
             for protocol in protocols
         }
         worst_case[name] = {
             protocol: max(
                 float(points[protocol, alpha, eps_inf]["worst_case_budget"])
-                for alpha in config.alpha_values
-                for eps_inf in config.eps_inf_values
+                for alpha in alpha_values
+                for eps_inf in eps_inf_values
             )
             for protocol in protocols
         }
     return FigureResult(
         figure=figure,
-        eps_inf_values=tuple(config.eps_inf_values),
-        alpha_values=tuple(config.alpha_values),
+        eps_inf_values=tuple(eps_inf_values),
+        alpha_values=tuple(alpha_values),
         datasets=tuple(datasets),
         values=values,
         worst_case=worst_case,

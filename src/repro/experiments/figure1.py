@@ -9,10 +9,11 @@ sanity check, the numerically obtained variance minimizer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
+from .._validation import require_positive
 from ..longitudinal.optimal_g import optimal_g, optimal_g_numeric
-from .config import ExperimentConfig, PAPER_CONFIG
+from .empirical import PAPER_EPS_INF_VALUES
 from .report import format_table
 
 __all__ = ["Figure1Result", "run_figure1", "format_figure1"]
@@ -51,7 +52,7 @@ class Figure1Result:
 
 
 def run_figure1(
-    config: ExperimentConfig = PAPER_CONFIG,
+    eps_inf_values: Sequence[float] = PAPER_EPS_INF_VALUES,
     alpha_values: Sequence[float] = FIGURE1_ALPHAS,
     include_numeric: bool = True,
 ) -> Figure1Result:
@@ -59,29 +60,31 @@ def run_figure1(
 
     Parameters
     ----------
-    config:
-        Supplies the ``eps_inf`` grid.
+    eps_inf_values:
+        The ``eps_inf`` axis.
     alpha_values:
         The ``alpha`` curves to draw (Figure 1 uses 0.1 ... 0.6).
     include_numeric:
         Also compute the brute-force variance minimizer for cross-checking
         (slightly slower).
     """
+    for eps_inf in eps_inf_values:
+        require_positive(eps_inf, "eps_inf")
     closed_form: Dict[float, List[int]] = {}
     numeric: Dict[float, List[int]] = {}
     for alpha in alpha_values:
         closed_form[alpha] = [
-            optimal_g(eps_inf, alpha * eps_inf) for eps_inf in config.eps_inf_values
+            optimal_g(eps_inf, alpha * eps_inf) for eps_inf in eps_inf_values
         ]
         if include_numeric:
             numeric[alpha] = [
-                optimal_g_numeric(eps_inf, alpha * eps_inf, n=config.variance_n)
-                for eps_inf in config.eps_inf_values
+                optimal_g_numeric(eps_inf, alpha * eps_inf)
+                for eps_inf in eps_inf_values
             ]
         else:
             numeric[alpha] = list(closed_form[alpha])
     return Figure1Result(
-        eps_inf_values=tuple(config.eps_inf_values),
+        eps_inf_values=tuple(eps_inf_values),
         alpha_values=tuple(alpha_values),
         closed_form=closed_form,
         numeric=numeric,

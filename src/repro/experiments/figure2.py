@@ -12,17 +12,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
+from .._validation import require_positive
 from ..analysis.variances import variance_comparison_grid
-from .config import ExperimentConfig, PAPER_CONFIG
+from .empirical import PAPER_EPS_INF_VALUES
 from .report import ascii_curve, format_table
 
-__all__ = ["Figure2Result", "run_figure2", "format_figure2", "FIGURE2_PROTOCOLS"]
+__all__ = ["Figure2Result", "run_figure2", "format_figure2", "FIGURE2_PROTOCOLS", "FIGURE2_N"]
 
 #: The protocols plotted in Figure 2 (legend order of the paper).
 FIGURE2_PROTOCOLS: Tuple[str, ...] = ("L-OSUE", "OLOLOHA", "RAPPOR", "BiLOLOHA")
 
 #: The alpha grid of Figure 2.
 FIGURE2_ALPHAS: Tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
+
+#: The population size ``n`` at which the paper evaluates Eq. (5).
+FIGURE2_N = 10_000
 
 
 @dataclass(frozen=True)
@@ -56,21 +60,23 @@ class Figure2Result:
 
 
 def run_figure2(
-    config: ExperimentConfig = PAPER_CONFIG,
+    eps_inf_values: Sequence[float] = PAPER_EPS_INF_VALUES,
     protocols: Sequence[str] = FIGURE2_PROTOCOLS,
     alpha_values: Sequence[float] = FIGURE2_ALPHAS,
 ) -> Figure2Result:
-    """Compute the Figure 2 variance grid."""
+    """Compute the Figure 2 variance grid at ``n =`` :data:`FIGURE2_N`."""
+    for eps_inf in eps_inf_values:
+        require_positive(eps_inf, "eps_inf")
     variances = variance_comparison_grid(
         protocols=protocols,
-        eps_inf_values=config.eps_inf_values,
+        eps_inf_values=eps_inf_values,
         alpha_values=alpha_values,
-        n=config.variance_n,
+        n=FIGURE2_N,
     )
     return Figure2Result(
-        eps_inf_values=tuple(config.eps_inf_values),
+        eps_inf_values=tuple(eps_inf_values),
         alpha_values=tuple(alpha_values),
-        n=config.variance_n,
+        n=FIGURE2_N,
         variances=variances,
     )
 

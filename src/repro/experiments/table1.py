@@ -13,7 +13,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..analysis.comparison import ProtocolSummary, theoretical_comparison_table
 from ..longitudinal.optimal_g import optimal_g
-from .config import ExperimentConfig, PAPER_CONFIG
 from .report import format_table
 
 __all__ = ["Table1Result", "run_table1", "format_table1"]
@@ -80,7 +79,6 @@ class Table1Result:
 
 
 def run_table1(
-    config: ExperimentConfig = PAPER_CONFIG,
     k: int = 360,
     n: int = 10_000,
     eps_inf: float = 2.0,

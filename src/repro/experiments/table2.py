@@ -11,14 +11,13 @@ while ``d = b`` yields essentially 100%.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from ..attacks.change_detection import ChangeDetectionResult, change_detection_rate
-from ..datasets import make_dataset
 from ..datasets.base import LongitudinalDataset
 from ..registry import dbitflip_bucket_count
 from ..rng import derive_generators
-from .config import ExperimentConfig, PAPER_CONFIG
+from .empirical import PAPER_EPS_INF_VALUES
 from .report import format_table
 
 __all__ = ["Table2Result", "run_table2", "format_table2"]
@@ -47,25 +46,24 @@ class Table2Result:
 
 
 def run_table2(
-    config: ExperimentConfig = PAPER_CONFIG,
-    datasets: Optional[Dict[str, LongitudinalDataset]] = None,
+    datasets: Mapping[str, LongitudinalDataset],
+    seed: int,
+    eps_inf_values: Sequence[float] = PAPER_EPS_INF_VALUES,
 ) -> Table2Result:
-    """Run the Table 2 attack grid."""
-    dataset_names = tuple(datasets.keys()) if datasets else config.datasets
+    """Run the Table 2 attack grid on ``datasets``.
+
+    Every (dataset, ``eps_inf``, ``d``) cell attacks with its own stream
+    derived from ``seed``.
+    """
     detection: Dict[str, Dict[str, List[float]]] = {}
     details: Dict[str, Dict[str, List[ChangeDetectionResult]]] = {}
-    streams = derive_generators(config.seed, len(dataset_names) * len(config.eps_inf_values) * 2)
+    streams = derive_generators(seed, len(datasets) * len(eps_inf_values) * 2)
     stream_index = 0
-    for name in dataset_names:
-        dataset = (
-            datasets[name]
-            if datasets
-            else make_dataset(name, scale=config.dataset_scale, rng=config.seed)
-        )
+    for name, dataset in datasets.items():
         b = dbitflip_bucket_count(dataset.k)
         per_d: Dict[str, List[float]] = {"d=1": [], "d=b": []}
         per_d_details: Dict[str, List[ChangeDetectionResult]] = {"d=1": [], "d=b": []}
-        for eps_inf in config.eps_inf_values:
+        for eps_inf in eps_inf_values:
             for d_label, d in (("d=1", 1), ("d=b", b)):
                 result = change_detection_rate(
                     dataset, eps_inf=eps_inf, d=d, b=b, rng=streams[stream_index]
@@ -76,8 +74,8 @@ def run_table2(
         detection[name] = per_d
         details[name] = per_d_details
     return Table2Result(
-        eps_inf_values=tuple(config.eps_inf_values),
-        datasets=dataset_names,
+        eps_inf_values=tuple(eps_inf_values),
+        datasets=tuple(datasets),
         detection=detection,
         details=details,
     )

@@ -14,8 +14,11 @@ All double-randomization protocols share the chained parameterization of
 :mod:`repro.longitudinal.parameters` (``p1, q1`` permanent / ``p2, q2``
 instantaneous), the longitudinal estimator of Eq. (3), and the exact /
 approximate variances of Eq. (4) / Eq. (5) in
-:mod:`repro.longitudinal.variance`.  Longitudinal privacy consumption is
-tracked per user by :class:`repro.longitudinal.budget.PrivacyOdometer`.
+:mod:`repro.longitudinal.variance`.  Longitudinal privacy consumption can be
+tracked per user, key by key, with
+:class:`repro.longitudinal.budget.PrivacyOdometer`; the simulations' ``eps_avg``
+comes from the engines' memo counts instead (see
+:mod:`repro.simulation.metrics`).
 """
 
 from .base import LongitudinalClient, LongitudinalProtocol, RoundEstimate

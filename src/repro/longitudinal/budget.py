@@ -4,7 +4,10 @@ Definition 3.2 of the paper measures the longitudinal privacy of a memoizing
 mechanism by the total budget consumed once every distinct memoization key has
 been permanently randomized: each fresh key costs ``eps_inf`` by sequential
 composition (Proposition 2.3).  :class:`PrivacyOdometer` tracks exactly that
-quantity per user and powers the ``eps_avg`` metric of Eq. (8) / Figure 4.
+quantity per user, one charged key at a time, for client-level callers.  The
+simulations do not use it: their ``eps_avg`` (Eq. (8) / Figure 4) is
+:func:`repro.simulation.averaged_longitudinal_privacy_loss` of the engine's
+``distinct_memoized_per_user()`` counts.
 """
 
 from __future__ import annotations

@@ -87,8 +87,8 @@ _EXPORTS = {
     # sweep
     "SweepPoint": ".sweep",
     "SweepTask": ".sweep",
-    "SweepExecutor": ".sweep",
     "run_sweep": ".sweep",
+    "run_sweep_spec": ".sweep",
     "completed_points_from_rows": ".sweep",
 }
 
@@ -165,9 +165,9 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
         make_packed_bit_memo,
     )
     from .sweep import (
-        SweepExecutor,
         SweepPoint,
         SweepTask,
         completed_points_from_rows,
         run_sweep,
+        run_sweep_spec,
     )

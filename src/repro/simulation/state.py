@@ -35,12 +35,18 @@ results.
 
 All tables are *lazily batch-initialized*: the backing arrays are allocated
 on first use, and missing entries are created for whole batches of users at
-once through the ``resolve`` callback — the engines' round loop contains no
-per-user Python code.  The packed tables additionally expose
-:meth:`~_PackedBitMemoBase.column_sums`, which folds the selected rows into
-per-bit-position support counts directly on the packed bytes
-(:func:`~repro.simulation.kernels.packed_column_sums_kernel`) — the UE round
-never materializes the unpacked ``(n_users, n_bits)`` matrix.
+once through a ``fresh`` callback — the engines' round loop contains no
+per-user Python code.  The symbol engines read their table through
+:meth:`DenseSymbolMemo.resolve`.  The packed engines create missing rows with
+:meth:`~_PackedBitMemoBase.ensure_rows`, gather the rows a round reports with
+:meth:`~_PackedBitMemoBase.packed_rows`, and fold those packed bytes into
+per-bit-position support counts with the kernel backend's
+``packed_column_sums`` — a round never materializes the unpacked
+``(n_users, n_bits)`` matrix.  No engine calls the packed tables'
+``resolve`` / ``_resolve_packed`` or ``column_sums``: ``resolve`` stays
+because ``perfbench/tracing.py`` wraps it, ``column_sums`` because
+``tests/test_state_and_sinks.py`` checks the packed fold against it, until
+perfbench moves off them (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -134,9 +140,10 @@ def _require_present(present: np.ndarray, users: np.ndarray, keys: np.ndarray) -
 class _PackedBitMemoBase(ABC):
     """Shared contract of the packed memoization tables.
 
-    Subclasses differ only in how packed rows are stored; the resolve /
-    column-sum logic (and therefore the randomness consumption order) is
-    identical, which is what makes dense and sparse layouts bit-identical.
+    Subclasses differ only in how packed rows are stored; the order in
+    which :meth:`ensure_rows` creates missing rows (and therefore the
+    randomness consumption order) is identical, which is what makes dense
+    and sparse layouts bit-identical.
     """
 
     def __init__(self, n_users: int, n_keys: int, n_bits: int) -> None:
@@ -217,7 +224,7 @@ class PackedBitMemo(_PackedBitMemoBase):
 
     Rows are stored packed along the last axis; a boolean presence mask marks
     which (user, key) pairs have been permanently randomized.  Storage is
-    allocated lazily on the first :meth:`resolve` call.
+    allocated lazily on first use.
     """
 
     def __init__(self, n_users: int, n_keys: int, n_bits: int) -> None:

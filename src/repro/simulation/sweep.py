@@ -2,9 +2,9 @@
 
 The paper's Figures 3 and 4 sweep ``eps_inf`` over ``[0.5, 1, ..., 5]`` and
 ``alpha = eps_1 / eps_inf`` over ``{0.4, 0.5, 0.6}`` for every protocol and
-dataset, averaging 20 runs per point.  :class:`SweepExecutor` reproduces that
-loop for arbitrary grids and run counts and can shard the grid across worker
-processes:
+dataset, averaging 20 runs per point.  :func:`run_sweep` reproduces that
+loop over one dataset for arbitrary grids and run counts and can shard the
+grid across worker processes:
 
 * protocols are described by declarative :class:`~repro.specs.ProtocolSpec`
   templates; every (grid point, repetition) pair becomes a picklable
@@ -22,8 +22,10 @@ processes:
   missing points are computed — with unchanged derived seeds, so a resumed
   sweep is bit-identical to an uninterrupted one.
 
-:func:`run_sweep` remains the functional entry point used by the experiment
-harnesses.
+:func:`run_sweep_spec` runs a whole :class:`~repro.specs.SweepSpec` on
+datasets the caller has built, through :func:`run_sweep`: in memory, or into
+one fingerprinted, resumable CSV per dataset (``repro-ldp sweep --spec`` and
+``figure3``/``figure4 --output-dir``).
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Sequence,
     Set,
     Tuple,
 )
@@ -52,15 +53,15 @@ from ..obs.events import emit_event
 from ..obs.spans import span
 from ..registry import build_protocol
 from ..rng import derive_seed_sequences
-from ..specs import ProtocolSpec
-from ..store.results_store import ResultsStore
+from ..specs import ProtocolSpec, SweepSpec
+from ..store.results_store import FINGERPRINT_KEY, ResultsStore
 from .runner import SimulationResult, simulate_protocol
 
 __all__ = [
     "SweepPoint",
     "SweepTask",
-    "SweepExecutor",
     "run_sweep",
+    "run_sweep_spec",
     "completed_points_from_rows",
 ]
 
@@ -212,9 +213,51 @@ def _execute_task(
     )
 
 
-class SweepExecutor:
-    """Executes a ``(protocol, eps_inf, alpha)`` grid, serially or sharded
-    across worker processes.
+def _run_pool(tasks, seeds, keep_runs, dataset, n_workers, on_task_done) -> None:
+    active = [index for index, task in enumerate(tasks) if task is not None]
+    if not active:
+        return
+    with ProcessPoolExecutor(
+        max_workers=min(n_workers, len(active)),
+        initializer=_init_worker,
+        initargs=(dataset,),
+    ) as pool:
+        pending = {
+            pool.submit(_execute_task, index, tasks[index], seeds[index], keep_runs)
+            for index in active
+        }
+        try:
+            while pending:
+                done, pending = wait(pending, return_when=FIRST_COMPLETED)
+                for future in done:
+                    on_task_done(*future.result())
+        except BaseException:
+            # Surface a failed task immediately instead of waiting for
+            # the whole remaining grid to finish.
+            for future in pending:
+                future.cancel()
+            raise
+
+
+def run_sweep(
+    protocols: Mapping[str, ProtocolSpec],
+    dataset: LongitudinalDataset,
+    eps_inf_values: Iterable[float],
+    alpha_values: Iterable[float],
+    n_runs: int = 1,
+    rng: Optional[int] = 0,
+    keep_runs: bool = True,
+    n_workers: int = 1,
+    store: Optional[ResultsStore] = None,
+    experiment_id: str = "sweep",
+    completed: Optional[Collection[GridKey]] = None,
+    resume: bool = False,
+    header_comment: Optional[str] = None,
+) -> List[Optional[SweepPoint]]:
+    """Run the full ``(protocol, eps_inf, alpha)`` grid over one dataset.
+
+    Returns the grid points in canonical order (protocol, then alpha, then
+    eps_inf).
 
     Parameters
     ----------
@@ -238,7 +281,9 @@ class SweepExecutor:
         Whether to retain per-run :class:`SimulationResult` objects.  Per-run
         scalar statistics are always retained.
     n_workers:
-        Number of worker processes; ``1`` (default) runs in-process.
+        Number of worker processes; ``1`` (default) runs in-process.  With
+        more, the tasks are sharded across a process pool and the points
+        are bit-identical to the serial ones.
     store, experiment_id:
         When ``store`` is given (a :class:`repro.store.ResultsStore`, or any
         object with its ``has_rows`` / ``append_rows`` methods), completed
@@ -257,281 +302,244 @@ class SweepExecutor:
         returned as ``None``.
     header_comment:
         Optional single-line comment written above the CSV header when the
-        store file is first created (the CLI embeds the sweep spec's
-        fingerprint here so ``--resume`` can detect a changed spec).
+        store file is first created (:func:`run_sweep_spec` embeds the sweep
+        spec's fingerprint here so ``--resume`` can detect a changed spec).
     """
-
-    def __init__(
-        self,
-        protocols: Optional[Mapping[str, ProtocolSpec]] = None,
-        dataset: LongitudinalDataset = None,
-        eps_inf_values: Iterable[float] = (),
-        alpha_values: Iterable[float] = (),
-        n_runs: int = 1,
-        rng: Optional[int] = 0,
-        keep_runs: bool = True,
-        n_workers: int = 1,
-        store: Optional[ResultsStore] = None,
-        experiment_id: str = "sweep",
-        completed: Optional[Collection[GridKey]] = None,
-        resume: bool = False,
-        header_comment: Optional[str] = None,
-    ) -> None:
-        self.n_runs = require_int_at_least(n_runs, 1, "n_runs")
-        self.n_workers = require_int_at_least(n_workers, 1, "n_workers")
-        eps_inf_values = list(eps_inf_values)
-        alpha_values = list(alpha_values)
-        if not protocols:
-            raise ExperimentError("at least one protocol spec is required")
-        if dataset is None:
-            raise ExperimentError("no dataset given: pass the dataset to simulate")
-        if not eps_inf_values or not alpha_values:
-            raise ExperimentError("the privacy grid must be non-empty")
-        # Fail fast on an invalid grid, before any generator table is derived
-        # or any simulation starts.  A repeated value would run one grid key
-        # twice and write two rows for it.
-        require_distinct(eps_inf_values, "eps_inf_values")
-        require_distinct(alpha_values, "alpha_values")
-        for alpha in alpha_values:
-            if not 0.0 < alpha < 1.0:
-                raise ExperimentError(f"alpha must lie in (0, 1), got {alpha}")
-        self.protocols: Dict[str, ProtocolSpec] = dict(protocols)
-        for name, spec in self.protocols.items():
-            if not isinstance(spec, ProtocolSpec):
-                raise ExperimentError(
-                    f"protocol {name!r} must be a ProtocolSpec template, got "
-                    f"{type(spec).__name__}"
-                )
-        self.dataset = dataset
-        self.rng = rng
-        self.keep_runs = keep_runs
-        self.store = store
-        self.experiment_id = experiment_id
-        self.header_comment = header_comment
-        self.resume = bool(resume)
-        self.completed: Set[GridKey] = {
-            (str(name), float(alpha), float(eps_inf))
-            for name, alpha, eps_inf in (completed or ())
-        }
-        #: Grid points in canonical order: protocol -> alpha -> eps_inf.
-        self.grid: List[GridKey] = [
-            (protocol_name, alpha, eps_inf)
-            for protocol_name in self.protocols
-            for alpha in alpha_values
-            for eps_inf in eps_inf_values
-        ]
-
-    def tasks(self) -> List[SweepTask]:
-        """The picklable task list, in task order."""
-        return self._tasks([False] * len(self.grid))
-
-    # ------------------------------------------------------------------ #
-    # Execution
-    # ------------------------------------------------------------------ #
-    def run(self) -> List[Optional[SweepPoint]]:
-        """Execute every task and return the grid points in canonical order.
-
-        On resume, points listed in ``completed`` are skipped and returned
-        as ``None``.
-        """
-        if (
-            self.store is not None
-            and self.store.has_rows(self.experiment_id)
-            and not self.resume
-        ):
-            # Appending after a previous (or interrupted) run would silently
-            # duplicate grid points in the CSV.
+    n_runs = require_int_at_least(n_runs, 1, "n_runs")
+    n_workers = require_int_at_least(n_workers, 1, "n_workers")
+    eps_inf_values = list(eps_inf_values)
+    alpha_values = list(alpha_values)
+    if not protocols:
+        raise ExperimentError("at least one protocol spec is required")
+    if dataset is None:
+        raise ExperimentError("no dataset given: pass the dataset to simulate")
+    if not eps_inf_values or not alpha_values:
+        raise ExperimentError("the privacy grid must be non-empty")
+    # Fail fast on an invalid grid, before any generator table is derived or
+    # any simulation starts.  A repeated value would run one grid key twice
+    # and write two rows for it.
+    require_distinct(eps_inf_values, "eps_inf_values")
+    require_distinct(alpha_values, "alpha_values")
+    for alpha in alpha_values:
+        if not 0.0 < alpha < 1.0:
+            raise ExperimentError(f"alpha must lie in (0, 1), got {alpha}")
+    for name, spec in protocols.items():
+        if not isinstance(spec, ProtocolSpec):
             raise ExperimentError(
-                f"results for experiment {self.experiment_id!r} already exist in "
-                f"the store; pick a new experiment_id, delete the old results "
-                f"first, or pass resume=True with the completed grid keys"
+                f"protocol {name!r} must be a ProtocolSpec template, got "
+                f"{type(spec).__name__}"
             )
-        n_points = len(self.grid)
-        n_tasks = n_points * self.n_runs
-        # Seeds cover the FULL grid even on resume, so the recomputed points
-        # consume exactly the streams they would have in one uninterrupted run.
-        seeds = derive_seed_sequences(self.rng, n_tasks)
-        skip = [key in self.completed for key in self.grid]
-        tasks = self._tasks(skip)
-
-        n_skipped = sum(skip)
-        emit_event(
-            "sweep_started",
-            component="sweep",
-            experiment_id=self.experiment_id,
-            n_points=n_points,
-            n_runs=self.n_runs,
-            n_workers=self.n_workers,
-            skipped=n_skipped,
+    if store is not None and store.has_rows(experiment_id) and not resume:
+        # Appending after a previous (or interrupted) run would silently
+        # duplicate grid points in the CSV.
+        raise ExperimentError(
+            f"results for experiment {experiment_id!r} already exist in "
+            f"the store; pick a new experiment_id, delete the old results "
+            f"first, or pass resume=True with the completed grid keys"
         )
-
-        results: List[object] = [None] * n_tasks
-        points: List[Optional[SweepPoint]] = [None] * n_points
-        completed_runs = [0] * n_points
-        # Every point before the cursor is on disk (or was skipped).
-        flush_cursor = 0
-
-        def on_task_done(task_index: int, payload: object) -> None:
-            nonlocal flush_cursor
-            results[task_index] = payload
-            point_index = task_index // self.n_runs
-            completed_runs[point_index] += 1
-            if completed_runs[point_index] == self.n_runs:
-                points[point_index] = self._build_point(point_index, results)
-                # Flushing at once keeps finished points on disk even when a
-                # later task fails or the sweep is interrupted.
-                flush_cursor = self._flush_ready(points, skip, flush_cursor)
-
-        if self.n_workers == 1:
-            for task_index, task in enumerate(tasks):
-                if task is None:
-                    continue
-                with span("sweep.task", component="sweep", task_index=task_index):
-                    _, payload = _execute_task(
-                        task_index, task, seeds[task_index],
-                        self.keep_runs, self.dataset,
-                    )
-                on_task_done(task_index, payload)
-        else:
-            self._run_pool(tasks, seeds, on_task_done)
-        emit_event(
-            "sweep_finished",
-            component="sweep",
-            experiment_id=self.experiment_id,
-            done=sum(1 for point in points if point is not None),
-            skipped=n_skipped,
+    grid: List[GridKey] = [
+        (name, alpha, eps_inf)
+        for name in protocols
+        for alpha in alpha_values
+        for eps_inf in eps_inf_values
+    ]
+    done_keys = {
+        (str(name), float(alpha), float(eps_inf))
+        for name, alpha, eps_inf in (completed or ())
+    }
+    skip = [key in done_keys for key in grid]
+    # One picklable task per (grid point, run); None for skipped points.
+    tasks: List[Optional[SweepTask]] = [
+        None if skip[point_index] else SweepTask(
+            spec=protocols[name], dataset_name=dataset.name,
+            eps_inf=eps_inf, alpha=alpha, run=run,
         )
-        return list(points)
+        for point_index, (name, alpha, eps_inf) in enumerate(grid)
+        for run in range(n_runs)
+    ]
+    # Seeds cover the FULL grid even on resume, so the recomputed points
+    # consume exactly the streams they would have in one uninterrupted run.
+    seeds = derive_seed_sequences(rng, len(tasks))
 
-    def _tasks(self, skip: Sequence[bool]) -> List[Optional[SweepTask]]:
-        """One picklable task per (grid point, run); ``None`` for skipped ones."""
-        items: List[Optional[SweepTask]] = []
-        for point_index, (name, alpha, eps_inf) in enumerate(self.grid):
-            for run in range(self.n_runs):
-                if skip[point_index]:
-                    items.append(None)
-                else:
-                    items.append(
-                        SweepTask(
-                            spec=self.protocols[name],
-                            dataset_name=self.dataset.name,
-                            eps_inf=eps_inf,
-                            alpha=alpha,
-                            run=run,
-                        )
-                    )
-        return items
+    n_skipped = sum(skip)
+    emit_event(
+        "sweep_started",
+        component="sweep",
+        experiment_id=experiment_id,
+        n_points=len(grid),
+        n_runs=n_runs,
+        n_workers=n_workers,
+        skipped=n_skipped,
+    )
 
-    def _run_pool(self, tasks, seeds, on_task_done) -> None:
-        active = [index for index, task in enumerate(tasks) if task is not None]
-        if not active:
+    results: List[object] = [None] * len(tasks)
+    points: List[Optional[SweepPoint]] = [None] * len(grid)
+    completed_runs = [0] * len(grid)
+    # Every point before the cursor is on disk (or was skipped).
+    flush_cursor = 0
+
+    def on_task_done(task_index: int, payload: object) -> None:
+        nonlocal flush_cursor
+        results[task_index] = payload
+        point_index = task_index // n_runs
+        completed_runs[point_index] += 1
+        if completed_runs[point_index] < n_runs:
             return
-        with ProcessPoolExecutor(
-            max_workers=min(self.n_workers, len(active)),
-            initializer=_init_worker,
-            initargs=(self.dataset,),
-        ) as pool:
-            pending = {
-                pool.submit(
-                    _execute_task, index, tasks[index], seeds[index], self.keep_runs
-                )
-                for index in active
-            }
-            try:
-                while pending:
-                    done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        on_task_done(*future.result())
-            except BaseException:
-                # Surface a failed task immediately instead of waiting for
-                # the whole remaining grid to finish.
-                for future in pending:
-                    future.cancel()
-                raise
-
-    # ------------------------------------------------------------------ #
-    # Aggregation / flushing
-    # ------------------------------------------------------------------ #
-    def _build_point(self, point_index: int, results: Sequence[object]) -> SweepPoint:
-        protocol_name, alpha, eps_inf = self.grid[point_index]
-        start = point_index * self.n_runs
-        run_payloads = results[start : start + self.n_runs]
+        name, alpha, eps_inf = grid[point_index]
+        run_payloads = results[point_index * n_runs : (point_index + 1) * n_runs]
         run_mses = [payload.mse_avg for payload in run_payloads]
         run_eps = [payload.eps_avg for payload in run_payloads]
-        return SweepPoint(
-            protocol_name=protocol_name,
-            dataset_name=self.dataset.name,
+        points[point_index] = SweepPoint(
+            protocol_name=name,
+            dataset_name=dataset.name,
             eps_inf=eps_inf,
             alpha=alpha,
             mse_avg=float(np.mean(run_mses)),
             eps_avg=float(np.mean(run_eps)),
             worst_case_budget=run_payloads[0].worst_case_budget,
-            runs=list(run_payloads) if self.keep_runs else [],
+            runs=list(run_payloads) if keep_runs else [],
             run_mses=run_mses,
             run_eps=run_eps,
         )
-
-    def _flush_ready(
-        self,
-        points: Sequence[Optional[SweepPoint]],
-        skip: Sequence[bool],
-        cursor: int,
-    ) -> int:
-        """Append the finished grid-order prefix from ``cursor`` on to the
-        store in one write; returns the new cursor.
-
-        Skipped (already-persisted) points advance the cursor without being
-        re-appended.
-        """
-        if self.store is None:
-            return cursor
+        if store is None:
+            return
+        # Append the finished grid-order prefix in one write, at once, so
+        # finished points stay on disk even when a later task fails or the
+        # sweep is interrupted.  Skipped (already-persisted) points advance
+        # the cursor without being re-appended.
         rows = []
-        while cursor < len(points) and (skip[cursor] or points[cursor] is not None):
-            if not skip[cursor]:
-                rows.append(points[cursor].as_row())
-            cursor += 1
+        while flush_cursor < len(grid) and (
+            skip[flush_cursor] or points[flush_cursor] is not None
+        ):
+            if not skip[flush_cursor]:
+                rows.append(points[flush_cursor].as_row())
+            flush_cursor += 1
         if rows:
-            self.store.append_rows(
-                self.experiment_id, rows, header_comment=self.header_comment
-            )
-        return cursor
+            store.append_rows(experiment_id, rows, header_comment=header_comment)
 
-
-def run_sweep(
-    protocols: Optional[Mapping[str, ProtocolSpec]] = None,
-    dataset: LongitudinalDataset = None,
-    eps_inf_values: Iterable[float] = (),
-    alpha_values: Iterable[float] = (),
-    n_runs: int = 1,
-    rng: Optional[int] = 0,
-    keep_runs: bool = True,
-    n_workers: int = 1,
-    store: Optional[ResultsStore] = None,
-    experiment_id: str = "sweep",
-    completed: Optional[Collection[GridKey]] = None,
-    resume: bool = False,
-    header_comment: Optional[str] = None,
-) -> List[Optional[SweepPoint]]:
-    """Run the full ``(protocol, eps_inf, alpha)`` grid over one dataset.
-
-    This is the functional wrapper around :class:`SweepExecutor`; see its
-    documentation for the parameters.  With ``n_workers > 1`` the grid tasks
-    are sharded across a process pool and the aggregated results are
-    bit-identical to the serial execution for the same root seed.
-    """
-    executor = SweepExecutor(
-        protocols=protocols,
-        dataset=dataset,
-        eps_inf_values=eps_inf_values,
-        alpha_values=alpha_values,
-        n_runs=n_runs,
-        rng=rng,
-        keep_runs=keep_runs,
-        n_workers=n_workers,
-        store=store,
+    if n_workers == 1:
+        for task_index, task in enumerate(tasks):
+            if task is None:
+                continue
+            with span("sweep.task", component="sweep", task_index=task_index):
+                _, payload = _execute_task(
+                    task_index, task, seeds[task_index], keep_runs, dataset
+                )
+            on_task_done(task_index, payload)
+    else:
+        _run_pool(tasks, seeds, keep_runs, dataset, n_workers, on_task_done)
+    emit_event(
+        "sweep_finished",
+        component="sweep",
         experiment_id=experiment_id,
-        completed=completed,
-        resume=resume,
-        header_comment=header_comment,
+        done=sum(1 for point in points if point is not None),
+        skipped=n_skipped,
     )
-    return executor.run()
+    return points
+
+
+def _completed_in_store(
+    spec: SweepSpec, store: ResultsStore, experiment_id: str, dataset_name: str
+) -> Set[GridKey]:
+    """Grid keys of ``spec`` already in ``experiment_id``'s CSV.
+
+    Refuses a CSV that no fingerprint record ties to a spec, or that a
+    different spec wrote.
+    """
+    location = store.location(experiment_id)
+    on_disk_fingerprint = store.fingerprint(experiment_id)
+    if on_disk_fingerprint is None:
+        raise ExperimentError(
+            f"refusing to resume {experiment_id} in {location}: it carries no "
+            f"sweep spec fingerprint record, so nothing shows which spec "
+            f"wrote its rows; move the old results aside and rerun"
+        )
+    fingerprint = spec.fingerprint()
+    if on_disk_fingerprint != fingerprint:
+        raise ExperimentError(
+            f"refusing to resume {experiment_id} in {location}: it was "
+            f"written by a sweep spec with fingerprint "
+            f"{on_disk_fingerprint}, but the current spec's "
+            f"fingerprint is {fingerprint} (grid, runs, scale or "
+            f"seed changed); move the old results aside or rerun "
+            f"with the original spec"
+        )
+    on_disk = completed_points_from_rows(store.load_rows(experiment_id), source=location)
+    grid_keys = {
+        (name, float(alpha), float(eps_inf))
+        for name in spec.grid_protocols()
+        for alpha in spec.alpha_values
+        for eps_inf in spec.eps_inf_values
+    }
+    # Only rows that belong to THIS grid count as done; rows left by a
+    # different spec (other eps/alpha/protocols under the same name) must
+    # not silently satisfy the sweep.
+    if on_disk - grid_keys:
+        print(
+            f"{dataset_name}: warning: {len(on_disk - grid_keys)} rows "
+            f"in {experiment_id} are not part of this grid (stale "
+            f"spec?); they are kept but do not count as completed"
+        )
+    return on_disk & grid_keys
+
+
+def run_sweep_spec(
+    spec: SweepSpec,
+    datasets: Mapping[str, LongitudinalDataset],
+    output_dir: Optional[str] = None,
+    resume: bool = False,
+    n_workers: Optional[int] = None,
+) -> Dict[str, List[Dict[str, object]]]:
+    """Run ``spec``'s grid on each of ``datasets``; the sweep rows per dataset.
+
+    ``datasets`` maps names from ``spec.datasets`` to the workloads the
+    caller built, ``make_dataset(name, scale=spec.dataset_scale,
+    rng=spec.seed)`` for the spec's own results.  Without ``output_dir`` the
+    rows are the points' :meth:`SweepPoint.as_row` dictionaries.  With it,
+    each dataset's points stream into ``<spec.name>_<dataset>.csv`` there,
+    under a ``#`` record of the spec's fingerprint, and the rows are the
+    CSV's, loaded back.  ``resume=True`` then skips the points already in a
+    CSV written by the same spec (with unchanged derived seeds, so the final
+    rows are bit-identical to an uninterrupted run) and refuses one written
+    by another.  ``n_workers`` overrides ``spec.n_workers``.
+    """
+    workers = n_workers if n_workers is not None else spec.n_workers
+    store = ResultsStore(output_dir) if output_dir is not None else None
+    rows: Dict[str, List[Dict[str, object]]] = {}
+    for name, dataset in datasets.items():
+        experiment_id = spec.experiment_id(name)
+        completed: Set[GridKey] = set()
+        if store is not None:
+            if resume and store.has_rows(experiment_id):
+                completed = _completed_in_store(spec, store, experiment_id, name)
+            n_total, n_done = spec.n_grid_points, len(completed)
+            if n_done >= n_total:
+                print(f"{name}: all {n_total} grid points already complete, nothing to do")
+                rows[name] = store.load_rows(experiment_id)
+                continue
+            print(
+                f"{name}: {n_total} grid points "
+                f"({n_done} already complete, {n_total - n_done} to run, "
+                f"{workers} worker{'s' if workers != 1 else ''})"
+            )
+        points = run_sweep(
+            spec.grid_protocols(),
+            dataset,
+            spec.eps_inf_values,
+            spec.alpha_values,
+            n_runs=spec.n_runs,
+            rng=spec.seed,
+            keep_runs=False,
+            n_workers=workers,
+            store=store,
+            experiment_id=experiment_id,
+            completed=completed,
+            resume=resume,
+            header_comment=f"{FINGERPRINT_KEY}={spec.fingerprint()}",
+        )
+        if store is None:
+            rows[name] = [point.as_row() for point in points]
+        else:
+            rows[name] = store.load_rows(experiment_id)
+            print(f"{name}: {len(rows[name])} rows in {store.location(experiment_id)}")
+    return rows

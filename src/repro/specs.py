@@ -273,14 +273,17 @@ class SweepSpec:
     dataset_scale:
         Fraction of the paper-sized population / horizon to simulate.
     seed:
-        Root seed; see :class:`repro.simulation.SweepExecutor` for the
+        Root seed; see :func:`repro.simulation.run_sweep` for the
         derived-stream guarantees.
     n_workers:
         Worker processes (results are bit-identical for every value).
     name:
         Experiment-id prefix of the output CSVs (``<name>_<dataset>.csv``).
 
-    Results go to one :class:`repro.store.ResultsStore` CSV per dataset.
+    :func:`repro.simulation.run_sweep_spec` runs it, in memory or into one
+    :class:`repro.store.ResultsStore` CSV per dataset.  It is the one
+    description of a grid; :func:`repro.experiments.paper_sweep_spec` is the
+    paper's.
     """
 
     protocols: Tuple[ProtocolSpec, ...]

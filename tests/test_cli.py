@@ -14,11 +14,11 @@ from repro.exceptions import ParameterError
 from repro.experiments import (
     FIGURE3,
     FIGURE4,
-    ExperimentConfig,
-    empirical_rows,
     format_figure,
+    paper_sweep_spec,
     render_figure,
 )
+from repro.simulation import run_sweep_spec
 from repro.specs import SweepSpec, load_sweep_spec
 from repro.store import ResultsStore
 
@@ -41,9 +41,42 @@ class TestParser:
             build_parser().parse_args(["figure3", "--dataset", "imaginary"])
 
     def test_grid_defaults(self):
-        args = build_parser().parse_args(["figure1"])
+        args = build_parser().parse_args(["figure3"])
         assert args.eps == [0.5, 2.0, 5.0]
         assert args.alpha == [0.5]
+
+    @pytest.mark.parametrize(
+        "argv, unrecognized",
+        [
+            (["figure1", "--alpha", "0.5"], "--alpha 0.5"),
+            (["figure1", "--runs", "2"], "--runs 2"),
+            (["figure1", "--scale", "0.1"], "--scale 0.1"),
+            (["figure1", "--seed", "3"], "--seed 3"),
+            (["figure2", "--runs", "2"], "--runs 2"),
+            (["figure2", "--scale", "0.1"], "--scale 0.1"),
+            (["figure2", "--seed", "3"], "--seed 3"),
+            (["table1", "--eps", "1.0"], "--eps 1.0"),
+            (["table1", "--runs", "2"], "--runs 2"),
+            (["table1", "--scale", "0.1"], "--scale 0.1"),
+            (["table1", "--seed", "3"], "--seed 3"),
+            (["table2", "--alpha", "0.5"], "--alpha 0.5"),
+            (["table2", "--runs", "2"], "--runs 2"),
+            (["table1", "--alpha", "0.4", "0.6"], "0.6"),
+        ],
+        ids=lambda value: "-".join(value[:3]) if isinstance(value, list) else "",
+    )
+    def test_subcommands_take_only_the_options_their_harness_reads(
+        self, capsys, argv, unrecognized
+    ):
+        """A flag the harness would not read is an argparse error, not a
+        silently ignored value; ``table1 --alpha`` takes one float."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {unrecognized}\n" in capsys.readouterr().err
+
+    def test_table1_alpha_is_one_float(self):
+        assert build_parser().parse_args(["table1", "--alpha", "0.4"]).alpha == 0.4
 
     def test_shared_memory_flags_are_gone(self, capsys):
         argv = ["sweep", "--spec", "s.json", "--output-dir", "o", "--shared-dataset"]
@@ -88,7 +121,7 @@ class TestCommands:
         assert "syn" in output and "adult" in output
 
     def test_figure1_command(self, capsys):
-        assert main(["figure1", "--eps", "0.5", "2.0", "--alpha", "0.5"]) == 0
+        assert main(["figure1", "--eps", "0.5", "2.0"]) == 0
         assert "Figure 1" in capsys.readouterr().out
 
     def test_figure2_command(self, capsys):
@@ -119,35 +152,32 @@ class TestCommands:
         assert list(tmp_path.glob("figure3.csv"))
 
     @pytest.mark.parametrize(
-        "command, message",
+        "argv, message",
         [
-            (command, "alpha values must lie in (0, 1), got 1.5")
-            for command in ("figure1", "figure2", "figure3", "figure4", "table2")
-        ]
-        + [
+            (["figure1", "--eps", "0"], "eps_inf must be a finite positive number, got 0.0"),
+            (["figure2", "--alpha", "1.5"], "alpha must lie in (0, 1), got 1.5"),
+            (["figure3", "--alpha", "1.2", "--scale", "0.02"], "alpha must lie in (0, 1), got 1.2"),
+            (["figure4", "--alpha", "1.5", "--scale", "0.02"], "alpha must lie in (0, 1), got 1.5"),
+            (["figure4", "--runs", "0", "--scale", "0.02"], "n_runs must be >= 1, got 0"),
+            (["table2", "--eps", "0", "--scale", "0.02"], "eps_inf must be positive, got 0.0"),
+            (["table2", "--scale", "0"], "scale must be a finite positive number, got 0.0"),
             (
-                "table1",
+                ["table1", "--alpha", "1.5"],
                 "eps_1 (first-report budget) must be strictly smaller than "
                 "eps_inf (longitudinal budget); got eps_1=3.0, eps_inf=2.0",
-            )
+            ),
         ],
+        ids=lambda value: "-".join(value[:2]) if isinstance(value, list) else "",
     )
     def test_invalid_grid_answers_error_line_and_exit_2(
-        self, capsys, tmp_path, command, message
+        self, capsys, tmp_path, argv, message
     ):
-        code = main(
-            [
-                command,
-                "--eps", "1.0",
-                "--alpha", "1.5",
-                "--scale", "0.02",
-                "--output-dir", str(tmp_path),
-            ]
-        )
+        code = main([*argv, "--output-dir", str(tmp_path)])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.err.strip() == f"error: {message}"
         assert "Traceback" not in captured.err
+        assert not list(tmp_path.iterdir())
 
     def test_repeated_eps_answers_error_line_and_exit_2(self, capsys):
         code = main(["figure3", "--eps", "2", "2", "--alpha", "0.5", "--scale", "0.02"])
@@ -164,7 +194,7 @@ class TestCommands:
 
     def test_table2_command_small(self, capsys):
         code = main(
-            ["table2", "--dataset", "syn", "--eps", "0.5", "--alpha", "0.5", "--scale", "0.02"]
+            ["table2", "--dataset", "syn", "--eps", "0.5", "--scale", "0.02"]
         )
         assert code == 0
         assert "Table 2" in capsys.readouterr().out
@@ -587,12 +617,12 @@ FIGURE_ARGV = [
     "--dataset", "syn", "db_mt", "--eps", "0.5", "2.0", "--alpha", "0.4", "0.6",
     "--scale", "0.1",
 ]
-FIGURE_CONFIG = ExperimentConfig(
+FIGURE_SPEC = paper_sweep_spec(
     eps_inf_values=(0.5, 2.0),
     alpha_values=(0.4, 0.6),
+    datasets=("syn", "db_mt"),
     n_runs=1,
     dataset_scale=0.1,
-    datasets=("syn", "db_mt"),
 )
 FIGURE_ANCHORS = {
     "figure3": {
@@ -631,7 +661,7 @@ class TestEmpiricalFigures:
             assert code == 0
             sweep_csvs = {
                 name: (out / f"empirical_{name}.csv").read_bytes()
-                for name in FIGURE_CONFIG.datasets
+                for name in FIGURE_SPEC.datasets
             }
             runs[command] = (stdout, sweep_csvs)
         return out, runs
@@ -639,17 +669,19 @@ class TestEmpiricalFigures:
     @pytest.fixture(scope="class")
     def datasets(self):
         return {
-            name: make_dataset(name, scale=FIGURE_CONFIG.dataset_scale, rng=FIGURE_CONFIG.seed)
-            for name in FIGURE_CONFIG.datasets
+            name: make_dataset(name, scale=FIGURE_SPEC.dataset_scale, rng=FIGURE_SPEC.seed)
+            for name in FIGURE_SPEC.datasets
         }
 
     @staticmethod
     def _subplots(figure, rows, datasets):
-        result = render_figure(figure, FIGURE_CONFIG, rows, datasets)
+        result = render_figure(
+            figure, rows, datasets, FIGURE_SPEC.eps_inf_values, FIGURE_SPEC.alpha_values
+        )
         return [
             format_figure(result, name, alpha)
-            for name in FIGURE_CONFIG.datasets
-            for alpha in FIGURE_CONFIG.alpha_values
+            for name in FIGURE_SPEC.datasets
+            for alpha in FIGURE_SPEC.alpha_values
         ]
 
     @pytest.mark.parametrize(
@@ -663,7 +695,7 @@ class TestEmpiricalFigures:
         assert _sha256((out / f"{command}.csv").read_bytes()) == anchors["csv"]
         store = ResultsStore(out)
         on_disk = {name: store.load_rows(f"empirical_{name}") for name in datasets}
-        in_memory = empirical_rows(FIGURE_CONFIG, datasets)
+        in_memory = run_sweep_spec(FIGURE_SPEC, datasets)
         for rows in (on_disk, in_memory):
             subplots = self._subplots(figure, rows, datasets)
             assert _sha256("\n".join(subplots).encode()) == anchors["subplots"]
@@ -674,7 +706,7 @@ class TestEmpiricalFigures:
     def test_second_figure_simulates_nothing(self, one_dir):
         _, runs = one_dir
         stdout, sweep_csvs = runs["figure4"]
-        for name in FIGURE_CONFIG.datasets:
+        for name in FIGURE_SPEC.datasets:
             assert f"{name}: all 28 grid points already complete, nothing to do" in stdout
         assert "to run" not in stdout
         assert sweep_csvs == runs["figure3"][1]
@@ -705,6 +737,125 @@ class TestEmpiricalFigures:
         assert "fingerprint" in captured.err and "Traceback" not in captured.err
         assert (tmp_path / "empirical_syn.csv").read_bytes() == before
         assert not (tmp_path / "figure4.csv").exists()
+
+
+#: sha256 of each figure/table subcommand's stdout (with and without
+#: ``--output-dir``; the directory is spelled ``<D>``) and of every CSV its
+#: ``--output-dir`` run writes, at small inputs.  Reworking the harnesses or
+#: the CLI must not move a byte of any of them.
+OUTPUT_ANCHORS = {
+    "figure1-default": (
+        ["figure1"],
+        "3b0e409741e125a0e5c125b85d4ea13a332e297690bd34ae7f7ad41467ffa978",
+        "7f948fd4ea1916418ab54f8ab87544fc3de6c6a6923580cf799bea8d5102d6e4",
+        {"figure1.csv": "fe0a3cc88446b55fc3caaed8273a3500c4ca4f303bb7bfe6dec2e26b68a52c12"},
+    ),
+    "figure1": (
+        ["figure1", "--eps", "0.5", "1", "2.5", "5"],
+        "5425aaa0f9661908f0cac3e54126378af35fb66712bce0abfe85bf032f70e54e",
+        "d27bcae262a82ef500cfec98aeebfbb66c38c2ea550a12e5e526bd91ce9be0cf",
+        {"figure1.csv": "70799d63c4175f21fc86a4c4c05ba39dc5762c7128c239c6089e62466a41c4c8"},
+    ),
+    "figure2-default": (
+        ["figure2"],
+        "430b4f01de203d703f66a19c70d8363899a3568807d140a8d2ddabbede016ed8",
+        "087070effd1de6e080cba471fcae0f97e8389f5309e31fabd07331d1df784bdb",
+        {"figure2.csv": "8360c492d3629388c7c16fb863180eef28c19cc8b6b2f5db828d148da5703aa7"},
+    ),
+    "figure2": (
+        ["figure2", "--eps", "0.5", "2", "--alpha", "0.3", "0.6"],
+        "161161104e8c07acf7b940acb8b1029f71660fe9356e7d67161f1ae66f1b1c05",
+        "bd78875f3d473248e6e0bd8214611cd25ddff0f8cbc9914c18ea9d63a926f167",
+        {"figure2.csv": "de32dafbfd62164de5998846320a2b9e18bffdc70b6fe6e7aa1d01e880dade25"},
+    ),
+    "table1-default": (
+        ["table1"],
+        "ce941ec79da479900a375644aca047b74526d244b97ebec7f9687b2aa2cc3276",
+        "f31db97dcdd4e0268dfc223a11235365f629873c4653932f8538c0831ecf1aca",
+        {"table1.csv": "4a6af1773b737ab0d85df23f4e2a8fb5b8c1d82cbf31493cdaae97dff034f051"},
+    ),
+    "table1": (
+        ["table1", "--k", "100", "--n", "5000", "--eps-inf", "3", "--alpha", "0.4", "--d", "2"],
+        "037a3071a37dc71d216db34ef0e77e98d0f1bb90d617c222436970219839fbdb",
+        "5a8635e90c77f1af2f270bb9db42498fe697a27726c9a53b95834ec150673cdd",
+        {"table1.csv": "08cb041875b4af4f22696e0f6094d179a6fc3ef8f369921273f5be73002507a3"},
+    ),
+    "table2": (
+        ["table2", "--scale", "0.02", "--eps", "2"],
+        "3469730b7026aae98643ed74a45a9e4da2ba899dde34b732724ea4ac9e954168",
+        "577d4df78c7dcb91e4446f6511664893065c968a77c0352920ce606352e26a7a",
+        {"table2.csv": "5a9e01fb968db4e51ba54ed840420c71ba288f2078624bd949b28da521a18c22"},
+    ),
+    "table2-two-datasets": (
+        [
+            "table2", "--dataset", "syn", "adult", "--scale", "0.02",
+            "--eps", "0.5", "2", "--seed", "7",
+        ],
+        "13dae0a7f68ef3fda4ea1fcb897cafd9cc4d647631ebc83f28a37b635d237b98",
+        "e3b8feaef1399fb4de8535ea3e40ca222f5fc3d31a3ba426158c7390fd68bdda",
+        {"table2.csv": "3cac9323b3c73bd4d221cd3fad83c7dee95e4bd10af6bb4e2ce841ca1211658a"},
+    ),
+    "figure3": (
+        ["figure3", "--eps", "1", "3", "--alpha", "0.4", "0.6", "--scale", "0.02"],
+        "51f2166cc5b631726ff23bbe46e303b17be0fb4c9afcbdc3c6661b356291314c",
+        "2d7821287a4d83b55b15bc3dd40b48ffd94228fac035d1ede28c23115ee8d4eb",
+        {
+            "empirical_syn.csv": "89061ebebf03f5f77876d6dcf3d48cc81f9025edb67039c04e140a6352ff38d1",
+            "figure3.csv": "96833a5cd1f3966e146a23a13f51e835c3930d3b1579fde215e233a47ad506ec",
+        },
+    ),
+    "figure4": (
+        ["figure4", "--eps", "1", "3", "--runs", "2", "--seed", "5", "--scale", "0.02"],
+        "28bf514030dea64311ff4b958de769e4f71cc1346b5466641b15ee0a47d178cf",
+        "94dd6f09d572f3c7b4679b0e3feefbcdbda7be9206068803c314affa343a346c",
+        {
+            "empirical_syn.csv": "abdfdc2a89c2bcb705a85717cf181df2e18df3e86b911d756505b72d0de6283f",
+            "figure4.csv": "badc95594edf15be3de1865f5aa6a465467d43e25943f6fa36accf6593998415",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(OUTPUT_ANCHORS))
+def test_subcommand_outputs_match_anchors(tmp_path, case):
+    argv, stdout_sha, saved_stdout_sha, csv_shas = OUTPUT_ANCHORS[case]
+    code, stdout = _run_cli(argv)
+    assert code == 0
+    assert _sha256(stdout.encode()) == stdout_sha
+    code, stdout = _run_cli([*argv, "--output-dir", str(tmp_path)])
+    assert code == 0
+    assert _sha256(stdout.replace(str(tmp_path), "<D>").encode()) == saved_stdout_sha
+    written = {path.name: _sha256(path.read_bytes()) for path in sorted(tmp_path.glob("*.csv"))}
+    assert written == csv_shas
+
+
+def test_stdout_closed_early_exits_1_without_traceback():
+    """``repro-ldp figure1 --eps <3000 values> | head -c 100``: the table
+    outgrows the pipe buffer, its reader closes early, and the command
+    exits 1 with nothing on stderr."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    eps = [f"{0.5 + i / 1000:g}" for i in range(3000)]
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "figure1", "--eps", *eps],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert len(process.stdout.read(100)) == 100
+    process.stdout.close()
+    stderr = process.stderr.read()
+    process.stderr.close()
+    assert process.wait(timeout=120) == 1
+    assert stderr == b""
 
 
 class TestIngestLoadgenCli:

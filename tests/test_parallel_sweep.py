@@ -1,6 +1,8 @@
-"""Tests for the SweepExecutor: parallel bit-identity, fail-fast validation,
-dispersion statistics, incremental result flushing and resume."""
+"""Tests for ``run_sweep`` and ``run_sweep_spec``: parallel bit-identity,
+fail-fast validation, dispersion statistics, incremental result flushing and
+resume."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -10,12 +12,12 @@ from repro.exceptions import ExperimentError, ParameterError
 from repro.simulation import sweep as sweep_module
 from repro.simulation.runner import simulate_protocol
 from repro.simulation.sweep import (
-    SweepExecutor,
     SweepTask,
     completed_points_from_rows,
     run_sweep,
+    run_sweep_spec,
 )
-from repro.specs import ProtocolSpec
+from repro.specs import ProtocolSpec, SweepSpec
 from repro.store import ResultsStore
 
 
@@ -24,6 +26,20 @@ def _specs():
         "OLOLOHA": ProtocolSpec(name="OLOLOHA"),
         "RAPPOR": ProtocolSpec(name="L-SUE", label="RAPPOR"),
     }
+
+
+def _executed_tasks(monkeypatch, *args, **kwargs):
+    """The tasks a serial ``run_sweep(*args, **kwargs)`` executes, in order."""
+    tasks = []
+    execute = sweep_module._execute_task
+
+    def recording(task_index, task, *rest):
+        tasks.append(task)
+        return execute(task_index, task, *rest)
+
+    monkeypatch.setattr(sweep_module, "_execute_task", recording)
+    run_sweep(*args, **kwargs)
+    return tasks
 
 
 class TestParallelBitIdentity:
@@ -108,23 +124,23 @@ class TestParallelBitIdentity:
         for a, b in zip(two, three):
             assert a.mse_avg == b.mse_avg and a.eps_avg == b.eps_avg
 
-    def test_task_rejects_wrong_dataset(self, tiny_dataset, small_dataset):
-        executor = SweepExecutor(
-            _specs(), tiny_dataset, eps_inf_values=[1.0], alpha_values=[0.5]
-        )
-        task = executor.tasks()[0]
+    def test_task_rejects_wrong_dataset(self, tiny_dataset, small_dataset, monkeypatch):
+        task = _executed_tasks(
+            monkeypatch, _specs(), tiny_dataset, eps_inf_values=[1.0], alpha_values=[0.5]
+        )[0]
         assert task.dataset_name == tiny_dataset.name
         with pytest.raises(ExperimentError, match="reached a worker"):
             task.check_dataset(small_dataset)
 
-    def test_tasks_are_picklable(self, tiny_dataset):
+    def test_tasks_are_picklable(self, tiny_dataset, monkeypatch):
         import pickle
 
-        executor = SweepExecutor(
-            _specs(), tiny_dataset, eps_inf_values=[1.0], alpha_values=[0.5], n_runs=2
+        tasks = _executed_tasks(
+            monkeypatch, _specs(), tiny_dataset,
+            eps_inf_values=[1.0], alpha_values=[0.5], n_runs=2,
         )
-        tasks = executor.tasks()
         assert len(tasks) == 4
+        assert [task.run for task in tasks] == [0, 1, 0, 1]
         restored = pickle.loads(pickle.dumps(tasks))
         assert all(isinstance(task, SweepTask) for task in restored)
         assert restored == tasks
@@ -134,11 +150,11 @@ class TestParallelBitIdentity:
 
 class TestFailFastValidation:
     def test_invalid_alpha_rejected_before_any_simulation(self, tiny_dataset):
-        # A huge run count would make the old post-derivation validation
-        # allocate an enormous generator table before failing; the executor
-        # must reject the grid up front.
+        # A huge run count would make a post-derivation validation allocate
+        # an enormous task list and generator table before failing; the
+        # sweep must reject the grid up front.
         with pytest.raises(ExperimentError, match="alpha"):
-            SweepExecutor(
+            run_sweep(
                 _specs(),
                 tiny_dataset,
                 eps_inf_values=[1.0],
@@ -170,11 +186,11 @@ class TestFailFastValidation:
 
     def test_empty_grid_rejected(self, tiny_dataset):
         with pytest.raises(ExperimentError):
-            SweepExecutor(_specs(), tiny_dataset, eps_inf_values=[], alpha_values=[0.5])
+            run_sweep(_specs(), tiny_dataset, eps_inf_values=[], alpha_values=[0.5])
 
     def test_non_spec_protocol_rejected(self, tiny_dataset):
         with pytest.raises(ExperimentError, match="'RAPPOR' must be a ProtocolSpec"):
-            SweepExecutor(
+            run_sweep(
                 {"RAPPOR": lambda k, eps_inf, eps_1: None},
                 tiny_dataset,
                 eps_inf_values=[1.0],
@@ -182,13 +198,13 @@ class TestFailFastValidation:
             )
 
     def test_grid_order_is_protocol_alpha_eps(self, tiny_dataset):
-        executor = SweepExecutor(
+        points = run_sweep(
             _specs(),
             tiny_dataset,
             eps_inf_values=[1.0, 2.0],
             alpha_values=[0.4, 0.6],
         )
-        assert executor.grid[:4] == [
+        assert [(p.protocol_name, p.alpha, p.eps_inf) for p in points[:4]] == [
             ("OLOLOHA", 0.4, 1.0),
             ("OLOLOHA", 0.4, 2.0),
             ("OLOLOHA", 0.6, 1.0),
@@ -414,3 +430,51 @@ class TestResume:
         )
         assert all(point is None for point in points)
         assert len(store.load_rows("resumable")) == 4
+
+
+class TestRunSweepSpec:
+    SPEC = SweepSpec(
+        protocols=tuple(_specs().values()),
+        eps_inf_values=(1.0, 2.0),
+        alpha_values=(0.5,),
+        datasets=("tiny",),
+        n_runs=2,
+        seed=5,
+        name="t",
+    )
+
+    def test_in_memory_rows_are_the_sweep_points_as_rows(self, tiny_dataset):
+        points = run_sweep(
+            self.SPEC.grid_protocols(), tiny_dataset, self.SPEC.eps_inf_values,
+            self.SPEC.alpha_values, n_runs=2, rng=5, keep_runs=False,
+        )
+        rows = run_sweep_spec(self.SPEC, {"tiny": tiny_dataset})
+        assert rows == {"tiny": [point.as_row() for point in points]}
+
+    def test_output_dir_rows_are_the_fingerprinted_csv(self, tiny_dataset, tmp_path, capsys):
+        datasets = {"tiny": tiny_dataset}
+        rows = run_sweep_spec(self.SPEC, datasets, tmp_path)
+        csv = tmp_path / "t_tiny.csv"
+        first_line = csv.read_text().splitlines()[0]
+        assert first_line == f"# sweep_spec_fingerprint={self.SPEC.fingerprint()}"
+        assert rows == {"tiny": ResultsStore(tmp_path).load_rows("t_tiny")}
+        in_memory = run_sweep_spec(self.SPEC, datasets)["tiny"]
+        assert [float(row["mse_avg"]) for row in rows["tiny"]] == [
+            row["mse_avg"] for row in in_memory
+        ]
+        assert "tiny: 4 grid points (0 already complete, 4 to run, 1 worker)" in (
+            capsys.readouterr().out
+        )
+
+        before = csv.read_bytes()
+        assert run_sweep_spec(self.SPEC, datasets, tmp_path, resume=True) == rows
+        assert "tiny: all 4 grid points already complete, nothing to do" in (
+            capsys.readouterr().out
+        )
+        assert csv.read_bytes() == before
+        with pytest.raises(ExperimentError, match="already exist"):
+            run_sweep_spec(self.SPEC, datasets, tmp_path)
+        other = dataclasses.replace(self.SPEC, seed=6)
+        with pytest.raises(ExperimentError, match="refusing to resume t_tiny"):
+            run_sweep_spec(other, datasets, tmp_path, resume=True)
+        assert csv.read_bytes() == before
