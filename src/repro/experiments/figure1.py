@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .._validation import require_positive
+from .._validation import require_distinct, require_positive
 from ..longitudinal.optimal_g import optimal_g, optimal_g_numeric
 from .empirical import PAPER_EPS_INF_VALUES
 from .report import format_table
@@ -68,6 +68,7 @@ def run_figure1(
         Also compute the brute-force variance minimizer for cross-checking
         (slightly slower).
     """
+    require_distinct(eps_inf_values, "eps_inf_values")
     for eps_inf in eps_inf_values:
         require_positive(eps_inf, "eps_inf")
     closed_form: Dict[float, List[int]] = {}

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from .._validation import require_positive
+from .._validation import require_distinct, require_positive
 from ..analysis.variances import variance_comparison_grid
 from .empirical import PAPER_EPS_INF_VALUES
 from .report import ascii_curve, format_table
@@ -65,6 +65,7 @@ def run_figure2(
     alpha_values: Sequence[float] = FIGURE2_ALPHAS,
 ) -> Figure2Result:
     """Compute the Figure 2 variance grid at ``n =`` :data:`FIGURE2_N`."""
+    require_distinct(eps_inf_values, "eps_inf_values")
     for eps_inf in eps_inf_values:
         require_positive(eps_inf, "eps_inf")
     variances = variance_comparison_grid(

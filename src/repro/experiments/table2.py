@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
+from .._validation import require_distinct
 from ..attacks.change_detection import ChangeDetectionResult, change_detection_rate
 from ..datasets.base import LongitudinalDataset
 from ..registry import dbitflip_bucket_count
@@ -55,6 +56,7 @@ def run_table2(
     Every (dataset, ``eps_inf``, ``d``) cell attacks with its own stream
     derived from ``seed``.
     """
+    require_distinct(eps_inf_values, "eps_inf_values")
     detection: Dict[str, Dict[str, List[float]]] = {}
     details: Dict[str, Dict[str, List[ChangeDetectionResult]]] = {}
     streams = derive_generators(seed, len(datasets) * len(eps_inf_values) * 2)

@@ -98,7 +98,7 @@ __all__ = [
 _SUPPORT_PLANES_MAX_BYTES = 1024**3
 
 #: Rows per chunk of the flat index that scatters fresh dBitFlipPM bits
-#: into bucket coordinates (see :func:`_bucket_rows`).
+#: into bucket coordinates when ``d < b`` (see :func:`_bucket_rows`).
 _SCATTER_CHUNK_ROWS = 4096
 
 
@@ -428,9 +428,11 @@ def _compare_fold(backend, hashed_domain, users, symbols):
 def _bucket_rows(sampled_buckets, b, users, bits):
     """Scatter sample-order dBitFlipPM bits into ``b``-bit rows in bucket order.
 
-    Row ``i`` gets ``bits[i, l]`` at column ``sampled_buckets[users[i], l]``
-    and zeros outside the user's sample.  The scatter runs through a flat
-    1-D index built per chunk of rows, which bounds the index's memory.
+    Only ``d < b`` needs it: with ``d == b`` the engine draws the row in
+    bucket order directly.  Row ``i`` gets ``bits[i, l]`` at column
+    ``sampled_buckets[users[i], l]`` and zeros outside the user's sample.
+    The scatter runs through a flat 1-D index built per chunk of rows, which
+    bounds the index's memory.
     """
     rows = np.zeros((users.size, b), dtype=np.uint8)
     flat = rows.reshape(-1)
@@ -571,9 +573,12 @@ class DBitFlipEngine(PopulationEngine):
 
     A memo row is one user's permanent response for one indicator key, held
     as ``b`` bits in bucket coordinates (zero outside the user's sample), so
-    the round folds packed rows into bucket sums as the UE engine does.  A
-    user's key, the position of its bucket among its ``d`` sampled buckets
-    or ``d`` when none matches, is one gather from an ``(n_users, b)`` table.
+    the round folds packed rows into bucket sums as the UE engine does.
+    With ``d == b`` a fresh row is a UE row over the ``b`` buckets, the
+    user's bucket its true column; with ``d < b`` the ``d`` bits are drawn
+    in sample order and scattered into the row.  A user's key, the position
+    of its bucket among its ``d`` sampled buckets or ``d`` when none
+    matches, is one gather from an ``(n_users, b)`` table.
 
     With ``record_key_history=True`` the engine additionally records, per
     round, the memoization key used by each user — which is what the
@@ -625,10 +630,13 @@ class DBitFlipEngine(PopulationEngine):
         )
 
     def _fresh_rows(self, users, keys, generator):
-        # The d bits are drawn in sample order, then scattered to buckets.
         p, q = self.protocol.bit_probabilities
-        bits = dbitflip_fresh_bits_kernel(keys, self.protocol.d, p, q, generator)
-        return _bucket_rows(self.sampled_buckets, self.protocol.b, users, bits)
+        d, b = self.protocol.d, self.protocol.b
+        if d == b:  # a UE row over the buckets, the user's bucket its true column
+            return ue_fresh_rows_kernel(self.sampled_buckets[users, keys], b, p, q, generator)
+        # The d bits are drawn in sample order, then scattered to buckets.
+        bits = dbitflip_fresh_bits_kernel(keys, d, p, q, generator)
+        return _bucket_rows(self.sampled_buckets, b, users, bits)
 
     def run_round(self, values_t: np.ndarray, rng: Optional[np.random.Generator] = None) -> np.ndarray:
         values_t = self._validate_round(values_t)

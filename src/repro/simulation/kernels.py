@@ -96,19 +96,38 @@ def ue_flip_kernel(
     return (rng.random(bits.shape) < threshold).astype(np.uint8)
 
 
+def _uint32_threshold(probability: float) -> np.uint32:
+    """``floor(probability * 2**32)`` capped at ``2**32 - 1`` (so ``p = 1.0`` fits)."""
+    return np.uint32(min(int(probability * 2.0**32), 2**32 - 1))
+
+
+def _raw_uint32(rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` uniform 32-bit words: two per raw 64-bit generator word."""
+    bit_generator = rng.bit_generator
+    if isinstance(bit_generator, np.random.MT19937):  # its raw words carry 32 bits
+        return bit_generator.random_raw(size).astype(np.uint32)
+    return bit_generator.random_raw((size + 1) // 2).view(np.uint32)[:size]
+
+
 def ue_fresh_rows_kernel(
     values: np.ndarray, k: int, p: float, q: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Fused one-hot + UE flip: randomized ``k``-bit rows for a value batch.
 
-    Equivalent to ``ue_flip_kernel(one_hot_kernel(values, k), p, q, rng)``
-    (identical randomness consumption) without materializing the one-hot
-    matrix.
+    Distributed as ``ue_flip_kernel(one_hot_kernel(values, k), p, q, rng)``,
+    but drawn from raw generator words (stream contract 3): one uint32 per
+    bit, ``ceil(m * k / 2)`` 64-bit words for ``m`` rows, compared with
+    ``floor(q * 2**32)`` and, on a row's true column, ``floor(p * 2**32)``.
+    A value outside ``[0, k)`` has no true column and yields an all-``q``
+    row.
     """
     values = np.asarray(values, dtype=np.int64)
-    is_true_bit = np.arange(k)[None, :] == values[:, None]
-    threshold = q + is_true_bit * (p - q)
-    return (rng.random((values.size, k)) < threshold).astype(np.uint8)
+    words = _raw_uint32(rng, values.size * k).reshape(values.size, k)
+    rows = words < _uint32_threshold(q)
+    with_true = np.flatnonzero((values >= 0) & (values < k))
+    true_bits = with_true * k + values[with_true]
+    rows.reshape(-1)[true_bits] = words.reshape(-1)[true_bits] < _uint32_threshold(p)
+    return rows.view(np.uint8)
 
 
 def _chained_binomial_batch(
@@ -313,10 +332,9 @@ def dbitflip_fresh_bits_kernel(
 
     Bit ``l`` of a row indicates "my current bucket is my ``l``-th sampled
     bucket"; it is kept with probability ``p`` exactly when ``l`` equals the
-    row's key.  This is the same indicator-row sampling as
-    :func:`ue_fresh_rows_kernel` over ``d`` positions — with the one extra
-    property that key ``d`` (no sampled bucket matches) falls outside
-    ``[0, d)`` and therefore yields an all-``q`` row.
+    row's key.  This is :func:`ue_fresh_rows_kernel` over ``d`` positions,
+    raw-word stream included; key ``d`` (no sampled bucket matches) falls
+    outside ``[0, d)`` and therefore yields an all-``q`` row.
     """
     return ue_fresh_rows_kernel(keys, d, p, q, rng)
 

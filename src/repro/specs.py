@@ -58,7 +58,10 @@ __all__ = [
 #: :meth:`SweepSpec.fingerprint` so ``sweep --resume`` never appends rows of
 #: one stream to a CSV written on another.  Contract 2: the UE engine draws
 #: once-visited (user, value) pairs in aggregate instead of memoizing them.
-STREAM_CONTRACT = 2
+#: Contract 3: fresh memo rows are raw 32-bit words compared with integer
+#: thresholds (``ue_fresh_rows_kernel``), and bBitFlipPM (``d == b``) draws
+#: its rows in bucket order instead of scattering sample-order bits.
+STREAM_CONTRACT = 3
 
 #: JSON-scalar types allowed as protocol-specific parameter values.
 _SCALAR_TYPES = (bool, int, float, str, type(None))

@@ -186,6 +186,24 @@ class TestCommands:
         assert captured.err.strip() == "error: eps_inf_values repeats the value 2.0"
         assert "MSE_avg" not in captured.out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figure1", "--eps", "2", "1", "2"],
+            ["figure2", "--eps", "2", "2"],
+            ["table2", "--eps", "2", "2", "--dataset", "syn", "--scale", "0.02"],
+        ],
+        ids=["figure1", "figure2", "table2"],
+    )
+    def test_repeated_eps_is_refused_before_any_output(self, capsys, tmp_path, argv):
+        """A repeated ``--eps`` used to print collapsed columns or duplicate
+        rows and save every row once per repeat."""
+        assert main([*argv, "--output-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: eps_inf_values repeats the value 2.0\n"
+        assert captured.out == ""
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("command", ["figure3", "table2"])
     def test_repeated_dataset_answers_error_line_and_exit_2(self, capsys, command):
         code = main([command, "--dataset", "syn", "syn", "--eps", "1", "--scale", "0.02"])
@@ -626,8 +644,8 @@ FIGURE_SPEC = paper_sweep_spec(
 )
 FIGURE_ANCHORS = {
     "figure3": {
-        "csv": "90b22800143686319bd77e1fd442edce1cebf36db17cbedb2edd8805c9fe1b55",
-        "subplots": "4480ca9b58a3fcd80bb55a60701746d19780d0c26b265196e2a7f0dc8e386c2e",
+        "csv": "2c11b03232968fd51960736c244b541c35641ecdf2e8000db089dfe8c204cfec",
+        "subplots": "41baeffa3e16cbf6ec7f5925dfeeb6d214a90f92b894d7c21e832e2cd969ff08",
     },
     "figure4": {
         "csv": "0d86913777af6d8c1a4029f614319feb505d14172ad1830fe5b1533fbc946b8c",
@@ -791,17 +809,17 @@ OUTPUT_ANCHORS = {
             "table2", "--dataset", "syn", "adult", "--scale", "0.02",
             "--eps", "0.5", "2", "--seed", "7",
         ],
-        "13dae0a7f68ef3fda4ea1fcb897cafd9cc4d647631ebc83f28a37b635d237b98",
-        "e3b8feaef1399fb4de8535ea3e40ca222f5fc3d31a3ba426158c7390fd68bdda",
-        {"table2.csv": "3cac9323b3c73bd4d221cd3fad83c7dee95e4bd10af6bb4e2ce841ca1211658a"},
+        "12f742ec564e77c286f7426111420ed2f1aebda1743da8826c4a7f260b2f9a6a",
+        "6f1b1d038788f6a285800b4171a0f379529cf530b614b7b7fc2d423e941d055f",
+        {"table2.csv": "43e270aa6a34b4db736adfbfa15a6e588b27b0f0e4cb07b308287827bcd0398b"},
     ),
     "figure3": (
         ["figure3", "--eps", "1", "3", "--alpha", "0.4", "0.6", "--scale", "0.02"],
-        "51f2166cc5b631726ff23bbe46e303b17be0fb4c9afcbdc3c6661b356291314c",
-        "2d7821287a4d83b55b15bc3dd40b48ffd94228fac035d1ede28c23115ee8d4eb",
+        "83b87c5e8eac7fe4e56ddf33789550a1cee713db8687890377ef327e83f8b7b8",
+        "c42f754ecb1aa2e3d27eec486369fd21df3636cec413e450458ead4d1ce5be83",
         {
-            "empirical_syn.csv": "89061ebebf03f5f77876d6dcf3d48cc81f9025edb67039c04e140a6352ff38d1",
-            "figure3.csv": "96833a5cd1f3966e146a23a13f51e835c3930d3b1579fde215e233a47ad506ec",
+            "empirical_syn.csv": "d65fe2cddf7ce314d32284c5fcfa19fa3d31bea6cdb02c220d699a51797696f5",
+            "figure3.csv": "6f75bbcf74f152aca6625f1e1d2815a2723f4796bedd61898d1e6058ca9323be",
         },
     ),
     "figure4": (
@@ -809,7 +827,7 @@ OUTPUT_ANCHORS = {
         "28bf514030dea64311ff4b958de769e4f71cc1346b5466641b15ee0a47d178cf",
         "94dd6f09d572f3c7b4679b0e3feefbcdbda7be9206068803c314affa343a346c",
         {
-            "empirical_syn.csv": "abdfdc2a89c2bcb705a85717cf181df2e18df3e86b911d756505b72d0de6283f",
+            "empirical_syn.csv": "7208fa0c96fc89e7d3e34e4ce7e02fabe11c0fc051968dac608fe41ca54b3ac7",
             "figure4.csv": "badc95594edf15be3de1865f5aa6a465467d43e25943f6fa36accf6593998415",
         },
     ),

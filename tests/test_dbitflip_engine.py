@@ -1,24 +1,36 @@
-"""dBitFlipPM engine: bit-identity anchors and the incremental round path.
+"""dBitFlipPM engine: stream anchors, the incremental round path and the
+MSE gate.
 
 The engine reads keys from a per-user bucket table, stores memo rows in
 bucket coordinates and folds only users whose key changed.  That must leave
 the output bit-identical to the straightforward round: every user's key from
 an ``(n_users, d)`` compare against its sampled buckets, and a ``bincount``
-of every user's memoized bits into its sampled buckets.  The anchors below are
-sha256 digests of ``simulate_protocol(...).estimates`` computed with that
-straightforward round; the structural test replays it user by user.
+of every user's memoized bits into its sampled buckets.  The structural test
+replays that round user by user; the anchors below are sha256 digests of
+``simulate_protocol(...).estimates`` under stream contract 3.  The MSE_avg/V*
+gate licenses that stream: it holds on every contract.
 """
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
 from repro.datasets.base import LongitudinalDataset
 from repro.exceptions import ParameterError
+from repro.experiments.empirical import paper_protocol_specs
 from repro.longitudinal import DBitFlipPM
-from repro.simulation import DBitFlipEngine, engines, simulate_protocol
+from repro.registry import build_protocol
+from repro.simulation import (
+    DBitFlipEngine,
+    engines,
+    simulate_protocol,
+    simulate_protocol_sharded,
+)
 from repro.simulation.state import PackedBitMemo, SparsePackedBitMemo
+from test_statistical_properties import _Z_ALPHA_1E4
+from test_ue_once_visited import CHURN_DATASETS
 
 K, B, N_USERS, N_ROUNDS = 32, 16, 300, 12
 
@@ -32,21 +44,22 @@ CHURN_SCHEDULES = {
     "100": (1.0,),
 }
 
-#: sha256 of the float64 estimates, keyed by (d, churn).  Dense and sparse
-#: memo layouts resolve bit-identically, so they share one digest.
+#: sha256 of the float64 estimates under stream contract 3, keyed by
+#: (d, churn).  Dense and sparse memo layouts resolve bit-identically, so
+#: they share one digest.
 ESTIMATE_SHA256 = {
-    (1, "0"): "6a46d56dc1672853fe811b3a0553fbf00aceb3b777090374c4c5c52b662b069d",
-    (1, "25"): "a1fed6c35f572c1d6e8c11765a7d0698c5378c1deb1b5717086189088802f473",
-    (1, "55"): "65309c1609cc238af41e21d960ca6ff7d122a8bde2f947a6668a0ea80319c1c5",
-    (1, "100"): "0fc837cef25d4e478091f53542907d1346e2de4a1a0af4486abf7240b467cd48",
-    (3, "0"): "480d92cb7a631d53659eca95b36ba73d5f2e747472d2914bf0df638952db435e",
-    (3, "25"): "577c2e097171f7f60cf33b5f5c038d701771850b5eb6a3f6a66127bfc4782bc5",
-    (3, "55"): "2693130811055c4473f1579e570e52b9ef8a22b297f9a5ac72f9aba6aabb1de9",
-    (3, "100"): "caa51dea34db0c74bb7a299e98755bdb5c559c20419f91173432b11cd94ea07d",
-    (B, "0"): "09a009250f7e5f366fb7e379568599dbfe8bbeb52bc09124e9c978a576d16371",
-    (B, "25"): "45a3df1bcfd72e6f88466e9e8bffdf3b8f58402ef3d7281ef2b599543e223935",
-    (B, "55"): "2ec400e872f3981dd6741e159e6991457052802ce2a3a0a0677eb636f23093b5",
-    (B, "100"): "2b79194a172a4694398306a5a890686a6051c547134001ca77adc1dccd051d9a",
+    (1, "0"): "7bdf38e9c360ad66bcf9baf977f83ad27bddbc60b132cf8de41a7eb5ead864ff",
+    (1, "25"): "468545938e9035b2130874a1da196bb3909a9d16d9ae5c88f9dd48342cf989ff",
+    (1, "55"): "dd49dbab5d0759df4bab96eef3c40657bf674d88f4c021531c98fb9cae94eb80",
+    (1, "100"): "a5591998c016065889bff74f5cce88ce49a769591db611b842010e3b4092ae60",
+    (3, "0"): "2f99b0950bf3118aefac2816a737837fd85382ea59136e290a2328b47d1e5955",
+    (3, "25"): "e147bcde4b6703ca03fe73a5a345bc32244194dfcf14b4f18d4cf64d641652bf",
+    (3, "55"): "8d511e2d977c42ae883fe645bf7bd6f286e0677354816e9e5470b954303da9d7",
+    (3, "100"): "53d3bd75fe562f483028f50d9fe4879cd3eba653bc8ed4453b80646cc5aa0c14",
+    (B, "0"): "fbf997aad956c11866262410a4834797d4b84e640d8fb18fd1de634872aa5364",
+    (B, "25"): "1cf7c16086e1b10d1d836d5872aecb091fd448fe0ef39df5ee3f5c18d2189d35",
+    (B, "55"): "8f007d71c95e160d133ddf448187b1d69914bc11778337827247b95e0d674db7",
+    (B, "100"): "9418471b0afc2a20ba71007c07d5a6bc3f42199cc62d996a0e2c4817d21099fe",
 }
 
 
@@ -134,28 +147,42 @@ def test_returned_counts_not_changed_by_later_rounds(d):
 )
 @pytest.mark.parametrize("d", [1, 3, B])
 def test_memo_rows_live_in_bucket_coordinates(d, memo_class, monkeypatch):
-    """Rows are zero outside the sample; ``memoized_bits`` is the drawn d bits."""
+    """Rows are zero outside the sample; ``memoized_bits`` is the drawn d bits.
+
+    With ``d < b`` the engine draws sample-order bits through
+    ``dbitflip_fresh_bits_kernel`` and scatters them.  With ``d == b`` it
+    draws the bucket-order row through ``ue_fresh_rows_kernel``, the
+    user's bucket as the true column.
+    """
     drawn = []
 
     def recording_kernel(keys, *args):
-        bits = fresh_bits_kernel(keys, *args)
-        drawn.append(bits.copy())
+        bits = fresh_kernel(keys, *args)
+        drawn.append((keys.copy(), bits.copy()))
         return bits
 
-    fresh_bits_kernel = engines.dbitflip_fresh_bits_kernel
-    monkeypatch.setattr(engines, "dbitflip_fresh_bits_kernel", recording_kernel)
+    kernel_name = "ue_fresh_rows_kernel" if d == B else "dbitflip_fresh_bits_kernel"
+    fresh_kernel = getattr(engines, kernel_name)
+    monkeypatch.setattr(engines, kernel_name, recording_kernel)
     protocol = DBitFlipPM(K, 2.0, b=B, d=d)
     memo = memo_class(N_USERS, d + 1, B)
     engine = DBitFlipEngine(protocol, N_USERS, rng=6, memo=memo)
     generator = np.random.default_rng(8)
     expected = {}
     for values_t in churn_dataset(CHURN_SCHEDULES["25"]).iter_rounds():
-        keys = compare_keys(engine.sampled_buckets, protocol.bucket_of(values_t), d)
+        buckets = protocol.bucket_of(values_t)
+        keys = compare_keys(engine.sampled_buckets, buckets, d)
         fresh_users = [u for u in range(N_USERS) if (u, keys[u]) not in expected]
         n_draws = len(drawn)
         engine.run_round(values_t, generator)
         assert len(drawn) == n_draws + bool(fresh_users)
-        for user, bits in zip(fresh_users, drawn[-1] if fresh_users else ()):
+        if not fresh_users:
+            continue
+        drawn_keys, drawn_bits = drawn[-1]
+        assert np.array_equal(drawn_keys, (buckets if d == B else keys)[fresh_users])
+        for user, bits in zip(fresh_users, drawn_bits):
+            if d == B:
+                bits = bits[engine.sampled_buckets[user]]
             expected[(user, int(keys[user]))] = bits
 
     outside = np.ones((N_USERS, B), dtype=bool)
@@ -181,3 +208,57 @@ def test_memo_sized_for_sample_order_rows_is_widened():
     used.ensure_rows(np.zeros(N_USERS, dtype=np.int64), lambda users, keys: np.ones((users.size, 1)))
     with pytest.raises(ParameterError):
         DBitFlipEngine(protocol, N_USERS, rng=0, memo=used)
+
+
+def skewed_dataset(n_users=600, n_rounds=8, k=60):
+    """Geometric values (a quarter of the users at value 0), half the users
+    redrawing each round.  Far from uniform, so a fresh row whose true bit
+    lands in the wrong bucket inflates MSE_avg well past V*."""
+    rng = np.random.default_rng(0)
+    values = np.empty((n_users, n_rounds), dtype=np.int64)
+    for t in range(n_rounds):
+        drawn = np.minimum(rng.geometric(0.25, size=n_users) - 1, k - 1)
+        values[:, t] = drawn if t == 0 else np.where(
+            rng.random(n_users) < 0.5, drawn, values[:, t - 1]
+        )
+    return LongitudinalDataset(name="skewed", values=values, k=k)
+
+
+GATE_DATASETS = {**CHURN_DATASETS, "skewed": skewed_dataset}
+N_SEEDS = 16
+
+
+@pytest.mark.parametrize("dataset_name", list(GATE_DATASETS))
+@pytest.mark.parametrize("label", ["1BitFlipPM", "bBitFlipPM"])
+def test_mse_over_v_star_is_bounded_serial_and_pooled(label, dataset_name):
+    """The R-seed mean of MSE_avg/V* stays at 1, serially and through pooled
+    shards, and the two means agree.
+
+    V* is :meth:`DBitFlipPM.exact_variance` averaged over the true bucket
+    frequencies.  Memoization correlates rounds, so the spread is taken
+    across seeds: the bound is ``z`` seed-standard-errors plus 10%.
+    """
+    dataset = GATE_DATASETS[dataset_name]()
+    spec = paper_protocol_specs()[label].at(k=dataset.k, eps_inf=2.0, alpha=0.5)
+    protocol = build_protocol(spec)
+
+    def ratio(result):
+        v_star = np.mean([
+            protocol.exact_variance(dataset.n_users, float(f))
+            for f in result.true_frequencies.ravel()
+        ])
+        return result.mse_avg / v_star
+
+    by_mode = {
+        "serial": [ratio(simulate_protocol(protocol, dataset, rng=seed))
+                   for seed in range(N_SEEDS)],
+        "pooled": [ratio(simulate_protocol_sharded(spec, dataset, 2, rng=seed, n_workers=2))
+                   for seed in range(N_SEEDS)],
+    }
+    spreads = {}
+    for mode, ratios in by_mode.items():
+        ratios = np.asarray(ratios)
+        spreads[mode] = math.sqrt(ratios.var(ddof=1) / ratios.size)
+        assert abs(ratios.mean() - 1) < 0.1 + _Z_ALPHA_1E4 * spreads[mode], (mode, ratios)
+    gap = np.mean(by_mode["serial"]) - np.mean(by_mode["pooled"])
+    assert abs(gap) < _Z_ALPHA_1E4 * math.hypot(*spreads.values()), by_mode

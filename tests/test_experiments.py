@@ -199,8 +199,8 @@ class TestTables:
             label: [(r.n_users_with_changes, r.n_fully_detected) for r in runs]
             for label, runs in result.details["syn"].items()
         }
-        assert cells == {"d=1": [(238, 8), (238, 6)], "d=b": [(238, 238), (238, 238)]}
-        assert result.detection["syn"]["d=1"] == [8 / 300, 6 / 300]
+        assert cells == {"d=1": [(238, 6), (238, 8)], "d=b": [(238, 238), (238, 238)]}
+        assert result.detection["syn"]["d=1"] == [6 / 300, 8 / 300]
 
     def test_table2_rows_structure(self, tiny_spec, tiny_named_datasets):
         result = run_table2(tiny_named_datasets, tiny_spec.seed, tiny_spec.eps_inf_values)

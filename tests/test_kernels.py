@@ -1,5 +1,7 @@
 """Tests for the pure perturbation kernels of ``repro.simulation.kernels``."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,25 @@ from repro.simulation.kernels import (
     ue_flip_kernel,
     ue_fresh_rows_kernel,
 )
+from test_statistical_properties import _Z_ALPHA_1E4, chi_square_critical
+
+
+def raw_threshold_reference(values, k, p, q, seed):
+    """Fresh rows drawn entry by entry: bit ``j`` of row ``i`` is raw 32-bit
+    word ``i * k + j`` (the low half of each 64-bit generator word first)
+    below ``floor(p * 2**32)`` on the row's true column, ``floor(q * 2**32)``
+    elsewhere."""
+    rng = np.random.default_rng(seed)
+    words = [
+        int(word) >> shift & 0xFFFFFFFF
+        for word in rng.bit_generator.random_raw(math.ceil(len(values) * k / 2))
+        for shift in (0, 32)
+    ]
+    rows = np.zeros((len(values), k), dtype=np.uint8)
+    for i, value in enumerate(values):
+        for j in range(k):
+            rows[i, j] = words[i * k + j] < math.floor((p if j == value else q) * 2**32)
+    return rows
 
 
 class TestGRRKernel:
@@ -150,13 +171,29 @@ class TestPackedColumnSumsKernel:
 
 class TestUEKernels:
     def test_fresh_rows_equals_one_hot_plus_flip(self):
-        """The fused kernel consumes randomness identically to the two-step path."""
+        """Stream contract 3: the fused kernel is bitwise the raw-threshold
+        compare below, and equals one-hot + flip in distribution only."""
         values = np.random.default_rng(0).integers(0, 12, size=300)
         fused = ue_fresh_rows_kernel(values, 12, 0.75, 0.25, np.random.default_rng(9))
-        two_step = ue_flip_kernel(
-            one_hot_kernel(values, 12), 0.75, 0.25, np.random.default_rng(9)
-        )
-        assert np.array_equal(fused, two_step)
+        assert fused.dtype == np.uint8
+        assert np.array_equal(fused, raw_threshold_reference(values, 12, 0.75, 0.25, 9))
+
+        values = np.random.default_rng(1).integers(0, 12, size=20_000)
+        true_column = one_hot_kernel(values, 12).astype(bool)
+        rates = {}
+        for path, rows in (
+            ("fused", ue_fresh_rows_kernel(values, 12, 0.75, 0.25, np.random.default_rng(2))),
+            ("two-step", ue_flip_kernel(true_column, 0.75, 0.25, np.random.default_rng(3))),
+        ):
+            rates[path] = (rows[true_column].mean(), rows[~true_column].mean())
+        for rate, probability, n in (
+            (0, 0.75, values.size), (1, 0.25, values.size * 11)
+        ):
+            standard_error = math.sqrt(probability * (1 - probability) / n)
+            for path in rates:
+                assert abs(rates[path][rate] - probability) < _Z_ALPHA_1E4 * standard_error
+            gap = rates["fused"][rate] - rates["two-step"][rate]
+            assert abs(gap) < _Z_ALPHA_1E4 * math.sqrt(2) * standard_error
 
     def test_flip_probabilities(self):
         bits = np.zeros((20_000, 4), dtype=np.uint8)
@@ -177,6 +214,66 @@ class TestUEKernels:
         expected_var = memo_ones * p * (1 - p) + (n_users - memo_ones) * q * (1 - q)
         assert np.allclose(draws.mean(axis=0), expected_mean, rtol=0.02)
         assert np.allclose(draws.var(axis=0), expected_var, rtol=0.15)
+
+
+class TestRawThresholdDraw:
+    """Moments of the raw 32-bit threshold draw behind every fresh memo row.
+
+    ``k`` and the row count are odd, so the last 64-bit word is split; the
+    rows whose key is ``k`` (dBitFlipPM's "no sampled bucket matches") have
+    no true column.
+    """
+
+    K, P, Q, N_SEEDS = 7, 0.7, 0.2, 300
+
+    @pytest.mark.parametrize(
+        "bit_generator, words_per_bit",
+        [(np.random.PCG64, 0.5), (np.random.MT19937, 1)],
+        ids=["PCG64", "MT19937"],
+    )
+    def test_rates_column_moments_and_stream_advance(self, bit_generator, words_per_bit):
+        k, p, q = self.K, self.P, self.Q
+        values = np.random.default_rng(4).integers(0, k + 1, size=41)
+        rows = []
+        for seed in range(self.N_SEEDS):
+            rng = np.random.Generator(bit_generator(seed))
+            rows.append(dbitflip_fresh_bits_kernel(values, k, p, q, rng))
+            advanced = np.random.Generator(bit_generator(seed))
+            advanced.bit_generator.random_raw(math.ceil(values.size * k * words_per_bit))
+            assert np.array_equal(
+                rng.bit_generator.random_raw(3), advanced.bit_generator.random_raw(3)
+            )
+        rows = np.stack(rows)
+
+        true_column = np.zeros((values.size, k), dtype=bool)
+        matched = np.flatnonzero(values < k)
+        true_column[matched, values[matched]] = True
+        no_match = values == k
+        assert 0 < no_match.sum() < values.size
+        for bits, probability in (
+            (rows[:, true_column], p),
+            (rows[:, ~true_column], q),
+            (rows[:, no_match], q),
+        ):
+            standard_error = math.sqrt(probability * (1 - probability) / bits.size)
+            assert abs(bits.mean() - probability) < _Z_ALPHA_1E4 * standard_error
+
+        holding = true_column.sum(axis=0)
+        mean = holding * p + (values.size - holding) * q
+        variance = holding * p * (1 - p) + (values.size - holding) * q * (1 - q)
+        sums = rows.sum(axis=1, dtype=np.float64)
+        z = (sums.mean(axis=0) - mean) / np.sqrt(variance / self.N_SEEDS)
+        assert np.abs(z).max() < _Z_ALPHA_1E4, z
+        df = self.N_SEEDS - 1
+        ratio = sums.var(axis=0, ddof=1) / variance
+        assert (ratio < chi_square_critical(df) / df).all(), ratio
+        assert (ratio > chi_square_critical(df, z=-_Z_ALPHA_1E4) / df).all(), ratio
+
+    def test_probability_one_and_zero(self):
+        """Large budgets round ``p`` to 1.0 and ``q`` to ~0 in float64."""
+        values = np.arange(5)
+        rows = ue_fresh_rows_kernel(values, 5, 1.0, 0.0, np.random.default_rng(3))
+        assert np.array_equal(rows, np.eye(5, dtype=np.uint8))
 
 
 class TestDBitFlipKernels:

@@ -198,14 +198,14 @@ def anchor_dataset() -> LongitudinalDataset:
     return LongitudinalDataset(name="anchor", values=values, k=K)
 
 
-#: sha256 of the float64 estimates under stream contract 2, eps_inf=2,
+#: sha256 of the float64 estimates under stream contract 3, eps_inf=2,
 #: alpha=0.5, rng=7.  Dense and sparse memos resolve bit-identically and
 #: share the ``simulate_protocol`` digest; ``sharded`` is 3 serial shards.
 ESTIMATE_SHA256 = {
-    ("RAPPOR", "memo"): "b7d49218574568d972bb9ce4204d7fb961b4a5f6ec6a348c939cb04183385ac1",
-    ("RAPPOR", "sharded"): "f096dfef3121eb6e5a9bd59be35f08f9521e6394dc9acc823c39d4847127bfd1",
-    ("L-OSUE", "memo"): "a95fe9657e6faf8d8de64361fbe6df3b88639a4c5ad411df7e06b0188d096938",
-    ("L-OSUE", "sharded"): "3174eb5e27e14d092e199817b9169c8ed4f750d0617e56c4e4ff5ca962ce13ba",
+    ("RAPPOR", "memo"): "98eb4923c19f21f8f8afe0ce7cf9e0b9975ce5a9458dbd2cf598ef4788ca2f1e",
+    ("RAPPOR", "sharded"): "7ce299e84400dcd2aef6e450936c6fa8f9ad5765c2320fcd8a8a71c4e71f4ab5",
+    ("L-OSUE", "memo"): "eea071780c97e81cb4ce0ca82a0d9ccc94271b5bc5d5ff8e2df1b37af8a41662",
+    ("L-OSUE", "sharded"): "c558bbffea83edffc6a8589efd296aaa1d0fb95e8f85159062b13c9297c920f8",
 }
 
 
