@@ -43,6 +43,9 @@ class LongitudinalDataset:
     _once_visited: Optional[np.ndarray] = field(
         default=None, init=False, repr=False, compare=False
     )
+    _truth: Optional[np.ndarray] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values)
@@ -95,8 +98,17 @@ class LongitudinalDataset:
         return counts / self.n_users
 
     def true_frequency_matrix(self) -> np.ndarray:
-        """Matrix of shape ``(tau, k)`` with the true histogram of every round."""
-        return np.stack([self.true_frequencies(t) for t in range(self.n_rounds)])
+        """Matrix of shape ``(tau, k)`` with the true histogram of every round.
+
+        Computed on first use and cached on this object, read-only, as
+        :meth:`once_visited_mask` is: every simulation of the dataset scores
+        against the same matrix.
+        """
+        if self._truth is None:
+            truth = np.stack([self.true_frequencies(t) for t in range(self.n_rounds)])
+            truth.setflags(write=False)
+            self._truth = truth
+        return self._truth
 
     def change_counts(self) -> np.ndarray:
         """Per-user number of value changes across consecutive rounds."""

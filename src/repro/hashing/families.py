@@ -9,11 +9,17 @@ All functions support scalar evaluation (``h(value)``) and vectorized
 evaluation over numpy arrays (``h.hash_array(values)``), and expose
 ``h.hash_all(k)``: the image of the whole input domain, which is what the
 server needs in order to compute support counts.
+
+:meth:`UniversalHashFamily.sample_hashed_domains` hashes the whole domain
+under one fresh member per user, the table a LOLOHA population engine
+holds.  Every implementation returns it in :func:`hashed_domain_dtype`:
+int16 when ``g < 2^15``, else int32 (int64 only past ``g = 2^31``).
 """
 
 from __future__ import annotations
 
 import hashlib
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
@@ -32,10 +38,26 @@ __all__ = [
     "TabulationHashFamily",
     "BlakeHashFamily",
     "family_from_name",
+    "hashed_domain_dtype",
 ]
 
 #: Mersenne prime 2^61 - 1, used as the field size of the polynomial family.
 _MERSENNE_61 = (1 << 61) - 1
+
+#: Bytes of uint64 scratch one row block of the batched multiply-shift draw
+#: uses; the block, not the ``(n, k)`` table, bounds the draw's transients.
+_MULTIPLY_SHIFT_BLOCK_BYTES = 1 << 20
+
+#: Index of the high 32-bit word of a uint64 viewed as two uint32 words.
+_HIGH_WORD = 1 if sys.byteorder == "little" else 0
+
+
+def hashed_domain_dtype(g: int) -> np.dtype:
+    """The dtype of a hashed-domain table with ``g`` hash values: int16 when
+    ``g < 2^15``, else int32 (int64 only when the values outgrow int32)."""
+    if g < 2**15:
+        return np.dtype(np.int16)
+    return np.dtype(np.int32 if g <= 2**31 else np.int64)
 
 
 class HashFunction(ABC):
@@ -88,18 +110,20 @@ class UniversalHashFamily(ABC):
     ) -> np.ndarray:
         """Hash the full domain ``[0..k)`` under ``n_functions`` fresh members.
 
-        Returns an ``(n_functions, k)`` int64 matrix whose row ``i`` is the
-        image of the whole domain under the ``i``-th sampled function — the
-        per-user table the LOLOHA population engines need.  This generic
-        implementation samples one member at a time; families with cheap
-        parameterizations (e.g. multiply-shift) override it with a fully
-        vectorized batch draw.
+        Returns an ``(n_functions, k)`` matrix of dtype
+        :func:`hashed_domain_dtype` whose row ``i`` is the image of the whole
+        domain under the ``i``-th sampled function — the per-user table the
+        LOLOHA population engines need.  This generic implementation samples
+        one member at a time and writes its row into the table; families with
+        cheap parameterizations (e.g. multiply-shift) override it with a
+        vectorized batch draw under the same contract.
         """
         n_functions = require_int_at_least(n_functions, 1, "n_functions")
         generator = as_rng(rng)
-        return np.stack(
-            [self.sample(generator).hash_all(k) for _ in range(n_functions)]
-        )
+        table = np.empty((n_functions, int(k)), dtype=hashed_domain_dtype(self.g))
+        for row in table:
+            row[:] = self.sample(generator).hash_all(k)
+        return table
 
     @property
     def name(self) -> str:
@@ -146,17 +170,36 @@ class MultiplyShiftHashFamily(UniversalHashFamily):
     def sample_hashed_domains(
         self, n_functions: int, k: int, rng: RngLike = None
     ) -> np.ndarray:
-        """Vectorized batch draw: one ``(a, b)`` pair per row, no Python loop."""
+        """Batched draw: one ``(a, b)`` pair per row, drawn in one call each.
+
+        The hash is evaluated in row blocks of about
+        :data:`_MULTIPLY_SHIFT_BLOCK_BYTES` of uint64 scratch: multiply, add,
+        then a uint32 ``% g`` of each product's high word, written straight
+        into the :func:`hashed_domain_dtype` table.  The rows equal
+        ``_MultiplyShiftFunction(a, b, g).hash_all(k)``; no ``(n, k)`` uint64
+        temporary is ever built.
+        """
         n_functions = require_int_at_least(n_functions, 1, "n_functions")
         generator = as_rng(rng)
         with np.errstate(over="ignore"):
             a = generator.integers(1, 2**63, size=n_functions, dtype=np.uint64)
             a = a * np.uint64(2) + np.uint64(1)
             b = generator.integers(0, 2**63, size=n_functions, dtype=np.uint64)
-            x = np.arange(int(k), dtype=np.uint64)
-            mixed = a[:, None] * x[None, :] + b[:, None]
-        high = (mixed >> np.uint64(32)).astype(np.int64)
-        return high % np.int64(self.g)
+        k = int(k)
+        x = np.arange(k, dtype=np.uint64)
+        table = np.empty((n_functions, k), dtype=hashed_domain_dtype(self.g))
+        block_rows = max(1, _MULTIPLY_SHIFT_BLOCK_BYTES // (8 * max(k, 1)))
+        mixed = np.empty((min(block_rows, n_functions), k), dtype=np.uint64)
+        high = mixed.view(np.uint32)[:, _HIGH_WORD::2]
+        divisor = np.uint32(self.g) if self.g < 2**32 else np.uint64(self.g)
+        for start in range(0, n_functions, block_rows):
+            stop = min(start + block_rows, n_functions)
+            rows = stop - start
+            # Unsigned arithmetic wraps mod 2^64 without a warning.
+            np.multiply(a[start:stop, None], x, out=mixed[:rows])
+            mixed[:rows] += b[start:stop, None]
+            np.remainder(high[:rows], divisor, out=table[start:stop], casting="unsafe")
+        return table
 
 
 @dataclass(frozen=True)
@@ -306,18 +349,17 @@ class BlakeHashFamily(UniversalHashFamily):
         drawn in one call and each row hashes the whole domain through the
         vectorized counter-mode path (``ceil(k / 8)`` digests per function
         instead of ``k``), so crypto hashing stays usable as a LOLOHA
-        population default.
+        population default.  Rows are written into a
+        :func:`hashed_domain_dtype` table.
         """
         n_functions = require_int_at_least(n_functions, 1, "n_functions")
         generator = as_rng(rng)
         seeds = generator.integers(0, 2**63 - 1, size=n_functions)
         domain = np.arange(int(k), dtype=np.int64)
-        return np.stack(
-            [
-                _BlakeFunction(seed=int(seed), g=self.g).hash_array(domain)
-                for seed in seeds
-            ]
-        )
+        table = np.empty((n_functions, domain.size), dtype=hashed_domain_dtype(self.g))
+        for row, seed in zip(table, seeds):
+            row[:] = _BlakeFunction(seed=int(seed), g=self.g).hash_array(domain)
+        return table
 
 
 _FAMILY_REGISTRY = {

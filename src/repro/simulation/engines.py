@@ -62,6 +62,7 @@ import numpy as np
 
 from .._validation import as_rng, require_int_at_least
 from ..exceptions import ExperimentError, ParameterError
+from ..hashing.families import hashed_domain_dtype
 from ..longitudinal.base import LongitudinalProtocol
 from ..longitudinal.dbitflip import DBitFlipPM
 from ..longitudinal.l_grr import LGRR
@@ -416,8 +417,10 @@ def _packed_fold_delta(backend, rows, n_bits, users, new_keys, old_keys):
     return backend.packed_column_sums(fused, n_bits) - old_rows.shape[0]
 
 
-def _plane_rows(planes, users, symbols):
-    return planes[symbols, users]
+def _plane_rows(flat_planes, n_users, users, symbols):
+    """Packed support rows of ``users`` under their memoized ``symbols``:
+    one flat take from the ``(g * n_users, width)`` view of the planes."""
+    return flat_planes.take(symbols * n_users + users, axis=0)
 
 
 def _compare_fold(backend, hashed_domain, users, symbols):
@@ -688,14 +691,16 @@ class LOLOHAEngine(PopulationEngine):
         if not isinstance(protocol, LOLOHA):
             raise ParameterError("LOLOHAEngine requires a LOLOHA protocol")
         super().__init__(protocol, n_users, rng, backend=backend)
-        domain_dtype = np.int16 if protocol.g < 2**15 else np.int32
         #: Pre-hashed domain per user: ``hashed_domain[u, v] = H_u(v)``.
         #: Always drawn from this engine's own stream — never shared state —
         #: so shard engines reproduce the identical tables in every
-        #: execution mode.
+        #: execution mode.  The families return it in this dtype already, so
+        #: ``astype`` copies only a custom family's wider table.
         self.hashed_domain = protocol.family.sample_hashed_domains(
             n_users, protocol.k, self._rng
-        ).astype(domain_dtype)
+        ).astype(hashed_domain_dtype(protocol.g), copy=False)
+        #: Offset of each user's row in the flattened ``hashed_domain``.
+        self._domain_offsets = np.arange(n_users, dtype=np.int64) * protocol.k
         if memo is None:
             memo = DenseSymbolMemo(n_users, protocol.g)
         self._state = _validated_memo(
@@ -729,8 +734,9 @@ class LOLOHAEngine(PopulationEngine):
         # tables are fixed), so the fold is delta-cached on those symbols;
         # the packed-plane layout additionally gets the fused delta pass.
         if use_planes:
+            flat_planes = self._support_planes.reshape(protocol.g * n_users, -1)
             fold_args = (
-                self._backend, partial(_plane_rows, self._support_planes), protocol.k
+                self._backend, partial(_plane_rows, flat_planes, n_users), protocol.k
             )
             self._memoized_support = _DeltaFoldCache(
                 n_users,
@@ -747,8 +753,7 @@ class LOLOHAEngine(PopulationEngine):
     ) -> np.ndarray:
         params = self.protocol.chained_parameters
         g = self.protocol.g
-        users = np.arange(self.n_users)
-        hashed = self.hashed_domain[users, values_t].astype(np.int64)
+        hashed = self.hashed_domain.reshape(-1).take(self._domain_offsets + values_t)
         memoized = self._state.resolve(
             hashed, lambda u, keys: grr_kernel(keys, g, params.p1, generator)
         )

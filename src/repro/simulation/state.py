@@ -93,6 +93,8 @@ class DenseSymbolMemo:
         self.n_keys = require_int_at_least(n_keys, 1, "n_keys")
         self._dtype = np.dtype(dtype)
         self._table: Optional[np.ndarray] = None
+        #: Offset of each user's row in the flattened table.
+        self._row_offsets = np.arange(self.n_users, dtype=np.int64) * self.n_keys
 
     def _ensure_allocated(self) -> np.ndarray:
         if self._table is None:
@@ -106,17 +108,18 @@ class DenseSymbolMemo:
         pairs are created in one batch by calling
         ``fresh(user_indices, keys[user_indices])``, which must return one
         symbol per missing user; the result is written to the table and
-        reused forever after.
+        reused forever after.  The table is read and written through flat
+        takes at ``user * n_keys + key``.
         """
-        table = self._ensure_allocated()
-        users = np.arange(self.n_users)
-        memoized = table[users, keys]
+        table = self._ensure_allocated().reshape(-1)
+        flat = self._row_offsets + keys
+        memoized = table.take(flat)
         missing = memoized < 0
         if missing.any():
-            missing_users = users[missing]
-            missing_keys = keys[missing]
-            table[missing_users, missing_keys] = fresh(missing_users, missing_keys)
-            memoized = table[users, keys]
+            missing_users = np.flatnonzero(missing)
+            missing_slots = flat[missing_users]
+            table[missing_slots] = fresh(missing_users, keys[missing_users])
+            memoized[missing_users] = table.take(missing_slots)
         return memoized.astype(np.int64)
 
     def distinct_per_user(self) -> np.ndarray:

@@ -30,7 +30,7 @@ from repro.simulation import (
 )
 from repro.simulation.state import PackedBitMemo, SparsePackedBitMemo
 from test_statistical_properties import _Z_ALPHA_1E4
-from test_ue_once_visited import CHURN_DATASETS
+from test_ue_once_visited import GATE_DATASETS
 
 K, B, N_USERS, N_ROUNDS = 32, 16, 300, 12
 
@@ -210,21 +210,6 @@ def test_memo_sized_for_sample_order_rows_is_widened():
         DBitFlipEngine(protocol, N_USERS, rng=0, memo=used)
 
 
-def skewed_dataset(n_users=600, n_rounds=8, k=60):
-    """Geometric values (a quarter of the users at value 0), half the users
-    redrawing each round.  Far from uniform, so a fresh row whose true bit
-    lands in the wrong bucket inflates MSE_avg well past V*."""
-    rng = np.random.default_rng(0)
-    values = np.empty((n_users, n_rounds), dtype=np.int64)
-    for t in range(n_rounds):
-        drawn = np.minimum(rng.geometric(0.25, size=n_users) - 1, k - 1)
-        values[:, t] = drawn if t == 0 else np.where(
-            rng.random(n_users) < 0.5, drawn, values[:, t - 1]
-        )
-    return LongitudinalDataset(name="skewed", values=values, k=k)
-
-
-GATE_DATASETS = {**CHURN_DATASETS, "skewed": skewed_dataset}
 N_SEEDS = 16
 
 

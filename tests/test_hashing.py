@@ -1,5 +1,7 @@
 """Tests for the universal hash families and their diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,11 @@ from repro.hashing import (
     family_from_name,
     hashed_domain_histogram,
     uniformity_chi_square,
+)
+from repro.hashing.families import (
+    _MULTIPLY_SHIFT_BLOCK_BYTES,
+    _MultiplyShiftFunction,
+    hashed_domain_dtype,
 )
 
 ALL_FAMILIES = [
@@ -73,6 +80,7 @@ class TestBatchedDomainHashing:
         family = family_cls(g=5)
         matrix = family.sample_hashed_domains(6, 40, rng=0)
         assert matrix.shape == (6, 40)
+        assert matrix.dtype == hashed_domain_dtype(5) == np.int16
         assert matrix.min() >= 0 and matrix.max() < 5
 
     def test_blake_batch_rows_match_per_function_hashing(self):
@@ -97,6 +105,43 @@ class TestBatchedDomainHashing:
         function = family_cls(g=4).sample(rng=0)
         out = function.hash_array(np.array([], dtype=np.int64))
         assert out.shape == (0,)
+
+
+#: Rows of one block of the batched multiply-shift draw at ``k = 300``; the
+#: ``ragged-blocks`` shape spans two whole blocks and a partial third.
+_BLOCK_ROWS_300 = _MULTIPLY_SHIFT_BLOCK_BYTES // (8 * 300)
+
+
+class TestMultiplyShiftBatchDraw:
+    """The blocked batch draw reproduces the per-function hash row by row."""
+
+    @pytest.mark.parametrize("g", [2, 3, 2**15 - 1, 2**15, 70_001])
+    @pytest.mark.parametrize(
+        "n, k",
+        [(1, 1), (1, 300), (5, 1), (2 * _BLOCK_ROWS_300 + 17, 300)],
+        ids=["n1-k1", "n1", "k1", "ragged-blocks"],
+    )
+    def test_rows_equal_per_function_hashing(self, n, k, g):
+        matrix = MultiplyShiftHashFamily(g).sample_hashed_domains(n, k, rng=11)
+        assert matrix.shape == (n, k)
+        assert matrix.dtype == (np.int16 if g < 2**15 else np.int32)
+        # The same (a, b) draws, in the same order, as the batch draw.
+        generator = np.random.default_rng(11)
+        a = generator.integers(1, 2**63, size=n, dtype=np.uint64) * np.uint64(2) + np.uint64(1)
+        b = generator.integers(0, 2**63, size=n, dtype=np.uint64)
+        for row, a_i, b_i in zip(matrix, a, b):
+            function = _MultiplyShiftFunction(a=int(a_i), b=int(b_i), g=g)
+            assert np.array_equal(row, function.hash_all(k))
+
+    def test_peak_memory_is_the_table_plus_one_block(self):
+        family = MultiplyShiftHashFamily(g=2)
+        tracemalloc.start()
+        try:
+            matrix = family.sample_hashed_domains(4096, 2048, rng=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < matrix.nbytes + 8 * 1024**2, peak
 
 
 class TestUniversality:
