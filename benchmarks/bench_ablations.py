@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md §5.
+"""Ablation benchmarks for the library's design choices.
 
 * hash-family choice: the estimation error of LOLOHA must be statistically
   indistinguishable across universal families;

@@ -1,45 +1,19 @@
-"""Adversarial analysis: why memoization, and why a second round of noise.
+"""Adversarial analysis: why a second round of noise.
 
-Two attacks from the paper's narrative are demonstrated:
-
-1. the *averaging attack* against naive fresh-noise repetition (Section 2.4's
-   motivation for memoization): the attacker's accuracy grows with the number
-   of observed reports;
-2. the *data-change detection attack* against dBitFlipPM (Table 2): without
-   an instantaneous round, the utility-oriented configuration (d = b) exposes
-   every bucket change, while LOLOHA's double randomization hides changes.
+The *data-change detection attack* against dBitFlipPM (Table 2 in
+miniature): without an instantaneous round, the utility-oriented
+configuration (d = b) exposes every bucket change, while LOLOHA's double
+randomization hides changes.
 
 Run with:  python examples/attack_analysis.py
 """
 
-from repro.attacks import averaging_attack_accuracy, change_detection_rate
+from repro.attacks import change_detection_rate
 from repro.datasets import make_syn
 from repro.experiments.report import format_table
 
 
 def main() -> None:
-    # ---------------------------------------------------------------- #
-    # 1. Averaging attack against fresh-noise GRR repetition.
-    # ---------------------------------------------------------------- #
-    print("Averaging attack against fresh-noise GRR (k=50, eps=1.0):")
-    rows = []
-    for n_reports in (1, 10, 50, 200):
-        result = averaging_attack_accuracy(
-            k=50, epsilon=1.0, n_reports=n_reports, n_victims=500, rng=0
-        )
-        rows.append(
-            {
-                "reports observed": n_reports,
-                "attacker accuracy": result.accuracy,
-                "single-report baseline": result.baseline_accuracy,
-            }
-        )
-    print(format_table(rows))
-    print("-> without memoization the attacker recovers the value almost surely.\n")
-
-    # ---------------------------------------------------------------- #
-    # 2. Change detection against dBitFlipPM (Table 2 in miniature).
-    # ---------------------------------------------------------------- #
     dataset = make_syn(n_users=2_000, n_rounds=40, rng=1)
     print(f"Change-detection attack on dBitFlipPM (Syn-like, k={dataset.k}, "
           f"n={dataset.n_users}, tau={dataset.n_rounds}):")

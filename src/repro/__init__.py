@@ -3,16 +3,15 @@ Differential Privacy" (LOLOHA, EDBT 2023).
 
 The package is organized in layers:
 
-* :mod:`repro.hashing` — universal hash families (substrate for local hashing).
-* :mod:`repro.freq_oneshot` — one-shot LDP frequency oracles (GRR, SUE/OUE,
-  BLH/OLH), the building blocks of Section 2.3.
+* :mod:`repro.hashing` — universal hash families (LOLOHA's local hashing).
+* :mod:`repro.freq_oneshot` — one-shot LDP frequency oracles (GRR, SUE/OUE),
+  the building blocks of Section 2.3.
 * :mod:`repro.longitudinal` — memoization-based longitudinal protocols:
   L-GRR, RAPPOR (L-SUE), L-OSUE, L-OUE, L-SOUE, dBitFlipPM and the paper's
   contribution, LOLOHA (BiLOLOHA / OLOLOHA).
-* :mod:`repro.analysis` — closed-form variances, optimal-``g`` selection,
-  utility bounds and the theoretical protocol comparison of Table 1.
-* :mod:`repro.attacks` — the data-change detection attack of Table 2 and the
-  averaging attack motivating memoization.
+* :mod:`repro.analysis` — closed-form variances (Figure 2) and the
+  theoretical protocol comparison of Table 1.
+* :mod:`repro.attacks` — the data-change detection attack of Table 2.
 * :mod:`repro.datasets` — the four evaluation workloads (Syn, Adult, DB_MT,
   DB_DE) as reproducible synthetic generators.
 * :mod:`repro.simulation` — population simulation, longitudinal collection
@@ -46,10 +45,9 @@ from .exceptions import (
     EncodingError,
     ExperimentError,
     ParameterError,
-    PrivacyAccountingError,
     ReproError,
 )
-from .freq_oneshot import BLH, GRR, OLH, OUE, SUE, LocalHashing, UnaryEncoding
+from .freq_oneshot import GRR, OUE, SUE, UnaryEncoding
 from .longitudinal import (
     LGRR,
     LOLOHA,
@@ -62,7 +60,6 @@ from .longitudinal import (
     DBitFlipPM,
     LongitudinalProtocol,
     OLOLOHA,
-    PrivacyOdometer,
     optimal_g,
     optimal_g_numeric,
 )
@@ -94,7 +91,6 @@ __all__ = [
     "DomainError",
     "EncodingError",
     "AggregationError",
-    "PrivacyAccountingError",
     "DatasetError",
     "ExperimentError",
     # One-shot oracles
@@ -102,9 +98,6 @@ __all__ = [
     "SUE",
     "OUE",
     "UnaryEncoding",
-    "BLH",
-    "OLH",
-    "LocalHashing",
     # Longitudinal protocols
     "LongitudinalProtocol",
     "LGRR",
@@ -117,7 +110,6 @@ __all__ = [
     "LOLOHA",
     "BiLOLOHA",
     "OLOLOHA",
-    "PrivacyOdometer",
     "optimal_g",
     "optimal_g_numeric",
     # Declarative construction API + service façade

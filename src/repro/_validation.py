@@ -9,6 +9,7 @@ configuration mistakes.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Optional, Sequence
 
 import numpy as np
@@ -17,11 +18,9 @@ from .exceptions import DomainError, ParameterError
 
 __all__ = [
     "require_positive",
-    "require_non_negative",
     "require_probability",
     "require_int_at_least",
     "require_distinct",
-    "require_in_range",
     "require_epsilon",
     "require_epsilon_pair",
     "require_domain_size",
@@ -31,22 +30,24 @@ __all__ = [
 ]
 
 
+def _require_real(value: object, name: str) -> None:
+    """Refuse anything but a real number: ``str``, ``bool`` and ``None`` are
+    not coerced (a spec file's ``"2"`` or ``true`` is a mistake, not a 2.0)."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ParameterError(f"{name} must be a real number, got {type(value).__name__}")
+
+
 def require_positive(value: float, name: str) -> float:
-    """Return ``value`` if it is a finite number strictly greater than zero."""
+    """Return ``value`` if it is a finite real number strictly greater than zero."""
+    _require_real(value, name)
     if not math.isfinite(value) or value <= 0:
         raise ParameterError(f"{name} must be a finite positive number, got {value!r}")
     return float(value)
 
 
-def require_non_negative(value: float, name: str) -> float:
-    """Return ``value`` if it is a finite number greater than or equal to zero."""
-    if not math.isfinite(value) or value < 0:
-        raise ParameterError(f"{name} must be a finite non-negative number, got {value!r}")
-    return float(value)
-
-
 def require_probability(value: float, name: str, *, inclusive: bool = True) -> float:
     """Return ``value`` if it lies in ``[0, 1]`` (or ``(0, 1)`` when not inclusive)."""
+    _require_real(value, name)
     if not math.isfinite(value):
         raise ParameterError(f"{name} must be a finite probability, got {value!r}")
     if inclusive:
@@ -74,13 +75,6 @@ def require_distinct(values: Sequence[object], name: str) -> None:
         if value in seen:
             raise ParameterError(f"{name} repeats the value {value!r}")
         seen.add(value)
-
-
-def require_in_range(value: float, low: float, high: float, name: str) -> float:
-    """Return ``value`` if ``low <= value <= high``."""
-    if not math.isfinite(value) or not (low <= value <= high):
-        raise ParameterError(f"{name} must lie in [{low}, {high}], got {value!r}")
-    return float(value)
 
 
 def require_epsilon(epsilon: float, name: str = "epsilon") -> float:

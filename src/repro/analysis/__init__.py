@@ -1,21 +1,14 @@
-"""Theoretical analysis tools: variances, bounds and protocol comparison.
+"""Theoretical analysis tools: variances and protocol comparison.
 
 This package hosts the closed-form / numerical analysis used by Section 4 of
 the paper:
 
 * :mod:`repro.analysis.variances` — approximate variance V* (Eq. 5) for every
   protocol as a function of ``(eps_inf, alpha, n, k)``; used by Figure 2.
-* :mod:`repro.analysis.bounds` — the high-probability utility bound of
-  Proposition 3.6 and the impossibility argument of Theorem 3.1.
 * :mod:`repro.analysis.comparison` — the Table 1 comparison (communication
   bits, server run-time complexity, worst-case budget consumption).
 """
 
-from .bounds import (
-    estimation_error_bound,
-    minimum_users_for_error,
-    sequential_composition_budget,
-)
 from .comparison import ProtocolSummary, theoretical_comparison_table
 from .variances import (
     PROTOCOL_VARIANCE_FUNCTIONS,
@@ -24,9 +17,6 @@ from .variances import (
 )
 
 __all__ = [
-    "estimation_error_bound",
-    "minimum_users_for_error",
-    "sequential_composition_budget",
     "ProtocolSummary",
     "theoretical_comparison_table",
     "PROTOCOL_VARIANCE_FUNCTIONS",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
 from .._validation import require_domain_size, require_epsilon, require_int_at_least
 from ..exceptions import ParameterError
@@ -124,18 +124,3 @@ def theoretical_comparison_table(
         ),
     ]
     return rows
-
-
-def comparison_as_dicts(rows: Sequence[ProtocolSummary]) -> List[Dict[str, object]]:
-    """Convert :class:`ProtocolSummary` rows to plain dictionaries (for CSV export)."""
-    return [
-        {
-            "protocol": row.protocol,
-            "communication_bits": row.communication_bits,
-            "server_complexity": row.server_complexity,
-            "server_operations": row.server_operations,
-            "budget_factor": row.budget_factor,
-            "worst_case_budget": row.worst_case_budget,
-        }
-        for row in rows
-    ]

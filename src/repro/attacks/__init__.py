@@ -1,22 +1,14 @@
-"""Adversarial analyses of longitudinal LDP protocols.
+"""Adversarial analysis of longitudinal LDP protocols.
 
 * :mod:`repro.attacks.change_detection` — the data-change detection attack on
   dBitFlipPM quantified in Table 2 of the paper: because dBitFlipPM has no
   instantaneous round, a change of bucket usually changes the (memoized)
   report, and the server can locate every change point of a user.
-* :mod:`repro.attacks.averaging` — the averaging attack that motivates
-  memoization: repeating an LDP protocol with fresh noise lets the server
-  estimate a *single user's* value arbitrarily well as the number of reports
-  grows.
 """
 
-from .averaging import AveragingAttackResult, averaging_attack_accuracy
-from .change_detection import ChangeDetectionResult, change_detection_rate, detect_user_changes
+from .change_detection import ChangeDetectionResult, change_detection_rate
 
 __all__ = [
     "ChangeDetectionResult",
     "change_detection_rate",
-    "detect_user_changes",
-    "AveragingAttackResult",
-    "averaging_attack_accuracy",
 ]

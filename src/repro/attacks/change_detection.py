@@ -22,12 +22,11 @@ import numpy as np
 
 from .._validation import as_rng
 from ..datasets.base import LongitudinalDataset
-from ..exceptions import ExperimentError
 from ..longitudinal.dbitflip import DBitFlipPM
 from ..rng import RngLike
 from ..simulation.engines import DBitFlipEngine
 
-__all__ = ["ChangeDetectionResult", "detect_user_changes", "change_detection_rate"]
+__all__ = ["ChangeDetectionResult", "change_detection_rate"]
 
 
 @dataclass(frozen=True)
@@ -55,36 +54,6 @@ class ChangeDetectionResult:
     eps_inf: float
     d: int
     b: int
-
-
-def detect_user_changes(
-    true_buckets: np.ndarray, observed_keys: np.ndarray, memo_equal: np.ndarray
-) -> bool:
-    """Whether every true bucket change of one user is visible to the attacker.
-
-    Parameters
-    ----------
-    true_buckets:
-        The user's true bucket sequence of length ``tau``.
-    observed_keys:
-        The memoization keys used at each round (same length).
-    memo_equal:
-        Boolean matrix where ``memo_equal[i, j]`` says whether the memoized
-        responses of keys ``i`` and ``j`` are identical.
-
-    Returns ``True`` when, at every round where the true bucket differs from
-    the previous round, the reported (memoized) response also differs.
-    """
-    true_buckets = np.asarray(true_buckets)
-    observed_keys = np.asarray(observed_keys)
-    if true_buckets.shape != observed_keys.shape:
-        raise ExperimentError("true_buckets and observed_keys must have the same length")
-    changes = np.nonzero(true_buckets[1:] != true_buckets[:-1])[0] + 1
-    if changes.size == 0:
-        return False
-    previous_keys = observed_keys[changes - 1]
-    current_keys = observed_keys[changes]
-    return bool(np.all(~memo_equal[previous_keys, current_keys]))
 
 
 def change_detection_rate(

@@ -17,7 +17,8 @@ Four longitudinal datasets are provided as reproducible synthetic generators:
 Because this environment has no network access, the two real datasets are
 replaced by synthetic populations with matching shape parameters (domain
 size, population size, number of rounds, marginal skew and per-round change
-behaviour); see DESIGN.md §3 for the substitution rationale.
+behaviour).  Frequency-estimation error depends on the population only
+through these, so the substitution preserves each experiment's behaviour.
 """
 
 from .base import LongitudinalDataset

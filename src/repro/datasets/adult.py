@@ -11,8 +11,7 @@ synthesizes a population whose ``hours-per-week`` marginal matches the
 well-known shape of the Adult attribute: a dominant mode at 40 hours,
 secondary modes at 50 / 45 / 60 / 35 / 20 / 30 hours, and a long, thin tail
 over the remaining values.  Only the marginal matters for frequency
-estimation error, so this substitution preserves the experiment's behaviour
-(DESIGN.md §3).
+estimation error, so this substitution preserves the experiment's behaviour.
 """
 
 from __future__ import annotations

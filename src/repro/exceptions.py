@@ -3,8 +3,7 @@
 All library-specific errors derive from :class:`ReproError` so that callers can
 catch a single base class.  Errors are deliberately fine grained: parameter
 errors raised during protocol construction are distinct from runtime errors
-raised while sanitizing or aggregating reports, which in turn are distinct from
-privacy-accounting violations.
+raised while sanitizing or aggregating reports.
 """
 
 from __future__ import annotations
@@ -41,15 +40,6 @@ class AggregationError(ReproError):
     Typical causes: aggregating an empty report set, mixing reports produced
     by clients configured with different parameters, or estimating
     frequencies before any report was collected.
-    """
-
-
-class PrivacyAccountingError(ReproError):
-    """The privacy accountant was used inconsistently.
-
-    Raised when budget is charged for an unknown user, when an accountant is
-    finalized twice, or when a realized budget would exceed the declared
-    worst-case bound (which would indicate an implementation bug).
     """
 
 

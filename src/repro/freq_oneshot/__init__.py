@@ -1,10 +1,11 @@
 """One-shot (single collection) LDP frequency-estimation oracles.
 
 These are the building blocks reviewed in Section 2.3 of the paper: Generalized
-Randomized Response (GRR), Unary Encoding (SUE / OUE) and Local Hashing
-(BLH / OLH).  The longitudinal protocols in :mod:`repro.longitudinal` chain two
-of these primitives (a permanent and an instantaneous round) to obtain
-memoization-based longitudinal guarantees.
+Randomized Response (GRR) and Unary Encoding (SUE / OUE).  The longitudinal
+protocols in :mod:`repro.longitudinal` chain two of these primitives (a
+permanent and an instantaneous round) to obtain memoization-based
+longitudinal guarantees; LOLOHA's local hashing step draws its hash
+functions from :mod:`repro.hashing` directly.
 
 Every oracle follows the same life cycle::
 
@@ -25,14 +26,8 @@ from .base import (
     unbiased_estimate,
 )
 from .grr import GRR
-from .local_hashing import BLH, OLH, LocalHashing, optimal_lh_g
 from .unary_encoding import OUE, SUE, UnaryEncoding
-from .histogram import (
-    clip_and_normalize,
-    estimate_with_postprocessing,
-    normalize_non_negative,
-    project_onto_simplex,
-)
+from .histogram import clip_and_normalize, project_onto_simplex
 
 __all__ = [
     "FrequencyOracle",
@@ -45,12 +40,6 @@ __all__ = [
     "UnaryEncoding",
     "SUE",
     "OUE",
-    "LocalHashing",
-    "BLH",
-    "OLH",
-    "optimal_lh_g",
     "clip_and_normalize",
     "project_onto_simplex",
-    "normalize_non_negative",
-    "estimate_with_postprocessing",
 ]

@@ -8,18 +8,13 @@ variance and the paper's metrics are computed on the raw unbiased estimates.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Sequence
-
 import numpy as np
 
 from ..exceptions import ParameterError
 
 __all__ = [
     "clip_and_normalize",
-    "normalize_non_negative",
     "project_onto_simplex",
-    "estimate_with_postprocessing",
-    "POSTPROCESSORS",
 ]
 
 
@@ -34,16 +29,6 @@ def clip_and_normalize(frequencies: np.ndarray) -> np.ndarray:
     if total <= 0:
         return np.full_like(clipped, 1.0 / clipped.size)
     return clipped / total
-
-
-def normalize_non_negative(frequencies: np.ndarray) -> np.ndarray:
-    """Additively shift so the minimum is zero, then rescale to sum to one."""
-    values = np.asarray(frequencies, dtype=np.float64)
-    shifted = values - min(values.min(), 0.0)
-    total = shifted.sum()
-    if total <= 0:
-        return np.full_like(shifted, 1.0 / shifted.size)
-    return shifted / total
 
 
 def project_onto_simplex(frequencies: np.ndarray) -> np.ndarray:
@@ -63,26 +48,3 @@ def project_onto_simplex(frequencies: np.ndarray) -> np.ndarray:
     rho = np.nonzero(candidate > 0)[0][-1]
     theta = cumulative[rho] / (rho + 1.0)
     return np.clip(values - theta, 0.0, None)
-
-
-#: Registry of named post-processors accepted by experiment configurations.
-POSTPROCESSORS: Dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "none": lambda f: np.asarray(f, dtype=np.float64),
-    "clip": clip_and_normalize,
-    "shift": normalize_non_negative,
-    "simplex": project_onto_simplex,
-}
-
-
-def estimate_with_postprocessing(
-    raw_estimate: np.ndarray, method: str = "none"
-) -> np.ndarray:
-    """Apply a named post-processing method to a raw unbiased estimate."""
-    try:
-        processor = POSTPROCESSORS[method]
-    except KeyError:
-        known = ", ".join(sorted(POSTPROCESSORS))
-        raise ParameterError(
-            f"unknown post-processing method {method!r}; known methods: {known}"
-        ) from None
-    return processor(raw_estimate)

@@ -3,8 +3,7 @@
 Local hashing (LH) protocols — and therefore LOLOHA — rely on a *universal*
 family of hash functions ``H : [0..k) -> [0..g)``: for any two distinct inputs
 the collision probability over the random choice of the function is at most
-``1/g``.  This package provides several interchangeable families plus
-diagnostics that empirically verify universality and output uniformity.
+``1/g``.  This package provides several interchangeable families.
 
 Public API
 ----------
@@ -21,8 +20,6 @@ Public API
 ``BlakeHashFamily``
     Seeded cryptographic (BLAKE2b) hashing, mirroring the seeded xxhash used
     by the reference LOLOHA / pure-LDP implementations.
-``collision_rate``, ``empirical_universality``, ``uniformity_chi_square``
-    Diagnostics from :mod:`repro.hashing.analysis`.
 """
 
 from .families import (
@@ -34,12 +31,6 @@ from .families import (
     UniversalHashFamily,
     family_from_name,
 )
-from .analysis import (
-    collision_rate,
-    empirical_universality,
-    hashed_domain_histogram,
-    uniformity_chi_square,
-)
 
 __all__ = [
     "HashFunction",
@@ -49,8 +40,4 @@ __all__ = [
     "TabulationHashFamily",
     "BlakeHashFamily",
     "family_from_name",
-    "collision_rate",
-    "empirical_universality",
-    "hashed_domain_histogram",
-    "uniformity_chi_square",
 ]

@@ -14,15 +14,13 @@ All double-randomization protocols share the chained parameterization of
 :mod:`repro.longitudinal.parameters` (``p1, q1`` permanent / ``p2, q2``
 instantaneous), the longitudinal estimator of Eq. (3), and the exact /
 approximate variances of Eq. (4) / Eq. (5) in
-:mod:`repro.longitudinal.variance`.  Longitudinal privacy consumption can be
-tracked per user, key by key, with
-:class:`repro.longitudinal.budget.PrivacyOdometer`; the simulations' ``eps_avg``
-comes from the engines' memo counts instead (see
+:mod:`repro.longitudinal.variance`.  A user's longitudinal privacy
+consumption is ``eps_inf`` per distinct memoized key; the simulations'
+``eps_avg`` comes from the engines' memo counts (see
 :mod:`repro.simulation.metrics`).
 """
 
 from .base import LongitudinalClient, LongitudinalProtocol, RoundEstimate
-from .budget import PrivacyOdometer, realized_budget_curve
 from .dbitflip import DBitFlipPM, DBitFlipClient
 from .l_grr import LGRR
 from .l_ue import LOSUE, LOUE, LSOUE, LSUE, LongitudinalUnaryEncoding, RAPPOR
@@ -50,8 +48,6 @@ __all__ = [
     "LongitudinalClient",
     "RoundEstimate",
     "MemoizationTable",
-    "PrivacyOdometer",
-    "realized_budget_curve",
     "ChainedParameters",
     "l_grr_parameters",
     "l_sue_parameters",

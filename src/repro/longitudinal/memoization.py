@@ -3,8 +3,7 @@
 Memoization is the core defence against averaging attacks: the noisy version
 of each distinct input is generated exactly once and reused for every later
 report of that input.  The table also records the order in which keys were
-first memoized, which the privacy odometer uses to reconstruct the realized
-longitudinal budget over time.
+first memoized (a client's ``memoization_keys``).
 """
 
 from __future__ import annotations

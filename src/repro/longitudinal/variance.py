@@ -40,12 +40,17 @@ def exact_variance(params: ChainedParameters, n: int, f: float) -> float:
         Number of users.
     f:
         True frequency of the value whose estimator variance is evaluated.
+
+    ``gamma`` is the probability that one report supports the value:
+    ``p1 p2 + (1 - p1) q2`` for its holders, ``q1 p2 + (1 - q1) q2`` for
+    everyone else, so its ``f`` term is ``(p1 - q1)(p2 - q2)`` for every
+    chain, UE and GRR alike.
     """
     n = require_int_at_least(n, 1, "n")
     f = require_probability(f, "f")
     p1, q1 = params.p1, params.estimator_q1
     p2, q2 = params.p2, params.q2
-    gamma = f * (2.0 * p1 * p2 - 2.0 * p1 * q2 + 2.0 * q2 - 1.0) + p2 * q1 + q2 * (1.0 - q1)
+    gamma = f * (p1 - q1) * (p2 - q2) + p2 * q1 + q2 * (1.0 - q1)
     denominator = n * (p1 - q1) ** 2 * (p2 - q2) ** 2
     if denominator <= 0:
         raise ParameterError("estimator variance is undefined when p1 <= q1 or p2 <= q2")

@@ -9,11 +9,9 @@ one generator across logically independent actors.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Union
+from typing import List, Union
 
 import numpy as np
-
-from ._validation import as_rng
 
 RngLike = Union[None, int, np.random.Generator, np.random.SeedSequence]
 
@@ -21,9 +19,6 @@ __all__ = [
     "RngLike",
     "derive_seed_sequences",
     "derive_generators",
-    "spawn_child",
-    "stream_for",
-    "bit_generator_state",
 ]
 
 
@@ -59,40 +54,3 @@ def derive_generators(root: RngLike, count: int) -> List[np.random.Generator]:
     seed always yields the same list of generators.
     """
     return [np.random.default_rng(child) for child in derive_seed_sequences(root, count)]
-
-
-def spawn_child(rng: RngLike) -> np.random.Generator:
-    """Return a single independent child generator derived from ``rng``."""
-    return derive_generators(rng, 1)[0]
-
-
-def stream_for(root: RngLike, *labels: int) -> np.random.Generator:
-    """Return a generator keyed by a tuple of integer labels.
-
-    This is convenient for addressing a stable stream per ``(user, round)``
-    pair without materializing every stream up front::
-
-        rng = stream_for(seed, user_index, round_index)
-    """
-    if isinstance(root, np.random.Generator):
-        root_entropy = int(root.integers(0, 2**63 - 1))
-    elif isinstance(root, np.random.SeedSequence):
-        root_entropy = root.entropy if isinstance(root.entropy, int) else 0
-    elif root is None:
-        root_entropy = int(np.random.SeedSequence().entropy)
-    else:
-        root_entropy = int(root)
-    seq = np.random.SeedSequence([root_entropy, *[int(label) for label in labels]])
-    return np.random.default_rng(seq)
-
-
-def bit_generator_state(rng: RngLike) -> dict:
-    """Return a snapshot of the underlying bit-generator state (for debugging)."""
-    generator = as_rng(rng)
-    return generator.bit_generator.state
-
-
-def iter_seeds(root: RngLike, count: int) -> Iterator[int]:
-    """Yield ``count`` reproducible integer seeds derived from ``root``."""
-    for generator in derive_generators(root, count):
-        yield int(generator.integers(0, 2**31 - 1))

@@ -73,7 +73,6 @@ _EXPORTS = {
     "mse_per_round": ".metrics",
     "averaged_mse": ".metrics",
     "averaged_longitudinal_privacy_loss": ".metrics",
-    "worst_case_privacy_loss": ".metrics",
     # runner
     "SimulationResult": ".runner",
     "ShardTask": ".runner",
@@ -144,7 +143,6 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
         averaged_longitudinal_privacy_loss,
         averaged_mse,
         mse_per_round,
-        worst_case_privacy_loss,
     )
     from .runner import (
         ShardTask,

@@ -20,7 +20,6 @@ __all__ = [
     "mse_per_round",
     "averaged_mse",
     "averaged_longitudinal_privacy_loss",
-    "worst_case_privacy_loss",
 ]
 
 
@@ -66,11 +65,3 @@ def averaged_longitudinal_privacy_loss(
     if counts.min() < 0:
         raise ExperimentError("memoization counts must be non-negative")
     return float(eps_inf * counts.mean())
-
-
-def worst_case_privacy_loss(budget_domain_size: int, eps_inf: float) -> float:
-    """Worst-case longitudinal loss: ``budget_domain_size * eps_inf`` (Table 1)."""
-    eps_inf = require_epsilon(eps_inf, "eps_inf")
-    if budget_domain_size < 1:
-        raise ExperimentError("budget_domain_size must be at least 1")
-    return budget_domain_size * eps_inf

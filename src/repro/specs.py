@@ -41,7 +41,12 @@ from pathlib import Path
 from typing import Dict, Mapping, Optional, Tuple, Union
 
 from ._atomicio import atomic_write_text
-from ._validation import require_distinct, require_int_at_least, require_positive
+from ._validation import (
+    require_distinct,
+    require_int_at_least,
+    require_positive,
+    require_probability,
+)
 from .exceptions import ParameterError
 
 __all__ = [
@@ -126,24 +131,22 @@ class ProtocolSpec:
             require_int_at_least(self.k, 2, "k")
             object.__setattr__(self, "k", int(self.k))
         if self.eps_inf is not None:
-            require_positive(self.eps_inf, "eps_inf")
-            object.__setattr__(self, "eps_inf", float(self.eps_inf))
+            object.__setattr__(self, "eps_inf", require_positive(self.eps_inf, "eps_inf"))
         if self.alpha is not None and self.eps_1 is not None:
             raise ParameterError(
                 "alpha and eps_1 are mutually exclusive; give one of them"
             )
         if self.alpha is not None:
-            if not 0.0 < float(self.alpha) < 1.0:
-                raise ParameterError(f"alpha must lie in (0, 1), got {self.alpha}")
-            object.__setattr__(self, "alpha", float(self.alpha))
+            alpha = require_probability(self.alpha, "alpha", inclusive=False)
+            object.__setattr__(self, "alpha", alpha)
         if self.eps_1 is not None:
-            require_positive(self.eps_1, "eps_1")
-            if self.eps_inf is not None and float(self.eps_1) > self.eps_inf:
+            eps_1 = require_positive(self.eps_1, "eps_1")
+            if self.eps_inf is not None and eps_1 > self.eps_inf:
                 raise ParameterError(
                     f"eps_1 must not exceed eps_inf, got eps_1={self.eps_1}, "
                     f"eps_inf={self.eps_inf}"
                 )
-            object.__setattr__(self, "eps_1", float(self.eps_1))
+            object.__setattr__(self, "eps_1", eps_1)
         if self.label is not None and (not isinstance(self.label, str) or not self.label):
             raise ParameterError("label must be a non-empty string or None")
         object.__setattr__(self, "params", _require_json_scalar_params(self.params))
@@ -315,17 +318,14 @@ class SweepSpec:
                 f"disambiguate with 'label'"
             )
         object.__setattr__(self, "protocols", protocols)
-        eps_values = tuple(float(e) for e in self.eps_inf_values)
-        alpha_values = tuple(float(a) for a in self.alpha_values)
+        eps_values = tuple(require_positive(e, "eps_inf") for e in self.eps_inf_values)
+        alpha_values = tuple(
+            require_probability(a, "alpha", inclusive=False) for a in self.alpha_values
+        )
         if not eps_values or not alpha_values:
             raise ParameterError("the privacy grid must be non-empty")
-        for eps in eps_values:
-            require_positive(eps, "eps_inf")
         require_distinct(eps_values, "eps_inf_values")
         require_distinct(alpha_values, "alpha_values")
-        for alpha in alpha_values:
-            if not 0.0 < alpha < 1.0:
-                raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
         object.__setattr__(self, "eps_inf_values", eps_values)
         object.__setattr__(self, "alpha_values", alpha_values)
         datasets = tuple(str(d) for d in self.datasets)
@@ -335,6 +335,7 @@ class SweepSpec:
         object.__setattr__(self, "datasets", datasets)
         require_int_at_least(self.n_runs, 1, "n_runs")
         require_positive(self.dataset_scale, "dataset_scale")
+        require_int_at_least(self.seed, 0, "seed")
         require_int_at_least(self.n_workers, 1, "n_workers")
         if not isinstance(self.name, str) or not self.name:
             raise ParameterError("sweep name must be a non-empty string")
@@ -386,6 +387,11 @@ class SweepSpec:
         for required in ("protocols", "eps_inf_values", "alpha_values"):
             if required not in payload:
                 raise ParameterError(f"a sweep spec requires a {required!r} field")
+        for listed in ("protocols", "eps_inf_values", "alpha_values", "datasets"):
+            if listed in payload and not isinstance(payload[listed], (list, tuple)):
+                raise ParameterError(
+                    f"{listed} must be a list, got {type(payload[listed]).__name__}"
+                )
         kwargs: Dict[str, object] = {
             "protocols": tuple(
                 ProtocolSpec.from_dict(entry) for entry in payload["protocols"]

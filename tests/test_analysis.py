@@ -1,58 +1,14 @@
-"""Tests for the theoretical-analysis package (bounds, comparison, variances)."""
+"""Tests for the theoretical-analysis package (comparison, variances)."""
 
-import math
-
-import numpy as np
 import pytest
 
 from repro.analysis import (
     PROTOCOL_VARIANCE_FUNCTIONS,
     approximate_variance_for,
-    estimation_error_bound,
-    minimum_users_for_error,
-    sequential_composition_budget,
     theoretical_comparison_table,
     variance_comparison_grid,
 )
-from repro.analysis.bounds import rounds_until_budget_exceeded
-from repro.analysis.comparison import comparison_as_dicts
 from repro.exceptions import ParameterError
-from repro.longitudinal.parameters import l_osue_parameters, loloha_parameters
-
-
-class TestBounds:
-    def test_error_bound_decreases_with_n(self):
-        params = l_osue_parameters(2.0, 1.0)
-        loose = estimation_error_bound(params, n=100, k=10, beta=0.05)
-        tight = estimation_error_bound(params, n=10_000, k=10, beta=0.05)
-        assert tight < loose
-
-    def test_error_bound_matches_proposition_formula(self):
-        params = loloha_parameters(2.0, 1.0, 4)
-        n, k, beta = 5000, 20, 0.1
-        gap = (params.p1 - params.estimator_q1) * (params.p2 - params.q2)
-        expected = math.sqrt(k / (4 * n * beta * gap))
-        assert estimation_error_bound(params, n, k, beta) == pytest.approx(expected)
-
-    def test_minimum_users_inverts_the_bound(self):
-        params = l_osue_parameters(2.0, 1.0)
-        target = 0.05
-        n = minimum_users_for_error(params, k=10, beta=0.1, target_error=target)
-        achieved = estimation_error_bound(params, n=n, k=10, beta=0.1)
-        assert achieved <= target * 1.01
-
-    def test_minimum_users_rejects_non_positive_target(self):
-        params = l_osue_parameters(2.0, 1.0)
-        with pytest.raises(ParameterError):
-            minimum_users_for_error(params, k=10, beta=0.1, target_error=0.0)
-
-    def test_sequential_composition_is_linear(self):
-        assert sequential_composition_budget(0.5, 10) == pytest.approx(5.0)
-        assert sequential_composition_budget(0.5, 0) == 0.0
-
-    def test_rounds_until_budget_exceeded(self):
-        assert rounds_until_budget_exceeded(1.0, 0.1) == 10
-        assert rounds_until_budget_exceeded(1.0, 0.3) == 4
 
 
 class TestComparisonTable:
@@ -90,12 +46,6 @@ class TestComparisonTable:
     def test_rejects_d_above_b(self):
         with pytest.raises(ParameterError):
             theoretical_comparison_table(k=100, eps_inf=2.0, n=1000, b=5, d=6)
-
-    def test_rows_convertible_to_dicts(self):
-        rows = theoretical_comparison_table(k=10, eps_inf=1.0, n=100)
-        dicts = comparison_as_dicts(rows)
-        assert len(dicts) == len(rows)
-        assert all("worst_case_budget" in d for d in dicts)
 
 
 class TestVarianceComparison:

@@ -414,6 +414,46 @@ class TestSweepCommand:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("eps_inf_values", ["abc"], "eps_inf must be a real number, got str"),
+            ("alpha_values", [None], "alpha must be a real number, got NoneType"),
+            ("eps_inf_values", ["2"], "eps_inf must be a real number, got str"),
+            ("eps_inf_values", [True], "eps_inf must be a real number, got bool"),
+            ("dataset_scale", "0.02", "dataset_scale must be a real number, got str"),
+            ("protocol.eps_inf", "2", "eps_inf must be a real number, got str"),
+            ("protocol.alpha", "0.5", "alpha must be a real number, got str"),
+            ("eps_inf_values", 2.0, "eps_inf_values must be a list, got float"),
+            ("datasets", "syn", "datasets must be a list, got str"),
+            ("seed", True, "seed must be an integer, got bool"),
+        ],
+        ids=[
+            "eps-str", "alpha-null", "eps-numeric-str", "eps-bool", "scale-str",
+            "protocol-eps-str", "protocol-alpha-str", "eps-scalar", "datasets-str",
+            "seed-bool",
+        ],
+    )
+    def test_non_real_spec_numbers_answer_error_line_and_exit_2(
+        self, capsys, tmp_path, write_sweep_grid, field, value, message
+    ):
+        """A string, boolean or null where the spec takes a number, or a
+        scalar where it takes a list, is refused: neither coerced (``"2"``
+        used to run as 2.0, ``"syn"`` as the datasets s, y, n) nor a
+        traceback."""
+        payload = json.loads(write_sweep_grid().read_text())
+        if field.startswith("protocol."):
+            payload["protocols"][0][field.split(".", 1)[1]] = value
+        else:
+            payload[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "o"
+        code = main(["sweep", "--spec", str(bad), "--output-dir", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.rglob("*.csv"))
+
 
 class TestQueryCli:
     """`query` over the CSVs a `sweep` wrote."""

@@ -1,8 +1,9 @@
 """Smoke tests for the runnable examples.
 
-The quickstarts are executed end to end (they are fast); the heavier scenario
-examples are compiled and their ``main`` entry points imported, which catches
-API drift without paying their full simulation cost in the unit-test suite.
+The quickstart and the attack analysis are executed end to end (they are
+fast); the heavier scenario examples are compiled and their ``main`` entry
+points imported, which catches API drift without paying their full simulation
+cost in the unit-test suite.
 """
 
 import importlib.util
@@ -59,3 +60,13 @@ class TestExamples:
         stdout = _run_example("quickstart.py")
         assert "MSE averaged" in stdout
         assert "realized longitudinal budget" in stdout
+
+    def test_attack_analysis_runs_end_to_end(self):
+        """Table 2 in miniature: the utility-oriented d = b configuration
+        exposes more users' change points than d = 1 at every eps_inf."""
+        lines = _run_example("attack_analysis.py").splitlines()
+        header = lines.index("eps_inf  d=1 detected  d=b detected")
+        rows = [line.split() for line in lines[header + 2:] if line[:1].isdigit()]
+        assert len(rows) == 3, lines
+        for eps_inf, d1, db in rows:
+            assert float(db.rstrip("%")) > float(d1.rstrip("%")), (eps_inf, d1, db)

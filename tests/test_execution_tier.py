@@ -184,7 +184,7 @@ class TestRoundWindows:
         self, protocol_factory, tiny_dataset
     ):
         """simulate_protocol (window-batched) == hand-driven per-round loop."""
-        from repro.rng import as_rng
+        from repro._validation import as_rng
         from repro.simulation.sinks import SupportCountSink
 
         protocol = protocol_factory(tiny_dataset.k)
@@ -207,7 +207,7 @@ class TestRoundWindows:
         assert np.array_equal(result.estimates, sink.estimates(engine.protocol))
 
     def test_window_driver_adds_each_round_once_in_order(self, tiny_dataset):
-        from repro.rng import as_rng
+        from repro._validation import as_rng
         from repro.simulation.runner import _drive_windows
 
         class RecordingSink:

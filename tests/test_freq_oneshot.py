@@ -1,4 +1,4 @@
-"""Tests for the one-shot LDP frequency oracles (GRR, UE, LH)."""
+"""Tests for the one-shot LDP frequency oracles (GRR, UE)."""
 
 import math
 
@@ -9,20 +9,15 @@ from hypothesis import strategies as st
 
 from repro.exceptions import AggregationError, DomainError, EncodingError, ParameterError
 from repro.freq_oneshot import (
-    BLH,
     GRR,
-    OLH,
     OUE,
     SUE,
-    LocalHashing,
     UnaryEncoding,
     grr_parameters,
-    optimal_lh_g,
     oue_parameters,
     sue_parameters,
     unbiased_estimate,
 )
-from repro.freq_oneshot.local_hashing import LHReport
 
 
 class TestParameterDerivations:
@@ -137,40 +132,6 @@ class TestUnaryEncoding:
     def test_from_probabilities_recovers_epsilon(self):
         oracle = UnaryEncoding.from_probabilities(k=4, p=0.75, q=0.25)
         assert oracle.epsilon == pytest.approx(math.log(9.0))
-
-
-class TestLocalHashing:
-    def test_optimal_g_formula(self):
-        assert optimal_lh_g(1.0) == round(math.e + 1)
-        assert optimal_lh_g(0.1) >= 2
-
-    def test_report_structure(self, rng):
-        oracle = OLH(k=50, epsilon=1.0)
-        report = oracle.privatize(7, rng)
-        assert isinstance(report, LHReport)
-        assert 0 <= report.value < oracle.g
-
-    def test_blh_uses_binary_domain(self):
-        assert BLH(k=50, epsilon=1.0).g == 2
-
-    def test_estimation_is_unbiased(self):
-        oracle = OLH(k=10, epsilon=2.0)
-        rng = np.random.default_rng(3)
-        true = np.asarray([0.4, 0.2, 0.1] + [0.3 / 7] * 7)
-        values = rng.choice(10, size=8_000, p=true)
-        reports = oracle.privatize_batch(values, rng)
-        assert np.allclose(oracle.estimate_frequencies(reports), true, atol=0.05)
-
-    def test_mismatched_family_size_raises(self):
-        from repro.hashing import MultiplyShiftHashFamily
-
-        with pytest.raises(EncodingError):
-            LocalHashing(k=10, epsilon=1.0, g=4, family=MultiplyShiftHashFamily(3))
-
-    def test_support_counts_rejects_foreign_reports(self):
-        oracle = BLH(k=10, epsilon=1.0)
-        with pytest.raises(EncodingError):
-            oracle.support_counts([42])
 
 
 class TestPropertyBased:

@@ -1,5 +1,6 @@
-"""Tests for the universal hash families and their diagnostics."""
+"""Tests for the universal hash families."""
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -13,11 +14,7 @@ from repro.hashing import (
     MultiplyShiftHashFamily,
     PolynomialHashFamily,
     TabulationHashFamily,
-    collision_rate,
-    empirical_universality,
     family_from_name,
-    hashed_domain_histogram,
-    uniformity_chi_square,
 )
 from repro.hashing.families import (
     _MULTIPLY_SHIFT_BLOCK_BYTES,
@@ -144,43 +141,62 @@ class TestMultiplyShiftBatchDraw:
         assert peak < matrix.nbytes + 8 * 1024**2, peak
 
 
+#: Shape of the tables the statistical checks draw.  A tabulation member
+#: costs four 2^16-entry tables, so that family gets fewer rows.
+_STAT_G, _STAT_K = 4, 64
+_STAT_ROWS = {
+    MultiplyShiftHashFamily: 2000,
+    PolynomialHashFamily: 2000,
+    TabulationHashFamily: 100,
+    BlakeHashFamily: 2000,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _stat_table(family_cls):
+    """One ``sample_hashed_domains`` table per family, the LOLOHAEngine path."""
+    return family_cls(_STAT_G).sample_hashed_domains(_STAT_ROWS[family_cls], _STAT_K, rng=0)
+
+
+def _pair_collision_fractions(table, pairs):
+    """Fraction of a table's rows (sampled members) hashing each pair alike."""
+    return (table[:, pairs[:, 0]] == table[:, pairs[:, 1]]).mean(axis=0)
+
+
+def _binomial_sigma(family_cls):
+    bound = 1.0 / _STAT_G
+    return np.sqrt(bound * (1 - bound) / _STAT_ROWS[family_cls])
+
+
+@pytest.mark.parametrize("family_cls", ALL_FAMILIES)
 class TestUniversality:
-    @pytest.mark.parametrize("family_cls", [MultiplyShiftHashFamily, PolynomialHashFamily])
-    def test_empirical_universality_holds(self, family_cls):
-        family = family_cls(g=4)
-        report = empirical_universality(
-            family, k=64, n_functions=400, n_pairs=10, slack=4.0, rng=0
+    """Each row of ``sample_hashed_domains`` is an independently drawn member,
+    so over the rows a distinct pair collides at a rate of at most ``1/g``,
+    up to binomial sampling noise."""
+
+    def test_pair_collisions_within_inverse_g(self, family_cls):
+        generator = np.random.default_rng(1)
+        pairs = np.asarray(
+            [generator.choice(_STAT_K, size=2, replace=False) for _ in range(10)]
         )
-        assert report.satisfied, (
-            f"max pair collision rate {report.max_pair_collision_rate} exceeded "
-            f"bound {report.bound}"
-        )
+        rates = _pair_collision_fractions(_stat_table(family_cls), pairs)
+        threshold = 1.0 / _STAT_G + 4.0 * _binomial_sigma(family_cls)
+        assert rates.max() <= threshold, (rates, threshold)
 
-    def test_collision_rate_close_to_inverse_g(self):
-        family = MultiplyShiftHashFamily(g=2)
-        rate = collision_rate(family, 3, 17, n_functions=2000, rng=1)
-        assert 0.35 <= rate <= 0.65
-
-    def test_collision_rate_requires_distinct_values(self):
-        family = MultiplyShiftHashFamily(g=2)
-        with pytest.raises(ValueError):
-            collision_rate(family, 5, 5)
+    def test_fixed_pair_collides_near_inverse_g(self, family_cls):
+        (rate,) = _pair_collision_fractions(_stat_table(family_cls), np.asarray([[3, 17]]))
+        assert abs(rate - 1.0 / _STAT_G) <= 4.0 * _binomial_sigma(family_cls), rate
 
 
+@pytest.mark.parametrize("family_cls", ALL_FAMILIES)
 class TestUniformity:
-    def test_pooled_histogram_roughly_uniform(self):
-        family = MultiplyShiftHashFamily(g=8)
-        counts = hashed_domain_histogram(family, k=64, n_functions=200, rng=0)
-        statistic = uniformity_chi_square(counts)
-        # Degrees of freedom is 7; allow a generous multiple.
-        assert statistic < 20 * 7
-
-    def test_chi_square_of_empty_counts_is_zero(self):
-        assert uniformity_chi_square(np.zeros(4)) == 0.0
-
-    def test_chi_square_detects_gross_nonuniformity(self):
-        skewed = np.asarray([1000, 0, 0, 0])
-        assert uniformity_chi_square(skewed) > 100
+    def test_pooled_histogram_roughly_uniform(self, family_cls):
+        counts = np.bincount(_stat_table(family_cls).ravel(), minlength=_STAT_G)
+        expected = counts.sum() / _STAT_G
+        statistic = ((counts - expected) ** 2 / expected).sum()
+        # Pearson chi-square against uniform with g - 1 degrees of freedom;
+        # allow a generous multiple.
+        assert statistic < 20 * (_STAT_G - 1), counts
 
 
 class TestRegistry:

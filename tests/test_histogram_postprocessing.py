@@ -7,12 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.exceptions import ParameterError
-from repro.freq_oneshot import (
-    clip_and_normalize,
-    estimate_with_postprocessing,
-    normalize_non_negative,
-    project_onto_simplex,
-)
+from repro.freq_oneshot import clip_and_normalize, project_onto_simplex
 
 
 class TestClipAndNormalize:
@@ -28,17 +23,6 @@ class TestClipAndNormalize:
     def test_already_normalized_input_unchanged(self):
         values = np.asarray([0.25, 0.25, 0.5])
         assert np.allclose(clip_and_normalize(values), values)
-
-
-class TestNormalizeNonNegative:
-    def test_result_is_a_distribution(self):
-        result = normalize_non_negative(np.asarray([0.2, -0.3, 0.6]))
-        assert result.min() >= 0
-        assert result.sum() == pytest.approx(1.0)
-
-    def test_constant_input_becomes_uniform(self):
-        result = normalize_non_negative(np.zeros(5))
-        assert np.allclose(result, 0.2)
 
 
 class TestSimplexProjection:
@@ -72,19 +56,3 @@ class TestSimplexProjection:
         assert projected.sum() == pytest.approx(1.0, abs=1e-9)
         uniform = np.full_like(values, 1.0 / values.size)
         assert np.linalg.norm(projected - values) <= np.linalg.norm(uniform - values) + 1e-9
-
-
-class TestRegistry:
-    def test_named_methods_apply(self):
-        raw = np.asarray([0.7, -0.1, 0.4])
-        for method in ("none", "clip", "shift", "simplex"):
-            result = estimate_with_postprocessing(raw, method)
-            assert result.shape == raw.shape
-
-    def test_unknown_method_raises(self):
-        with pytest.raises(ParameterError):
-            estimate_with_postprocessing(np.asarray([0.5, 0.5]), "magic")
-
-    def test_none_returns_input_values(self):
-        raw = np.asarray([0.7, -0.1, 0.4])
-        assert np.allclose(estimate_with_postprocessing(raw, "none"), raw)

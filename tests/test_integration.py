@@ -6,6 +6,8 @@ persisted through the results store and summarized by the experiment report
 helpers — i.e. the same path the benchmark harness uses.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,25 @@ class TestPublicAPI:
 
         for name in repro.__all__:
             assert hasattr(repro, name), f"missing export {name}"
+
+    def test_one_shot_local_hashing_is_not_exported(self):
+        with pytest.raises(ImportError):
+            from repro import OLH  # noqa: F401
+
+    @pytest.mark.parametrize(
+        "module",
+        [
+            "repro.analysis.bounds",
+            "repro.hashing.analysis",
+            "repro.longitudinal.budget",
+            "repro.attacks.averaging",
+            "repro.freq_oneshot.local_hashing",
+        ],
+    )
+    def test_modules_no_artefact_reaches_are_gone(self, module):
+        """Each was reached only by its own tests; none came back as a shim."""
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
 
     def test_quickstart_docstring_flow(self):
         """The flow advertised in the package docstring works as written."""

@@ -1,10 +1,7 @@
-"""Tests for the memoization table and the longitudinal privacy odometer."""
+"""Tests for the memoization table."""
 
-import numpy as np
 import pytest
 
-from repro.exceptions import PrivacyAccountingError
-from repro.longitudinal import PrivacyOdometer, realized_budget_curve
 from repro.longitudinal.memoization import MemoizationTable
 
 
@@ -47,59 +44,3 @@ class TestMemoizationTable:
         snapshot["a"] = 99
         value, _ = table.get_or_create("a", lambda: 0)
         assert value == 1
-
-
-class TestPrivacyOdometer:
-    def test_charging_fresh_and_repeated_keys(self):
-        odometer = PrivacyOdometer(eps_inf=1.5)
-        assert odometer.charge("u1", "a") is True
-        assert odometer.charge("u1", "a") is False
-        assert odometer.charge("u1", "b") is True
-        assert odometer.distinct_keys("u1") == 2
-        assert odometer.realized_epsilon("u1") == pytest.approx(3.0)
-
-    def test_unknown_user_has_zero_budget(self):
-        odometer = PrivacyOdometer(eps_inf=1.0)
-        assert odometer.realized_epsilon("ghost") == 0.0
-
-    def test_worst_case_bound_enforced(self):
-        odometer = PrivacyOdometer(eps_inf=1.0, worst_case_keys=2)
-        odometer.charge("u", "a")
-        odometer.charge("u", "b")
-        with pytest.raises(PrivacyAccountingError):
-            odometer.charge("u", "c")
-
-    def test_worst_case_epsilon(self):
-        assert PrivacyOdometer(2.0, worst_case_keys=3).worst_case_epsilon() == 6.0
-        assert PrivacyOdometer(2.0).worst_case_epsilon() is None
-
-    def test_average_epsilon_over_population(self):
-        odometer = PrivacyOdometer(eps_inf=1.0)
-        odometer.charge("u1", "a")
-        odometer.charge("u2", "a")
-        odometer.charge("u2", "b")
-        assert odometer.average_epsilon() == pytest.approx(1.5)
-        # Including a user that never consumed budget lowers the average.
-        assert odometer.average_epsilon(["u1", "u2", "u3"]) == pytest.approx(1.0)
-
-    def test_average_of_empty_population_raises(self):
-        with pytest.raises(PrivacyAccountingError):
-            PrivacyOdometer(1.0).average_epsilon()
-
-    def test_realized_epsilon_by_round_is_cumulative(self):
-        odometer = PrivacyOdometer(eps_inf=2.0)
-        odometer.charge("u", "a", round_index=0)
-        odometer.charge("u", "b", round_index=3)
-        curve = odometer.realized_epsilon_by_round("u", 5)
-        assert list(curve) == [2.0, 2.0, 2.0, 4.0, 4.0]
-
-    def test_budget_curve_averages_users(self):
-        odometer = PrivacyOdometer(eps_inf=1.0)
-        odometer.charge("u1", "a", round_index=0)
-        odometer.charge("u2", "a", round_index=1)
-        curve = realized_budget_curve(odometer, ["u1", "u2"], 3)
-        assert list(curve) == [0.5, 1.0, 1.0]
-
-    def test_budget_curve_requires_users(self):
-        with pytest.raises(PrivacyAccountingError):
-            realized_budget_curve(PrivacyOdometer(1.0), [], 3)

@@ -1,16 +1,15 @@
-"""Tests for the evaluation metrics and the attack modules."""
+"""Tests for the evaluation metrics and the change-detection attack."""
 
 import numpy as np
 import pytest
 
-from repro.attacks import averaging_attack_accuracy, change_detection_rate, detect_user_changes
+from repro.attacks import change_detection_rate
 from repro.datasets import make_uniform_changing
 from repro.exceptions import ExperimentError
 from repro.simulation.metrics import (
     averaged_longitudinal_privacy_loss,
     averaged_mse,
     mse_per_round,
-    worst_case_privacy_loss,
 )
 
 
@@ -42,34 +41,6 @@ class TestMetrics:
     def test_privacy_loss_rejects_negative_counts(self):
         with pytest.raises(ExperimentError):
             averaged_longitudinal_privacy_loss([-1], 1.0)
-
-    def test_worst_case_privacy_loss(self):
-        assert worst_case_privacy_loss(5, 2.0) == 10.0
-        with pytest.raises(ExperimentError):
-            worst_case_privacy_loss(0, 2.0)
-
-
-class TestDetectUserChanges:
-    def test_all_changes_visible(self):
-        buckets = np.asarray([0, 0, 1, 1, 2])
-        keys = np.asarray([0, 0, 1, 1, 2])
-        memo_equal = np.eye(3, dtype=bool)  # distinct keys have distinct memos
-        assert detect_user_changes(buckets, keys, memo_equal) is True
-
-    def test_colliding_memo_hides_a_change(self):
-        buckets = np.asarray([0, 1])
-        keys = np.asarray([0, 1])
-        memo_equal = np.ones((2, 2), dtype=bool)  # memoized responses collide
-        assert detect_user_changes(buckets, keys, memo_equal) is False
-
-    def test_no_changes_returns_false(self):
-        buckets = np.asarray([3, 3, 3])
-        keys = np.asarray([0, 0, 0])
-        assert detect_user_changes(buckets, keys, np.eye(1, dtype=bool)) is False
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(ExperimentError):
-            detect_user_changes(np.asarray([0, 1]), np.asarray([0]), np.eye(2, dtype=bool))
 
 
 class TestChangeDetectionAttack:
@@ -112,22 +83,3 @@ class TestChangeDetectionAttack:
         result = change_detection_rate(changing_dataset, eps_inf=2.0, d=2, b=10, rng=3)
         assert result.b == 10
         assert result.d == 2
-
-
-class TestAveragingAttack:
-    def test_accuracy_grows_with_observations(self):
-        few = averaging_attack_accuracy(k=20, epsilon=1.0, n_reports=2, n_victims=300, rng=0)
-        many = averaging_attack_accuracy(k=20, epsilon=1.0, n_reports=200, n_victims=300, rng=0)
-        assert many.accuracy > few.accuracy
-        assert many.accuracy > 0.9
-
-    def test_single_report_close_to_keep_probability(self):
-        result = averaging_attack_accuracy(k=10, epsilon=1.0, n_reports=1, n_victims=2000, rng=1)
-        expected_p = np.exp(1.0) / (np.exp(1.0) + 9)
-        assert result.baseline_accuracy == pytest.approx(expected_p, abs=0.05)
-
-    def test_result_metadata(self):
-        result = averaging_attack_accuracy(k=5, epsilon=0.5, n_reports=3, n_victims=50, rng=2)
-        assert result.k == 5
-        assert result.epsilon == 0.5
-        assert result.n_reports == 3

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.rng import bit_generator_state, derive_generators, iter_seeds, spawn_child, stream_for
+from repro.rng import derive_generators
 
 
 class TestDeriveGenerators:
@@ -34,27 +34,3 @@ class TestDeriveGenerators:
     def test_accepts_existing_generator(self):
         generators = derive_generators(np.random.default_rng(0), 3)
         assert len(generators) == 3
-
-
-class TestStreamFor:
-    def test_same_labels_same_stream(self):
-        a = stream_for(9, 3, 4).integers(0, 10**9)
-        b = stream_for(9, 3, 4).integers(0, 10**9)
-        assert a == b
-
-    def test_different_labels_different_stream(self):
-        a = stream_for(9, 3, 4).integers(0, 10**9)
-        b = stream_for(9, 3, 5).integers(0, 10**9)
-        assert a != b
-
-
-class TestHelpers:
-    def test_spawn_child_returns_generator(self):
-        assert isinstance(spawn_child(1), np.random.Generator)
-
-    def test_iter_seeds_deterministic(self):
-        assert list(iter_seeds(3, 4)) == list(iter_seeds(3, 4))
-
-    def test_bit_generator_state_has_state_key(self):
-        state = bit_generator_state(0)
-        assert "state" in state

@@ -157,6 +157,19 @@ class TestSpecValidation:
                 ProtocolSpec(name="dBitFlipPM", k=8, eps_inf=1.0, params={"d": "all"})
             )
 
+    @pytest.mark.parametrize("field", ["eps_inf", "eps_1", "alpha"])
+    @pytest.mark.parametrize("value", ["0.5", True], ids=["str", "bool"])
+    def test_protocol_spec_refuses_non_real_numbers(self, field, value):
+        with pytest.raises(ParameterError, match=f"{field} must be a real number"):
+            ProtocolSpec(name="L-OSUE", **{field: value})
+
+    def test_protocol_spec_stores_numeric_scalars_as_floats(self):
+        spec = ProtocolSpec(
+            name="L-OSUE", k=np.int64(8), eps_inf=np.int64(2), eps_1=np.float32(0.5)
+        )
+        assert (spec.k, spec.eps_inf, spec.eps_1) == (8, 2.0, 0.5)
+        assert type(spec.eps_inf) is float and type(spec.eps_1) is float
+
 
 class TestSweepSpec:
     def _spec(self):
@@ -196,6 +209,22 @@ class TestSweepSpec:
                 eps_inf_values=(1.0,),
                 alpha_values=(0.5,),
             )
+
+    @pytest.mark.parametrize(
+        "field, name",
+        [
+            ("eps_inf_values", "eps_inf"),
+            ("alpha_values", "alpha"),
+            ("dataset_scale", "dataset_scale"),
+        ],
+    )
+    @pytest.mark.parametrize("value", ["0.5", True, None], ids=["str", "bool", "none"])
+    def test_non_real_grid_numbers_rejected(self, field, name, value):
+        """Each grid value and the dataset scale is refused, not coerced."""
+        kwargs = {"eps_inf_values": (1.0,), "alpha_values": (0.5,)}
+        kwargs[field] = (value,) if field.endswith("_values") else value
+        with pytest.raises(ParameterError, match=f"{name} must be a real number"):
+            SweepSpec(protocols=(ProtocolSpec(name="L-OSUE"),), **kwargs)
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ParameterError, match="not found"):

@@ -1,5 +1,7 @@
 """Unit tests for the internal validation helpers."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,7 @@ from repro._validation import (
     require_domain_size,
     require_epsilon,
     require_epsilon_pair,
-    require_in_range,
     require_int_at_least,
-    require_non_negative,
     require_positive,
     require_probability,
     validate_value_in_domain,
@@ -28,13 +28,6 @@ class TestScalarValidators:
         with pytest.raises(ParameterError):
             require_positive(value, "x")
 
-    def test_require_non_negative_accepts_zero(self):
-        assert require_non_negative(0.0, "x") == 0.0
-
-    def test_require_non_negative_rejects_negative(self):
-        with pytest.raises(ParameterError):
-            require_non_negative(-0.1, "x")
-
     def test_require_probability_inclusive_bounds(self):
         assert require_probability(0.0, "p") == 0.0
         assert require_probability(1.0, "p") == 1.0
@@ -49,10 +42,25 @@ class TestScalarValidators:
         with pytest.raises(ParameterError):
             require_probability(1.2, "p")
 
-    def test_require_in_range(self):
-        assert require_in_range(0.5, 0.0, 1.0, "x") == 0.5
-        with pytest.raises(ParameterError):
-            require_in_range(2.0, 0.0, 1.0, "x")
+    @pytest.mark.parametrize("validator", [require_positive, require_probability])
+    @pytest.mark.parametrize(
+        "value", ["0.5", True, np.True_, None], ids=["str", "bool", "numpy-bool", "none"]
+    )
+    def test_real_number_validators_refuse_non_numbers(self, validator, value):
+        """A string, a boolean or ``None`` is refused, never coerced to a float."""
+        with pytest.raises(ParameterError, match="x must be a real number"):
+            validator(value, "x")
+
+    @pytest.mark.parametrize("validator", [require_positive, require_probability])
+    @pytest.mark.parametrize(
+        "value",
+        [np.float32(0.5), np.int64(1), Fraction(1, 2)],
+        ids=["float32", "int64", "fraction"],
+    )
+    def test_real_number_validators_accept_numeric_scalars(self, validator, value):
+        result = validator(value, "x")
+        assert type(result) is float
+        assert result == float(value)
 
 
 class TestIntegerValidators:

@@ -11,6 +11,7 @@ from repro.datasets import make_dataset
 from repro.exceptions import ParameterError
 from repro.longitudinal import DBitFlipPM, optimal_g, optimal_g_numeric
 from repro.longitudinal.parameters import (
+    l_grr_parameters,
     l_osue_parameters,
     l_sue_parameters,
     loloha_parameters,
@@ -36,8 +37,12 @@ class TestExactVariance:
             exact_variance(params, 1000, 0.1) / 2.0
         )
 
-    def test_variance_positive_for_valid_frequencies(self):
-        params = l_sue_parameters(2.0, 1.0)
+    @pytest.mark.parametrize(
+        "params",
+        [l_sue_parameters(2.0, 1.0), l_grr_parameters(2.0, 1.0, 60)],
+        ids=["L-SUE", "L-GRR"],
+    )
+    def test_variance_positive_for_valid_frequencies(self, params):
         for f in (0.0, 0.1, 0.5, 0.9):
             assert exact_variance(params, 100, f) > 0
 
