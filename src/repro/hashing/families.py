@@ -239,28 +239,28 @@ class PolynomialHashFamily(UniversalHashFamily):
         return _PolynomialFunction(coefficients=tuple(coefficients), g=self.g)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _TabulationFunction(HashFunction):
-    """Simple tabulation hashing over four 16-bit characters of the key."""
+    """Simple tabulation hashing over four 16-bit characters of the key.
 
-    tables: Tuple[Tuple[int, ...], ...]
+    ``tables`` is a read-only ``(4, 2^16)`` uint64 array, one row per
+    character; equality and hashing go through :attr:`identity`.
+    """
+
+    tables: np.ndarray
     g: int
 
     def hash_array(self, values: np.ndarray) -> np.ndarray:
         x = np.asarray(values, dtype=np.uint64)
         out = np.zeros(x.shape, dtype=np.uint64)
         for chunk_index, table in enumerate(self.tables):
-            chunk = ((x >> np.uint64(16 * chunk_index)) & np.uint64(0xFFFF)).astype(np.int64)
-            out ^= np.asarray(table, dtype=np.uint64)[chunk]
+            out ^= table[(x >> np.uint64(16 * chunk_index)) & np.uint64(0xFFFF)]
         return (out % np.uint64(self.g)).astype(np.int64)
 
     @property
     def identity(self) -> Tuple:
         # The tables are large; identify by a digest of their bytes.
-        digest = hashlib.blake2b(
-            b"".join(np.asarray(t, dtype=np.uint64).tobytes() for t in self.tables),
-            digest_size=16,
-        ).hexdigest()
+        digest = hashlib.blake2b(self.tables.tobytes(), digest_size=16).hexdigest()
         return (digest, self.g)
 
 
@@ -271,10 +271,13 @@ class TabulationHashFamily(UniversalHashFamily):
 
     def sample(self, rng: RngLike = None) -> HashFunction:
         generator = as_rng(rng)
-        tables = tuple(
-            tuple(int(v) for v in generator.integers(0, 2**63, size=2**16, dtype=np.uint64))
-            for _ in range(self.n_chunks)
+        tables = np.stack(
+            [
+                generator.integers(0, 2**63, size=2**16, dtype=np.uint64)
+                for _ in range(self.n_chunks)
+            ]
         )
+        tables.flags.writeable = False
         return _TabulationFunction(tables=tables, g=self.g)
 
 

@@ -45,6 +45,12 @@ def exact_variance(params: ChainedParameters, n: int, f: float) -> float:
     ``p1 p2 + (1 - p1) q2`` for its holders, ``q1 p2 + (1 - q1) q2`` for
     everyone else, so its ``f`` term is ``(p1 - q1)(p2 - q2)`` for every
     chain, UE and GRR alike.
+
+    Eq. (4) assumes a binomial population: each user's value is a fresh
+    draw from ``f``.  A simulation fixes the population, whose support
+    count then varies less, so the measured MSE/V* drifts below 1 as ε∞
+    grows: L-GRR at k = 60 reads 0.96–0.98 at ε∞ = 5 and 0.76–0.78 at
+    ε∞ = 8.
     """
     n = require_int_at_least(n, 1, "n")
     f = require_probability(f, "f")

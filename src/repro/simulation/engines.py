@@ -577,11 +577,12 @@ class DBitFlipEngine(PopulationEngine):
     A memo row is one user's permanent response for one indicator key, held
     as ``b`` bits in bucket coordinates (zero outside the user's sample), so
     the round folds packed rows into bucket sums as the UE engine does.
-    With ``d == b`` a fresh row is a UE row over the ``b`` buckets, the
-    user's bucket its true column; with ``d < b`` the ``d`` bits are drawn
-    in sample order and scattered into the row.  A user's key, the position
-    of its bucket among its ``d`` sampled buckets or ``d`` when none
-    matches, is one gather from an ``(n_users, b)`` table.
+    With ``d == b``, ``sampled_buckets`` is every bucket in bucket order, a
+    user's key is its bucket, and a fresh row is a UE row over the ``b``
+    buckets, the key its true column.  With ``d < b`` the ``d`` bits are
+    drawn in sample order and scattered into the row, and a user's key, the
+    position of its bucket among its ``d`` sampled buckets or ``d`` when
+    none matches, is one flat ``take`` from an ``(n_users, b)`` table.
 
     With ``record_key_history=True`` the engine additionally records, per
     round, the memoization key used by each user — which is what the
@@ -620,9 +621,12 @@ class DBitFlipEngine(PopulationEngine):
             {"n_users": n_users, "n_keys": d + 1, "n_bits": b},
             "DBitFlipEngine",
         )
-        # key_of[u, bucket]: position of the bucket in u's sample, or d.
-        self._key_of = np.full((n_users, b), d, dtype=np.min_scalar_type(d))
-        self._key_of[np.arange(n_users)[:, None], self.sampled_buckets] = np.arange(d)
+        if d < b:
+            # key_of[u, bucket]: position of the bucket in u's sample, or d;
+            # read at the flat offset u * b + bucket.
+            self._key_of = np.full((n_users, b), d, dtype=np.min_scalar_type(d))
+            self._key_of[np.arange(n_users)[:, None], self.sampled_buckets] = np.arange(d)
+            self._key_offsets = np.arange(n_users, dtype=np.int64) * b
         #: Per-round memoization keys used by each user, recorded only when
         #: ``record_key_history=True`` (``None`` otherwise); consumed by the
         #: change-detection attack.
@@ -635,8 +639,8 @@ class DBitFlipEngine(PopulationEngine):
     def _fresh_rows(self, users, keys, generator):
         p, q = self.protocol.bit_probabilities
         d, b = self.protocol.d, self.protocol.b
-        if d == b:  # a UE row over the buckets, the user's bucket its true column
-            return ue_fresh_rows_kernel(self.sampled_buckets[users, keys], b, p, q, generator)
+        if d == b:  # a UE row over the buckets, the key (the bucket) its true column
+            return ue_fresh_rows_kernel(keys, b, p, q, generator)
         # The d bits are drawn in sample order, then scattered to buckets.
         bits = dbitflip_fresh_bits_kernel(keys, d, p, q, generator)
         return _bucket_rows(self.sampled_buckets, b, users, bits)
@@ -645,7 +649,10 @@ class DBitFlipEngine(PopulationEngine):
         values_t = self._validate_round(values_t)
         generator = self._round_rng(rng)
         buckets = self.protocol.bucket_of(values_t)
-        keys = self._key_of[np.arange(self.n_users), buckets].astype(np.int64)
+        if self.protocol.d == self.protocol.b:
+            keys = buckets
+        else:
+            keys = self._key_of.reshape(-1).take(self._key_offsets + buckets).astype(np.int64)
         if self.key_history is not None:
             self.key_history.append(keys)
         self._state.ensure_rows(

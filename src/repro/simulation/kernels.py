@@ -347,11 +347,20 @@ def sample_buckets_kernel(
     A single batched draw: ranking one uniform per (user, bucket) yields a
     uniformly random permutation per row, of which the first ``d`` entries
     are an unordered without-replacement sample — no per-user
-    ``rng.choice`` loop.
+    ``rng.choice`` loop.  Only ``1 < d < b`` sorts: ``d = 1`` takes each
+    row's minimum (the first column of the ranking), and ``d = b`` samples
+    every bucket, returned in bucket order as a read-only broadcast of
+    ``arange(b)``.  The ``(n_users, b)`` draw is made for every ``d``, so
+    the generator advances the same way whatever ``d`` is.
     """
     if d > b:
         raise ValueError(f"cannot sample {d} buckets from {b} without replacement")
-    return np.argsort(rng.random((n_users, b)), axis=1)[:, :d].astype(np.int64)
+    draws = rng.random((n_users, b))
+    if d == b:
+        return np.broadcast_to(np.arange(b, dtype=np.int64), (n_users, b))
+    if d == 1:
+        return draws.argmin(axis=1)[:, None]
+    return np.argsort(draws, axis=1)[:, :d]
 
 
 def debias_kernel(counts: np.ndarray, n: float, p: float, q: float) -> np.ndarray:

@@ -269,16 +269,21 @@ class PackedBitMemo(_PackedBitMemoBase):
     def ensure_rows(
         self, keys: np.ndarray, fresh: FreshRows, users: Optional[np.ndarray] = None
     ) -> None:
+        """Create every missing (``users[i]``, ``keys[i]``) row through ``fresh``.
+
+        One flat index ``users * n_keys + keys`` serves the presence read
+        and both writes, through the flat views of the table and the mask.
+        """
         self._ensure_allocated()
         if users is None:
             users = np.arange(self.n_users)
-        missing = ~self._present[users, keys]
+        flat = np.asarray(users, dtype=np.int64) * self.n_keys + keys
+        missing = ~self._present.reshape(-1).take(flat)
         if missing.any():
-            missing_users = users[missing]
-            missing_keys = keys[missing]
-            packed = self._pack_fresh(fresh, missing_users, missing_keys)
-            self._packed[missing_users, missing_keys] = packed
-            self._present[missing_users, missing_keys] = True
+            new = flat[missing]
+            packed = self._pack_fresh(fresh, users[missing], keys[missing])
+            self._packed.reshape(-1, self._n_bytes)[new] = packed
+            self._present.reshape(-1)[new] = True
 
     def packed_rows(self, users: np.ndarray, keys: np.ndarray) -> np.ndarray:
         self._ensure_allocated()

@@ -1,11 +1,12 @@
 """dBitFlipPM engine: stream anchors, the incremental round path and the
 MSE gate.
 
-The engine reads keys from a per-user bucket table, stores memo rows in
-bucket coordinates and folds only users whose key changed.  That must leave
-the output bit-identical to the straightforward round: every user's key from
-an ``(n_users, d)`` compare against its sampled buckets, and a ``bincount``
-of every user's memoized bits into its sampled buckets.  The structural test
+The engine reads keys from a per-user bucket table (with ``d = b`` the key
+is the bucket itself), stores memo rows in bucket coordinates and folds
+only users whose key changed.  That must leave the output bit-identical to
+the straightforward round: every user's key from an ``(n_users, d)``
+compare against its sampled buckets, and a ``bincount`` of every user's
+memoized bits into its sampled buckets.  The structural test
 replays that round user by user; the anchors below are sha256 digests of
 ``simulate_protocol(...).estimates`` under stream contract 3.  The MSE_avg/V*
 gate licenses that stream: it holds on every contract.
@@ -13,6 +14,7 @@ gate licenses that stream: it holds on every contract.
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,6 +131,29 @@ def test_round_counts_equal_per_user_fold(d, churn):
             )
         assert counts.dtype == np.float64
         assert np.array_equal(counts, expected)
+
+
+def test_all_bucket_keys_are_the_buckets():
+    """With ``d = b`` every user samples every bucket, and a key is the bucket."""
+    protocol = DBitFlipPM(K, 2.0, b=B, d=B)
+    engine = DBitFlipEngine(protocol, N_USERS, rng=3, record_key_history=True)
+    for values_t in churn_dataset(CHURN_SCHEDULES["55"]).iter_rounds():
+        engine.run_round(values_t)
+        assert np.array_equal(engine.key_history[-1], protocol.bucket_of(values_t))
+
+
+@pytest.mark.parametrize("d", [1, 360])
+def test_set_up_peak_is_below_ten_bytes_per_user_bucket(d):
+    """Set-up holds one float64 uniform per (user, bucket) and no sort of it."""
+    n_users, b = 4000, 360
+    protocol = DBitFlipPM(360, 2.0, b=b, d=d)
+    tracemalloc.start()
+    try:
+        DBitFlipEngine(protocol, n_users, rng=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * n_users * b, peak / (n_users * b)
 
 
 @pytest.mark.parametrize("d", [1, B])

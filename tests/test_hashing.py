@@ -1,6 +1,7 @@
 """Tests for the universal hash families."""
 
 import functools
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -139,6 +140,40 @@ class TestMultiplyShiftBatchDraw:
         finally:
             tracemalloc.stop()
         assert peak < matrix.nbytes + 8 * 1024**2, peak
+
+
+class TestTabulationTables:
+    """A member keeps its four raw 2^16-entry draws as one read-only array."""
+
+    VALUES = [0, 1, 63, 0xFFFF, 0x10000, 0x1234_5678, 2**40 + 7, 2**63 - 1]
+
+    def test_hashes_and_identity_equal_raw_draw_reference(self):
+        g = 7
+        function = TabulationHashFamily(g).sample(rng=5)
+        generator = np.random.default_rng(5)
+        raw = [
+            generator.integers(0, 2**63, size=2**16, dtype=np.uint64) for _ in range(4)
+        ]
+        expected = []
+        for value in self.VALUES:
+            word = 0
+            for chunk, table in enumerate(raw):
+                word ^= int(table[(value >> (16 * chunk)) & 0xFFFF])
+            expected.append(word % g)
+        assert function.hash_array(np.asarray(self.VALUES)).tolist() == expected
+        assert [function(v) for v in self.VALUES] == expected
+        digest = hashlib.blake2b(b"".join(t.tobytes() for t in raw), digest_size=16)
+        assert function.identity == (digest.hexdigest(), g)
+
+    def test_tables_are_read_only_and_equality_follows_identity(self):
+        family = TabulationHashFamily(5)
+        function = family.sample(rng=9)
+        assert function.tables.shape == (4, 2**16)
+        assert function.tables.dtype == np.uint64
+        assert not function.tables.flags.writeable
+        same = family.sample(rng=9)
+        assert function == same and hash(function) == hash(same)
+        assert function != family.sample(rng=10)
 
 
 #: Shape of the tables the statistical checks draw.  A tabulation member

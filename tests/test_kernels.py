@@ -289,6 +289,24 @@ class TestDBitFlipKernels:
         counts = np.bincount(sampled.ravel(), minlength=8)
         assert counts.min() > 0.8 * 20_000 * 2 / 8
 
+    @pytest.mark.parametrize("d", [1, 3, 12])
+    def test_sample_buckets_draws_one_uniform_per_user_bucket(self, d):
+        """Every ``d`` advances the generator by one ``(n, b)`` float draw."""
+        sampled_rng, reference_rng = np.random.default_rng(31), np.random.default_rng(31)
+        sample_buckets_kernel(40, 12, d, sampled_rng)
+        reference_rng.random((40, 12))
+        assert sampled_rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_sample_buckets_single_bucket_is_first_of_ranking(self):
+        sampled = sample_buckets_kernel(500, 20, 1, np.random.default_rng(37))
+        draws = np.random.default_rng(37).random((500, 20))
+        assert np.array_equal(sampled, np.argsort(draws, axis=1)[:, :1])
+
+    def test_sample_buckets_all_buckets_in_bucket_order(self):
+        sampled = sample_buckets_kernel(50, 20, 20, np.random.default_rng(41))
+        assert sampled.shape == (50, 20)
+        assert (sampled == np.arange(20)).all()
+
     def test_fresh_bits_key_position(self):
         keys = np.full(30_000, 2, dtype=np.int64)
         bits = dbitflip_fresh_bits_kernel(keys, 5, 0.9, 0.1, np.random.default_rng(23))
