@@ -19,7 +19,6 @@ int16 when ``g < 2^15``, else int32 (int64 only past ``g = 2^31``).
 from __future__ import annotations
 
 import hashlib
-import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
@@ -47,9 +46,6 @@ _MERSENNE_61 = (1 << 61) - 1
 #: Bytes of uint64 scratch one row block of the batched multiply-shift draw
 #: uses; the block, not the ``(n, k)`` table, bounds the draw's transients.
 _MULTIPLY_SHIFT_BLOCK_BYTES = 1 << 20
-
-#: Index of the high 32-bit word of a uint64 viewed as two uint32 words.
-_HIGH_WORD = 1 if sys.byteorder == "little" else 0
 
 
 def hashed_domain_dtype(g: int) -> np.dtype:
@@ -174,8 +170,13 @@ class MultiplyShiftHashFamily(UniversalHashFamily):
 
         The hash is evaluated in row blocks of about
         :data:`_MULTIPLY_SHIFT_BLOCK_BYTES` of uint64 scratch: multiply, add,
-        then a uint32 ``% g`` of each product's high word, written straight
-        into the :func:`hashed_domain_dtype` table.  The rows equal
+        then shift each product's high word into a contiguous uint32 block.
+        That word is reduced as ``high - (high // g) * g``, a floor division
+        by a scalar that numpy runs on its fast (libdivide) path, where a
+        ``%`` of the strided high word would take a generic per-element
+        remainder; the difference is written straight into the
+        :func:`hashed_domain_dtype` table.  From ``g = 2^32`` on, the high word
+        is its own remainder.  The rows equal
         ``_MultiplyShiftFunction(a, b, g).hash_all(k)``; no ``(n, k)`` uint64
         temporary is ever built.
         """
@@ -189,16 +190,23 @@ class MultiplyShiftHashFamily(UniversalHashFamily):
         x = np.arange(k, dtype=np.uint64)
         table = np.empty((n_functions, k), dtype=hashed_domain_dtype(self.g))
         block_rows = max(1, _MULTIPLY_SHIFT_BLOCK_BYTES // (8 * max(k, 1)))
-        mixed = np.empty((min(block_rows, n_functions), k), dtype=np.uint64)
-        high = mixed.view(np.uint32)[:, _HIGH_WORD::2]
-        divisor = np.uint32(self.g) if self.g < 2**32 else np.uint64(self.g)
+        block_shape = (min(block_rows, n_functions), k)
+        mixed = np.empty(block_shape, dtype=np.uint64)
+        high = np.empty(block_shape, dtype=np.uint32)
+        quotient = np.empty(block_shape, dtype=np.uint32) if self.g < 2**32 else None
         for start in range(0, n_functions, block_rows):
             stop = min(start + block_rows, n_functions)
             rows = stop - start
             # Unsigned arithmetic wraps mod 2^64 without a warning.
             np.multiply(a[start:stop, None], x, out=mixed[:rows])
             mixed[:rows] += b[start:stop, None]
-            np.remainder(high[:rows], divisor, out=table[start:stop], casting="unsafe")
+            np.right_shift(mixed[:rows], np.uint64(32), out=high[:rows], casting="unsafe")
+            if quotient is None:
+                table[start:stop] = high[:rows]
+                continue
+            np.floor_divide(high[:rows], np.uint32(self.g), out=quotient[:rows])
+            quotient[:rows] *= np.uint32(self.g)
+            np.subtract(high[:rows], quotient[:rows], out=table[start:stop], casting="unsafe")
         return table
 
 

@@ -69,29 +69,43 @@ static void flush_lanes(const uint64_t *scratch, int64_t n_words,
     }
 }
 
-/* Column sums of bit-packed rows: rows is (n_rows, 8 * n_words) uint8 in
- * np.packbits layout, out is 64 * n_words int64 (zeroed by the caller).
- * Single fused SWAR pass: each uint64 word contributes eight 0/1 byte
- * lanes per bit position, accumulated for up to 255 rows before widening. */
+/* Add one word's eight bit positions to its byte-lane accumulators. */
+static inline void accumulate_word(uint64_t v, uint64_t *acc) {
+    acc[0] += v & LANE;
+    acc[1] += (v >> 1) & LANE;
+    acc[2] += (v >> 2) & LANE;
+    acc[3] += (v >> 3) & LANE;
+    acc[4] += (v >> 4) & LANE;
+    acc[5] += (v >> 5) & LANE;
+    acc[6] += (v >> 6) & LANE;
+    acc[7] += (v >> 7) & LANE;
+}
+
+/* Column sums of bit-packed rows: rows is (n_rows, n_bytes) uint8 in
+ * np.packbits layout, read in place; out is 64 * ceil(n_bytes / 8) int64
+ * (zeroed by the caller).  Single fused SWAR pass: each uint64 word
+ * contributes eight 0/1 byte lanes per bit position, accumulated for up to
+ * 255 rows before widening.  A row's last n_bytes % 8 bytes are loaded
+ * into a zeroed word, so no padded copy of the rows is needed. */
 void repro_packed_column_sums(const uint8_t *rows, int64_t n_rows,
-                              int64_t n_words, uint64_t *scratch,
+                              int64_t n_bytes, uint64_t *scratch,
                               int64_t *out) {
+    const int64_t full_words = n_bytes / 8;
+    const size_t tail_bytes = (size_t)(n_bytes % 8);
+    const int64_t n_words = full_words + (tail_bytes != 0);
     memset(scratch, 0, (size_t)(8 * n_words) * sizeof(uint64_t));
     int since_flush = 0;
     for (int64_t r = 0; r < n_rows; ++r) {
-        const uint8_t *row = rows + r * n_words * 8;
-        for (int64_t w = 0; w < n_words; ++w) {
+        const uint8_t *row = rows + r * n_bytes;
+        for (int64_t w = 0; w < full_words; ++w) {
             uint64_t v;
             memcpy(&v, row + w * 8, 8);
-            uint64_t *acc = scratch + w * 8;
-            acc[0] += v & LANE;
-            acc[1] += (v >> 1) & LANE;
-            acc[2] += (v >> 2) & LANE;
-            acc[3] += (v >> 3) & LANE;
-            acc[4] += (v >> 4) & LANE;
-            acc[5] += (v >> 5) & LANE;
-            acc[6] += (v >> 6) & LANE;
-            acc[7] += (v >> 7) & LANE;
+            accumulate_word(v, scratch + w * 8);
+        }
+        if (tail_bytes) {
+            uint64_t v = 0;
+            memcpy(&v, row + full_words * 8, tail_bytes);
+            accumulate_word(v, scratch + full_words * 8);
         }
         if (++since_flush == 255) {
             flush_lanes(scratch, n_words, out);
@@ -193,12 +207,14 @@ class NativeKernels:
             _U64_P,
             _I64_P,
         ]
+        library.repro_packed_column_sums.restype = None
         library.repro_bincount_i64.argtypes = [
             _I64_P,
             ctypes.c_int64,
             ctypes.c_int64,
             _I64_P,
         ]
+        library.repro_bincount_i64.restype = None
         self._support_folds = {}
         for suffix, dtype, pointer in (
             ("i16", np.int16, ctypes.POINTER(ctypes.c_int16)),
@@ -213,26 +229,26 @@ class NativeKernels:
                 ctypes.c_int64,
                 _I64_P,
             ]
+            function.restype = None
             self._support_folds[np.dtype(dtype)] = (function, pointer)
 
     def packed_column_sums(self, packed_rows: np.ndarray, n_bits: int) -> np.ndarray:
-        """Exact drop-in for the numpy SWAR fold, one fused C pass."""
+        """Exact drop-in for the numpy SWAR fold, one fused C pass.
+
+        The rows are read in place: a row width that is not a whole number
+        of 8-byte words has its last partial word loaded into a zeroed word
+        by the C loop, so no padded copy is made.
+        """
         packed_rows = np.ascontiguousarray(packed_rows, dtype=np.uint8)
         n_rows, n_bytes = packed_rows.shape
-        pad = (-n_bytes) % 8
-        if pad:
-            packed_rows = np.ascontiguousarray(
-                np.pad(packed_rows, ((0, 0), (0, pad)))
-            )
-            n_bytes += pad
-        n_words = n_bytes // 8
-        out = np.zeros(8 * n_bytes, dtype=np.int64)
+        n_words = -(-n_bytes // 8)
+        out = np.zeros(64 * n_words, dtype=np.int64)
         if n_rows and n_words:
             scratch = np.empty(8 * n_words, dtype=np.uint64)
             self._lib.repro_packed_column_sums(
                 packed_rows.ctypes.data_as(_U8_P),
                 n_rows,
-                n_words,
+                n_bytes,
                 scratch.ctypes.data_as(_U64_P),
                 out.ctypes.data_as(_I64_P),
             )

@@ -98,6 +98,11 @@ __all__ = [
 #: compare-based fold.
 _SUPPORT_PLANES_MAX_BYTES = 1024**3
 
+#: Bytes of hashed-domain table per row block when :class:`LOLOHAEngine`
+#: packs its support planes: a block stays in cache for its ``g``
+#: compare-and-pack passes.
+_SUPPORT_PLANES_BLOCK_BYTES = 1 << 18
+
 #: Rows per chunk of the flat index that scatters fresh dBitFlipPM bits
 #: into bucket coordinates when ``d < b`` (see :func:`_bucket_rows`).
 _SCATTER_CHUNK_ROWS = 4096
@@ -731,12 +736,7 @@ class LOLOHAEngine(PopulationEngine):
         #: exceed the byte budget; the fold then compares per round instead.
         self._support_planes: Optional[np.ndarray] = None
         if use_planes:
-            self._support_planes = np.stack(
-                [
-                    np.packbits(self.hashed_domain == h, axis=1)
-                    for h in range(protocol.g)
-                ]
-            )
+            self._support_planes = _packed_support_planes(self.hashed_domain, protocol.g)
         # A user's support row depends only on its memoized symbol (the hash
         # tables are fixed), so the fold is delta-cached on those symbols;
         # the packed-plane layout additionally gets the fused delta pass.
@@ -800,6 +800,23 @@ class LOLOHAEngine(PopulationEngine):
 
     def distinct_memoized_per_user(self) -> np.ndarray:
         return self._state.distinct_per_user()
+
+
+def _packed_support_planes(hashed_domain: np.ndarray, g: int) -> np.ndarray:
+    """The ``(g, n, ceil(k/8))`` planes ``np.packbits(hashed_domain == h,
+    axis=1)`` for every ``h``, filled one row block of about
+    :data:`_SUPPORT_PLANES_BLOCK_BYTES` of table at a time."""
+    n_users, k = hashed_domain.shape
+    planes = np.empty((g, n_users, -(-k // 8)), dtype=np.uint8)
+    block_rows = max(1, _SUPPORT_PLANES_BLOCK_BYTES // (hashed_domain.itemsize * max(k, 1)))
+    matches = np.empty((min(block_rows, n_users), k), dtype=bool)
+    for start in range(0, n_users, block_rows):
+        stop = min(start + block_rows, n_users)
+        block = hashed_domain[start:stop]
+        for h in range(g):
+            np.equal(block, h, out=matches[: stop - start])
+            planes[h, start:stop] = np.packbits(matches[: stop - start], axis=1)
+    return planes
 
 
 #: Options each engine constructor accepts beyond ``(protocol, n_users,

@@ -339,28 +339,44 @@ def dbitflip_fresh_bits_kernel(
     return ue_fresh_rows_kernel(keys, d, p, q, rng)
 
 
+#: Bytes of float64 uniforms per row block of :func:`sample_buckets_kernel`;
+#: the block, not the ``(n_users, b)`` draw, bounds its transients.
+_BUCKET_DRAW_BLOCK_BYTES = 1 << 20
+
+
 def sample_buckets_kernel(
     n_users: int, b: int, d: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Sample ``d`` of ``b`` buckets without replacement for every user.
 
-    A single batched draw: ranking one uniform per (user, bucket) yields a
+    A batched draw: ranking one uniform per (user, bucket) yields a
     uniformly random permutation per row, of which the first ``d`` entries
     are an unordered without-replacement sample — no per-user
     ``rng.choice`` loop.  Only ``1 < d < b`` sorts: ``d = 1`` takes each
     row's minimum (the first column of the ranking), and ``d = b`` samples
     every bucket, returned in bucket order as a read-only broadcast of
-    ``arange(b)``.  The ``(n_users, b)`` draw is made for every ``d``, so
-    the generator advances the same way whatever ``d`` is.
+    ``arange(b)``.  The uniforms are drawn in consecutive row blocks of
+    about :data:`_BUCKET_DRAW_BLOCK_BYTES`, which yields the same doubles
+    and leaves the generator in the same state as one ``(n_users, b)``
+    draw; every ``d`` makes that draw (``d = b`` only to advance the
+    generator), so the generator advances the same way whatever ``d`` is.
     """
     if d > b:
         raise ValueError(f"cannot sample {d} buckets from {b} without replacement")
-    draws = rng.random((n_users, b))
-    if d == b:
+    block_rows = max(1, _BUCKET_DRAW_BLOCK_BYTES // (8 * b))
+    draws = np.empty((min(block_rows, n_users), b))
+    sampled = np.empty((n_users, d), dtype=np.int64) if d < b else None
+    for start in range(0, n_users, block_rows):
+        stop = min(start + block_rows, n_users)
+        block = draws[: stop - start]
+        rng.random(out=block)
+        if d == 1:
+            sampled[start:stop, 0] = block.argmin(axis=1)
+        elif d < b:
+            sampled[start:stop] = np.argsort(block, axis=1)[:, :d]
+    if sampled is None:
         return np.broadcast_to(np.arange(b, dtype=np.int64), (n_users, b))
-    if d == 1:
-        return draws.argmin(axis=1)[:, None]
-    return np.argsort(draws, axis=1)[:, :d]
+    return sampled
 
 
 def debias_kernel(counts: np.ndarray, n: float, p: float, q: float) -> np.ndarray:

@@ -30,6 +30,7 @@ from repro.simulation import (
     simulate_protocol,
     simulate_protocol_sharded,
 )
+from repro.simulation.kernels import _BUCKET_DRAW_BLOCK_BYTES
 from repro.simulation.state import PackedBitMemo, SparsePackedBitMemo
 from test_statistical_properties import _Z_ALPHA_1E4
 from test_ue_once_visited import GATE_DATASETS
@@ -154,6 +155,21 @@ def test_set_up_peak_is_below_ten_bytes_per_user_bucket(d):
     finally:
         tracemalloc.stop()
     assert peak < 10 * n_users * b, peak / (n_users * b)
+
+
+@pytest.mark.parametrize("d", [1, 360])
+def test_set_up_peak_is_below_one_byte_per_user_bucket_plus_one_block(d):
+    """The uniforms are drawn one row block at a time: what stays is the
+    one-byte key table of ``d < b``, never 8 B per (user, bucket)."""
+    n_users, b = 4000, 360
+    protocol = DBitFlipPM(360, 2.0, b=b, d=d)
+    tracemalloc.start()
+    try:
+        DBitFlipEngine(protocol, n_users, rng=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n_users * b + _BUCKET_DRAW_BLOCK_BYTES, peak / (n_users * b)
 
 
 @pytest.mark.parametrize("d", [1, B])

@@ -10,9 +10,9 @@ Guards the three layers added by the execution tier:
   every mid-window value change.
 * **Process-pool shards** — sharded runs on a pool stay bit-identical to
   serial execution for every protocol family.
-* **Kernel backends** — the optional compiled backend must match the numpy
-  oracle exactly, and the dispatch must fall back (or fail loudly when
-  explicitly requested) when the compiler is missing.
+* **Kernel backends** — the dispatch resolves a requested backend and
+  rejects an unknown one; the compiled backend's exact equality with the
+  numpy oracle is ``tests/test_kernels.py::TestNativeOracle``.
 """
 
 import numpy as np
@@ -27,15 +27,10 @@ from repro.simulation import (
     simulate_protocol,
     simulate_protocol_sharded,
 )
-from repro.simulation.kernels import (
-    packed_column_sums_kernel,
-    symbol_bincount_kernel,
-)
 from repro.simulation.kernels_backend import (
     BACKEND_ENV_VAR,
     NUMPY_BACKEND,
     available_backend_names,
-    native_available,
     resolve_backend,
 )
 from repro.specs import ProtocolSpec
@@ -310,65 +305,3 @@ class TestKernelBackends:
     def test_engine_accepts_backend_override(self):
         engine = engine_for(LGRR(8, 2.0, 1.0), 10, rng=0, backend="numpy")
         assert engine.backend_name == "numpy"
-
-    @pytest.mark.skipif(not native_available(), reason="no C compiler")
-    class TestNativeOracle:
-        """Compiled kernels must match the numpy oracle exactly."""
-
-        def test_packed_column_sums_property(self):
-            native = resolve_backend("native")
-            rng = np.random.default_rng(11)
-            for _ in range(25):
-                n_rows = int(rng.integers(0, 400))
-                n_bits = int(rng.integers(1, 300))
-                packed = rng.integers(
-                    0, 256, size=(n_rows, (n_bits + 7) // 8), dtype=np.uint8
-                )
-                assert np.array_equal(
-                    native.packed_column_sums(packed, n_bits),
-                    packed_column_sums_kernel(packed, n_bits),
-                )
-
-        def test_support_fold_property(self):
-            native = resolve_backend("native")
-            rng = np.random.default_rng(12)
-            for dtype in (np.int16, np.int32, np.int64):
-                n_users, k, g = 130, 37, 5
-                hashed = rng.integers(0, g, size=(n_users, k)).astype(dtype)
-                reports = rng.integers(0, g, size=n_users).astype(np.int64)
-                expected = (hashed == reports[:, None]).sum(axis=0, dtype=np.int64)
-                assert np.array_equal(
-                    native.support_fold(hashed, reports), expected
-                )
-
-        def test_symbol_bincount_property(self):
-            native = resolve_backend("native")
-            rng = np.random.default_rng(13)
-            for _ in range(20):
-                k = int(rng.integers(1, 60))
-                symbols = rng.integers(0, k, size=int(rng.integers(0, 500)))
-                assert np.array_equal(
-                    native.symbol_bincount(symbols, k),
-                    symbol_bincount_kernel(symbols, k),
-                )
-
-        def test_empty_packed_rows(self):
-            native = resolve_backend("native")
-            packed = np.zeros((0, 4), dtype=np.uint8)
-            assert np.array_equal(
-                native.packed_column_sums(packed, 30), np.zeros(30, dtype=np.int64)
-            )
-
-        @PROTOCOL_PARAMS
-        def test_round_counts_identical_across_backends(self, protocol_factory):
-            """Backends never change results: numpy and native engines draw
-            the same stream and emit identical counts."""
-            n_users = 70
-            values = np.random.default_rng(14).integers(0, K, size=n_users)
-            a = engine_for(protocol_factory(K), n_users, rng=3, backend="numpy")
-            b = engine_for(protocol_factory(K), n_users, rng=3, backend="native")
-            for seed in range(3):
-                assert np.array_equal(
-                    a.run_round(values, np.random.default_rng(seed)),
-                    b.run_round(values, np.random.default_rng(seed)),
-                )

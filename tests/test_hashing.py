@@ -113,7 +113,7 @@ _BLOCK_ROWS_300 = _MULTIPLY_SHIFT_BLOCK_BYTES // (8 * 300)
 class TestMultiplyShiftBatchDraw:
     """The blocked batch draw reproduces the per-function hash row by row."""
 
-    @pytest.mark.parametrize("g", [2, 3, 2**15 - 1, 2**15, 70_001])
+    @pytest.mark.parametrize("g", [2, 3, 2**15 - 1, 2**15, 70_001, 2**31, 2**32 + 15])
     @pytest.mark.parametrize(
         "n, k",
         [(1, 1), (1, 300), (5, 1), (2 * _BLOCK_ROWS_300 + 17, 300)],
@@ -122,7 +122,9 @@ class TestMultiplyShiftBatchDraw:
     def test_rows_equal_per_function_hashing(self, n, k, g):
         matrix = MultiplyShiftHashFamily(g).sample_hashed_domains(n, k, rng=11)
         assert matrix.shape == (n, k)
-        assert matrix.dtype == (np.int16 if g < 2**15 else np.int32)
+        assert matrix.dtype == (
+            np.int16 if g < 2**15 else np.int32 if g <= 2**31 else np.int64
+        )
         # The same (a, b) draws, in the same order, as the batch draw.
         generator = np.random.default_rng(11)
         a = generator.integers(1, 2**63, size=n, dtype=np.uint64) * np.uint64(2) + np.uint64(1)

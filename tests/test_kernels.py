@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ParameterError
+from repro.longitudinal import LGRR, LOSUE, OLOLOHA, DBitFlipPM
 from repro.longitudinal.base import longitudinal_estimate
 from repro.longitudinal.parameters import ChainedParameters
+from repro.simulation import engine_for
 from repro.simulation.kernels import (
     chained_debias_kernel,
     dbitflip_fresh_bits_kernel,
@@ -18,10 +20,12 @@ from repro.simulation.kernels import (
     packed_column_sums_kernel,
     sample_buckets_kernel,
     support_from_hashes_kernel,
+    symbol_bincount_kernel,
     ue_binomial_counts_kernel,
     ue_flip_kernel,
     ue_fresh_rows_kernel,
 )
+from repro.simulation.kernels_backend import native_available, resolve_backend
 from test_statistical_properties import _Z_ALPHA_1E4, chi_square_critical
 
 
@@ -347,3 +351,92 @@ class TestSupportKernel:
         for u in range(200):
             naive += hashed[u] == reports[u]
         assert np.array_equal(support_from_hashes_kernel(hashed, reports), naive)
+
+
+#: Protocols whose engines dispatch a kernel through the backend, at ``k = 16``.
+BACKEND_ENGINES = {
+    "L-GRR": lambda: LGRR(16, 3.0, 1.5),
+    "L-OSUE": lambda: LOSUE(16, 3.0, 1.5),
+    "OLOLOHA": lambda: OLOLOHA(16, 3.0, 1.5),
+    "dBitFlipPM": lambda: DBitFlipPM(16, 3.0, d=4),
+}
+
+
+@pytest.mark.skipif(not native_available(), reason="no C compiler")
+class TestNativeOracle:
+    """Compiled kernels must match the numpy oracle exactly."""
+
+    def test_packed_column_sums_property(self):
+        native = resolve_backend("native")
+        rng = np.random.default_rng(11)
+        for _ in range(25):
+            n_rows = int(rng.integers(0, 400))
+            n_bits = int(rng.integers(1, 300))
+            packed = rng.integers(
+                0, 256, size=(n_rows, (n_bits + 7) // 8), dtype=np.uint8
+            )
+            assert np.array_equal(
+                native.packed_column_sums(packed, n_bits),
+                packed_column_sums_kernel(packed, n_bits),
+            )
+
+    @pytest.mark.parametrize("fill", ["ones", "random"])
+    @pytest.mark.parametrize("n_rows", [0, 1, 255, 256, 511])
+    @pytest.mark.parametrize("n_bytes", range(1, 18))
+    def test_packed_column_sums_every_row_width(self, n_bytes, n_rows, fill):
+        """Whole and partial last words, on both sides of the 255-row lane
+        flush: all-ones rows fill every lane to its carry limit."""
+        native = resolve_backend("native")
+        if fill == "ones":
+            packed = np.full((n_rows, n_bytes), 0xFF, dtype=np.uint8)
+        else:
+            rng = np.random.default_rng(n_bytes * 1000 + n_rows)
+            packed = rng.integers(0, 256, size=(n_rows, n_bytes), dtype=np.uint8)
+        assert np.array_equal(
+            native.packed_column_sums(packed, 8 * n_bytes),
+            packed_column_sums_kernel(packed, 8 * n_bytes),
+        )
+
+    def test_support_fold_property(self):
+        native = resolve_backend("native")
+        rng = np.random.default_rng(12)
+        for dtype in (np.int16, np.int32, np.int64):
+            n_users, k, g = 130, 37, 5
+            hashed = rng.integers(0, g, size=(n_users, k)).astype(dtype)
+            reports = rng.integers(0, g, size=n_users).astype(np.int64)
+            expected = (hashed == reports[:, None]).sum(axis=0, dtype=np.int64)
+            assert np.array_equal(native.support_fold(hashed, reports), expected)
+
+    def test_symbol_bincount_property(self):
+        native = resolve_backend("native")
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            k = int(rng.integers(1, 60))
+            symbols = rng.integers(0, k, size=int(rng.integers(0, 500)))
+            assert np.array_equal(
+                native.symbol_bincount(symbols, k),
+                symbol_bincount_kernel(symbols, k),
+            )
+
+    def test_empty_packed_rows(self):
+        native = resolve_backend("native")
+        packed = np.zeros((0, 4), dtype=np.uint8)
+        assert np.array_equal(
+            native.packed_column_sums(packed, 30), np.zeros(30, dtype=np.int64)
+        )
+
+    @pytest.mark.parametrize(
+        "protocol_factory", list(BACKEND_ENGINES.values()), ids=list(BACKEND_ENGINES)
+    )
+    def test_round_counts_identical_across_backends(self, protocol_factory):
+        """Backends never change results: numpy and native engines draw
+        the same stream and emit identical counts."""
+        n_users = 70
+        values = np.random.default_rng(14).integers(0, 16, size=n_users)
+        a = engine_for(protocol_factory(), n_users, rng=3, backend="numpy")
+        b = engine_for(protocol_factory(), n_users, rng=3, backend="native")
+        for seed in range(3):
+            assert np.array_equal(
+                a.run_round(values, np.random.default_rng(seed)),
+                b.run_round(values, np.random.default_rng(seed)),
+            )

@@ -5,7 +5,8 @@ family's blocked batch draw, then gathers hashes, memo symbols and packed
 support rows with flat takes.  The anchors are sha256 digests of
 ``simulate_protocol(...).estimates`` on a reduced db_mt whose population
 spans several row blocks of that draw; both support layouts and both kernel
-backends give the same digest.  The MSE_avg/V* gate bounds the R-seed mean
+backends give the same digest.  The packed support planes, filled one row
+block at a time, equal the whole-table ``packbits`` of each hash value.  The MSE_avg/V* gate bounds the R-seed mean
 serially and through pooled shards, on the gate datasets shared with the UE
 and dBitFlipPM gates; it also runs L-GRR, which shares the symbol memo.
 """
@@ -18,8 +19,9 @@ import pytest
 
 from repro.datasets.census import make_db_mt
 from repro.hashing.families import _MULTIPLY_SHIFT_BLOCK_BYTES
-from repro.longitudinal import LGRR, BiLOLOHA, OLOLOHA
-from repro.simulation import simulate_protocol, simulate_protocol_sharded
+from repro.longitudinal import LGRR, LOLOHA, BiLOLOHA, OLOLOHA
+from repro.simulation import LOLOHAEngine, simulate_protocol, simulate_protocol_sharded
+from repro.simulation.engines import _SUPPORT_PLANES_BLOCK_BYTES
 from repro.simulation.kernels_backend import available_backend_names
 from repro.specs import ProtocolSpec
 from test_statistical_properties import _Z_ALPHA_1E4
@@ -72,6 +74,20 @@ def test_estimates_match_anchor(name, layout, backend):
         engine_options={"support_layout": layout, "backend": backend},
     )
     assert hashlib.sha256(result.estimates.tobytes()).hexdigest() == ESTIMATE_SHA256[name]
+
+
+@pytest.mark.parametrize("g", [2, 3, 53])
+def test_blocked_support_planes_equal_whole_table_packbits(g):
+    """Planes packed one row block at a time equal each whole-table
+    ``packbits(hashed_domain == h)``, over a ragged last block."""
+    k = 300
+    block_rows = _SUPPORT_PLANES_BLOCK_BYTES // (2 * k)  # int16 tables
+    n_users = 2 * block_rows + 17
+    engine = LOLOHAEngine(LOLOHA(k, 2.0, 1.0, g=g), n_users, rng=3, support_layout="packed")
+    planes = engine._support_planes
+    assert planes.shape == (g, n_users, -(-k // 8))
+    for h in range(g):
+        assert np.array_equal(planes[h], np.packbits(engine.hashed_domain == h, axis=1))
 
 
 N_SEEDS = 16
