@@ -83,6 +83,10 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+def __dir__():
+    return sorted(set(globals()) | {"CollectorSession"})
+
+
 __all__ = [
     "__version__",
     # Exceptions

@@ -39,6 +39,7 @@ from .parameters import (
 from .variance import (
     approximate_variance,
     exact_variance,
+    fixed_population_variance,
     l_osue_closed_form_variance,
     dbitflip_closed_form_variance,
 )
@@ -57,6 +58,7 @@ __all__ = [
     "loloha_parameters",
     "approximate_variance",
     "exact_variance",
+    "fixed_population_variance",
     "l_osue_closed_form_variance",
     "dbitflip_closed_form_variance",
     "optimal_g",

@@ -27,7 +27,7 @@ from ..exceptions import AggregationError
 from ..rng import RngLike
 from ..simulation.kernels import chained_debias_kernel
 from .parameters import ChainedParameters
-from .variance import approximate_variance, exact_variance
+from .variance import approximate_variance, exact_variance, fixed_population_variance
 
 __all__ = ["RoundEstimate", "LongitudinalClient", "LongitudinalProtocol", "longitudinal_estimate"]
 
@@ -169,8 +169,15 @@ class LongitudinalProtocol(ABC):
         return approximate_variance(self.chained_parameters, n)
 
     def exact_variance(self, n: int, f: float) -> float:
-        """Exact estimator variance (Eq. 4) for a value with true frequency ``f``."""
+        """Exact estimator variance (Eq. 4) for a value with true frequency
+        ``f``; :meth:`fixed_population_variance` is the variance a
+        simulation's fixed population reaches."""
         return exact_variance(self.chained_parameters, n, f)
+
+    def fixed_population_variance(self, n: int, f: float) -> float:
+        """Estimator variance over a fixed population where exactly ``n f``
+        users hold the value: Eq. (4) minus ``f (1 - f) / n``."""
+        return fixed_population_variance(self.chained_parameters, n, f)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

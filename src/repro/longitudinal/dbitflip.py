@@ -219,6 +219,11 @@ class DBitFlipPM(LongitudinalProtocol):
         numerator = f * pi * p * (1.0 - pi * p) + (1.0 - f) * pi * q * (1.0 - pi * q)
         return numerator / (n * pi**2 * (p - q) ** 2)
 
+    def fixed_population_variance(self, n: int, f: float) -> float:
+        """:meth:`exact_variance`, which already sums independent Bernoullis
+        over a fixed population."""
+        return self.exact_variance(n, f)
+
     def create_client(self, rng: RngLike = None) -> DBitFlipClient:
         return DBitFlipClient(self, rng)
 

@@ -2,9 +2,11 @@
 
 Implements Eq. (4) — the exact variance of the longitudinal estimator of
 Eq. (3) — and Eq. (5), the approximate variance obtained by evaluating Eq. (4)
-at ``f(v) = 0``.  The approximate variance is the quantity compared across
-protocols in Figure 2 of the paper and the objective minimized by the optimal
-``g`` selection (Eq. 6).
+at ``f(v) = 0``, plus the variance of a fixed population (the one a
+simulation draws reports from), Eq. (4) minus ``f (1 - f) / n``.  The
+approximate variance is the quantity compared across protocols in Figure 2
+of the paper and the objective minimized by the optimal ``g`` selection
+(Eq. 6).
 
 Two closed forms quoted in Section 4 are also provided for cross-checking:
 the L-OSUE approximate variance ``4 e^{eps_1} / (n (e^{eps_1} - 1)^2)`` and the
@@ -21,6 +23,7 @@ from .parameters import ChainedParameters
 
 __all__ = [
     "exact_variance",
+    "fixed_population_variance",
     "approximate_variance",
     "l_osue_closed_form_variance",
     "dbitflip_closed_form_variance",
@@ -50,7 +53,8 @@ def exact_variance(params: ChainedParameters, n: int, f: float) -> float:
     draw from ``f``.  A simulation fixes the population, whose support
     count then varies less, so the measured MSE/V* drifts below 1 as ε∞
     grows: L-GRR at k = 60 reads 0.96–0.98 at ε∞ = 5 and 0.76–0.78 at
-    ε∞ = 8.
+    ε∞ = 8.  :func:`fixed_population_variance` is the variance of that
+    fixed population.
     """
     n = require_int_at_least(n, 1, "n")
     f = require_probability(f, "f")
@@ -61,6 +65,24 @@ def exact_variance(params: ChainedParameters, n: int, f: float) -> float:
     if denominator <= 0:
         raise ParameterError("estimator variance is undefined when p1 <= q1 or p2 <= q2")
     return gamma * (1.0 - gamma) / denominator
+
+
+def fixed_population_variance(params: ChainedParameters, n: int, f: float) -> float:
+    """Exact estimator variance over a fixed population: Eq. (4) − f(1 − f)/n.
+
+    A fixed population holds the value at exactly ``n f`` users, so the
+    support count is a sum of independent Bernoullis: ``n f`` of them
+    support at ``gamma_1 = p1 p2 + (1 - p1) q2`` and the rest at
+    ``gamma_0 = q1 p2 + (1 - q1) q2``.  Its variance is
+    ``n [f gamma_1 (1 - gamma_1) + (1 - f) gamma_0 (1 - gamma_0)]
+    = n [gamma (1 - gamma) - f (1 - f) (gamma_1 - gamma_0)^2]``, with Eq. (4)'s
+    ``gamma = f gamma_1 + (1 - f) gamma_0``.  Since ``gamma_1 - gamma_0 =
+    (p1 - q1)(p2 - q2)``, dividing by Eq. (4)'s
+    ``n^2 (p1 - q1)^2 (p2 - q2)^2`` gives Eq. (4) minus ``f (1 - f) / n``.
+    At ``f = 0`` it equals :func:`approximate_variance`.
+    """
+    f = require_probability(f, "f")
+    return exact_variance(params, n, f) - f * (1.0 - f) / n
 
 
 def approximate_variance(params: ChainedParameters, n: int) -> float:

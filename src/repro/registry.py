@@ -4,8 +4,8 @@ Every longitudinal protocol of the paper registers a *builder* — a function
 ``(ProtocolSpec) -> LongitudinalProtocol`` — under its canonical name (plus
 aliases).  :func:`build_protocol` is the single construction entry point of
 the public API and replaces the old protocol factory closures: because a
-:class:`~repro.specs.ProtocolSpec` is plain data, sweep tasks and shard work
-units can be pickled and shipped across processes.
+:class:`~repro.specs.ProtocolSpec` is plain data, sweep tasks can be
+pickled and shipped across processes.
 
 Registered names (see :func:`registered_protocols`):
 

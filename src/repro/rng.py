@@ -27,7 +27,7 @@ def derive_seed_sequences(root: RngLike, count: int) -> List[np.random.SeedSeque
 
     This is the picklable form of :func:`derive_generators`: the ``i``-th
     child seeds exactly the generator ``derive_generators(root, count)[i]``,
-    so work can be sharded across processes (each worker builds its generator
+    so work can be spread across processes (each worker builds its generator
     locally with ``np.random.default_rng(child)``) while remaining
     bit-identical to the serial execution.
     """

@@ -7,9 +7,8 @@ The subsystem is layered (see ``docs/architecture.md``):
    :mod:`repro.freq_oneshot`;
 2. :mod:`~repro.simulation.state` — dense per-population memoization tables
    with lazy batch initialization;
-3. :mod:`~repro.simulation.sinks` — streaming support-count accumulators,
-   including a :class:`~repro.simulation.sinks.ShardedSink` that merges
-   partial counts from independent user shards;
+3. :mod:`~repro.simulation.sinks` — the streaming support-count
+   accumulator and its debiasing;
 4. :mod:`~repro.simulation.engines` — one vectorized population per protocol
    family, each a thin composition of kernel + state;
 5. :mod:`~repro.simulation.runner` / :mod:`~repro.simulation.sweep` — the
@@ -59,8 +58,6 @@ _EXPORTS = {
     "make_packed_bit_memo": ".state",
     # sinks
     "SupportCountSink": ".sinks",
-    "ShardSummary": ".sinks",
-    "ShardedSink": ".sinks",
     "estimate_support_counts": ".sinks",
     # engines
     "PopulationEngine": ".engines",
@@ -75,13 +72,8 @@ _EXPORTS = {
     "averaged_longitudinal_privacy_loss": ".metrics",
     # runner
     "SimulationResult": ".runner",
-    "ShardTask": ".runner",
-    "make_shard_tasks": ".runner",
-    "result_from_summaries": ".runner",
     "round_windows": ".runner",
-    "run_shard_task": ".runner",
     "simulate_protocol": ".runner",
-    "simulate_protocol_sharded": ".runner",
     "simulate_with_clients": ".runner",
     # sweep
     "SweepPoint": ".sweep",
@@ -145,17 +137,12 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
         mse_per_round,
     )
     from .runner import (
-        ShardTask,
         SimulationResult,
-        make_shard_tasks,
-        result_from_summaries,
         round_windows,
-        run_shard_task,
         simulate_protocol,
-        simulate_protocol_sharded,
         simulate_with_clients,
     )
-    from .sinks import ShardedSink, ShardSummary, SupportCountSink, estimate_support_counts
+    from .sinks import SupportCountSink, estimate_support_counts
     from .state import (
         DenseSymbolMemo,
         PackedBitMemo,

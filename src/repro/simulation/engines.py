@@ -705,8 +705,8 @@ class LOLOHAEngine(PopulationEngine):
         super().__init__(protocol, n_users, rng, backend=backend)
         #: Pre-hashed domain per user: ``hashed_domain[u, v] = H_u(v)``.
         #: Always drawn from this engine's own stream — never shared state —
-        #: so shard engines reproduce the identical tables in every
-        #: execution mode.  The families return it in this dtype already, so
+        #: so a run reproduces the identical tables in every execution
+        #: mode.  The families return it in this dtype already, so
         #: ``astype`` copies only a custom family's wider table.
         self.hashed_domain = protocol.family.sample_hashed_domains(
             n_users, protocol.k, self._rng

@@ -6,51 +6,36 @@ round, folds the per-round support counts into a
 :class:`~repro.simulation.sinks.SupportCountSink` and scores the debiased
 estimates with the paper's metrics; the UE engine also gets each round's
 column of the dataset's once-visited mask, so pairs that occur once are
-drawn in aggregate and never memoized.  ``simulate_protocol_sharded`` splits the
-population into independent user shards whose partial counts are merged with
-a :class:`~repro.simulation.sinks.ShardedSink` — the building block for
-populations larger than one engine (or one process) should hold.
-``simulate_with_clients`` is the reference path that drives the per-user
-client objects directly; it is slower but exercises exactly the public
-client API and is used by the integration tests (and to cross-check the
-engines).
-
-``simulate_protocol_sharded`` accepts either a protocol object or a
-declarative :class:`~repro.specs.ProtocolSpec`; with a spec, every shard
-becomes a picklable :class:`ShardTask` and ``n_workers > 1`` runs the
-shards on a local process pool.  The estimates are bit-identical to the
-serial path for every worker count.
+drawn in aggregate and never memoized.  ``simulate_with_clients`` is the
+reference path that drives the per-user client objects directly; it is
+slower but exercises exactly the public client API and is used by the
+integration tests (and to cross-check the engines).  Work spreads over
+processes one whole simulation at a time, through
+:func:`repro.simulation.sweep.run_sweep`.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .._validation import as_rng, require_int_at_least
+from .._validation import as_rng
 from ..datasets.base import LongitudinalDataset
 from ..exceptions import ExperimentError
 from ..longitudinal.base import LongitudinalProtocol
 from ..longitudinal.dbitflip import DBitFlipPM
 from ..obs.spans import span
-from ..rng import RngLike, derive_seed_sequences
-from ..specs import ProtocolSpec
+from ..rng import RngLike
 from .engines import UnaryChainEngine, engine_for
 from .metrics import averaged_longitudinal_privacy_loss, averaged_mse, mse_per_round
-from .sinks import ShardedSink, ShardSummary, SupportCountSink
+from .sinks import SupportCountSink
 
 __all__ = [
     "SimulationResult",
-    "ShardTask",
-    "make_shard_tasks",
-    "result_from_summaries",
     "round_windows",
-    "shard_boundaries",
     "simulate_protocol",
-    "simulate_protocol_sharded",
     "simulate_with_clients",
 ]
 
@@ -221,212 +206,6 @@ def simulate_protocol(
         distinct=engine.distinct_memoized_per_user(),
         extra={"engine": type(engine).__name__},
     )
-
-
-@dataclass(frozen=True)
-class ShardTask:
-    """One picklable shard work unit of a sharded simulation.
-
-    Carries everything a pool worker needs — a declarative protocol spec,
-    the shard's user slice and its derived seed — so shards can be shipped
-    to worker processes and their
-    :class:`~repro.simulation.sinks.ShardSummary` results merged in any
-    grouping.
-    """
-
-    spec: ProtocolSpec
-    dataset_name: str
-    start: int
-    stop: int
-    seed: np.random.SeedSequence
-
-
-# ``fork``-safe per-worker shard context (see sweep.py for the same pattern).
-# The dataset travels through the pool initializer once per worker instead
-# of once per task.
-_SHARD_DATASET: Optional[LongitudinalDataset] = None
-
-
-def _init_shard_worker(dataset: LongitudinalDataset) -> None:
-    global _SHARD_DATASET
-    _SHARD_DATASET = dataset
-
-
-def run_shard_task(
-    task: ShardTask, dataset: Optional[LongitudinalDataset] = None
-) -> ShardSummary:
-    """Execute one shard and return its picklable partial counts.
-
-    ``dataset`` defaults to the one installed by the pool initializer.
-    """
-    if dataset is None:
-        dataset = _SHARD_DATASET
-    if dataset is None:
-        raise ExperimentError(
-            f"no dataset for shard task {task.dataset_name!r}: pass dataset= "
-            "or run the task on a pool initialized with one"
-        )
-    if task.dataset_name and dataset.name != task.dataset_name:
-        # A worker holding a different workload must fail loudly instead of
-        # producing mislabelled partial counts.
-        raise ExperimentError(
-            f"shard task for dataset {task.dataset_name!r} reached a worker "
-            f"holding dataset {dataset.name!r}"
-        )
-    protocol = _resolve_protocol(task.spec, dataset.k)
-    return _run_shard(protocol, dataset, task.start, task.stop, task.seed)
-
-
-def _run_shard(
-    protocol: LongitudinalProtocol,
-    dataset: LongitudinalDataset,
-    start: int,
-    stop: int,
-    seed: np.random.SeedSequence,
-) -> ShardSummary:
-    """Run users ``[start, stop)`` of ``dataset`` on the stream ``seed``."""
-    generator = np.random.default_rng(seed)
-    engine = engine_for(protocol, stop - start, generator)
-    sink = SupportCountSink(
-        dataset.n_rounds, protocol.estimation_domain_size, stop - start
-    )
-    once = _once_mask(engine, dataset)
-    _drive_windows(
-        engine, dataset.values[start:stop], sink, generator,
-        None if once is None else once[start:stop],
-    )
-    return sink.to_summary(engine.distinct_memoized_per_user())
-
-
-def _resolve_protocol(
-    protocol_or_spec: Union[LongitudinalProtocol, ProtocolSpec], k: int
-) -> LongitudinalProtocol:
-    if isinstance(protocol_or_spec, ProtocolSpec):
-        from ..registry import build_protocol
-
-        return build_protocol(protocol_or_spec.at(k=k))
-    return protocol_or_spec
-
-
-def shard_boundaries(n_users: int, n_shards: int) -> np.ndarray:
-    """Population split points for ``n_shards`` even, contiguous user shards.
-
-    A pure function of ``(n_users, n_shards)``, so equal inputs yield
-    identical boundaries in every process.
-    """
-    n_shards = require_int_at_least(n_shards, 1, "n_shards")
-    if n_shards > n_users:
-        raise ExperimentError(
-            f"cannot split {n_users} users into {n_shards} shards"
-        )
-    return np.linspace(0, n_users, n_shards + 1).astype(np.int64)
-
-
-def make_shard_tasks(
-    spec: ProtocolSpec,
-    dataset: LongitudinalDataset,
-    n_shards: int,
-    rng: RngLike = None,
-) -> List[ShardTask]:
-    """Split ``dataset`` into ``n_shards`` contiguous shard work units.
-
-    Shard ``i`` covers users ``[boundaries[i], boundaries[i+1])`` and is
-    seeded by the ``i``-th child of the root seed — a pure function of
-    ``(rng, n_shards, i)``, so the tasks reproduce the identical summaries
-    whether they run serially or on a process pool.
-    """
-    return [
-        ShardTask(spec, dataset.name, start, stop, seed)
-        for start, stop, seed in _shard_slices(dataset.n_users, n_shards, rng)
-    ]
-
-
-def _shard_slices(
-    n_users: int, n_shards: int, rng: RngLike
-) -> List[Tuple[int, int, np.random.SeedSequence]]:
-    """``(start, stop, seed)`` of each shard, in shard order."""
-    boundaries = shard_boundaries(n_users, n_shards)
-    shard_seeds = derive_seed_sequences(rng, n_shards)
-    return [
-        (int(boundaries[shard]), int(boundaries[shard + 1]), seed)
-        for shard, seed in enumerate(shard_seeds)
-    ]
-
-
-def result_from_summaries(
-    protocol: Union[LongitudinalProtocol, ProtocolSpec],
-    dataset: LongitudinalDataset,
-    summaries: List[ShardSummary],
-) -> SimulationResult:
-    """Merge shard summaries (in the given order) into a final result."""
-    resolved = _resolve_protocol(protocol, dataset.k)
-    merged = ShardedSink()
-    for summary in summaries:
-        merged.absorb(summary)
-    return _package_result(
-        resolved,
-        dataset,
-        estimates=merged.estimates(resolved),
-        distinct=merged.distinct_memoized_per_user,
-        extra={"engine": "sharded", "n_shards": len(summaries)},
-    )
-
-
-def simulate_protocol_sharded(
-    protocol: Union[LongitudinalProtocol, ProtocolSpec],
-    dataset: LongitudinalDataset,
-    n_shards: int,
-    rng: RngLike = None,
-    n_workers: int = 1,
-) -> SimulationResult:
-    """Simulate ``protocol`` by splitting the population into user shards.
-
-    Each shard runs its own vectorized engine over a contiguous slice of the
-    user population (with an independent derived randomness stream) and emits
-    only its per-round support counts; the shards' partial counts are merged
-    with the associative :class:`~repro.simulation.sinks.ShardedSink` before
-    a single final debiasing.  The result is statistically equivalent to the
-    unsharded path — the estimator only ever sees the population-level
-    counts.
-
-    ``protocol`` may be a protocol object or a
-    :class:`~repro.specs.ProtocolSpec`.  With a spec, the shards become
-    picklable :class:`ShardTask` work units and ``n_workers > 1`` executes
-    them on a local process pool; results are bit-identical for every worker
-    count because each shard's stream is derived from the root seed alone.
-    """
-    resolved = _resolve_protocol(protocol, dataset.k)
-    _check_domains(resolved, dataset)
-    n_shards = require_int_at_least(n_shards, 1, "n_shards")
-    n_workers = require_int_at_least(n_workers, 1, "n_workers")
-    if n_shards > dataset.n_users:
-        raise ExperimentError(
-            f"cannot split {dataset.n_users} users into {n_shards} shards"
-        )
-    if n_workers > 1 and not isinstance(protocol, ProtocolSpec):
-        raise ExperimentError(
-            "distributing shards requires a ProtocolSpec (protocol objects "
-            "are not shipped as work units); pass a spec from repro.specs"
-        )
-
-    summaries: List[ShardSummary]
-    if n_workers == 1:
-        summaries = [
-            _run_shard(resolved, dataset, start, stop, seed)
-            for start, stop, seed in _shard_slices(dataset.n_users, n_shards, rng)
-        ]
-    else:
-        with ProcessPoolExecutor(
-            max_workers=min(n_workers, n_shards),
-            initializer=_init_shard_worker,
-            initargs=(dataset,),
-        ) as pool:
-            # ``map`` preserves task order, so the merge below absorbs
-            # shards in shard order — bit-identical to the serial path.
-            tasks = make_shard_tasks(protocol, dataset, n_shards, rng)
-            summaries = list(pool.map(run_shard_task, tasks))
-
-    return result_from_summaries(resolved, dataset, summaries)
 
 
 def simulate_with_clients(

@@ -6,19 +6,9 @@ debiasing the accumulated counts (Eq. 1 / Eq. 3 are linear per round, so
 debiasing at the end is bit-identical to debiasing round by round).  This
 keeps the round loop of :func:`repro.simulation.runner.simulate_protocol`
 free of any per-round allocation beyond the count row itself.
-
-For populations too large for a single engine (or a single process),
-:class:`ShardedSink` merges the partial counts of independent *user shards*:
-each shard simulates its own sub-population and emits a
-:class:`ShardSummary`; summaries are combined with the associative
-:meth:`ShardedSink.merge` so shards can be folded in any grouping — including
-tree reductions across processes.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import List, Optional
 
 import numpy as np
 
@@ -31,8 +21,6 @@ from .kernels import debias_kernel
 __all__ = [
     "estimate_support_counts",
     "SupportCountSink",
-    "ShardSummary",
-    "ShardedSink",
 ]
 
 
@@ -95,118 +83,3 @@ class SupportCountSink:
     def estimates(self, protocol: LongitudinalProtocol) -> np.ndarray:
         """Debiased ``(n_rounds, m)`` estimate matrix (Eq. 1 / Eq. 3)."""
         return estimate_support_counts(protocol, self.support_counts, self.n_users)
-
-    def to_summary(self, distinct_memoized_per_user: np.ndarray) -> "ShardSummary":
-        """Package this sink's counts as one shard of a larger population."""
-        return ShardSummary(
-            support_counts=self.support_counts,
-            distinct_memoized_per_user=np.asarray(
-                distinct_memoized_per_user, dtype=np.int64
-            ),
-            n_users=self.n_users,
-        )
-
-
-@dataclass(frozen=True)
-class ShardSummary:
-    """Partial simulation output of one user shard.
-
-    Attributes
-    ----------
-    support_counts:
-        ``(n_rounds, m)`` support counts contributed by the shard's users.
-    distinct_memoized_per_user:
-        Per-user distinct memoization keys, for the shard's users only.
-    n_users:
-        Number of users in the shard.
-    """
-
-    support_counts: np.ndarray
-    distinct_memoized_per_user: np.ndarray
-    n_users: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "support_counts", np.asarray(self.support_counts, dtype=np.float64)
-        )
-        object.__setattr__(
-            self,
-            "distinct_memoized_per_user",
-            np.asarray(self.distinct_memoized_per_user, dtype=np.int64),
-        )
-        if self.distinct_memoized_per_user.shape != (self.n_users,):
-            raise AggregationError(
-                "distinct_memoized_per_user must hold one entry per shard user"
-            )
-
-
-class ShardedSink:
-    """Merges :class:`ShardSummary` objects from independent user shards.
-
-    Support counts are integer-valued floats, so summation is exact and
-    :meth:`merge` is associative bit-for-bit: any grouping of shards yields
-    the same merged counts.  Per-user budget vectors are concatenated in
-    absorption order.
-    """
-
-    def __init__(self) -> None:
-        self._counts: Optional[np.ndarray] = None
-        self._distinct: List[np.ndarray] = []
-        self._n_users = 0
-
-    @property
-    def n_users(self) -> int:
-        """Total users absorbed so far."""
-        return self._n_users
-
-    def absorb(self, summary: ShardSummary) -> "ShardedSink":
-        """Fold one shard into the sink (returns ``self`` for chaining)."""
-        counts = np.asarray(summary.support_counts, dtype=np.float64)
-        if self._counts is None:
-            self._counts = counts.copy()
-        else:
-            if counts.shape != self._counts.shape:
-                raise AggregationError(
-                    f"shard count shape {counts.shape} does not match "
-                    f"{self._counts.shape}"
-                )
-            self._counts += counts
-        self._distinct.append(
-            np.asarray(summary.distinct_memoized_per_user, dtype=np.int64)
-        )
-        self._n_users += summary.n_users
-        return self
-
-    def merge(self, other: "ShardedSink") -> "ShardedSink":
-        """Associatively combine two sinks into a new one."""
-        merged = ShardedSink()
-        for sink in (self, other):
-            if sink._counts is not None:
-                merged.absorb(
-                    ShardSummary(
-                        support_counts=sink._counts,
-                        distinct_memoized_per_user=sink.distinct_memoized_per_user,
-                        n_users=sink._n_users,
-                    )
-                )
-        return merged
-
-    @property
-    def support_counts(self) -> np.ndarray:
-        """The merged ``(n_rounds, m)`` support counts."""
-        if self._counts is None:
-            raise AggregationError("no shards have been absorbed yet")
-        return self._counts
-
-    @property
-    def distinct_memoized_per_user(self) -> np.ndarray:
-        """Concatenated per-user distinct-key counts, in absorption order."""
-        if not self._distinct:
-            return np.zeros(0, dtype=np.int64)
-        return np.concatenate(self._distinct)
-
-    def estimates(self, protocol: LongitudinalProtocol) -> np.ndarray:
-        """Debiased estimate matrix over the merged population."""
-        if self._n_users <= 0:
-            raise AggregationError("cannot estimate from an empty population")
-        return estimate_support_counts(protocol, self.support_counts, self._n_users)

@@ -248,16 +248,13 @@ class PackedBitMemo(_PackedBitMemoBase):
                 # The table is dense over (user, key), unlike the reference
                 # clients' per-visited-pair dicts; at very large domains that
                 # is a real footprint.  make_packed_bit_memo switches to
-                # SparsePackedBitMemo above this threshold, and
-                # sharding bounds the peak further: each shard of
-                # ``simulate_protocol_sharded`` allocates only its own
-                # sub-population's table and frees it before the next shard.
+                # SparsePackedBitMemo above this threshold.
                 warnings.warn(
                     f"PackedBitMemo is allocating "
                     f"{projected / 1024**3:.1f} GiB for {self.n_users} users x "
                     f"{self.n_keys} keys x {self.n_bits} bits; consider "
-                    f"SparsePackedBitMemo (make_packed_bit_memo) or "
-                    f"simulate_protocol_sharded to bound peak memory",
+                    f"SparsePackedBitMemo (make_packed_bit_memo) to bound "
+                    f"peak memory",
                     ResourceWarning,
                     stacklevel=4,
                 )

@@ -3,7 +3,7 @@
 The paper's Figures 3 and 4 sweep ``eps_inf`` over ``[0.5, 1, ..., 5]`` and
 ``alpha = eps_1 / eps_inf`` over ``{0.4, 0.5, 0.6}`` for every protocol and
 dataset, averaging 20 runs per point.  :func:`run_sweep` reproduces that
-loop over one dataset for arbitrary grids and run counts and can shard the
+loop over one dataset for arbitrary grids and run counts and can spread the
 grid across worker processes:
 
 * protocols are described by declarative :class:`~repro.specs.ProtocolSpec`
@@ -88,12 +88,21 @@ class SweepTask:
         """Resolve the template into a live protocol for domain size ``k``."""
         return build_protocol(self.spec.at(k=k, eps_inf=self.eps_inf, alpha=self.alpha))
 
-    def check_dataset(self, dataset: LongitudinalDataset) -> LongitudinalDataset:
+    def check_dataset(
+        self, dataset: Optional[LongitudinalDataset]
+    ) -> LongitudinalDataset:
         """Guard against executing the task against the wrong workload.
 
         Tasks are shippable; a worker pool initialized with a different
-        dataset must fail loudly instead of producing mislabelled results.
+        dataset must fail loudly instead of producing mislabelled results,
+        and a task run outside an initialized pool without a dataset must
+        fail with a typed error.
         """
+        if dataset is None:
+            raise ExperimentError(
+                f"no dataset for sweep task {self.spec.name!r}: pass one, or run "
+                "the task in a pool initialized with its dataset"
+            )
         if self.dataset_name and dataset.name != self.dataset_name:
             raise ExperimentError(
                 f"task for dataset {self.dataset_name!r} reached a worker "
@@ -282,7 +291,7 @@ def run_sweep(
         scalar statistics are always retained.
     n_workers:
         Number of worker processes; ``1`` (default) runs in-process.  With
-        more, the tasks are sharded across a process pool and the points
+        more, the tasks are spread across a process pool and the points
         are bit-identical to the serial ones.
     store, experiment_id:
         When ``store`` is given (a :class:`repro.store.ResultsStore`, or any

@@ -9,9 +9,9 @@ spec into a live :class:`~repro.longitudinal.base.LongitudinalProtocol`.
 
 Specs replace the old protocol factory closures (``lambda k, eps_inf,
 eps_1: ...``), which could not be serialized and therefore blocked
-distributing sweeps and sharded simulations.  A spec may be *partial* — grid
-fields (``k``, ``eps_inf``, ``alpha``) left as ``None`` act as a template
-that a sweep fills in per grid point via :meth:`ProtocolSpec.at`.
+distributing sweeps.  A spec may be *partial* — grid fields (``k``,
+``eps_inf``, ``alpha``) left as ``None`` act as a template that a sweep
+fills in per grid point via :meth:`ProtocolSpec.at`.
 
 :class:`SweepSpec` describes a whole ``(protocol, dataset, eps_inf, alpha)``
 grid — the unit of work of the ``repro-ldp sweep`` CLI command — and is the

@@ -102,7 +102,7 @@ class TestParser:
         ],
     )
     def test_file_queue_commands_are_gone(self, capsys, argv):
-        """Shards run on a local pool only, and a sweep reports progress
+        """Sweeps run on a local pool only, and a sweep reports progress
         through ``--events`` alone, and the invariant rules run as a test:
         the file-queue commands, ``status``, ``sweep --metrics-port`` and
         ``check`` are argparse errors, not tracebacks."""

@@ -1,6 +1,6 @@
-"""Execution-tier tests: batched windows, process-pool shards, kernel backends.
+"""Execution-tier tests: batched windows and kernel backends.
 
-Guards the three layers added by the execution tier:
+Guards the two layers added by the execution tier:
 
 * **Batched stepping** — :meth:`run_rounds` collapses a steady window into
   one kernel call, bit-identical to sequential :meth:`run_round` stepping
@@ -8,8 +8,6 @@ Guards the three layers added by the execution tier:
   that an R-round window consumes exactly R rounds' worth of variates, at
   two population sizes), and the runner's window driver splits windows at
   every mid-window value change.
-* **Process-pool shards** — sharded runs on a pool stay bit-identical to
-  serial execution for every protocol family.
 * **Kernel backends** — the dispatch resolves a requested backend and
   rejects an unknown one; the compiled backend's exact equality with the
   numpy oracle is ``tests/test_kernels.py::TestNativeOracle``.
@@ -25,7 +23,6 @@ from repro.simulation import (
     engine_for,
     round_windows,
     simulate_protocol,
-    simulate_protocol_sharded,
 )
 from repro.simulation.kernels_backend import (
     BACKEND_ENV_VAR,
@@ -33,7 +30,6 @@ from repro.simulation.kernels_backend import (
     available_backend_names,
     resolve_backend,
 )
-from repro.specs import ProtocolSpec
 
 K = 16
 
@@ -272,21 +268,6 @@ class TestEngineOptionValidation:
             ParameterError, match=r"does not accept engine option\(s\) 'memo_layout'"
         ):
             engine_for(protocol, 10, rng=0, memo_layout="sparse")
-
-
-class TestProcessPoolShards:
-    @pytest.mark.parametrize(
-        "name", ["L-GRR", "L-OSUE", "OLOLOHA", "dBitFlipPM"]
-    )
-    def test_pool_matches_serial_bit_for_bit(self, name, tiny_dataset):
-        """Sharded runs on a process pool produce the same bits as serial."""
-        params = {"b": 6, "d": 4} if name == "dBitFlipPM" else {}
-        spec = ProtocolSpec(name=name, eps_inf=2.0, alpha=0.5, params=params)
-        serial = simulate_protocol_sharded(spec, tiny_dataset, n_shards=3, rng=77)
-        pooled = simulate_protocol_sharded(
-            spec, tiny_dataset, n_shards=3, rng=77, n_workers=2
-        )
-        assert np.array_equal(serial.estimates, pooled.estimates)
 
 
 class TestKernelBackends:

@@ -29,6 +29,18 @@ class TestPublicAPI:
         for name in repro.__all__:
             assert hasattr(repro, name), f"missing export {name}"
 
+    @pytest.mark.parametrize("module", ["repro", "repro.simulation", "repro.service"])
+    def test_lazy_exports_resolve_and_are_listed(self, module):
+        """Each ``__all__`` name resolves through the package's lazy
+        ``__getattr__`` and is listed by ``dir()``, so a lazy table that
+        names a deleted object, or a ``__getattr__`` without ``__dir__``,
+        fails here."""
+        package = importlib.import_module(module)
+        listed = set(dir(package))
+        for name in package.__all__:
+            getattr(package, name)
+            assert name in listed, f"dir({module}) lacks {name}"
+
     def test_one_shot_local_hashing_is_not_exported(self):
         with pytest.raises(ImportError):
             from repro import OLH  # noqa: F401

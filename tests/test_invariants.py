@@ -1,7 +1,7 @@
 """Machine-checked invariants of the ``repro`` source tree.
 
 Every estimate this library produces is bit-identical across serial,
-sharded (pooled) and live execution, and every durable artifact survives a
+pooled and live execution, and every durable artifact survives a
 kill at any instant.  Both guarantees rest on conventions that no single
 test exercises: all randomness derives from explicit seeds, no simulation
 path reads the wall clock, every whole-file write stages, fsyncs and

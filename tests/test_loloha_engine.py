@@ -6,9 +6,9 @@ support rows with flat takes.  The anchors are sha256 digests of
 ``simulate_protocol(...).estimates`` on a reduced db_mt whose population
 spans several row blocks of that draw; both support layouts and both kernel
 backends give the same digest.  The packed support planes, filled one row
-block at a time, equal the whole-table ``packbits`` of each hash value.  The MSE_avg/V* gate bounds the R-seed mean
-serially and through pooled shards, on the gate datasets shared with the UE
-and dBitFlipPM gates; it also runs L-GRR, which shares the symbol memo.
+block at a time, equal the whole-table ``packbits`` of each hash value.  The
+MSE_avg/V* gate bounds the R-seed mean on the gate datasets shared with the
+UE and dBitFlipPM gates; it also runs L-GRR, which shares the symbol memo.
 """
 
 import hashlib
@@ -20,23 +20,24 @@ import pytest
 from repro.datasets.census import make_db_mt
 from repro.hashing.families import _MULTIPLY_SHIFT_BLOCK_BYTES
 from repro.longitudinal import LGRR, LOLOHA, BiLOLOHA, OLOLOHA
-from repro.simulation import LOLOHAEngine, simulate_protocol, simulate_protocol_sharded
+from repro.simulation import LOLOHAEngine, simulate_protocol
 from repro.simulation.engines import _SUPPORT_PLANES_BLOCK_BYTES
 from repro.simulation.kernels_backend import available_backend_names
-from repro.specs import ProtocolSpec
 from test_statistical_properties import _Z_ALPHA_1E4
 from test_ue_once_visited import GATE_DATASETS
 
 PROTOCOLS = {"BiLOLOHA": BiLOLOHA, "OLOLOHA": OLOLOHA}
 EPS_INF, ALPHA = 2.0, 0.5
 #: The MSE gate's protocols and their eps_inf.  It also runs L-GRR, whose
-#: engine shares LOLOHA's dense symbol memo, at eps_inf = 5: at 2 its V* on
-#: the gate datasets is so large that a memo carrying no signal of the user's
-#: value still passes.
+#: engine shares LOLOHA's dense symbol memo, at eps_inf = 5 and 8: at 2 its V*
+#: on the gate datasets is so large that a memo carrying no signal of the
+#: user's value still passes, and at 8 the gap between Eq. (4) and the
+#: fixed-population V* is widest.
 GATE_PROTOCOLS = {
     "BiLOLOHA": (BiLOLOHA, EPS_INF),
     "OLOLOHA": (OLOLOHA, EPS_INF),
-    "L-GRR": (LGRR, 5.0),
+    "L-GRR-eps5": (LGRR, 5.0),
+    "L-GRR-eps8": (LGRR, 8.0),
 }
 
 
@@ -95,32 +96,21 @@ N_SEEDS = 16
 
 @pytest.mark.parametrize("dataset_name", list(GATE_DATASETS))
 @pytest.mark.parametrize("name", list(GATE_PROTOCOLS))
-def test_mse_over_v_star_is_bounded_serial_and_pooled(name, dataset_name):
-    """The R-seed mean of MSE_avg/V* stays at 1, serially and through pooled
-    shards, and the two means agree.
+def test_mse_over_v_star_is_bounded_serial(name, dataset_name):
+    """The R-seed mean of MSE_avg/V* stays at 1.
 
-    V* is Eq. (4) averaged over the true frequencies.  Memoization
-    correlates rounds, so the spread is taken across seeds: the bound is
-    ``z`` seed-standard-errors plus 10%.
+    V* is the fixed-population variance averaged over the true frequencies.
+    Memoization correlates rounds, so the spread is taken across seeds: the
+    bound is ``z`` seed-standard-errors plus 10%.
     """
     dataset = GATE_DATASETS[dataset_name]()
     protocol_cls, eps_inf = GATE_PROTOCOLS[name]
     protocol = protocol_cls(dataset.k, eps_inf, ALPHA * eps_inf)
-    spec = ProtocolSpec(name=name, eps_inf=eps_inf, alpha=ALPHA)
     v_star = np.mean([
-        protocol.exact_variance(dataset.n_users, float(f))
+        protocol.fixed_population_variance(dataset.n_users, float(f))
         for f in dataset.true_frequency_matrix().ravel()
     ])
-    by_mode = {
-        "serial": [simulate_protocol(protocol, dataset, rng=seed).mse_avg / v_star
-                   for seed in range(N_SEEDS)],
-        "pooled": [simulate_protocol_sharded(spec, dataset, 2, rng=seed, n_workers=2).mse_avg
-                   / v_star for seed in range(N_SEEDS)],
-    }
-    spreads = {}
-    for mode, ratios in by_mode.items():
-        ratios = np.asarray(ratios)
-        spreads[mode] = math.sqrt(ratios.var(ddof=1) / ratios.size)
-        assert abs(ratios.mean() - 1) < 0.1 + _Z_ALPHA_1E4 * spreads[mode], (mode, ratios)
-    gap = np.mean(by_mode["serial"]) - np.mean(by_mode["pooled"])
-    assert abs(gap) < _Z_ALPHA_1E4 * math.hypot(*spreads.values()), by_mode
+    ratios = np.array([simulate_protocol(protocol, dataset, rng=seed).mse_avg / v_star
+                       for seed in range(N_SEEDS)])
+    spread = math.sqrt(ratios.var(ddof=1) / ratios.size)
+    assert abs(ratios.mean() - 1) < 0.1 + _Z_ALPHA_1E4 * spread, ratios

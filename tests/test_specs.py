@@ -1,5 +1,5 @@
 """Tests for the declarative construction API: ProtocolSpec / SweepSpec,
-the protocol registry, and spec-driven sweep / shard equivalence."""
+the protocol registry, and spec-driven sweep and simulation equivalence."""
 
 import json
 import pickle
@@ -24,7 +24,8 @@ from repro.registry import (
     register_protocol,
     registered_protocols,
 )
-from repro.simulation import simulate_protocol_sharded
+from repro.rng import derive_seed_sequences
+from repro.simulation import engine_for, simulate_protocol
 from repro.simulation.sweep import run_sweep
 from repro.specs import ProtocolSpec, SweepSpec, load_sweep_spec
 
@@ -259,45 +260,56 @@ class TestSpecSweepEquivalence:
             assert a.run_mses == b.run_mses
 
 
-class TestShardedSpecSimulation:
-    def test_spec_shards_match_protocol_shards(self, tiny_dataset):
-        spec = ProtocolSpec(name="L-OSUE", k=tiny_dataset.k, eps_inf=2.0, eps_1=1.0)
-        from_protocol = simulate_protocol_sharded(
-            build_protocol(spec), tiny_dataset, n_shards=3, rng=5
-        )
-        from_spec = simulate_protocol_sharded(spec, tiny_dataset, n_shards=3, rng=5)
-        assert np.array_equal(from_protocol.estimates, from_spec.estimates)
+#: Every protocol of the paper's Section 5 grid, plus L-GRR on a one-round
+#: workload (the one-shot collection).
+SIMULATION_LABELS = EMPIRICAL_PROTOCOLS + ("L-GRR-oneshot",)
 
-    @pytest.mark.parametrize("label", EMPIRICAL_PROTOCOLS + ("L-GRR-oneshot",))
-    def test_pooled_shards_bit_identical(self, label, tiny_dataset, oneshot_dataset):
+
+class TestSpecSimulation:
+    """Every paper protocol simulates from its spec: a sweep task builds the
+    protocol ``build_protocol`` builds, runs it bit-identically serially and
+    on a process pool, and its engine counts each user at most once."""
+
+    @staticmethod
+    def _spec_and_dataset(label, tiny_dataset, oneshot_dataset):
         if label == "L-GRR-oneshot":
-            spec = ProtocolSpec(name="L-GRR", eps_inf=1.0, alpha=0.5)
-            dataset = oneshot_dataset
-        else:
-            spec = paper_protocol_specs()[label].at(eps_inf=2.0, alpha=0.5)
-            dataset = tiny_dataset
-        serial = simulate_protocol_sharded(spec, dataset, n_shards=4, rng=9)
-        pooled = simulate_protocol_sharded(
-            spec, dataset, n_shards=4, rng=9, n_workers=2
-        )
-        assert np.array_equal(serial.estimates, pooled.estimates)
-        assert np.array_equal(
-            serial.distinct_memoized_per_user, pooled.distinct_memoized_per_user
-        )
-        assert serial.mse_avg == pooled.mse_avg
-        assert serial.eps_avg == pooled.eps_avg
+            return ProtocolSpec(name="L-GRR"), oneshot_dataset
+        return paper_protocol_specs()[label], tiny_dataset
 
-    def test_distributing_protocol_objects_rejected(self, tiny_dataset):
-        from repro.exceptions import ExperimentError
+    @pytest.mark.parametrize("label", SIMULATION_LABELS)
+    def test_sweep_runs_equal_simulate_protocol_serial_and_pooled(
+        self, label, tiny_dataset, oneshot_dataset
+    ):
+        spec, dataset = self._spec_and_dataset(label, tiny_dataset, oneshot_dataset)
+        grid = dict(eps_inf_values=[2.0], alpha_values=[0.5], n_runs=2, rng=9)
+        (serial,) = run_sweep({label: spec}, dataset, **grid)
+        (pooled,) = run_sweep({label: spec}, dataset, n_workers=2, **grid)
+        protocol = build_protocol(spec.at(k=dataset.k, eps_inf=2.0, alpha=0.5))
+        for run, seed in enumerate(derive_seed_sequences(9, 2)):
+            direct = simulate_protocol(protocol, dataset, np.random.default_rng(seed))
+            for result in (serial.runs[run], pooled.runs[run]):
+                assert np.array_equal(result.estimates, direct.estimates)
+                assert np.array_equal(
+                    result.distinct_memoized_per_user, direct.distinct_memoized_per_user
+                )
+                assert result.mse_avg == direct.mse_avg
+                assert result.eps_avg == direct.eps_avg
 
-        with pytest.raises(ExperimentError, match="ProtocolSpec"):
-            simulate_protocol_sharded(
-                OLOLOHA(tiny_dataset.k, 2.0, 1.0),
-                tiny_dataset,
-                n_shards=2,
-                rng=0,
-                n_workers=2,
-            )
+    @pytest.mark.parametrize("label", SIMULATION_LABELS)
+    def test_round_counts_and_memo_keys_are_well_formed(
+        self, label, tiny_dataset, oneshot_dataset
+    ):
+        spec, dataset = self._spec_and_dataset(label, tiny_dataset, oneshot_dataset)
+        protocol = build_protocol(spec.at(k=dataset.k, eps_inf=2.0, alpha=0.5))
+        engine = engine_for(protocol, dataset.n_users, rng=13)
+        for values_t in dataset.iter_rounds():
+            counts = engine.run_round(values_t)
+            assert counts.shape == (protocol.estimation_domain_size,)
+            assert np.array_equal(counts, np.round(counts))
+            assert 0 <= counts.min() and counts.max() <= dataset.n_users
+        distinct = simulate_protocol(protocol, dataset, rng=13).distinct_memoized_per_user
+        assert distinct.shape == (dataset.n_users,)
+        assert distinct.min() >= 1
 
 
 class TestSweepSpecFingerprint:

@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 
 from repro.exceptions import AggregationError, ParameterError
-from repro.longitudinal import DBitFlipPM, LGRR, LSUE, OLOLOHA
-from repro.simulation import simulate_protocol, simulate_protocol_sharded
-from repro.simulation.sinks import (
-    ShardSummary,
-    ShardedSink,
-    SupportCountSink,
-    estimate_support_counts,
-)
+from repro.longitudinal import LGRR
+from repro.simulation.sinks import SupportCountSink, estimate_support_counts
 from repro.simulation.state import (
     DenseSymbolMemo,
     PackedBitMemo,
@@ -307,83 +301,3 @@ class TestSupportCountSink:
         assert np.array_equal(
             sink.estimates(protocol), estimate_support_counts(protocol, counts, 100)
         )
-
-
-class TestShardedSink:
-    @staticmethod
-    def _summary(rng, n_rounds=3, m=5, n_users=7):
-        return ShardSummary(
-            support_counts=rng.integers(0, 50, size=(n_rounds, m)).astype(float),
-            distinct_memoized_per_user=rng.integers(0, 4, size=n_users),
-            n_users=n_users,
-        )
-
-    def test_merge_is_associative_bit_for_bit(self):
-        rng = np.random.default_rng(42)
-        a, b, c = (self._summary(rng) for _ in range(3))
-        left = ShardedSink().absorb(a).merge(ShardedSink().absorb(b)).merge(
-            ShardedSink().absorb(c)
-        )
-        right = ShardedSink().absorb(a).merge(
-            ShardedSink().absorb(b).merge(ShardedSink().absorb(c))
-        )
-        flat = ShardedSink().absorb(a).absorb(b).absorb(c)
-        for sink in (left, right):
-            assert np.array_equal(sink.support_counts, flat.support_counts)
-            assert np.array_equal(
-                sink.distinct_memoized_per_user, flat.distinct_memoized_per_user
-            )
-            assert sink.n_users == flat.n_users == 21
-
-    def test_shape_mismatch_rejected(self):
-        rng = np.random.default_rng(1)
-        sink = ShardedSink().absorb(self._summary(rng))
-        with pytest.raises(AggregationError):
-            sink.absorb(self._summary(rng, n_rounds=4))
-
-    def test_empty_sink_rejects_estimation(self):
-        with pytest.raises(AggregationError):
-            ShardedSink().estimates(LGRR(4, 2.0, 1.0))
-
-    def test_summary_validates_user_count(self):
-        with pytest.raises(AggregationError):
-            ShardSummary(
-                support_counts=np.zeros((2, 3)),
-                distinct_memoized_per_user=np.zeros(4, dtype=np.int64),
-                n_users=5,
-            )
-
-
-class TestShardedSimulation:
-    @pytest.mark.parametrize(
-        "protocol_factory",
-        [
-            lambda k: LGRR(k, 3.0, 1.5),
-            lambda k: LSUE(k, 3.0, 1.5),
-            lambda k: OLOLOHA(k, 3.0, 1.5),
-            lambda k: DBitFlipPM(k, 3.0, d=4),
-        ],
-        ids=["L-GRR", "RAPPOR", "OLOLOHA", "dBitFlipPM"],
-    )
-    def test_sharded_matches_unsharded_statistically(self, protocol_factory, small_dataset):
-        whole = simulate_protocol(protocol_factory(small_dataset.k), small_dataset, rng=0)
-        sharded = simulate_protocol_sharded(
-            protocol_factory(small_dataset.k), small_dataset, n_shards=4, rng=0
-        )
-        assert sharded.estimates.shape == whole.estimates.shape
-        assert sharded.distinct_memoized_per_user.shape == (small_dataset.n_users,)
-        assert sharded.mse_avg < 8 * whole.mse_avg + 0.05
-        assert whole.mse_avg < 8 * sharded.mse_avg + 0.05
-        assert sharded.eps_avg == pytest.approx(whole.eps_avg, rel=0.25)
-        assert sharded.extra["n_shards"] == 4
-
-    def test_too_many_shards_rejected(self, tiny_dataset):
-        from repro.exceptions import ExperimentError
-
-        with pytest.raises(ExperimentError):
-            simulate_protocol_sharded(
-                LGRR(tiny_dataset.k, 2.0, 1.0),
-                tiny_dataset,
-                n_shards=tiny_dataset.n_users + 1,
-                rng=0,
-            )

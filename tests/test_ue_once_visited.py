@@ -9,11 +9,10 @@ stream (stream contract 2), so this module holds:
 
 * the distribution gate that licenses the change: per-column ``memo_ones``
   moments of the aggregated draw against the memo path, and the R-seed mean
-  of MSE_avg/V* at high and low churn, serial and pooled;
+  of MSE_avg/V* at high and low churn and on a skewed dataset;
 * the exact invariants: ``eps_avg`` and ``distinct_memoized_per_user`` equal
   a mask-free run;
-* sha256 anchors of the new stream for the dense memo, the sparse memo and
-  serial shards, with pooled shards equal to serial ones.
+* sha256 anchors of the new stream for the dense and the sparse memo.
 
 Statistics use the no-scipy helpers of ``test_statistical_properties``.
 """
@@ -24,20 +23,14 @@ import math
 import numpy as np
 import pytest
 
-from repro.analysis import approximate_variance_for
 from repro.datasets import LongitudinalDataset
 from repro.datasets.census import make_db_mt
 from repro.datasets.synthetic import make_syn
 from repro.longitudinal import LOSUE, RAPPOR
-from repro.simulation import (
-    engine_for,
-    simulate_protocol,
-    simulate_protocol_sharded,
-)
+from repro.simulation import engine_for, simulate_protocol
 from repro.simulation.metrics import averaged_longitudinal_privacy_loss, averaged_mse
 from repro.simulation.sinks import SupportCountSink
 from repro.simulation.state import PackedBitMemo, SparsePackedBitMemo
-from repro.specs import ProtocolSpec
 from test_statistical_properties import _Z_ALPHA_1E4, chi_square_critical
 
 PROTOCOLS = {"RAPPOR": RAPPOR, "L-OSUE": LOSUE}
@@ -138,19 +131,16 @@ def gate_dataset(request):
 
 class TestMseOverVStarGate:
     """(b) The R-seed mean of MSE_avg/V* stays at 1 and at the mask-free
-    mean, serially and through pooled shards.
+    mean.
 
+    V* is the fixed-population variance averaged over the true frequencies.
     Memoization correlates rounds, so the spread is taken across seeds: the
-    bound is ``z`` seed-standard-errors plus 10% for V*'s approximation.
-    The skewed dataset is the one that fails a memo drawing the true column
-    at ``q``.
+    bound is ``z`` seed-standard-errors plus 10%.  The skewed dataset is the
+    one that fails a memo drawing the true column at ``q``.
     """
 
     @staticmethod
-    def ratios(protocol_name, dataset, simulate):
-        v_star = approximate_variance_for(
-            protocol_name, EPS_INF, ALPHA * EPS_INF, dataset.n_users, dataset.k
-        )
+    def ratios(v_star, simulate):
         return np.array([simulate(seed) / v_star for seed in range(N_SEEDS)])
 
     @staticmethod
@@ -162,27 +152,22 @@ class TestMseOverVStarGate:
         assert gap < _Z_ALPHA_1E4 * math.hypot(spread, reference_spread), (ratios, reference)
 
     @pytest.mark.parametrize("name", list(PROTOCOLS))
-    def test_serial_and_pooled_ratios_are_bounded(self, name, gate_dataset):
+    def test_serial_ratios_are_bounded(self, name, gate_dataset):
         dataset = gate_dataset
         protocol = PROTOCOLS[name](dataset.k, EPS_INF, ALPHA * EPS_INF)
-        spec = ProtocolSpec(name=name, eps_inf=EPS_INF, alpha=ALPHA)
         truth = dataset.true_frequency_matrix()
+        v_star = np.mean([
+            protocol.fixed_population_variance(dataset.n_users, float(f))
+            for f in truth.ravel()
+        ])
         reference = self.ratios(
-            name, dataset,
+            v_star,
             lambda seed: averaged_mse(mask_free_run(protocol, dataset, seed)[0], truth),
         )
         serial = self.ratios(
-            name, dataset,
-            lambda seed: simulate_protocol(protocol, dataset, rng=seed).mse_avg,
-        )
-        pooled = self.ratios(
-            name, dataset,
-            lambda seed: simulate_protocol_sharded(
-                spec, dataset, 2, rng=seed, n_workers=2
-            ).mse_avg,
+            v_star, lambda seed: simulate_protocol(protocol, dataset, rng=seed).mse_avg
         )
         self.assert_bounded(serial, reference)
-        self.assert_bounded(pooled, reference)
 
 
 class TestExactInvariants:
@@ -196,14 +181,9 @@ class TestExactInvariants:
         _, distinct = mask_free_run(protocol, dataset, seed=3)
         assert np.array_equal(distinct, dataset.distinct_values_per_user())
         eps_avg = averaged_longitudinal_privacy_loss(distinct, EPS_INF)
-        spec = ProtocolSpec(name=name, eps_inf=EPS_INF, alpha=ALPHA)
-        for result in (
-            simulate_protocol(protocol, dataset, rng=3),
-            simulate_protocol_sharded(protocol, dataset, 3, rng=3),
-            simulate_protocol_sharded(spec, dataset, 2, rng=3, n_workers=2),
-        ):
-            assert np.array_equal(result.distinct_memoized_per_user, distinct)
-            assert result.eps_avg == eps_avg
+        result = simulate_protocol(protocol, dataset, rng=3)
+        assert np.array_equal(result.distinct_memoized_per_user, distinct)
+        assert result.eps_avg == eps_avg
 
 
 # ---------------------------------------------------------------------- #
@@ -226,12 +206,10 @@ def anchor_dataset() -> LongitudinalDataset:
 
 #: sha256 of the float64 estimates under stream contract 3, eps_inf=2,
 #: alpha=0.5, rng=7.  Dense and sparse memos resolve bit-identically and
-#: share the ``simulate_protocol`` digest; ``sharded`` is 3 serial shards.
+#: share the ``simulate_protocol`` digest.
 ESTIMATE_SHA256 = {
     ("RAPPOR", "memo"): "98eb4923c19f21f8f8afe0ce7cf9e0b9975ce5a9458dbd2cf598ef4788ca2f1e",
-    ("RAPPOR", "sharded"): "7ce299e84400dcd2aef6e450936c6fa8f9ad5765c2320fcd8a8a71c4e71f4ab5",
     ("L-OSUE", "memo"): "eea071780c97e81cb4ce0ca82a0d9ccc94271b5bc5d5ff8e2df1b37af8a41662",
-    ("L-OSUE", "sharded"): "c558bbffea83edffc6a8589efd296aaa1d0fb95e8f85159062b13c9297c920f8",
 }
 
 
@@ -251,15 +229,3 @@ class TestStreamAnchors:
             engine_options={"memo": memo_class(N_USERS, K, K)},
         )
         assert digest(result.estimates) == ESTIMATE_SHA256[(name, "memo")]
-
-    @pytest.mark.parametrize("name", list(PROTOCOLS))
-    def test_sharded_matches_anchor_and_pooled_equals_serial(self, name):
-        dataset = anchor_dataset()
-        spec = ProtocolSpec(name=name, eps_inf=EPS_INF, alpha=ALPHA)
-        serial = simulate_protocol_sharded(spec, dataset, 3, rng=7)
-        assert digest(serial.estimates) == ESTIMATE_SHA256[(name, "sharded")]
-        pooled = simulate_protocol_sharded(spec, dataset, 3, rng=7, n_workers=2)
-        assert np.array_equal(pooled.estimates, serial.estimates)
-        assert np.array_equal(
-            pooled.distinct_memoized_per_user, serial.distinct_memoized_per_user
-        )

@@ -1,4 +1,5 @@
-"""Tests for the variance formulas (Eq. 4 / Eq. 5) and the optimal-g selection (Eq. 6)."""
+"""Tests for the variance formulas (Eq. 4 / Eq. 5, and Eq. 4 over a fixed
+population) and the optimal-g selection (Eq. 6)."""
 
 import math
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.datasets import make_dataset
 from repro.exceptions import ParameterError
-from repro.longitudinal import DBitFlipPM, optimal_g, optimal_g_numeric
+from repro.longitudinal import LGRR, DBitFlipPM, optimal_g, optimal_g_numeric
 from repro.longitudinal.parameters import (
     l_grr_parameters,
     l_osue_parameters,
@@ -20,6 +21,7 @@ from repro.longitudinal.variance import (
     approximate_variance,
     dbitflip_closed_form_variance,
     exact_variance,
+    fixed_population_variance,
     l_osue_closed_form_variance,
 )
 
@@ -55,6 +57,52 @@ class TestExactVariance:
         params = l_sue_parameters(2.0, 1.0)
         with pytest.raises(ParameterError):
             exact_variance(params, 0, 0.1)
+
+
+FIXED_POPULATION_PARAMS = pytest.mark.parametrize(
+    "params",
+    [
+        l_sue_parameters(2.0, 1.0),
+        l_osue_parameters(8.0, 4.0),
+        l_grr_parameters(8.0, 4.0, 60),
+        loloha_parameters(2.0, 1.0, 2),
+    ],
+    ids=["L-SUE", "L-OSUE-eps8", "L-GRR-eps8", "BiLOLOHA"],
+)
+
+
+class TestFixedPopulationVariance:
+    @FIXED_POPULATION_PARAMS
+    def test_is_eq4_minus_the_population_term(self, params):
+        assert fixed_population_variance(params, 600, 0.0) == approximate_variance(params, 600)
+        for f in (0.05, 0.5, 0.9, 1.0):
+            assert fixed_population_variance(params, 600, f) == pytest.approx(
+                exact_variance(params, 600, f) - f * (1 - f) / 600, rel=1e-12
+            )
+
+    @FIXED_POPULATION_PARAMS
+    def test_is_the_variance_of_a_sum_of_independent_bernoullis(self, params):
+        """``n f`` holders support at gamma_1, the rest at gamma_0."""
+        p1, q1, p2, q2 = params.p1, params.estimator_q1, params.p2, params.q2
+        gamma_1 = p1 * p2 + (1 - p1) * q2
+        gamma_0 = q1 * p2 + (1 - q1) * q2
+        for f in (0.05, 0.5, 0.9):
+            count_variance = 600 * (
+                f * gamma_1 * (1 - gamma_1) + (1 - f) * gamma_0 * (1 - gamma_0)
+            )
+            assert fixed_population_variance(params, 600, f) == pytest.approx(
+                count_variance / (600 * (gamma_1 - gamma_0)) ** 2, rel=1e-12
+            )
+
+    def test_protocol_methods(self):
+        protocol = LGRR(60, 8.0, 4.0)
+        assert protocol.fixed_population_variance(600, 0.2) == fixed_population_variance(
+            protocol.chained_parameters, 600, 0.2
+        )
+        with pytest.raises(ParameterError):
+            protocol.fixed_population_variance(600, 1.5)
+        dbitflip = DBitFlipPM(40, 1.0, b=20, d=4)
+        assert dbitflip.fixed_population_variance(500, 0.3) == dbitflip.exact_variance(500, 0.3)
 
 
 class TestClosedForms:
